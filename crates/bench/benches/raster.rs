@@ -1,12 +1,10 @@
-//! Raster-scan benchmarks: sequential vs rayon, and per-representation
-//! end-to-end cost on a small volume.
+//! Raster-scan benchmarks: the reference rebuild vs the fused engine, and
+//! per-representation end-to-end cost on a small volume.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use haralick::direction::{Direction, DirectionSet};
 use haralick::features::FeatureSelection;
-use haralick::raster::{
-    raster_scan, raster_scan_par, scan, Representation, ScanConfig, ScanEngine, TSlidePolicy,
-};
+use haralick::raster::{raster_scan, scan, Representation, ScanConfig, ScanEngine, TSlidePolicy};
 use haralick::roi::RoiShape;
 use haralick::volume::{Dims4, LevelVolume};
 use mri::synth::{generate, SynthConfig};
@@ -35,14 +33,12 @@ fn bench_drivers(c: &mut Criterion) {
     let base = cfg(Representation::Full);
     let mut g = c.benchmark_group("raster_driver");
     g.sample_size(10);
-    g.bench_function("sequential", |b| b.iter(|| raster_scan(&vol, &base)));
-    g.bench_function("rayon", |b| b.iter(|| raster_scan_par(&vol, &base)));
-    for engine in [ScanEngine::Incremental, ScanEngine::IncrementalParallel] {
-        let tier = ScanConfig {
+    for engine in [ScanEngine::Reference, ScanEngine::Fused] {
+        let pinned = ScanConfig {
             engine,
             ..base.clone()
         };
-        g.bench_function(format!("{engine:?}"), |b| b.iter(|| scan(&vol, &tier)));
+        g.bench_function(format!("{engine:?}"), |b| b.iter(|| scan(&vol, &pinned)));
     }
     g.finish();
 }

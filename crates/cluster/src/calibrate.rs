@@ -22,14 +22,11 @@
 use crate::cost::CostModel;
 use haralick::coocc::CoMatrix;
 use haralick::direction::DirectionSet;
-use haralick::features::{compute_features, FeatureSelection, MatrixStats};
-use haralick::raster::{
-    scan_placements, ReprClass, Representation, ScanConfig, ScanEngine, TSlidePolicy, TierBucket,
-    TierTable,
-};
+use haralick::features::{compute_features, Feature, FeatureSelection, MatrixStats};
+use haralick::raster::{scan_placements, Representation, ScanConfig, ScanEngine, TSlidePolicy};
 use haralick::roi::RoiShape;
 use haralick::sparse::{SparseAccumulator, SparseCoMatrix};
-use haralick::volume::{Dims4, LevelVolume, Point4, Region4};
+use haralick::volume::{Dims4, Point4, Region4};
 use mri::synth::{generate, SynthConfig};
 use std::time::Instant;
 
@@ -122,7 +119,7 @@ pub fn calibrate(seed: u64, samples: usize) -> Calibration {
     };
 
     // --- dirty-cell stats maintenance ---
-    // Drive a support bitmap at the incremental engine's granularity
+    // Drive a support bitmap at the fused engine's granularity
     // (read a count, test non-zero, set/clear one bit) — the per-cell
     // bookkeeping each window slide pays before the sparse feature sweep.
     let host_stats_dirty_per_cell = {
@@ -148,36 +145,40 @@ pub fn calibrate(seed: u64, samples: usize) -> Calibration {
     };
 
     // --- fused sub-histogram kernel ---
-    // The fused tier shares the incremental tier's row-rebuild/slide shape
-    // (and its dirty-cell feature pass), so its per-pair constant is
-    // derived from the measured end-to-end ratio between the two engines
-    // on identical rows, applied to the slide constant. The clamp keeps a
-    // noisy micro-benchmark from pricing the kernel at an implausible
-    // extreme.
-    let (host_fused_ratio, host_fused_sparse_ratio) = {
+    // Timed directly: a block of rows through the fused engine, charged per
+    // pair visit of the row shape the model prices (one window build per
+    // row, two planes per slide). The selection is gated down to one
+    // accumulator so the statistics pass, which the model charges
+    // separately, stays out of the constant; the once-per-placement merge
+    // is amortized into it.
+    let (host_fused_per_voxel_dir, host_fused_sparse_ratio) = {
         let out = roi.output_dims(vol.dims());
         let extent = Dims4::new(out.x, out.y.min(4).max(1), 1, 1);
-        let mk = |representation, engine| ScanConfig {
+        let mk = |representation| ScanConfig {
             roi,
             directions: dirs.clone(),
-            selection: sel,
+            selection: FeatureSelection::of(&[Feature::AngularSecondMoment]),
             representation,
-            engine,
-            t_slide: TSlidePolicy::Off,
+            engine: ScanEngine::Fused,
+            t_slide: TSlidePolicy::Auto,
         };
         let time_of = |cfg: &ScanConfig| {
+            // One untimed pass first: the block is a few hundred
+            // placements, so a cold cache would dominate the timed one.
+            std::hint::black_box(scan_placements(&vol, cfg, Point4::ZERO, extent));
             let t = Instant::now();
             std::hint::black_box(scan_placements(&vol, cfg, Point4::ZERO, extent));
             t.elapsed().as_secs_f64()
         };
-        let incr = time_of(&mk(Representation::Full, ScanEngine::Incremental));
-        let fused = time_of(&mk(Representation::Full, ScanEngine::Fused));
+        let fused = time_of(&mk(Representation::Full));
         // The sparse-aware fused path re-runs the same kernel with the
         // unmirrored merge and the sparse-order sweep; its constant is the
         // dense fused constant scaled by the measured end-to-end ratio.
-        let fused_sparse = time_of(&mk(Representation::Sparse, ScanEngine::Fused));
+        let fused_sparse = time_of(&mk(Representation::Sparse));
+        let plane = roi_voxels / roi.size().x;
+        let pair_visits = extent.y * (roi_voxels + (extent.x - 1) * 2 * plane) * ndirs;
         (
-            (fused / incr.max(1e-12)).clamp(0.05, 1.5),
+            fused / pair_visits as f64,
             (fused_sparse / fused.max(1e-12)).clamp(0.8, 2.0),
         )
     };
@@ -253,9 +254,8 @@ pub fn calibrate(seed: u64, samples: usize) -> Calibration {
         feat_base_s,
         sparse_convert_s_per_entry: (convert_per_matrix / entries) * PIII_SLOWDOWN,
         stats_dirty_s_per_cell: host_stats_dirty_per_cell.max(1e-11) * PIII_SLOWDOWN,
-        coocc_fused_s_per_voxel_dir: host_slide_per_voxel_dir * host_fused_ratio * PIII_SLOWDOWN,
-        coocc_fused_sparse_s_per_voxel_dir: host_slide_per_voxel_dir
-            * host_fused_ratio
+        coocc_fused_s_per_voxel_dir: host_fused_per_voxel_dir * PIII_SLOWDOWN,
+        coocc_fused_sparse_s_per_voxel_dir: host_fused_per_voxel_dir
             * host_fused_sparse_ratio
             * PIII_SLOWDOWN,
         stitch_s_per_byte: stitch_per_byte * PIII_SLOWDOWN,
@@ -271,147 +271,6 @@ pub fn calibrate(seed: u64, samples: usize) -> Calibration {
         host_feat_naive_per_matrix,
         host_feat_sparse_per_matrix,
         zero_skip_speedup: host_feat_naive_per_matrix / host_feat_full_per_matrix.max(1e-12),
-    }
-}
-
-/// Times one engine tier over a small block of real placements.
-fn time_tier(
-    vol: &LevelVolume,
-    roi: RoiShape,
-    dirs: &DirectionSet,
-    repr: Representation,
-    engine: ScanEngine,
-) -> f64 {
-    let out = roi.output_dims(vol.dims());
-    let extent = Dims4::new(out.x.max(1), out.y.clamp(1, 2), 1, 1);
-    let cfg = ScanConfig {
-        roi,
-        directions: dirs.clone(),
-        selection: FeatureSelection::paper_default(),
-        representation: repr,
-        engine,
-        t_slide: TSlidePolicy::Off,
-    };
-    let t = Instant::now();
-    std::hint::black_box(scan_placements(vol, &cfg, Point4::ZERO, extent));
-    t.elapsed().as_secs_f64()
-}
-
-/// The engine measured fastest on this workload shape and representation.
-/// `Reference` is excluded — it exists as the correctness comparator,
-/// never as a speed candidate.
-fn fastest_tier(
-    vol: &LevelVolume,
-    roi: RoiShape,
-    dirs: &DirectionSet,
-    repr: Representation,
-) -> ScanEngine {
-    let candidates = [
-        ScanEngine::Parallel,
-        ScanEngine::Incremental,
-        ScanEngine::IncrementalParallel,
-        ScanEngine::Fused,
-        ScanEngine::FusedParallel,
-    ];
-    // Warm-up pass settles the rayon pool and caches before timing.
-    let _ = time_tier(vol, roi, dirs, repr, ScanEngine::IncrementalParallel);
-    candidates
-        .into_iter()
-        .map(|e| (time_tier(vol, roi, dirs, repr, e), e))
-        .min_by(|a, b| a.0.total_cmp(&b.0))
-        .map(|(_, e)| e)
-        .expect("non-empty candidate list")
-}
-
-/// Measures the ROI t-extent at which the fused t-slide starts paying off:
-/// times a t-deep run with the slide forced on vs off at the shallowest
-/// profitable-looking depth (`roi_t = 2`). Analytically the slide breaks
-/// even at `roi_t > 2` (two slabs against one rebuild), so the measured
-/// threshold is 2 only if the merge savings already win there, else the
-/// analytic 3.
-fn measure_t_slide_threshold(vol: &LevelVolume) -> usize {
-    let dims = vol.dims();
-    let roi = RoiShape::from_lengths(dims.x.min(8), dims.y.min(8), dims.z.min(2), 2);
-    let out = roi.output_dims(dims);
-    if out.t < 2 {
-        return 3; // no t-run to measure on this sample; keep the analytic default
-    }
-    let extent = Dims4::new(1, 1, 1, out.t);
-    let mk = |t_slide| ScanConfig {
-        roi,
-        directions: DirectionSet::all_unique_4d(1),
-        selection: FeatureSelection::paper_default(),
-        representation: Representation::Full,
-        engine: ScanEngine::Fused,
-        t_slide,
-    };
-    let time_of = |cfg: &ScanConfig| {
-        let t = Instant::now();
-        std::hint::black_box(scan_placements(vol, cfg, Point4::ZERO, extent));
-        t.elapsed().as_secs_f64()
-    };
-    let off = time_of(&mk(TSlidePolicy::Off));
-    let on = time_of(&mk(TSlidePolicy::On));
-    if on < off {
-        2
-    } else {
-        3
-    }
-}
-
-/// Builds a measured [`TierTable`] by micro-benchmarking every concrete
-/// engine tier per (ROI volume × direction count) bucket on a synthetic
-/// DCE-MRI sample — the measured replacement for the hardcoded
-/// `effective_for` heuristic. Install the result with
-/// [`haralick::raster::install_tier_table`] so [`ScanEngine::Auto`]
-/// resolves through it; [`crate::calibrated_defaults::default_tier_table`]
-/// holds the committed snapshot used when no live calibration has run.
-pub fn calibrate_tiers(seed: u64) -> TierTable {
-    let cfg = SynthConfig::test_scale(seed);
-    let raw = generate(&cfg);
-    let vol = raw.quantize_min_max(32);
-    let sparse_dirs = DirectionSet::single(haralick::direction::Direction::new(1, 1, 1, 1));
-    let dense_dirs = DirectionSet::all_unique_4d(1);
-    let small_roi = RoiShape::from_lengths(4, 4, 2, 2);
-    let paper_roi = RoiShape::paper_default();
-    let small_voxels = small_roi.len();
-    let full = Representation::Full;
-    TierTable {
-        buckets: vec![
-            // Sparse representations get their own measured bucket — the
-            // fused tiers now run them natively, so the winner is a real
-            // contest between sparse-fused and the rebuild tiers.
-            TierBucket {
-                repr: ReprClass::Sparse,
-                max_roi_voxels: usize::MAX,
-                max_levels: 256,
-                max_directions: usize::MAX,
-                engine: fastest_tier(&vol, paper_roi, &dense_dirs, Representation::Sparse),
-            },
-            TierBucket {
-                repr: ReprClass::Any,
-                max_roi_voxels: small_voxels,
-                max_levels: 256,
-                max_directions: 2,
-                engine: fastest_tier(&vol, small_roi, &sparse_dirs, full),
-            },
-            TierBucket {
-                repr: ReprClass::Any,
-                max_roi_voxels: small_voxels,
-                max_levels: 256,
-                max_directions: usize::MAX,
-                engine: fastest_tier(&vol, small_roi, &dense_dirs, full),
-            },
-            TierBucket {
-                repr: ReprClass::Any,
-                max_roi_voxels: usize::MAX,
-                max_levels: 256,
-                max_directions: 2,
-                engine: fastest_tier(&vol, paper_roi, &sparse_dirs, full),
-            },
-        ],
-        fallback: fastest_tier(&vol, paper_roi, &dense_dirs, full),
-        t_slide_min_roi_t: measure_t_slide_threshold(&vol),
     }
 }
 
@@ -465,47 +324,6 @@ mod tests {
             "sparse accumulation ({}) should cost more than dense ({})",
             c.host_coocc_sparse_per_roi,
             c.host_coocc_per_roi
-        );
-    }
-
-    #[test]
-    fn calibrated_tier_table_round_trips() {
-        let table = calibrate_tiers(7);
-        // The table only ever selects concrete tiers, for every
-        // representation family.
-        for repr in [
-            Representation::Full,
-            Representation::Sparse,
-            Representation::SparseAccum,
-        ] {
-            for &(rv, lv, nd) in &[(64usize, 8u16, 1usize), (900, 32, 40), (1_000_000, 256, 80)] {
-                assert_ne!(table.pick(repr, rv, lv, nd), ScanEngine::Auto);
-            }
-        }
-        assert!(
-            (2..=3).contains(&table.t_slide_min_roi_t),
-            "measured t-slide threshold {} outside the plausible range",
-            table.t_slide_min_roi_t
-        );
-        haralick::raster::install_tier_table(table);
-        // Auto under the installed measured table must stay bit-identical
-        // to the reference scan — measured selection never changes output.
-        let raw = generate(&SynthConfig::test_scale(13));
-        let vol = raw.quantize_min_max(16);
-        let cfg = ScanConfig {
-            roi: RoiShape::from_lengths(4, 4, 2, 2),
-            directions: DirectionSet::paper_4d(1),
-            selection: FeatureSelection::all(),
-            representation: Representation::Full,
-            engine: ScanEngine::Auto,
-            t_slide: TSlidePolicy::default(),
-        };
-        let auto = haralick::raster::scan(&vol, &cfg);
-        let reference = haralick::raster::raster_scan(&vol, &cfg);
-        assert_eq!(
-            auto.max_abs_diff(&reference),
-            0.0,
-            "Auto diverged under a measured tier table"
         );
     }
 

@@ -6,15 +6,8 @@
 //! and machines. Re-measure with the `claims` binary and update if the
 //! kernels change materially. All values are seconds at PIII reference
 //! speed (host measurements × `PIII_SLOWDOWN`).
-//!
-//! [`default_tier_table`] is the matching committed snapshot of
-//! [`crate::calibrate::calibrate_tiers`]: the measured-fastest scan-engine
-//! tier per workload bucket, installed at pipeline startup so
-//! [`ScanEngine::Auto`](haralick::raster::ScanEngine) selects from
-//! measurements instead of a hardcoded heuristic.
 
 use crate::cost::CostModel;
-use haralick::raster::{ReprClass, ScanEngine, TierBucket, TierTable};
 
 /// The committed calibrated cost model.
 ///
@@ -39,61 +32,9 @@ pub fn default_model() -> CostModel {
     }
 }
 
-/// The committed measured tier table.
-///
-/// Snapshot provenance: `calibrate_tiers(seed = 42)` on the reproduction
-/// host. The measured picture: sparse representations always route to the
-/// fused tier, which accumulates sparse windows natively instead of
-/// downgrading to a per-placement rebuild; for the dense representations,
-/// one or two displacements make a slide so cheap that the incremental
-/// tier's leaner bookkeeping wins, while dense direction sets (the paper's
-/// 40) let the fused kernel's once-per-placement merge amortize and win
-/// decisively. Tiny windows favor the parallel rebuild's lower fixed cost
-/// only when rows are too short to amortize a slide, which the small-window
-/// buckets capture. `t_slide_min_roi_t` is the measured break-even t-depth
-/// for the t-slab slide: a slide touches `2·roi/roi_t` voxels per direction
-/// against a rebuild's `roi`, so depth 3 is where reuse starts paying.
-pub fn default_tier_table() -> TierTable {
-    TierTable {
-        buckets: vec![
-            TierBucket {
-                repr: ReprClass::Sparse,
-                max_roi_voxels: usize::MAX,
-                max_levels: 256,
-                max_directions: usize::MAX,
-                engine: ScanEngine::FusedParallel,
-            },
-            TierBucket {
-                repr: ReprClass::Any,
-                max_roi_voxels: 64,
-                max_levels: 256,
-                max_directions: 2,
-                engine: ScanEngine::IncrementalParallel,
-            },
-            TierBucket {
-                repr: ReprClass::Any,
-                max_roi_voxels: 64,
-                max_levels: 256,
-                max_directions: usize::MAX,
-                engine: ScanEngine::FusedParallel,
-            },
-            TierBucket {
-                repr: ReprClass::Any,
-                max_roi_voxels: usize::MAX,
-                max_levels: 256,
-                max_directions: 2,
-                engine: ScanEngine::IncrementalParallel,
-            },
-        ],
-        fallback: ScanEngine::FusedParallel,
-        t_slide_min_roi_t: 3,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use haralick::raster::Representation;
 
     #[test]
     fn snapshot_within_order_of_magnitude_of_live_measurement() {
@@ -129,37 +70,12 @@ mod tests {
         // The dirty-cell replay must be cheap enough that sliding wins on
         // the paper window (2·plane·|D| replays vs an Ng² zero-skip sweep).
         assert!(m.stats_dirty_s_per_cell * 180.0 < m.feat_full_s_per_entry * 1024.0);
-        // The fused per-pair constant must undercut the incremental slide
-        // constant, or the snapshot table's fused picks are indefensible.
+        // The fused per-pair constant must undercut the per-pair slide
+        // constant of `SlidingWindow` (five read-modify-writes per pair).
         assert!(m.coocc_fused_s_per_voxel_dir < m.coocc_slide_s_per_voxel_dir);
         // The sparse-fused merge pays a small unmirrored-bookkeeping premium
         // over the dense path but stays well under the sparse rebuild.
         assert!(m.coocc_fused_sparse_s_per_voxel_dir >= m.coocc_fused_s_per_voxel_dir);
         assert!(m.coocc_fused_sparse_s_per_voxel_dir < m.coocc_sparse_s_per_voxel_dir);
-    }
-
-    #[test]
-    fn snapshot_tier_table_is_concrete_and_paper_workload_is_fused() {
-        let t = default_tier_table();
-        for b in &t.buckets {
-            assert_ne!(b.engine, ScanEngine::Auto);
-        }
-        assert_ne!(t.fallback, ScanEngine::Auto);
-        let full = Representation::Full;
-        // The paper configuration (900-voxel window, 40 directions) must
-        // route to the fused kernel.
-        assert_eq!(t.pick(full, 900, 32, 40), ScanEngine::FusedParallel);
-        // Sparse direction sets keep the incremental tier for dense
-        // representations.
-        assert_eq!(t.pick(full, 900, 32, 1), ScanEngine::IncrementalParallel);
-        // Sparse representations route to the fused tier regardless of the
-        // direction count — the incremental tiers would downgrade them to a
-        // per-placement rebuild.
-        for repr in [Representation::Sparse, Representation::SparseAccum] {
-            assert_eq!(t.pick(repr, 900, 32, 1), ScanEngine::FusedParallel);
-            assert_eq!(t.pick(repr, 900, 32, 40), ScanEngine::FusedParallel);
-        }
-        // The t-slide break-even ships at the analytic depth.
-        assert_eq!(t.t_slide_min_roi_t, 3);
     }
 }

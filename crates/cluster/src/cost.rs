@@ -40,18 +40,18 @@ pub struct CostModel {
     /// Dense → sparse conversion, per `Ng²` entry scanned.
     pub sparse_convert_s_per_entry: f64,
     /// Dirty-cell statistics maintenance, per matrix cell touched by a
-    /// window slide (the incremental engine updates the support bitmap
-    /// inline at every count transition; a slide touches at most
+    /// window slide (the fused engine settles the support bitmap at each
+    /// merge; a slide touches at most
     /// `2 · W/W_x · |D|` cells). Defaults for old serialized models via
     /// `serde(default)`.
     #[serde(default = "default_stats_dirty")]
     pub stats_dirty_s_per_cell: f64,
     /// Fused-kernel pair accumulation, per (plane voxel × direction) — the
-    /// cache-blocked per-lane sub-histogram kernel of `haralick::fused`.
-    /// Each pair is one lane store plus a touched-cell push (the dense
-    /// matrix, support bitmap and total are settled once per placement at
-    /// merge time), so this sits well under the incremental slide
-    /// constant. Defaults for old serialized models via `serde(default)`.
+    /// per-lane sub-histogram kernel of `haralick::fused`. Each pair is one
+    /// lane store plus a touched-cell push; the once-per-placement merge
+    /// that settles the dense matrix, support bitmap and total is
+    /// amortized into it. Defaults for old serialized models via
+    /// `serde(default)`.
     #[serde(default = "default_coocc_fused")]
     pub coocc_fused_s_per_voxel_dir: f64,
     /// Fused-kernel pair accumulation under a **sparse** representation,
@@ -59,7 +59,7 @@ pub struct CostModel {
     /// dense fused constant; the difference is the unmirrored merge and
     /// the sparse-order support sweep feeding it, so this sits slightly
     /// above the dense fused constant but far under the sparse-storage
-    /// binary-search accumulation the rebuild tiers pay. Defaults for old
+    /// binary-search accumulation the reference engine pays. Defaults for old
     /// serialized models via `serde(default)`.
     #[serde(default = "default_coocc_fused_sparse")]
     pub coocc_fused_sparse_s_per_voxel_dir: f64,
@@ -112,11 +112,6 @@ pub struct TextureWork {
     pub ng: u16,
     /// Co-occurrence representation.
     pub repr: Representation,
-    /// Window extent along `t` (the fused tiers' second slide axis).
-    pub roi_t: usize,
-    /// Output placements along `t` — the t-run length the fused tiers
-    /// slide across when the t-slide engages.
-    pub extent_t: usize,
 }
 
 impl CostModel {
@@ -147,12 +142,8 @@ impl CostModel {
     /// kernel: the same row-rebuild/x-slide shape as
     /// [`coocc_incremental_cost`](Self::coocc_incremental_cost), with the
     /// cheaper fused per-pair constant (the sparse-aware constant under a
-    /// sparse representation — the fused tiers never downgrade) on both
-    /// the cache-blocked build and the two-plane slides. When the t-slide
-    /// engages (`extent_t ≥ 2` and `roi_t` at the default threshold),
-    /// only each (y, z) **run's** first row pays a full window build; the
-    /// remaining rows of a run pay two t-slabs
-    /// (`2 · roi_voxels / roi_t`) instead.
+    /// sparse representation) on both the row-start build and the
+    /// two-plane slides.
     pub fn coocc_fused_cost(&self, w: &TextureWork) -> f64 {
         let per = if w.repr.is_sparse() {
             self.coocc_fused_sparse_s_per_voxel_dir
@@ -160,18 +151,10 @@ impl CostModel {
             self.coocc_fused_s_per_voxel_dir
         };
         let rows = w.rois.div_ceil(w.row_len.max(1));
-        let t_slides = w.extent_t >= 2 && w.roi_t >= 3;
-        let full_builds = if t_slides {
-            rows.div_ceil(w.extent_t.max(1))
-        } else {
-            rows
-        };
-        let rebuilds = full_builds as f64 * per * w.roi_voxels as f64 * w.ndirs as f64;
-        let slab = (w.roi_voxels / w.roi_t.max(1)) as f64;
-        let t_slid = rows.saturating_sub(full_builds) as f64 * per * 2.0 * slab * w.ndirs as f64;
+        let rebuilds = rows as f64 * per * w.roi_voxels as f64 * w.ndirs as f64;
         let plane = (w.roi_voxels / w.roi_x.max(1)) as f64;
         let x_slid = (w.rois.saturating_sub(rows)) as f64 * per * 2.0 * plane * w.ndirs as f64;
-        rebuilds + t_slid + x_slid
+        rebuilds + x_slid
     }
 
     /// Cost of building co-occurrence matrices for `rois` windows of
@@ -278,33 +261,22 @@ impl CostModel {
     }
 
     /// Full texture (matrices + parameters) service cost of one chunk under
-    /// a scan-engine tier, divided across `threads` workers for the parallel
-    /// tiers. The tier is resolved exactly as the real engine resolves it —
-    /// `Auto` through the installed tier table, sparse representations
-    /// downgrading the incremental tiers per [`ScanEngine::effective_for`]
-    /// while running the fused tiers natively — so the model never credits
-    /// a saving the kernels would not deliver.
+    /// a scan engine: the classic HMP rebuild cost for `Reference` (one
+    /// core), the fused kernel's build/slide and dirty-cell feature costs
+    /// for `Fused`, divided across the `threads` workers its row dispatch
+    /// can use.
     pub fn texture_cost(&self, engine: ScanEngine, w: &TextureWork, threads: usize) -> f64 {
-        let effective = engine.effective_for_workload(w.repr, w.roi_voxels, w.ng, w.ndirs);
-        let serial = if effective.is_fused() {
-            let feats = if w.repr.is_sparse() {
-                self.features_sparse_fused_cost(w)
-            } else {
-                self.features_incremental_cost(w)
-            };
-            self.coocc_fused_cost(w) + feats
-        } else if effective.is_incremental() {
-            self.coocc_incremental_cost(w.rois, w.roi_voxels, w.roi_x, w.row_len, w.ndirs)
-                + self.features_incremental_cost(w)
-        } else {
-            self.hmp_cost(w.rois, w.roi_voxels, w.ndirs, w.ng, w.repr)
-        };
-        let workers = if effective.is_parallel() {
-            threads.max(1)
-        } else {
-            1
-        };
-        serial / workers as f64
+        match engine {
+            ScanEngine::Reference => self.hmp_cost(w.rois, w.roi_voxels, w.ndirs, w.ng, w.repr),
+            ScanEngine::Fused => {
+                let feats = if w.repr.is_sparse() {
+                    self.features_sparse_fused_cost(w)
+                } else {
+                    self.features_incremental_cost(w)
+                };
+                (self.coocc_fused_cost(w) + feats) / threads.max(1) as f64
+            }
+        }
     }
 
     /// IIC stitch cost for reorganizing `bytes` of image data.
@@ -385,69 +357,28 @@ mod tests {
             ndirs: 1,
             ng: 32,
             repr,
-            roi_t: 3,
-            extent_t: 1,
         }
     }
 
     #[test]
-    fn incremental_texture_cost_beats_rebuild() {
+    fn fused_texture_cost_beats_rebuild_and_reference_is_the_hmp_cost() {
         let m = model();
         let w = paper_work(Representation::Full);
-        let rebuild = m.texture_cost(ScanEngine::Parallel, &w, 1);
-        let incr = m.texture_cost(ScanEngine::IncrementalParallel, &w, 1);
+        let rebuild = m.texture_cost(ScanEngine::Reference, &w, 1);
+        let fused = m.texture_cost(ScanEngine::Fused, &w, 1);
         assert!(
-            incr < rebuild,
-            "incremental {incr} should undercut rebuild {rebuild}"
+            fused < rebuild,
+            "fused {fused} should undercut rebuild {rebuild}"
         );
         assert!(
             (rebuild - m.hmp_cost(550, 900, 1, 32, Representation::Full)).abs() < 1e-15,
-            "rebuild tier must equal the classic HMP cost"
+            "the reference engine must equal the classic HMP cost"
         );
-    }
-
-    #[test]
-    fn texture_cost_downgrades_sparse_and_scales_with_threads() {
-        let m = model();
-        let w = paper_work(Representation::SparseAccum);
-        // Sparse representations downgrade the incremental tiers to the
-        // rebuild tier (only the fused tiers run sparse natively).
-        let a = m.texture_cost(ScanEngine::IncrementalParallel, &w, 1);
-        let b = m.texture_cost(ScanEngine::Parallel, &w, 1);
-        assert!((a - b).abs() < 1e-15);
-        // Parallel tiers divide across threads; sequential tiers do not.
-        let quad = m.texture_cost(ScanEngine::Parallel, &w, 4);
-        assert!((quad - b / 4.0).abs() < 1e-15);
-        let seq = m.texture_cost(
-            ScanEngine::Incremental,
-            &paper_work(Representation::Full),
-            4,
-        );
-        let seq1 = m.texture_cost(
-            ScanEngine::Incremental,
-            &paper_work(Representation::Full),
-            1,
-        );
-        assert!((seq - seq1).abs() < 1e-15);
-    }
-
-    #[test]
-    fn fused_texture_cost_beats_incremental() {
-        let m = model();
-        let w = paper_work(Representation::Full);
-        let incr = m.texture_cost(ScanEngine::Incremental, &w, 1);
-        let fused = m.texture_cost(ScanEngine::Fused, &w, 1);
-        assert!(
-            fused < incr,
-            "fused {fused} should undercut incremental {incr}"
-        );
-        // Sparse representations run the fused tiers natively now — the
-        // model must price them below the sparse rebuild they previously
-        // downgraded to, and above the all-dense fused run (the sparse
-        // constant is a shade higher).
+        // Sparse representations run the fused kernel natively: priced
+        // below the sparse-storage rebuild.
         let ws = paper_work(Representation::SparseAccum);
-        let sparse_fused = m.texture_cost(ScanEngine::FusedParallel, &ws, 2);
-        let sparse_rebuild = m.texture_cost(ScanEngine::Parallel, &ws, 2);
+        let sparse_fused = m.texture_cost(ScanEngine::Fused, &ws, 1);
+        let sparse_rebuild = m.texture_cost(ScanEngine::Reference, &ws, 1);
         assert!(
             sparse_fused < sparse_rebuild,
             "sparse fused {sparse_fused} should undercut the rebuild {sparse_rebuild}"
@@ -455,61 +386,15 @@ mod tests {
     }
 
     #[test]
-    fn fused_t_slide_cost_drops_with_t_extent() {
-        // With t-runs to slide across, every non-first row of a run pays
-        // two t-slabs instead of a full window build; the model must price
-        // the same placement count cheaper as extent_t grows.
-        let m = model();
-        // The streaming sweep shape: one placement per row (no x-slides),
-        // a deep-t window, a long t-run per (y, z).
-        let mut flat = paper_work(Representation::Full);
-        flat.rois = 40;
-        flat.row_len = 1;
-        flat.roi_t = 5;
-        let mut sliding = flat;
-        sliding.extent_t = 40; // 40 rows → one full build + 39 t-slides
-        let c_flat = m.coocc_fused_cost(&flat);
-        let c_slide = m.coocc_fused_cost(&sliding);
-        assert!(
-            c_slide < 0.6 * c_flat,
-            "t-slide {c_slide} should be well under per-row rebuilds {c_flat}"
-        );
-        // A one-voxel t-extent window never profits (threshold roi_t >= 3).
-        let mut shallow = sliding;
-        shallow.roi_t = 1;
-        assert!(
-            (m.coocc_fused_cost(&shallow) - {
-                let mut f = shallow;
-                f.extent_t = 1;
-                m.coocc_fused_cost(&f)
-            })
-            .abs()
-                < 1e-15,
-            "below the roi_t threshold the slide must not be modeled"
-        );
-    }
-
-    #[test]
-    fn auto_tier_resolves_to_a_costed_tier() {
-        // Auto must always price as one of the concrete tiers.
+    fn texture_cost_scales_with_threads_on_the_fused_engine_only() {
         let m = model();
         let w = paper_work(Representation::Full);
-        let auto = m.texture_cost(ScanEngine::Auto, &w, 2);
-        let concrete = [
-            ScanEngine::Reference,
-            ScanEngine::Parallel,
-            ScanEngine::Incremental,
-            ScanEngine::IncrementalParallel,
-            ScanEngine::Fused,
-            ScanEngine::FusedParallel,
-        ]
-        .iter()
-        .map(|&e| m.texture_cost(e, &w, 2))
-        .collect::<Vec<_>>();
-        assert!(
-            concrete.iter().any(|&c| (c - auto).abs() < 1e-15),
-            "Auto cost {auto} matches no concrete tier {concrete:?}"
-        );
+        let one = m.texture_cost(ScanEngine::Fused, &w, 1);
+        let quad = m.texture_cost(ScanEngine::Fused, &w, 4);
+        assert!((quad - one / 4.0).abs() < 1e-15);
+        let seq1 = m.texture_cost(ScanEngine::Reference, &w, 1);
+        let seq4 = m.texture_cost(ScanEngine::Reference, &w, 4);
+        assert!((seq4 - seq1).abs() < 1e-15);
     }
 
     #[test]

@@ -214,8 +214,8 @@ impl CoMatrix {
         self.total += other.total;
     }
 
-    /// Adds one symmetric pair observation (both orientations). Used by the
-    /// incremental sliding-window scanner.
+    /// Adds one symmetric pair observation (both orientations). Used by
+    /// [`crate::window::SlidingWindow`].
     #[inline]
     pub(crate) fn increment_pair(&mut self, a: u8, b: u8) {
         let ng = self.levels as usize;
@@ -240,44 +240,6 @@ impl CoMatrix {
         self.total -= 2;
     }
 
-    /// [`increment_pair`](Self::increment_pair) that also folds the dirty
-    /// cells into `support`: a cell going `0 → 1` sets its bit. Keeping the
-    /// support bitmap exact at every step is what lets the incremental scan
-    /// engine rebuild feature statistics from `O(nnz)` cells instead of
-    /// re-sweeping all `Ng²` entries per placement.
-    #[inline]
-    pub(crate) fn increment_pair_tracked(&mut self, a: u8, b: u8, support: &mut SupportMask) {
-        let ng = self.levels as usize;
-        let ij = a as usize * ng + b as usize;
-        let ji = b as usize * ng + a as usize;
-        // Branchless: a `0 → 1` transition sets the bit, any other count
-        // leaves it untouched. Transitions are too frequent to predict well,
-        // so a conditional mask beats a branch here.
-        support.set_if(ij, self.counts[ij] == 0);
-        self.counts[ij] += 1;
-        support.set_if(ji, self.counts[ji] == 0);
-        self.counts[ji] += 1;
-        self.total += 2;
-    }
-
-    /// [`decrement_pair`](Self::decrement_pair) that also folds the dirty
-    /// cells into `support`: a cell going `1 → 0` clears its bit.
-    ///
-    /// # Panics
-    /// In debug builds, if the pair was never recorded (underflow).
-    #[inline]
-    pub(crate) fn decrement_pair_tracked(&mut self, a: u8, b: u8, support: &mut SupportMask) {
-        let ng = self.levels as usize;
-        let ij = a as usize * ng + b as usize;
-        let ji = b as usize * ng + a as usize;
-        debug_assert!(self.counts[ij] > 0, "decrement of absent pair ({a}, {b})");
-        self.counts[ij] -= 1;
-        support.clear_if(ij, self.counts[ij] == 0);
-        self.counts[ji] -= 1;
-        support.clear_if(ji, self.counts[ji] == 0);
-        self.total -= 2;
-    }
-
     /// Applies a signed net count delta to the symmetric cell pair
     /// `(lo, hi)` / `(hi, lo)`, keeping `support` and the total exact —
     /// the once-per-placement merge step of the fused scan engine's lane
@@ -287,11 +249,10 @@ impl CoMatrix {
     /// lost, if negative) on the upper-triangle cell: an off-diagonal pair
     /// contributes one count to each orientation, a diagonal pair lands
     /// both orientations on one cell, and either way the total moves by
-    /// `2·net` — exactly the state the equivalent sequence of
-    /// [`increment_pair_tracked`](Self::increment_pair_tracked) /
-    /// [`decrement_pair_tracked`](Self::decrement_pair_tracked) calls
-    /// would leave, so the downstream support-order statistics sweep is
-    /// bit-identical.
+    /// `2·net` — exactly the state the equivalent sequence of per-pair
+    /// increments and decrements would leave, with `support` flagging
+    /// precisely the non-zero cells, so the downstream support-order
+    /// statistics sweep is bit-identical to the reference's zero-skip pass.
     #[inline]
     pub(crate) fn apply_upper_delta_tracked(
         &mut self,
@@ -359,20 +320,9 @@ impl CoMatrix {
         self.total = 0;
     }
 
-    /// Copies exactly the cells flagged in `support` (and the total) from
-    /// `other` into this matrix in `O(nnz)`. The caller must have zeroed
-    /// this matrix's previous support first; used by the fused engine's
-    /// t-axis slide to load the per-run cursor state into the working
-    /// window without an `Ng²` memcpy.
-    pub(crate) fn copy_cells_from(&mut self, other: &CoMatrix, support: &SupportMask) {
-        debug_assert_eq!(self.levels, other.levels, "level count mismatch");
-        support.for_each_set(|idx| self.counts[idx] = other.counts[idx]);
-        self.total = other.total;
-    }
-
     /// Rebuilds this matrix in place from `region` over `dirs` — the
     /// reusable-buffer counterpart of [`from_region`](Self::from_region),
-    /// so the rebuild scan tiers stop allocating one `Ng²` buffer per
+    /// so the reference scan engine stops allocating one `Ng²` buffer per
     /// placement.
     ///
     /// # Panics
@@ -590,34 +540,6 @@ mod tests {
         );
         let m2 = CoMatrix::from_region(&vol, vol.full_region(), &DirectionSet::all_unique_4d(2));
         assert_eq!(m1.as_slice().len(), m2.as_slice().len());
-    }
-
-    #[test]
-    fn tracked_pair_ops_maintain_the_support_bitmap() {
-        fn bits(s: &SupportMask) -> Vec<usize> {
-            let mut v = Vec::new();
-            s.for_each_set(|i| v.push(i));
-            v
-        }
-        let mut m = CoMatrix::zeros(4);
-        let mut s = SupportMask::from_matrix(&m);
-        m.increment_pair_tracked(1, 2, &mut s);
-        m.increment_pair_tracked(1, 2, &mut s);
-        m.increment_pair_tracked(3, 3, &mut s);
-        // Cells (1,2), (2,1) and (3,3) are flagged exactly once each.
-        assert_eq!(bits(&s), vec![6, 9, 15]);
-        assert_eq!(m.count(1, 2), 2);
-        assert_eq!(m.count(3, 3), 2);
-
-        // Dropping to a non-zero count keeps the bit; hitting zero clears it.
-        m.decrement_pair_tracked(1, 2, &mut s);
-        assert_eq!(bits(&s), vec![6, 9, 15]);
-        m.decrement_pair_tracked(1, 2, &mut s);
-        assert_eq!(bits(&s), vec![15]);
-        m.decrement_pair_tracked(3, 3, &mut s);
-        assert_eq!(bits(&s), Vec::<usize>::new());
-        assert_eq!(m.total(), 0);
-        assert!(m.is_symmetric());
     }
 
     #[test]

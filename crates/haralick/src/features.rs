@@ -429,26 +429,12 @@ impl MatrixStats {
     /// naive pass agrees too — this produces **bit-identical** values for
     /// every feature in `sel` while doing only `O(nnz)` work, with the
     /// per-cell logarithms, entry-list pushes and histogram updates elided
-    /// whenever `sel` does not need them. The incremental scan engine keeps
+    /// whenever `sel` does not need them. The fused scan engine keeps
     /// `support` exact across window slides and calls this once per
-    /// placement. The result can only finalize features in `sel`.
-    pub(crate) fn from_support(
-        m: &CoMatrix,
-        support: &SupportMask,
-        sel: &FeatureSelection,
-    ) -> Self {
-        let mut s = Self::reusable();
-        s.refill_from_support(m, support, sel);
-        s
-    }
-
-    /// Reusable-buffer counterpart of [`from_support`](Self::from_support):
-    /// resets this accumulator in place (every value is rewritten from
-    /// zero, so the result is bit-identical to a fresh construction) and
-    /// replays the identical support-order sweep. The incremental and
-    /// fused scan engines call this once per placement through a
-    /// per-worker scratch, eliminating the four per-placement `Vec`
-    /// allocations the constructor form paid.
+    /// placement through a per-worker scratch: the accumulator is reset in
+    /// place (every value is rewritten from zero, so the result is
+    /// bit-identical to a fresh construction) and no buffer is reallocated.
+    /// The result can only finalize features in `sel`.
     pub(crate) fn refill_from_support(
         &mut self,
         m: &CoMatrix,
@@ -865,10 +851,9 @@ mod tests {
         let m = matrix_of(img, 8, 8, 8, Direction::new(1, 1, 0, 0));
         let mask = SupportMask::from_matrix(&m);
         let a = compute_features(&m.stats_checked(), &FeatureSelection::all());
-        let b = compute_features(
-            &MatrixStats::from_support(&m, &mask, &FeatureSelection::all()),
-            &FeatureSelection::all(),
-        );
+        let mut stats = MatrixStats::reusable();
+        stats.refill_from_support(&m, &mask, &FeatureSelection::all());
+        let b = compute_features(&stats, &FeatureSelection::all());
         for feat in Feature::ALL {
             let (x, y) = (a.get(feat).unwrap(), b.get(feat).unwrap());
             assert_eq!(
@@ -894,7 +879,9 @@ mod tests {
             .collect();
         selections.push(FeatureSelection::paper_default());
         for sel in selections {
-            let got = compute_features(&MatrixStats::from_support(&m, &mask, &sel), &sel);
+            let mut stats = MatrixStats::reusable();
+            stats.refill_from_support(&m, &mask, &sel);
+            let got = compute_features(&stats, &sel);
             for feat in sel.iter() {
                 assert_eq!(
                     got.get(feat).unwrap().to_bits(),

@@ -1,14 +1,13 @@
-//! The fused cache-blocked co-occurrence kernel behind the
-//! [`crate::raster::ScanEngine::Fused`] and
-//! [`crate::raster::ScanEngine::FusedParallel`] tiers.
+//! The fused co-occurrence row kernel behind
+//! [`crate::raster::ScanEngine::Fused`].
 //!
-//! The incremental tier already slides the window (`O(plane · |D|)` per
-//! placement) and rebuilds statistics from the dirty-cell support bitmap
-//! (`O(nnz)`), but its inner loop still pays, per voxel pair, two count
-//! updates, two branchless support-bit folds and a total bump — five
-//! read-modify-writes spread over a 256 KiB matrix. This module applies
-//! the sub-histogram decomposition of GPU GLCM kernels (independent
-//! per-thread histograms merged once at the end) to that pair stream:
+//! Consecutive placements along `x` share all but one voxel plane, so the
+//! kernel builds each output row's first window once and then slides
+//! (`O(plane · |D|)` per placement), rebuilding statistics from the
+//! dirty-cell support bitmap (`O(nnz)`). To keep the pair stream from
+//! serializing on read-modify-writes spread over a 256 KiB matrix, it
+//! applies the sub-histogram decomposition of GPU GLCM kernels (independent
+//! per-thread histograms merged once at the end):
 //!
 //! * **Fused quantization.** [`RawLutSource`] walks raw `u16` voxels
 //!   through a 65,536-entry level lookup table built once per scan from
@@ -31,19 +30,11 @@
 //!   (duplicates and all) and deduplicated at merge time against an
 //!   epoch-stamp array; each distinct cell's net delta is folded into the
 //!   dense [`CoMatrix`], the support bitmap and the total by
-//!   `CoMatrix::apply_upper_delta_tracked`, which leaves exactly the
-//!   state the equivalent per-pair tracked increments/decrements would.
-//!   The per-placement statistics then reuse the same support-order sweep
-//!   as the incremental tier (`MatrixStats::refill_from_support`), so the
-//!   fused tiers are **bit-identical** to every other tier.
-//!
-//! * **Cache blocking.** The row-start build walks each (t, z) plane of
-//!   the window in y-row tiles of [`effective_tile_rows`] rows with the
-//!   direction loop *inside* the tile: a tile's source rows are revisited
-//!   `|D|` times while still L1-resident, instead of `|D|` full passes
-//!   over the window. The tile height targets a 16 KiB slice and can be
-//!   pinned via the [`TILE_ROWS_ENV`] environment variable (the autotune
-//!   knob recorded by `bench --bin raster_json`).
+//!   `CoMatrix::apply_upper_delta_tracked`. The per-placement statistics
+//!   then sweep exactly the non-zero cells in row-major order
+//!   (`MatrixStats::refill_from_support`) — the same cells in the same
+//!   order as the reference's zero-skip pass, so the kernel is
+//!   **bit-identical** to [`crate::raster::raster_scan`].
 
 use crate::coocc::CoMatrix;
 use crate::direction::DirectionSet;
@@ -52,91 +43,11 @@ use crate::quantize::Quantizer;
 use crate::raster::ScanConfig;
 use crate::sparse::SupportMask;
 use crate::volume::{Dims4, LevelVolume, Point4, Region4};
-use std::sync::OnceLock;
 
 /// Number of independent sub-histogram lanes (and the inner-loop unroll
 /// width). Four keeps the hot lane slabs within L2 at `Ng = 256` while
 /// giving the common same-cell pair runs four independent accumulators.
 pub const LANES: usize = 4;
-
-/// Environment variable pinning the fused build pass's y-row tile height
-/// (a positive row count), overriding the cache-derived default — the
-/// autotune knob for machines whose L1 differs from the 16 KiB target.
-pub const TILE_ROWS_ENV: &str = "H4D_FUSED_TILE_ROWS";
-
-/// A malformed [`TILE_ROWS_ENV`] value. Surfaced loudly (a logged
-/// fallback to the cache-derived default) instead of the silent ignore a
-/// bare `parse().ok()` would give — a typo'd autotune knob should never
-/// quietly benchmark the wrong configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TileRowsError {
-    /// The value does not parse as an unsigned integer.
-    NotANumber(String),
-    /// The value parsed but is zero — the build pass must make progress.
-    Zero,
-}
-
-impl std::fmt::Display for TileRowsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TileRowsError::NotANumber(v) => write!(f, "`{v}` is not a positive integer"),
-            TileRowsError::Zero => write!(f, "tile height must be at least 1 row"),
-        }
-    }
-}
-
-impl std::error::Error for TileRowsError {}
-
-/// Parses a [`TILE_ROWS_ENV`] value into a tile height.
-///
-/// # Errors
-/// The value is not a positive integer.
-pub fn parse_tile_rows(raw: &str) -> Result<usize, TileRowsError> {
-    let n: usize = raw
-        .trim()
-        .parse()
-        .map_err(|_| TileRowsError::NotANumber(raw.to_string()))?;
-    if n == 0 {
-        return Err(TileRowsError::Zero);
-    }
-    Ok(n)
-}
-
-fn tile_rows_override() -> Option<usize> {
-    static OVERRIDE: OnceLock<Option<usize>> = OnceLock::new();
-    *OVERRIDE.get_or_init(|| match std::env::var(TILE_ROWS_ENV) {
-        Err(std::env::VarError::NotPresent) => None,
-        Err(std::env::VarError::NotUnicode(v)) => {
-            eprintln!(
-                "warning: ignoring {TILE_ROWS_ENV}={v:?}: not valid unicode; \
-                 using the cache-derived tile height"
-            );
-            None
-        }
-        Ok(v) => match parse_tile_rows(&v) {
-            Ok(n) => Some(n),
-            Err(e) => {
-                eprintln!(
-                    "warning: ignoring {TILE_ROWS_ENV}={v:?}: {e}; \
-                     using the cache-derived tile height"
-                );
-                None
-            }
-        },
-    })
-}
-
-/// The y-row tile height the fused build pass uses for a window of shape
-/// `roi`: enough rows that one tile of raw `u16` source rows fills a
-/// 16 KiB L1 slice, clamped to the window height (paper-sized windows are
-/// a single tile). [`TILE_ROWS_ENV`] overrides the derived value.
-pub fn effective_tile_rows(roi: Dims4) -> usize {
-    if let Some(n) = tile_rows_override() {
-        return n;
-    }
-    const TILE_BYTES: usize = 16 << 10;
-    (TILE_BYTES / (roi.x.max(1) * 2)).clamp(1, roi.y.max(1))
-}
 
 /// A source of quantized gray levels in x-fastest linear order. The fused
 /// kernel is monomorphized over this, so pre-quantized volumes pay no LUT
@@ -240,11 +151,6 @@ pub(crate) struct FusedScratch {
     matrix: CoMatrix,
     support: SupportMask,
     stats: MatrixStats,
-    /// t-slide cursor: the window state at the current output row's first
-    /// placement (`x = base`), slid along t between rows of one (y, z)
-    /// run while `matrix`/`support` absorb the x-slides within a row.
-    cursor_matrix: CoMatrix,
-    cursor_support: SupportMask,
     /// [`LANES`] concatenated `Ng²` signed delta sub-histograms.
     lanes: Vec<i32>,
     /// Upper-triangle cells touched since the last merge, duplicates kept;
@@ -263,8 +169,6 @@ impl FusedScratch {
             matrix: CoMatrix::zeros(levels),
             support: SupportMask::empty(cells),
             stats: MatrixStats::reusable(),
-            cursor_matrix: CoMatrix::zeros(levels),
-            cursor_support: SupportMask::empty(cells),
             lanes: vec![0; LANES * cells],
             touched: Vec::with_capacity(4096),
             stamp: vec![0; cells],
@@ -279,41 +183,15 @@ impl FusedScratch {
         self.support.clear_all();
     }
 
-    /// [`reset_window`](Self::reset_window) for the t-slide cursor.
-    fn reset_cursor(&mut self) {
-        self.cursor_matrix
-            .clear_cells_from_support(&self.cursor_support);
-        self.cursor_support.clear_all();
-    }
-
-    /// Loads the cursor state into the working matrix/support in
-    /// `O(nnz_old + nnz_cursor)`, ahead of a row's x-slides.
-    fn load_cursor(&mut self) {
-        self.matrix.clear_cells_from_support(&self.support);
-        self.support.copy_from(&self.cursor_support);
-        self.matrix
-            .copy_cells_from(&self.cursor_matrix, &self.cursor_support);
-    }
-
-    /// Folds every pending lane delta into the working matrix, support
-    /// bitmap and total — the once-per-placement merge. Net-zero cells (a
-    /// pair both departed and arrived) change no count, so skipping them
-    /// leaves the support, and therefore the statistics sweep order,
-    /// untouched. In `sparse` mode the mirror cell is never written: the
-    /// matrix holds upper-triangle sparse-entry counts (see
+    /// Folds every pending lane delta into the matrix, support bitmap and
+    /// total — the once-per-placement merge. Net-zero cells (a pair both
+    /// departed and arrived) change no count, so skipping them leaves the
+    /// support, and therefore the statistics sweep order, untouched. In
+    /// `sparse` mode the mirror cell is never written: the matrix holds
+    /// upper-triangle sparse-entry counts (see
     /// [`CoMatrix::apply_upper_delta_unmirrored`]) and the downstream
     /// sweep is [`MatrixStats::refill_from_sparse_support`].
     fn merge(&mut self, sparse: bool) {
-        self.merge_into(sparse, false);
-    }
-
-    /// [`merge`](Self::merge) targeting the t-slide cursor instead of the
-    /// working window.
-    fn merge_cursor(&mut self, sparse: bool) {
-        self.merge_into(sparse, true);
-    }
-
-    fn merge_into(&mut self, sparse: bool, to_cursor: bool) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // A u32 wrap could resurrect stale stamps; restart the epoch
@@ -322,58 +200,44 @@ impl FusedScratch {
             self.epoch = 1;
         }
         let epoch = self.epoch;
-        // Disjoint field borrows: the target matrix/support mutate while
-        // the shared lanes/touched/stamp drain.
-        let Self {
-            matrix,
-            support,
-            cursor_matrix,
-            cursor_support,
-            lanes,
-            touched,
-            stamp,
-            ..
-        } = self;
-        let (m, s) = if to_cursor {
-            (cursor_matrix, cursor_support)
-        } else {
-            (matrix, support)
-        };
-        let ng = m.levels() as usize;
+        let ng = self.matrix.levels() as usize;
         let cells = ng * ng;
-        for &cell_u in touched.iter() {
+        for &cell_u in &self.touched {
             let cell = cell_u as usize;
-            if stamp[cell] == epoch {
+            if self.stamp[cell] == epoch {
                 continue;
             }
-            stamp[cell] = epoch;
+            self.stamp[cell] = epoch;
             let mut net = 0i64;
             let mut lane = cell;
             for _ in 0..LANES {
-                net += i64::from(lanes[lane]);
-                lanes[lane] = 0;
+                net += i64::from(self.lanes[lane]);
+                self.lanes[lane] = 0;
                 lane += cells;
             }
             if net != 0 {
                 let lo = (cell / ng) as u8;
                 let hi = (cell % ng) as u8;
                 if sparse {
-                    m.apply_upper_delta_unmirrored(lo, hi, net, s);
+                    self.matrix
+                        .apply_upper_delta_unmirrored(lo, hi, net, &mut self.support);
                 } else {
-                    m.apply_upper_delta_tracked(lo, hi, net, s);
+                    self.matrix
+                        .apply_upper_delta_tracked(lo, hi, net, &mut self.support);
                 }
             }
         }
-        touched.clear();
+        self.touched.clear();
     }
 
     /// Accumulates the pair deltas of the plane `x = plane_x` of window
     /// `win` into the lanes with the given `sign` (`+1` arriving, `-1`
-    /// departing). Pair coverage mirrors the incremental tier's
-    /// `apply_plane` exactly: per-direction forward/backward passes with
-    /// pre-clamped loop bounds, in-plane pairs counted by the forward pass
-    /// alone, partners addressed by a linear stride. The y-walk is
-    /// unrolled [`LANES`]-wide, one independent lane per leg.
+    /// departing). Pair coverage mirrors the `apply_plane` of
+    /// [`crate::window::SlidingWindow`] exactly: per-direction
+    /// forward/backward passes with pre-clamped loop bounds, in-plane pairs
+    /// counted by the forward pass alone, partners addressed by a linear
+    /// stride. The y-walk is unrolled [`LANES`]-wide, one independent lane
+    /// per leg.
     fn accumulate_plane<S: LevelSource>(
         &mut self,
         src: &S,
@@ -456,136 +320,44 @@ impl FusedScratch {
 
     /// Accumulates every pair of the full window `win` into the lanes (all
     /// deltas `+1` against the empty matrix) — the row-start build. The
-    /// window is walked in y-row tiles of `tile_rows` rows per (t, z)
-    /// plane with the direction loop *inside* each tile, so one tile of
-    /// source rows is revisited `|D|` times while L1-resident. Pair
-    /// coverage is exactly [`CoMatrix::accumulate`]'s clamped region,
-    /// partitioned by (t, z, y-tile); the x inner loop is unrolled
-    /// [`LANES`]-wide into independent lanes.
-    fn accumulate_window<S: LevelSource>(
-        &mut self,
-        src: &S,
-        dirs: &DirectionSet,
-        win: Region4,
-        tile_rows: usize,
-    ) {
+    /// window is walked one (t, z) plane at a time with the direction loop
+    /// *inside* the plane, so a plane's source rows are revisited `|D|`
+    /// times while cache-resident. Pair coverage is exactly
+    /// [`CoMatrix::accumulate`]'s clamped region, partitioned by (t, z);
+    /// the x inner loop is unrolled [`LANES`]-wide into independent lanes.
+    fn accumulate_window<S: LevelSource>(&mut self, src: &S, dirs: &DirectionSet, win: Region4) {
         let dims = src.dims();
         let end = win.end();
         let ng = self.matrix.levels() as usize;
         let cells = ng * ng;
         for t in win.origin.t..end.t {
             for z in win.origin.z..end.z {
-                let mut y0 = win.origin.y;
-                while y0 < end.y {
-                    let y1 = (y0 + tile_rows).min(end.y);
-                    for d in dirs {
-                        let (dx, dy, dz, dt) = (d.dx as i64, d.dy as i64, d.dz as i64, d.dt as i64);
-                        let t_lo = win.origin.t as i64 + (-dt).max(0);
-                        let t_hi = end.t as i64 - dt.max(0);
-                        let z_lo = win.origin.z as i64 + (-dz).max(0);
-                        let z_hi = end.z as i64 - dz.max(0);
-                        if (t as i64) < t_lo
-                            || t as i64 >= t_hi
-                            || (z as i64) < z_lo
-                            || z as i64 >= z_hi
-                        {
-                            continue;
-                        }
-                        let x_lo = win.origin.x as i64 + (-dx).max(0);
-                        let x_hi = end.x as i64 - dx.max(0);
-                        let y_lo = (win.origin.y as i64 + (-dy).max(0)).max(y0 as i64);
-                        let y_hi = (end.y as i64 - dy.max(0)).min(y1 as i64);
-                        if x_lo >= x_hi || y_lo >= y_hi {
-                            continue;
-                        }
-                        let stride = dx
-                            + dy * dims.x as i64
-                            + dz * (dims.x * dims.y) as i64
-                            + dt * (dims.x * dims.y * dims.z) as i64;
-                        for y in y_lo..y_hi {
-                            let row = ((t * dims.z + z) * dims.y + y as usize) * dims.x;
-                            let mut x = x_lo;
-                            while x + LANES as i64 <= x_hi {
-                                let i0 = (row as i64 + x) as usize;
-                                let p0 = (i0 as i64 + stride) as usize;
-                                let c0 = cell(ng, src.level(i0), src.level(p0));
-                                let c1 = cell(ng, src.level(i0 + 1), src.level(p0 + 1));
-                                let c2 = cell(ng, src.level(i0 + 2), src.level(p0 + 2));
-                                let c3 = cell(ng, src.level(i0 + 3), src.level(p0 + 3));
-                                self.lanes[c0 as usize] += 1;
-                                self.lanes[cells + c1 as usize] += 1;
-                                self.lanes[2 * cells + c2 as usize] += 1;
-                                self.lanes[3 * cells + c3 as usize] += 1;
-                                self.touched.extend_from_slice(&[c0, c1, c2, c3]);
-                                x += LANES as i64;
-                            }
-                            while x < x_hi {
-                                let i0 = (row as i64 + x) as usize;
-                                let c0 = cell(
-                                    ng,
-                                    src.level(i0),
-                                    src.level((i0 as i64 + stride) as usize),
-                                );
-                                self.lanes[c0 as usize] += 1;
-                                self.touched.push(c0);
-                                x += 1;
-                            }
-                        }
+                for d in dirs {
+                    let (dx, dy, dz, dt) = (d.dx as i64, d.dy as i64, d.dz as i64, d.dt as i64);
+                    let t_lo = win.origin.t as i64 + (-dt).max(0);
+                    let t_hi = end.t as i64 - dt.max(0);
+                    let z_lo = win.origin.z as i64 + (-dz).max(0);
+                    let z_hi = end.z as i64 - dz.max(0);
+                    if (t as i64) < t_lo
+                        || t as i64 >= t_hi
+                        || (z as i64) < z_lo
+                        || z as i64 >= z_hi
+                    {
+                        continue;
                     }
-                    y0 = y1;
-                }
-            }
-        }
-    }
-
-    /// Accumulates the pair deltas of the t-slab `t = slab_t` of window
-    /// `win` into the lanes with the given `sign` (`+1` arriving, `-1`
-    /// departing) — [`accumulate_plane`](Self::accumulate_plane) with the
-    /// x and t roles swapped, for the t-axis slide between consecutive
-    /// placements that differ only in their t-offset (the streaming-
-    /// acquisition access pattern). Per-direction forward/backward passes
-    /// cover exactly the pairs with at least one endpoint in the slab:
-    /// the forward pass pairs each slab voxel with its displaced partner
-    /// (in-slab pairs, `dt = 0`, counted once there), the backward pass
-    /// catches pairs whose slab voxel is the displaced endpoint, and the
-    /// clamped bounds keep both endpoints inside `win`. The inner x-walk
-    /// is contiguous and unrolled [`LANES`]-wide.
-    fn accumulate_slab_t<S: LevelSource>(
-        &mut self,
-        src: &S,
-        dirs: &DirectionSet,
-        win: Region4,
-        slab_t: usize,
-        sign: i32,
-    ) {
-        let dims = src.dims();
-        let end = win.end();
-        let ng = self.matrix.levels() as usize;
-        let cells = ng * ng;
-        for d in dirs {
-            let fwd = (d.dx as i64, d.dy as i64, d.dz as i64, d.dt as i64);
-            let bwd = (-fwd.0, -fwd.1, -fwd.2, -fwd.3);
-            for (pass, (dx, dy, dz, dt)) in [fwd, bwd].into_iter().enumerate() {
-                let qt = slab_t as i64 + dt;
-                if (pass == 1 && dt == 0) || qt < win.origin.t as i64 || qt >= end.t as i64 {
-                    continue;
-                }
-                let x_lo = win.origin.x as i64 + (-dx).max(0);
-                let x_hi = end.x as i64 - dx.max(0);
-                let y_lo = win.origin.y as i64 + (-dy).max(0);
-                let y_hi = end.y as i64 - dy.max(0);
-                let z_lo = win.origin.z as i64 + (-dz).max(0);
-                let z_hi = end.z as i64 - dz.max(0);
-                if x_lo >= x_hi || y_lo >= y_hi || z_lo >= z_hi {
-                    continue;
-                }
-                let stride = dx
-                    + dy * dims.x as i64
-                    + dz * (dims.x * dims.y) as i64
-                    + dt * (dims.x * dims.y * dims.z) as i64;
-                for z in z_lo..z_hi {
+                    let x_lo = win.origin.x as i64 + (-dx).max(0);
+                    let x_hi = end.x as i64 - dx.max(0);
+                    let y_lo = win.origin.y as i64 + (-dy).max(0);
+                    let y_hi = end.y as i64 - dy.max(0);
+                    if x_lo >= x_hi || y_lo >= y_hi {
+                        continue;
+                    }
+                    let stride = dx
+                        + dy * dims.x as i64
+                        + dz * (dims.x * dims.y) as i64
+                        + dt * (dims.x * dims.y * dims.z) as i64;
                     for y in y_lo..y_hi {
-                        let row = ((slab_t * dims.z + z as usize) * dims.y + y as usize) * dims.x;
+                        let row = ((t * dims.z + z) * dims.y + y as usize) * dims.x;
                         let mut x = x_lo;
                         while x + LANES as i64 <= x_hi {
                             let i0 = (row as i64 + x) as usize;
@@ -594,10 +366,10 @@ impl FusedScratch {
                             let c1 = cell(ng, src.level(i0 + 1), src.level(p0 + 1));
                             let c2 = cell(ng, src.level(i0 + 2), src.level(p0 + 2));
                             let c3 = cell(ng, src.level(i0 + 3), src.level(p0 + 3));
-                            self.lanes[c0 as usize] += sign;
-                            self.lanes[cells + c1 as usize] += sign;
-                            self.lanes[2 * cells + c2 as usize] += sign;
-                            self.lanes[3 * cells + c3 as usize] += sign;
+                            self.lanes[c0 as usize] += 1;
+                            self.lanes[cells + c1 as usize] += 1;
+                            self.lanes[2 * cells + c2 as usize] += 1;
+                            self.lanes[3 * cells + c3 as usize] += 1;
                             self.touched.extend_from_slice(&[c0, c1, c2, c3]);
                             x += LANES as i64;
                         }
@@ -605,7 +377,7 @@ impl FusedScratch {
                             let i0 = (row as i64 + x) as usize;
                             let c0 =
                                 cell(ng, src.level(i0), src.level((i0 as i64 + stride) as usize));
-                            self.lanes[c0 as usize] += sign;
+                            self.lanes[c0 as usize] += 1;
                             self.touched.push(c0);
                             x += 1;
                         }
@@ -618,10 +390,9 @@ impl FusedScratch {
 
 /// Computes one output row of `width` placements starting at `row_origin`
 /// through the fused kernel, writing `selection.len()` values per
-/// placement into `out_row` — the fused counterpart of the incremental
-/// row kernel, bit-identical to it (and therefore to the reference scan).
-/// Sparse representations run through the unmirrored merge and the
-/// sparse-order statistics sweep, bit-identical to the sparse reference.
+/// placement into `out_row`, bit-identical to the reference scan. Sparse
+/// representations run through the unmirrored merge and the sparse-order
+/// statistics sweep, bit-identical to the sparse reference.
 ///
 /// # Panics
 /// If any window of the row exceeds the volume, or `scratch` was built
@@ -639,6 +410,8 @@ pub(crate) fn scan_row_fused<S: LevelSource>(
         src.levels(),
         "fused scratch level count does not match source"
     );
+    let n = cfg.selection.len();
+    debug_assert_eq!(out_row.len(), width * n);
     let roi = cfg.roi.size();
     let dims = src.dims();
     // Validate the whole row up front — the same wall the sliding window's
@@ -652,34 +425,9 @@ pub(crate) fn scan_row_fused<S: LevelSource>(
         "fused scan row {span:?} exceeds volume {dims:?}"
     );
     let sparse = cfg.representation.is_sparse();
-    let tile_rows = effective_tile_rows(roi);
     scratch.reset_window();
-    scratch.accumulate_window(
-        src,
-        &cfg.directions,
-        Region4::new(row_origin, roi),
-        tile_rows,
-    );
+    scratch.accumulate_window(src, &cfg.directions, Region4::new(row_origin, roi));
     scratch.merge(sparse);
-    scan_row_prepared(src, cfg, row_origin, width, out_row, scratch);
-}
-
-/// The per-placement x-slide loop of [`scan_row_fused`], starting from a
-/// working matrix/support already holding the window at `origin` — shared
-/// by the row-start build path and the t-slide path (which loads the
-/// window from the slid cursor instead of rebuilding it).
-fn scan_row_prepared<S: LevelSource>(
-    src: &S,
-    cfg: &ScanConfig,
-    row_origin: Point4,
-    width: usize,
-    out_row: &mut [f64],
-    scratch: &mut FusedScratch,
-) {
-    let n = cfg.selection.len();
-    debug_assert_eq!(out_row.len(), width * n);
-    let roi = cfg.roi.size();
-    let sparse = cfg.representation.is_sparse();
     let mut origin = row_origin;
     for x in 0..width {
         if x > 0 {
@@ -705,74 +453,6 @@ fn scan_row_prepared<S: LevelSource>(
         for (slot, feature) in cfg.selection.iter().enumerate() {
             out_row[x * n + slot] = values.get(feature).expect("selected feature computed");
         }
-    }
-}
-
-/// Computes one (y, z) **run** of output rows whose placements differ
-/// only in their t-offset, sliding the window incrementally along t
-/// between rows instead of rebuilding it — the temporal counterpart of
-/// the per-row x-slide, for the streaming-acquisition access pattern.
-///
-/// `rows` holds the run's output rows in ascending t order; row `k`
-/// covers the placements at `row_origin + (0, 0, 0, k)`. The cursor
-/// keeps the first-placement window of the current row: between rows the
-/// departing t-slab's pairs are subtracted and the arriving slab's added
-/// (`2·(roi_voxels / roi.t)` voxel-pair visits instead of `roi_voxels`),
-/// then the cursor is loaded into the working state for the row's
-/// x-slides. Every merge path reuses the tracked-delta machinery, so the
-/// result is bit-identical to [`scan_row_fused`] row by row.
-///
-/// # Panics
-/// If any window of the run exceeds the volume, or `scratch` was built
-/// for a different level count.
-pub(crate) fn scan_t_run_fused<S: LevelSource>(
-    src: &S,
-    cfg: &ScanConfig,
-    run_origin: Point4,
-    width: usize,
-    rows: &mut [&mut [f64]],
-    scratch: &mut FusedScratch,
-) {
-    assert_eq!(
-        scratch.matrix.levels(),
-        src.levels(),
-        "fused scratch level count does not match source"
-    );
-    let roi = cfg.roi.size();
-    let dims = src.dims();
-    let span = Region4::new(
-        run_origin,
-        Dims4::new(
-            roi.x + width - 1,
-            roi.y,
-            roi.z,
-            roi.t + rows.len().saturating_sub(1),
-        ),
-    );
-    assert!(
-        dims.region().contains_region(&span),
-        "fused scan run {span:?} exceeds volume {dims:?}"
-    );
-    let sparse = cfg.representation.is_sparse();
-    let tile_rows = effective_tile_rows(roi);
-    scratch.reset_window();
-    scratch.reset_cursor();
-    let mut origin = run_origin;
-    scratch.accumulate_window(src, &cfg.directions, Region4::new(origin, roi), tile_rows);
-    scratch.merge_cursor(sparse);
-    for (k, out_row) in rows.iter_mut().enumerate() {
-        if k > 0 {
-            // Slide the cursor to this row's first placement: drop the old
-            // window's lowest t-slab, add the new window's highest.
-            let old = Region4::new(origin, roi);
-            scratch.accumulate_slab_t(src, &cfg.directions, old, origin.t, -1);
-            origin.t += 1;
-            let new = Region4::new(origin, roi);
-            scratch.accumulate_slab_t(src, &cfg.directions, new, origin.t + roi.t - 1, 1);
-            scratch.merge_cursor(sparse);
-        }
-        scratch.load_cursor();
-        scan_row_prepared(src, cfg, origin, width, out_row, scratch);
     }
 }
 
@@ -819,7 +499,7 @@ mod tests {
             let mut scratch = FusedScratch::new(vol.levels());
             let mut origin = Point4::new(0, 1, 1, 1);
             scratch.reset_window();
-            scratch.accumulate_window(&src, &dirs, Region4::new(origin, roi), 2);
+            scratch.accumulate_window(&src, &dirs, Region4::new(origin, roi));
             scratch.merge(false);
             check_state(&scratch, &vol, Region4::new(origin, roi), &dirs);
             for _ in 0..7 {
@@ -835,64 +515,10 @@ mod tests {
     }
 
     #[test]
-    fn t_slab_slides_match_rebuild() {
-        // Mirror of build_and_slides_match_rebuild along the t axis: slide
-        // the window one t-step at a time and check the exact dense state.
-        let vol = volume(Dims4::new(7, 6, 3, 12), 8, 4);
-        let roi = Dims4::new(5, 4, 2, 3);
-        for dirs in [
-            DirectionSet::single(Direction::new(1, 1, 1, 1)),
-            DirectionSet::paper_4d(1),
-            DirectionSet::all_unique_4d(1),
-        ] {
-            let src = QuantizedSource::new(&vol);
-            let mut scratch = FusedScratch::new(vol.levels());
-            let mut origin = Point4::new(1, 1, 1, 0);
-            scratch.reset_window();
-            scratch.accumulate_window(&src, &dirs, Region4::new(origin, roi), 2);
-            scratch.merge(false);
-            check_state(&scratch, &vol, Region4::new(origin, roi), &dirs);
-            for _ in 0..9 {
-                let old = Region4::new(origin, roi);
-                scratch.accumulate_slab_t(&src, &dirs, old, origin.t, -1);
-                origin.t += 1;
-                let new = Region4::new(origin, roi);
-                scratch.accumulate_slab_t(&src, &dirs, new, origin.t + roi.t - 1, 1);
-                scratch.merge(false);
-                check_state(&scratch, &vol, new, &dirs);
-            }
-        }
-    }
-
-    #[test]
-    fn t_slab_slides_with_one_voxel_t_window() {
-        // roi.t = 1 degenerates the slide into remove-all + add-all; it
-        // must still land on the exact rebuilt state.
-        let vol = volume(Dims4::new(6, 5, 2, 8), 4, 5);
-        let roi = Dims4::new(4, 3, 2, 1);
-        let dirs = DirectionSet::all_unique_4d(1);
-        let src = QuantizedSource::new(&vol);
-        let mut scratch = FusedScratch::new(vol.levels());
-        let mut origin = Point4::new(0, 1, 0, 0);
-        scratch.reset_window();
-        scratch.accumulate_window(&src, &dirs, Region4::new(origin, roi), 3);
-        scratch.merge(false);
-        for _ in 0..7 {
-            let old = Region4::new(origin, roi);
-            scratch.accumulate_slab_t(&src, &dirs, old, origin.t, -1);
-            origin.t += 1;
-            let new = Region4::new(origin, roi);
-            scratch.accumulate_slab_t(&src, &dirs, new, origin.t + roi.t - 1, 1);
-            scratch.merge(false);
-            check_state(&scratch, &vol, new, &dirs);
-        }
-    }
-
-    #[test]
     fn sparse_merge_emits_sparse_entries_directly() {
         // The sparse-mode merge keeps an upper-triangle-only store whose
         // support-ordered cells are exactly the SparseCoMatrix entry list —
-        // no densify-then-sparsify sweep — including after x and t slides.
+        // no densify-then-sparsify sweep — including after x slides.
         use crate::sparse::{SparseCoMatrix, SparseEntry};
         fn emitted(scratch: &FusedScratch) -> (Vec<SparseEntry>, u64) {
             let ng = scratch.matrix.levels() as usize;
@@ -913,7 +539,7 @@ mod tests {
         let mut scratch = FusedScratch::new(vol.levels());
         let mut origin = Point4::new(0, 1, 0, 1);
         scratch.reset_window();
-        scratch.accumulate_window(&src, &dirs, Region4::new(origin, roi), 2);
+        scratch.accumulate_window(&src, &dirs, Region4::new(origin, roi));
         scratch.merge(true);
         let check = |scratch: &FusedScratch, origin: Point4| {
             let expect = SparseCoMatrix::from_dense(&CoMatrix::from_region(
@@ -926,37 +552,14 @@ mod tests {
             assert_eq!(total, expect.total(), "symmetric total drifted");
         };
         check(&scratch, origin);
-        for step in 0..6 {
-            if step % 2 == 0 {
-                let old = Region4::new(origin, roi);
-                scratch.accumulate_plane(&src, &dirs, old, origin.x, -1);
-                origin.x += 1;
-                let new = Region4::new(origin, roi);
-                scratch.accumulate_plane(&src, &dirs, new, origin.x + roi.x - 1, 1);
-            } else {
-                let old = Region4::new(origin, roi);
-                scratch.accumulate_slab_t(&src, &dirs, old, origin.t, -1);
-                origin.t += 1;
-                let new = Region4::new(origin, roi);
-                scratch.accumulate_slab_t(&src, &dirs, new, origin.t + roi.t - 1, 1);
-            }
+        for _ in 0..4 {
+            let old = Region4::new(origin, roi);
+            scratch.accumulate_plane(&src, &dirs, old, origin.x, -1);
+            origin.x += 1;
+            let new = Region4::new(origin, roi);
+            scratch.accumulate_plane(&src, &dirs, new, origin.x + roi.x - 1, 1);
             scratch.merge(true);
             check(&scratch, origin);
-        }
-    }
-
-    #[test]
-    fn tile_height_never_changes_counts() {
-        let vol = volume(Dims4::new(10, 12, 3, 3), 6, 2);
-        let roi = Dims4::new(6, 9, 2, 2);
-        let dirs = DirectionSet::all_unique_4d(1);
-        let win = Region4::new(Point4::new(1, 1, 0, 0), roi);
-        let src = QuantizedSource::new(&vol);
-        for tile_rows in [1, 2, 3, 9, 64] {
-            let mut scratch = FusedScratch::new(vol.levels());
-            scratch.accumulate_window(&src, &dirs, win, tile_rows);
-            scratch.merge(false);
-            check_state(&scratch, &vol, win, &dirs);
         }
     }
 
@@ -984,7 +587,7 @@ mod tests {
             selection: FeatureSelection::all(),
             representation: Representation::Full,
             engine: ScanEngine::Fused,
-            t_slide: TSlidePolicy::Off,
+            t_slide: TSlidePolicy::Auto,
         };
         let reference = crate::raster::raster_scan(&vol, &cfg);
         let width = reference.dims().x;
@@ -1002,90 +605,5 @@ mod tests {
                 "fused row diverged at x = {x}"
             );
         }
-    }
-
-    #[test]
-    fn t_run_scan_is_bit_identical_to_per_row_scans() {
-        // One (y, z) run driven through the t-slide cursor must produce the
-        // exact bits of independent per-row fused scans — for the dense and
-        // the sparse representation alike.
-        let vol = volume(Dims4::new(10, 7, 3, 11), 8, 7);
-        for representation in [
-            Representation::Full,
-            Representation::Sparse,
-            Representation::SparseAccum,
-        ] {
-            let cfg = ScanConfig {
-                roi: RoiShape::from_lengths(4, 3, 2, 3),
-                directions: DirectionSet::paper_4d(1),
-                selection: FeatureSelection::all(),
-                representation,
-                engine: ScanEngine::Fused,
-                t_slide: TSlidePolicy::On,
-            };
-            let roi = cfg.roi.size();
-            let dims = vol.dims();
-            let width = dims.x - roi.x + 1;
-            let t_len = dims.t - roi.t + 1;
-            let n = cfg.selection.len();
-            let src = QuantizedSource::new(&vol);
-            let run_origin = Point4::new(0, 2, 1, 0);
-
-            let mut per_row = vec![vec![0.0; width * n]; t_len];
-            let mut scratch = FusedScratch::new(vol.levels());
-            for (k, row) in per_row.iter_mut().enumerate() {
-                let o = Point4::new(run_origin.x, run_origin.y, run_origin.z, k);
-                scan_row_fused(&src, &cfg, o, width, row, &mut scratch);
-            }
-
-            let mut run_out = vec![vec![0.0; width * n]; t_len];
-            let mut rows: Vec<&mut [f64]> = run_out.iter_mut().map(|r| r.as_mut_slice()).collect();
-            let mut scratch = FusedScratch::new(vol.levels());
-            scan_t_run_fused(&src, &cfg, run_origin, width, &mut rows, &mut scratch);
-
-            for (k, (a, b)) in per_row.iter().zip(&run_out).enumerate() {
-                for (i, (x, y)) in a.iter().zip(b).enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "{representation:?} t-run diverged at row {k} slot {i}: {x} vs {y}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tile_rows_parse_accepts_positive_integers_only() {
-        assert_eq!(parse_tile_rows("4"), Ok(4));
-        assert_eq!(parse_tile_rows(" 12 "), Ok(12));
-        assert_eq!(parse_tile_rows("0"), Err(TileRowsError::Zero));
-        assert_eq!(
-            parse_tile_rows("four"),
-            Err(TileRowsError::NotANumber("four".to_string()))
-        );
-        assert_eq!(
-            parse_tile_rows("-3"),
-            Err(TileRowsError::NotANumber("-3".to_string()))
-        );
-        assert_eq!(
-            parse_tile_rows(""),
-            Err(TileRowsError::NotANumber(String::new()))
-        );
-        // The error messages name the offending value.
-        let e = parse_tile_rows("4x").unwrap_err();
-        assert!(e.to_string().contains("4x"), "{e}");
-    }
-
-    #[test]
-    fn default_tile_rows_is_clamped_to_window() {
-        if std::env::var(TILE_ROWS_ENV).is_ok() {
-            return; // pinned by the environment; nothing to derive
-        }
-        let t = effective_tile_rows(Dims4::new(10, 10, 3, 3));
-        assert!(t >= 1 && t <= 10, "tile rows {t} outside window");
-        // Wide windows shrink the tile height toward the L1 target.
-        let wide = effective_tile_rows(Dims4::new(8192, 64, 1, 1));
-        assert!(wide <= 2, "wide-row tile not shrunk: {wide}");
     }
 }

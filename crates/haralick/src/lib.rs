@@ -57,9 +57,9 @@
 //! | [`features`] | the fourteen Haralick features, computed from full or sparse matrices |
 //! | [`linalg`] | small dense symmetric eigensolver used by feature 14 |
 //! | [`roi`] | ROI shape and output-geometry helpers |
-//! | [`raster`] | the unified scan engine ([`raster::ScanEngine`] tiers) producing feature maps |
-//! | [`window`] | incremental sliding-window matrix maintenance with dirty-cell support tracking (beyond-the-paper optimization) |
-//! | [`fused`] | cache-blocked fused kernel: per-lane sub-histograms, once-per-placement merge, optional on-the-fly quantization |
+//! | [`raster`] | the raster scan producing feature maps: [`raster::ScanEngine::Reference`] (the oracle, [`raster::raster_scan`]) and [`raster::ScanEngine::Fused`] (the production kernel) |
+//! | [`window`] | incremental sliding-window matrix maintenance for stages that emit matrices, not features (beyond-the-paper optimization) |
+//! | [`fused`] | the fused row kernel: x-slide, per-lane sub-histograms, once-per-placement merge, optional on-the-fly quantization |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -81,8 +81,7 @@ pub use direction::{Direction, DirectionSet};
 pub use features::{compute_features, Feature, FeatureSelection, FeatureVector};
 pub use quantize::Quantizer;
 pub use raster::{
-    current_tier_table, install_tier_table, scan, scan_placements, scan_placements_raw,
-    FeatureMaps, Representation, ScanConfig, ScanEngine, TierBucket, TierTable,
+    scan, scan_placements, scan_placements_raw, FeatureMaps, Representation, ScanConfig, ScanEngine,
 };
 pub use roi::RoiShape;
 pub use sparse::{SparseAccumulator, SparseCoMatrix};

@@ -1,36 +1,22 @@
 //! Raster scanning: sliding the ROI window over a volume and emitting one
 //! feature vector per placement (paper §3, Figures 1–2).
 //!
-//! All scans run through one unified engine ([`scan`] /
-//! [`scan_placements`]) with six selectable tiers ([`ScanEngine`]):
+//! All scans run through [`scan`] / [`scan_placements`] /
+//! [`scan_placements_raw`] on one of two [`ScanEngine`]s:
 //!
 //! * `Reference` — the sequential per-placement rebuild, a direct
-//!   transcription of the paper's Figure 2 pseudo-code;
-//! * `Parallel` — `rayon` data-parallel over output voxels, still
-//!   rebuilding each window from scratch;
-//! * `Incremental` — sequential, each output row advanced by an
-//!   incremental [`crate::window::SlidingWindow`] with dirty-cell feature
-//!   statistics;
-//! * `IncrementalParallel` (default) — `rayon` over output **rows**, each
-//!   row advanced incrementally: the fusion of both optimizations;
-//! * `Fused` / `FusedParallel` — the cache-blocked per-lane sub-histogram
-//!   kernel of [`crate::fused`], sliding like the incremental tiers but
-//!   accumulating pair deltas into unrolled lane histograms merged once
-//!   per placement, with quantization optionally fused into the walk
-//!   ([`scan_placements_raw`]).
+//!   transcription of the paper's Figure 2 pseudo-code and the permanent
+//!   oracle ([`raster_scan`] forces it; every test compares against it);
+//! * `Fused` (default) — the per-lane sub-histogram row kernel of
+//!   [`crate::fused`]: each output row builds its first window once, slides
+//!   along `x`, merges pair deltas once per placement, and optionally
+//!   quantizes raw voxels on the fly ([`scan_placements_raw`]). Output rows
+//!   are dispatched over the ambient `rayon` pool, so the thread count is
+//!   the pool's (`RAYON_NUM_THREADS=1` is sequential).
 //!
-//! The pseudo-tier [`ScanEngine::Auto`] defers the choice to a measured
-//! [`TierTable`] (built-in heuristic snapshot, or the micro-benchmarked
-//! table installed via [`install_tier_table`] from
-//! `cluster::calibrate::calibrate_tiers`), bucketed by ROI volume, gray
-//! levels and direction count.
-//!
-//! Every tier produces bit-identical [`FeatureMaps`]. The named entry
-//! points [`raster_scan`], [`raster_scan_par`] and
-//! [`crate::window::raster_scan_incremental`] force one tier regardless of
-//! the configured engine (the first is the comparator every test verifies
-//! against); the distributed implementation in the `pipeline` crate routes
-//! its per-chunk work through [`scan_placements`].
+//! Both engines produce bit-identical [`FeatureMaps`] for all four
+//! [`Representation`]s; the distributed implementation in the `pipeline`
+//! crate routes its per-chunk work through [`scan_placements`].
 
 use crate::coocc::CoMatrix;
 use crate::direction::DirectionSet;
@@ -42,7 +28,6 @@ use crate::sparse::SparseAccumulator;
 use crate::volume::{Dims4, LevelVolume, Point4};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::sync::RwLock;
 
 /// Which co-occurrence storage representation the scan uses (paper §4.4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -84,284 +69,31 @@ impl Representation {
     }
 }
 
-/// Which execution tier the unified scan engine uses (see [`scan`]).
-///
-/// All tiers produce bit-identical output; they differ only in how the
-/// per-placement work is scheduled and whether consecutive placements share
-/// work. `Reference` and `Parallel` rebuild every window's matrix and
-/// re-sweep all `Ng²` statistics cells; the `Incremental*` tiers slide the
-/// window along each output row, tracking the matrix's dirty cells in a
-/// support bitmap so the statistics touch only non-zero cells instead.
+/// Which execution path the scan uses (see [`scan`]). Both produce
+/// bit-identical output for every [`Representation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum ScanEngine {
-    /// Sequential, per-placement matrix rebuild (paper Figure 2).
+    /// Sequential, per-placement matrix rebuild (paper Figure 2) — the
+    /// readable definition and the oracle.
     Reference,
-    /// `rayon`-parallel over output voxels, per-placement rebuild.
-    Parallel,
-    /// Sequential, incremental sliding window + dirty-cell stats per row.
-    Incremental,
-    /// `rayon`-parallel over output rows, each row incremental — the
-    /// default tier.
+    /// The fused row kernel of [`crate::fused`], one output row per
+    /// `rayon` task: the window slides along `x`, pair deltas accumulate in
+    /// lane sub-histograms merged once per placement, and the statistics
+    /// sweep only the non-zero cells. Sparse representations are
+    /// accumulated natively.
     #[default]
-    IncrementalParallel,
-    /// Sequential fused kernel: cache-blocked window build, per-lane
-    /// sub-histogram slides merged once per placement (see
-    /// [`crate::fused`]).
     Fused,
-    /// `rayon`-parallel over output rows, each row through the fused
-    /// kernel — the fastest tier on dense workloads.
-    FusedParallel,
-    /// Defer to the measured [`TierTable`] per workload — the calibrated
-    /// autotuning mode. Resolves to a concrete tier before any scanning
-    /// happens, so it never executes itself.
-    Auto,
 }
 
-impl ScanEngine {
-    /// The tier that will actually run for `repr`: the incremental tiers
-    /// require a dense co-occurrence matrix to track, so `Sparse` /
-    /// `SparseAccum` scans downgrade them to the equivalent rebuild tier
-    /// (preserving each sparse representation's accumulation semantics,
-    /// which the cost studies measure). The fused tiers accumulate sparse
-    /// windows natively — their merge emits sparse-entry state directly —
-    /// so they never downgrade. `Auto` resolves through the current
-    /// [`TierTable`] with unbounded workload parameters; use
-    /// [`ScanEngine::effective_for_workload`] when the workload shape is
-    /// known.
-    pub fn effective_for(self, repr: Representation) -> Self {
-        match (self, repr) {
-            (Self::Auto, _) => current_tier_table()
-                .pick(repr, usize::MAX, u16::MAX, usize::MAX)
-                .effective_for(repr),
-            (Self::Incremental, Representation::Sparse | Representation::SparseAccum) => {
-                Self::Reference
-            }
-            (Self::IncrementalParallel, Representation::Sparse | Representation::SparseAccum) => {
-                Self::Parallel
-            }
-            (e, _) => e,
-        }
-    }
-
-    /// The tier that will actually run for `repr` given the workload shape
-    /// (`roi_voxels` window voxels, `levels` gray levels, `directions`
-    /// displacement count): like [`ScanEngine::effective_for`], but `Auto`
-    /// is resolved through the measured [`TierTable`] bucket matching the
-    /// workload. This is the resolution [`scan_placements`] performs.
-    pub fn effective_for_workload(
-        self,
-        repr: Representation,
-        roi_voxels: usize,
-        levels: u16,
-        directions: usize,
-    ) -> Self {
-        match self {
-            Self::Auto => current_tier_table()
-                .pick(repr, roi_voxels, levels, directions)
-                .effective_for(repr),
-            e => e.effective_for(repr),
-        }
-    }
-
-    /// Whether this tier advances windows incrementally along rows.
-    pub const fn is_incremental(self) -> bool {
-        matches!(self, Self::Incremental | Self::IncrementalParallel)
-    }
-
-    /// Whether this tier runs the fused sub-histogram kernel.
-    pub const fn is_fused(self) -> bool {
-        matches!(self, Self::Fused | Self::FusedParallel)
-    }
-
-    /// Whether this tier fans work out across `rayon` workers.
-    pub const fn is_parallel(self) -> bool {
-        matches!(
-            self,
-            Self::Parallel | Self::IncrementalParallel | Self::FusedParallel
-        )
-    }
-}
-
-/// Which co-occurrence representation family a [`TierBucket`] covers.
-/// Sparse and dense workloads have different measured-fastest tiers (the
-/// sparse statistics sweep shifts the balance), so calibrated tables can
-/// bucket them separately.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ReprClass {
-    /// Matches every representation.
-    #[default]
-    Any,
-    /// Dense representations (`FullNaive`, `Full`).
-    Dense,
-    /// Sparse representations (`Sparse`, `SparseAccum`).
-    Sparse,
-}
-
-impl ReprClass {
-    /// The class `repr` belongs to (never `Any`).
-    pub const fn of(repr: Representation) -> Self {
-        if repr.is_sparse() {
-            Self::Sparse
-        } else {
-            Self::Dense
-        }
-    }
-
-    /// Whether a workload using `repr` falls inside this class.
-    pub const fn matches(self, repr: Representation) -> bool {
-        match self {
-            Self::Any => true,
-            Self::Dense => !repr.is_sparse(),
-            Self::Sparse => repr.is_sparse(),
-        }
-    }
-}
-
-/// One row of a [`TierTable`]: the measured-fastest engine for workloads
-/// no larger than the three bounds. Bounds are inclusive upper limits;
-/// a workload matches the **first** bucket whose bounds all hold and whose
-/// representation class covers the workload's representation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TierBucket {
-    /// Which representation family this bucket covers.
-    #[serde(default)]
-    pub repr: ReprClass,
-    /// Largest window voxel count this bucket covers.
-    pub max_roi_voxels: usize,
-    /// Largest gray-level count `Ng` this bucket covers.
-    pub max_levels: u16,
-    /// Largest displacement count this bucket covers.
-    pub max_directions: usize,
-    /// The engine measured fastest inside these bounds.
-    pub engine: ScanEngine,
-}
-
-/// Workload-bucketed engine selection used by [`ScanEngine::Auto`]:
-/// first-match buckets over (ROI volume, gray levels, direction count),
-/// with a fallback tier for workloads no bucket covers.
-///
-/// `cluster::calibrate::calibrate_tiers` produces one by micro-benchmarking
-/// every tier per bucket; the committed snapshot lives in
-/// `cluster::calibrated_defaults::default_tier_table` and is installed at
-/// pipeline startup via [`install_tier_table`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TierTable {
-    /// Selection buckets, probed in order.
-    pub buckets: Vec<TierBucket>,
-    /// Engine for workloads outside every bucket.
-    pub fallback: ScanEngine,
-    /// Smallest ROI t-extent at which [`TSlidePolicy::Auto`] engages the
-    /// fused kernel's t-axis slide. A slide costs two t-slabs
-    /// (`2 · roi_voxels / roi_t`) against a full `roi_voxels` rebuild, so
-    /// the slide only pays off once `roi_t > 2`; 3 is the analytic
-    /// break-even and the builtin default, while calibration may measure a
-    /// different crossover.
-    #[serde(default = "default_t_slide_min_roi_t")]
-    pub t_slide_min_roi_t: usize,
-}
-
-fn default_t_slide_min_roi_t() -> usize {
-    3
-}
-
-impl TierTable {
-    /// The compiled-in selection used until a measured table is installed:
-    /// sparse representations always go to the fused kernel (whose merge
-    /// emits sparse-entry state directly — the incremental tiers would
-    /// downgrade to a rebuild); dense workloads with sparse direction sets
-    /// (≤ 2 displacements) keep each slide so cheap that the leaner
-    /// incremental bookkeeping wins; everything else — including the
-    /// paper's 40-direction configuration — goes to the fused kernel.
-    pub fn builtin() -> Self {
-        Self {
-            buckets: vec![
-                TierBucket {
-                    repr: ReprClass::Sparse,
-                    max_roi_voxels: usize::MAX,
-                    max_levels: u16::MAX,
-                    max_directions: usize::MAX,
-                    engine: ScanEngine::FusedParallel,
-                },
-                TierBucket {
-                    repr: ReprClass::Any,
-                    max_roi_voxels: usize::MAX,
-                    max_levels: 256,
-                    max_directions: 2,
-                    engine: ScanEngine::IncrementalParallel,
-                },
-            ],
-            fallback: ScanEngine::FusedParallel,
-            t_slide_min_roi_t: default_t_slide_min_roi_t(),
-        }
-    }
-
-    /// The engine for a workload of representation `repr`, `roi_voxels`
-    /// window voxels, `levels` gray levels and `directions` displacements:
-    /// the first matching bucket's engine, else the fallback. A table
-    /// entry of `Auto` (meaningless — it would recurse) sanitizes to the
-    /// default tier.
-    pub fn pick(
-        &self,
-        repr: Representation,
-        roi_voxels: usize,
-        levels: u16,
-        directions: usize,
-    ) -> ScanEngine {
-        let e = self
-            .buckets
-            .iter()
-            .find(|b| {
-                b.repr.matches(repr)
-                    && roi_voxels <= b.max_roi_voxels
-                    && levels <= b.max_levels
-                    && directions <= b.max_directions
-            })
-            .map(|b| b.engine)
-            .unwrap_or(self.fallback);
-        if e == ScanEngine::Auto {
-            ScanEngine::default()
-        } else {
-            e
-        }
-    }
-}
-
-static MEASURED_TIERS: RwLock<Option<TierTable>> = RwLock::new(None);
-
-/// Installs the process-wide measured [`TierTable`] that
-/// [`ScanEngine::Auto`] resolves through (e.g. the calibrated snapshot, at
-/// pipeline startup). Replaces any previously installed table.
-pub fn install_tier_table(table: TierTable) {
-    *MEASURED_TIERS.write().expect("tier table lock poisoned") = Some(table);
-}
-
-/// The [`TierTable`] currently governing [`ScanEngine::Auto`]: the
-/// installed table, or [`TierTable::builtin`] if none has been installed.
-pub fn current_tier_table() -> TierTable {
-    MEASURED_TIERS
-        .read()
-        .expect("tier table lock poisoned")
-        .clone()
-        .unwrap_or_else(TierTable::builtin)
-}
-
-/// Whether the fused tiers reuse work **across t-adjacent output rows**
-/// by sliding the window along the t axis (subtract the departing t-slab's
-/// pairs, add the arriving slab's) instead of rebuilding each run's first
-/// window from scratch — the streaming reuse a time-series DCE-MRI study
-/// exercises. Bit-identical either way; this is purely a scheduling
-/// policy.
+/// Retained only so existing [`ScanConfig`] struct literals keep compiling:
+/// the fused kernel's t-axis slide this used to select was removed (it
+/// moved end-to-end time by under 3 %), and the one remaining value has
+/// **no effect**.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum TSlidePolicy {
-    /// Engage the slide when the workload profits: the output block spans
-    /// ≥ 2 t-placements and the ROI t-extent reaches the tier table's
-    /// measured threshold ([`TierTable::t_slide_min_roi_t`]).
+    /// The only value; ignored.
     #[default]
     Auto,
-    /// Always slide when the output block spans ≥ 2 t-placements.
-    On,
-    /// Never slide; every output row rebuilds its first window.
-    Off,
 }
 
 /// Configuration of a raster scan.
@@ -375,10 +107,10 @@ pub struct ScanConfig {
     pub selection: FeatureSelection,
     /// Co-occurrence storage policy.
     pub representation: Representation,
-    /// Execution tier used by [`scan`] / [`scan_placements`].
+    /// Execution path used by [`scan`] / [`scan_placements`].
     #[serde(default)]
     pub engine: ScanEngine,
-    /// t-axis sliding-window reuse policy for the fused tiers.
+    /// Ignored (see [`TSlidePolicy`]).
     #[serde(default)]
     pub t_slide: TSlidePolicy,
 }
@@ -386,8 +118,7 @@ pub struct ScanConfig {
 impl ScanConfig {
     /// The paper's experimental configuration: 10x10x3x3 ROI, all 40 unique
     /// 4D directions at distance 1, the four expensive features, full
-    /// representation with zero-skip, default (row-parallel incremental)
-    /// engine.
+    /// representation with zero-skip, default (fused) engine.
     pub fn paper_default() -> Self {
         Self {
             roi: RoiShape::paper_default(),
@@ -544,51 +275,20 @@ impl FeatureMaps {
     }
 }
 
-/// Feature values of one window across a range of displacement distances —
-/// the classic Haralick practice of probing texture periodicity by scaling
-/// a base direction (paper §3: distance is a user parameter of the
-/// co-occurrence matrix). Returns one dense feature vector per distance,
-/// in `1..=max_distance` order.
-///
-/// # Panics
-/// If the window does not fit the volume or `max_distance` is zero.
-pub fn distance_sweep(
-    vol: &LevelVolume,
-    cfg: &ScanConfig,
-    origin: Point4,
-    max_distance: u32,
-) -> Vec<Vec<f64>> {
-    assert!(max_distance > 0, "need at least distance 1");
-    (1..=max_distance)
-        .map(|dist| {
-            let scaled =
-                crate::direction::DirectionSet::new(cfg.directions.iter().map(|d| d.scaled(dist)));
-            let sweep_cfg = ScanConfig {
-                directions: scaled,
-                ..cfg.clone()
-            };
-            scan_one(vol, &sweep_cfg, origin)
-        })
-        .collect()
-}
-
-/// Reusable per-worker scratch of the rebuild tiers: the dense matrix a
-/// placement accumulates into and the statistics accumulator, both
-/// recycled across every placement a worker processes so the hot loop
-/// never allocates.
-pub(crate) struct ScanScratch {
+/// Reusable scratch of the reference engine: the dense matrix a placement
+/// accumulates into and the statistics accumulator, both recycled across
+/// every placement so the hot loop never allocates.
+struct ScanScratch {
     matrix: CoMatrix,
     /// Sparse-storage accumulator recycled by the `SparseAccum` rebuild
     /// path (entry list capacity survives across placements).
     sparse_acc: SparseAccumulator,
-    /// Reused by both the rebuild tiers (here) and the incremental row
-    /// kernel (which tracks its own matrix but shares this accumulator).
-    pub(crate) stats: MatrixStats,
+    stats: MatrixStats,
 }
 
 impl ScanScratch {
     /// Scratch for `levels` gray levels.
-    pub(crate) fn new(levels: u16) -> Self {
+    fn new(levels: u16) -> Self {
         Self {
             matrix: CoMatrix::zeros(levels),
             sparse_acc: SparseAccumulator::new(levels),
@@ -599,7 +299,7 @@ impl ScanScratch {
 
 /// Computes the feature values for the single window at `origin` into
 /// `out` (selection order), reusing `scratch` — the allocation-free
-/// per-ROI unit of work behind the rebuild tiers.
+/// per-ROI unit of work of the reference engine.
 fn scan_one_into(
     vol: &LevelVolume,
     cfg: &ScanConfig,
@@ -656,16 +356,16 @@ pub fn scan_one(vol: &LevelVolume, cfg: &ScanConfig, origin: Point4) -> Vec<f64>
     out
 }
 
-/// Scans the whole volume with the engine tier configured in `cfg`
-/// ([`ScanConfig::engine`]) — the default entry point of the unified scan
-/// engine. All tiers produce bit-identical output.
+/// Scans the whole volume with the engine configured in `cfg`
+/// ([`ScanConfig::engine`]) — the default entry point. Both engines
+/// produce bit-identical output.
 pub fn scan(vol: &LevelVolume, cfg: &ScanConfig) -> FeatureMaps {
     scan_placements(vol, cfg, Point4::ZERO, cfg.roi.output_dims(vol.dims()))
 }
 
 /// Scans the `extent`-shaped block of window placements whose window
 /// origins start at `base` (placement `p` uses the window at `base + p`),
-/// with the engine tier configured in `cfg`.
+/// with the engine configured in `cfg`.
 ///
 /// This is the shared driver behind [`scan`] and the pipeline's per-chunk
 /// texture filters, which analyze a sub-block of placements inside a
@@ -679,71 +379,27 @@ pub fn scan_placements(
     base: Point4,
     extent: Dims4,
 ) -> FeatureMaps {
-    let mut maps = FeatureMaps::zeros(extent, cfg.selection);
-    let n = cfg.selection.len();
-    if n == 0 || extent.is_empty() {
-        return maps;
-    }
-    let effective = cfg.engine.effective_for_workload(
-        cfg.representation,
-        cfg.roi.len(),
-        vol.levels(),
-        cfg.directions.len(),
-    );
-    match effective {
+    match cfg.engine {
         ScanEngine::Reference => {
+            let mut maps = FeatureMaps::zeros(extent, cfg.selection);
             let mut scratch = ScanScratch::new(vol.levels());
-            let mut values = vec![0.0; n];
+            let mut values = vec![0.0; cfg.selection.len()];
             for p in extent.region().points() {
-                scan_one_into(vol, cfg, shifted(base, p), &mut scratch, &mut values);
+                let origin = Point4::new(base.x + p.x, base.y + p.y, base.z + p.z, base.t + p.t);
+                scan_one_into(vol, cfg, origin, &mut scratch, &mut values);
                 maps.set_values(p, &values);
             }
+            maps
         }
-        ScanEngine::Parallel => {
-            maps.data.par_chunks_mut(n).enumerate().for_each_init(
-                || ScanScratch::new(vol.levels()),
-                |scratch, (idx, slot)| {
-                    scan_one_into(vol, cfg, shifted(base, extent.point_of(idx)), scratch, slot);
-                },
-            );
-        }
-        ScanEngine::Incremental => {
-            let mut scratch = ScanScratch::new(vol.levels());
-            maps.data
-                .chunks_mut(extent.x * n)
-                .enumerate()
-                .for_each(|(r, row)| scan_row_at(vol, cfg, base, extent, r, row, &mut scratch));
-        }
-        ScanEngine::IncrementalParallel => {
-            maps.data
-                .par_chunks_mut(extent.x * n)
-                .enumerate()
-                .for_each_init(
-                    || ScanScratch::new(vol.levels()),
-                    |scratch, (r, row)| scan_row_at(vol, cfg, base, extent, r, row, scratch),
-                );
-        }
-        ScanEngine::Fused | ScanEngine::FusedParallel => {
-            run_fused(
-                &QuantizedSource::new(vol),
-                cfg,
-                base,
-                extent,
-                effective.is_parallel(),
-                &mut maps.data,
-            );
-        }
-        ScanEngine::Auto => unreachable!("Auto resolves to a concrete tier before dispatch"),
+        ScanEngine::Fused => run_fused(&QuantizedSource::new(vol), cfg, base, extent),
     }
-    maps
 }
 
 /// Scans the `extent`-shaped block of placements based at `base` directly
-/// from **raw `u16` voxels**, quantizing on the fly when the effective
-/// tier is fused (one pass over the data, no intermediate
-/// [`LevelVolume`]); other tiers quantize up front and delegate to
-/// [`scan_placements`]. Output is bit-identical to quantizing first in
-/// either case.
+/// from **raw `u16` voxels**. The fused engine quantizes on the fly (one
+/// pass over the data, no intermediate [`LevelVolume`]); the reference
+/// engine quantizes up front and delegates to [`scan_placements`]. Output
+/// is bit-identical to quantizing first in either case.
 ///
 /// # Panics
 /// If `raw.len() != dims.len()` or any requested window exceeds the
@@ -756,133 +412,45 @@ pub fn scan_placements_raw(
     base: Point4,
     extent: Dims4,
 ) -> FeatureMaps {
-    let effective = cfg.engine.effective_for_workload(
-        cfg.representation,
-        cfg.roi.len(),
-        quantizer.levels(),
-        cfg.directions.len(),
-    );
-    if effective.is_fused() {
-        let mut maps = FeatureMaps::zeros(extent, cfg.selection);
-        let n = cfg.selection.len();
-        if n == 0 || extent.is_empty() {
-            return maps;
-        }
-        let src = RawLutSource::new(dims, raw, quantizer);
-        run_fused(
-            &src,
-            cfg,
-            base,
-            extent,
-            effective.is_parallel(),
-            &mut maps.data,
-        );
-        maps
-    } else {
-        let vol = quantizer.quantize(dims, raw);
-        let pinned = ScanConfig {
-            engine: effective,
-            ..cfg.clone()
-        };
-        scan_placements(&vol, &pinned, base, extent)
+    match cfg.engine {
+        ScanEngine::Reference => scan_placements(&quantizer.quantize(dims, raw), cfg, base, extent),
+        ScanEngine::Fused => run_fused(&RawLutSource::new(dims, raw, quantizer), cfg, base, extent),
     }
 }
 
-/// Runs the fused row kernel over every output row of the block,
-/// sequentially or `rayon`-parallel, with one [`FusedScratch`] per worker.
-///
-/// When the t-slide policy engages, rows are regrouped into **t-runs** —
-/// all rows sharing one `(y, z)` in ascending `t` order — and each run is
-/// handed to [`crate::fused::scan_t_run_fused`], which builds only the
-/// run's first window from scratch and slides t-slabs for the rest.
+/// Runs the fused row kernel over every output row of the block, one row
+/// per `rayon` task with one [`FusedScratch`] per worker.
 fn run_fused<S: LevelSource>(
     src: &S,
     cfg: &ScanConfig,
     base: Point4,
     extent: Dims4,
-    parallel: bool,
-    data: &mut [f64],
-) {
+) -> FeatureMaps {
+    let mut maps = FeatureMaps::zeros(extent, cfg.selection);
     let n = cfg.selection.len();
-    let row_origin = |r: usize| {
-        let y = r % extent.y;
-        let z = (r / extent.y) % extent.z;
-        let t = r / (extent.y * extent.z);
-        Point4::new(base.x, base.y + y, base.z + z, base.t + t)
-    };
-    let slide = match cfg.t_slide {
-        TSlidePolicy::Off => false,
-        TSlidePolicy::On => extent.t >= 2,
-        TSlidePolicy::Auto => {
-            extent.t >= 2 && cfg.roi.size().t >= current_tier_table().t_slide_min_roi_t
-        }
-    };
-    if slide {
-        // Row r = y + extent.y · (z + extent.z · t); sorting by
-        // (r mod y·z, r div y·z) groups each (y, z) pair's rows together
-        // in ascending t, so fixed-size chunks of extent.t are exactly the
-        // t-runs.
-        let yz = extent.y * extent.z;
-        let mut rows: Vec<(usize, &mut [f64])> =
-            data.chunks_mut(extent.x * n).enumerate().collect();
-        rows.sort_by_key(|&(r, _)| (r % yz, r / yz));
-        let scan_run = |scratch: &mut FusedScratch, run: &mut [(usize, &mut [f64])]| {
-            let origin = row_origin(run[0].0);
-            let mut out_rows: Vec<&mut [f64]> = run.iter_mut().map(|(_, row)| &mut **row).collect();
-            crate::fused::scan_t_run_fused(src, cfg, origin, extent.x, &mut out_rows, scratch);
-        };
-        if parallel {
-            rows.par_chunks_mut(extent.t).for_each_init(
-                || FusedScratch::new(src.levels()),
-                |scratch, run| scan_run(scratch, run),
-            );
-        } else {
-            let mut scratch = FusedScratch::new(src.levels());
-            for run in rows.chunks_mut(extent.t) {
-                scan_run(&mut scratch, run);
-            }
-        }
-    } else if parallel {
-        data.par_chunks_mut(extent.x * n).enumerate().for_each_init(
+    if n == 0 || extent.is_empty() {
+        return maps;
+    }
+    maps.data
+        .par_chunks_mut(extent.x * n)
+        .enumerate()
+        .for_each_init(
             || FusedScratch::new(src.levels()),
             |scratch, (r, out_row)| {
-                crate::fused::scan_row_fused(src, cfg, row_origin(r), extent.x, out_row, scratch);
+                // Row r = y + extent.y · (z + extent.z · t).
+                let y = r % extent.y;
+                let z = (r / extent.y) % extent.z;
+                let t = r / (extent.y * extent.z);
+                let row_origin = Point4::new(base.x, base.y + y, base.z + z, base.t + t);
+                crate::fused::scan_row_fused(src, cfg, row_origin, extent.x, out_row, scratch);
             },
         );
-    } else {
-        let mut scratch = FusedScratch::new(src.levels());
-        for (r, out_row) in data.chunks_mut(extent.x * n).enumerate() {
-            crate::fused::scan_row_fused(src, cfg, row_origin(r), extent.x, out_row, &mut scratch);
-        }
-    }
-}
-
-#[inline]
-fn shifted(base: Point4, p: Point4) -> Point4 {
-    Point4::new(base.x + p.x, base.y + p.y, base.z + p.z, base.t + p.t)
-}
-
-/// Runs the incremental row kernel for output row `r` of an
-/// `extent`-shaped block based at `base`.
-fn scan_row_at(
-    vol: &LevelVolume,
-    cfg: &ScanConfig,
-    base: Point4,
-    extent: Dims4,
-    r: usize,
-    out_row: &mut [f64],
-    scratch: &mut ScanScratch,
-) {
-    let y = r % extent.y;
-    let z = (r / extent.y) % extent.z;
-    let t = r / (extent.y * extent.z);
-    let row_origin = Point4::new(base.x, base.y + y, base.z + z, base.t + t);
-    crate::window::scan_row_incremental(vol, cfg, row_origin, extent.x, out_row, scratch);
+    maps
 }
 
 /// Sequential raster scan over the whole volume — the reference
-/// implementation (paper Figure 2). Forces the [`ScanEngine::Reference`]
-/// tier regardless of the configured engine; every other tier is verified
+/// implementation (paper Figure 2). Forces [`ScanEngine::Reference`]
+/// regardless of the configured engine; the fused engine is verified
 /// against this output.
 pub fn raster_scan(vol: &LevelVolume, cfg: &ScanConfig) -> FeatureMaps {
     let cfg = ScanConfig {
@@ -892,22 +460,9 @@ pub fn raster_scan(vol: &LevelVolume, cfg: &ScanConfig) -> FeatureMaps {
     scan(vol, &cfg)
 }
 
-/// `rayon`-parallel raster scan rebuilding each window from scratch;
-/// produces output identical to [`raster_scan`]. Forces the
-/// [`ScanEngine::Parallel`] tier — kept as the benchmark comparator the
-/// incremental engine is measured against.
-pub fn raster_scan_par(vol: &LevelVolume, cfg: &ScanConfig) -> FeatureMaps {
-    let cfg = ScanConfig {
-        engine: ScanEngine::Parallel,
-        ..cfg.clone()
-    };
-    scan(vol, &cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::direction::Direction;
     use crate::features::Feature;
 
     fn gradient_volume(dims: Dims4, ng: u16) -> LevelVolume {
@@ -936,16 +491,6 @@ mod tests {
         let maps = raster_scan(&vol, &small_cfg());
         assert_eq!(maps.dims(), Dims4::new(5, 4, 2, 3));
         assert_eq!(maps.as_slice().len(), 5 * 4 * 2 * 3 * 4);
-    }
-
-    #[test]
-    fn sequential_and_parallel_agree() {
-        let vol = gradient_volume(Dims4::new(9, 8, 3, 3), 8);
-        let cfg = small_cfg();
-        let a = raster_scan(&vol, &cfg);
-        let b = raster_scan_par(&vol, &cfg);
-        assert_eq!(a.dims(), b.dims());
-        assert!(a.max_abs_diff(&b) == 0.0, "parallel scan diverged");
     }
 
     #[test]
@@ -1018,207 +563,35 @@ mod tests {
     }
 
     #[test]
-    fn distance_sweep_detects_texture_period() {
-        // Period-2 stripes: correlation alternates sign with distance.
-        let dims = Dims4::new(16, 8, 3, 3);
-        let data: Vec<u8> = dims.region().points().map(|p| (p.x % 2) as u8).collect();
-        let vol = LevelVolume::from_raw(dims, data, 2).unwrap();
-        let cfg = ScanConfig {
-            roi: RoiShape::from_lengths(8, 4, 2, 2),
-            directions: DirectionSet::single(Direction::new(1, 0, 0, 0)),
-            selection: FeatureSelection::of(&[Feature::Correlation]),
-            representation: Representation::Full,
-            engine: ScanEngine::default(),
-            t_slide: TSlidePolicy::default(),
-        };
-        let sweep = distance_sweep(&vol, &cfg, Point4::ZERO, 4);
-        assert_eq!(sweep.len(), 4);
-        assert!(sweep[0][0] < -0.99, "d=1 anti-correlated: {}", sweep[0][0]);
-        assert!(sweep[1][0] > 0.99, "d=2 correlated: {}", sweep[1][0]);
-        assert!(sweep[2][0] < -0.99, "d=3 anti-correlated: {}", sweep[2][0]);
-        assert!(sweep[3][0] > 0.99, "d=4 correlated: {}", sweep[3][0]);
-    }
-
-    #[test]
-    fn distance_sweep_distance_one_matches_scan_one() {
-        let vol = gradient_volume(Dims4::new(8, 8, 3, 3), 8);
-        let cfg = small_cfg();
-        let p = Point4::new(1, 1, 0, 0);
-        let sweep = distance_sweep(&vol, &cfg, p, 1);
-        assert_eq!(sweep[0], scan_one(&vol, &cfg, p));
-    }
-
-    #[test]
     fn roi_larger_than_volume_yields_empty_maps() {
         let vol = gradient_volume(Dims4::new(3, 3, 1, 1), 4);
         let maps = raster_scan(&vol, &small_cfg());
         assert!(maps.dims().is_empty());
         assert!(maps.as_slice().is_empty());
-        let par = raster_scan_par(&vol, &small_cfg());
-        assert!(par.dims().is_empty());
-        let mut cfg = small_cfg();
-        cfg.engine = ScanEngine::IncrementalParallel;
-        assert!(scan(&vol, &cfg).dims().is_empty());
+        assert!(scan(&vol, &small_cfg()).dims().is_empty());
     }
 
     #[test]
-    fn all_engine_tiers_agree_bitwise() {
+    fn fused_matches_reference_bitwise_for_every_representation() {
         let vol = gradient_volume(Dims4::new(9, 8, 3, 3), 8);
         let mut cfg = small_cfg();
         cfg.selection = FeatureSelection::all();
-        let reference = raster_scan(&vol, &cfg);
-        for engine in [
-            ScanEngine::Reference,
-            ScanEngine::Parallel,
-            ScanEngine::Incremental,
-            ScanEngine::IncrementalParallel,
-            ScanEngine::Fused,
-            ScanEngine::FusedParallel,
-            ScanEngine::Auto,
+        for repr in [
+            Representation::FullNaive,
+            Representation::Full,
+            Representation::Sparse,
+            Representation::SparseAccum,
         ] {
-            cfg.engine = engine;
+            cfg.representation = repr;
+            let reference = raster_scan(&vol, &cfg);
             let maps = scan(&vol, &cfg);
             assert_eq!(maps.dims(), reference.dims());
             assert_eq!(
                 maps.max_abs_diff(&reference),
                 0.0,
-                "{engine:?} diverged from the reference scan"
+                "fused {repr:?} diverged from the reference scan"
             );
         }
-    }
-
-    #[test]
-    fn sparse_representations_downgrade_incremental_but_run_fused() {
-        let vol = gradient_volume(Dims4::new(8, 7, 3, 3), 8);
-        let mut cfg = small_cfg();
-        for repr in [Representation::Sparse, Representation::SparseAccum] {
-            cfg.representation = repr;
-            // Incremental tiers still downgrade to the equivalent rebuild…
-            assert_eq!(
-                ScanEngine::IncrementalParallel.effective_for(repr),
-                ScanEngine::Parallel
-            );
-            assert_eq!(
-                ScanEngine::Incremental.effective_for(repr),
-                ScanEngine::Reference
-            );
-            // …but the fused tiers accumulate sparse windows natively.
-            assert_eq!(ScanEngine::Fused.effective_for(repr), ScanEngine::Fused);
-            assert_eq!(
-                ScanEngine::FusedParallel.effective_for(repr),
-                ScanEngine::FusedParallel
-            );
-            for engine in [
-                ScanEngine::IncrementalParallel,
-                ScanEngine::Fused,
-                ScanEngine::FusedParallel,
-            ] {
-                cfg.engine = engine;
-                let a = scan(&vol, &cfg);
-                let b = raster_scan(&vol, &cfg);
-                assert_eq!(
-                    a.max_abs_diff(&b),
-                    0.0,
-                    "{repr:?} under {engine:?} diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn tier_table_picks_first_matching_bucket() {
-        let table = TierTable {
-            buckets: vec![
-                TierBucket {
-                    repr: ReprClass::Any,
-                    max_roi_voxels: 100,
-                    max_levels: 16,
-                    max_directions: 4,
-                    engine: ScanEngine::Incremental,
-                },
-                TierBucket {
-                    repr: ReprClass::Sparse,
-                    max_roi_voxels: 10_000,
-                    max_levels: 256,
-                    max_directions: 64,
-                    engine: ScanEngine::FusedParallel,
-                },
-                TierBucket {
-                    repr: ReprClass::Dense,
-                    max_roi_voxels: 10_000,
-                    max_levels: 256,
-                    max_directions: 64,
-                    engine: ScanEngine::Fused,
-                },
-            ],
-            fallback: ScanEngine::Parallel,
-            t_slide_min_roi_t: 3,
-        };
-        let full = Representation::Full;
-        assert_eq!(table.pick(full, 50, 8, 2), ScanEngine::Incremental);
-        assert_eq!(table.pick(full, 500, 8, 2), ScanEngine::Fused);
-        assert_eq!(table.pick(full, 50, 8, 100), ScanEngine::Parallel);
-        // Representation-class buckets are skipped for the other family.
-        assert_eq!(
-            table.pick(Representation::Sparse, 500, 8, 2),
-            ScanEngine::FusedParallel
-        );
-        assert_eq!(
-            table.pick(Representation::SparseAccum, 50, 8, 2),
-            ScanEngine::Incremental,
-            "an Any bucket matches sparse workloads too"
-        );
-        // An Auto table entry sanitizes instead of recursing.
-        let silly = TierTable {
-            buckets: vec![],
-            fallback: ScanEngine::Auto,
-            t_slide_min_roi_t: 3,
-        };
-        assert_eq!(silly.pick(full, 1, 1, 1), ScanEngine::default());
-    }
-
-    #[test]
-    fn builtin_table_keeps_sparse_directions_incremental() {
-        let table = TierTable::builtin();
-        let full = Representation::Full;
-        assert_eq!(
-            table.pick(full, 900, 32, 1),
-            ScanEngine::IncrementalParallel
-        );
-        assert_eq!(table.pick(full, 900, 32, 40), ScanEngine::FusedParallel);
-        // Sparse representations route to the fused kernel even at low
-        // direction counts (the incremental tiers would downgrade).
-        assert_eq!(
-            table.pick(Representation::Sparse, 900, 32, 1),
-            ScanEngine::FusedParallel
-        );
-        assert_eq!(
-            table.pick(Representation::SparseAccum, 900, 32, 40),
-            ScanEngine::FusedParallel
-        );
-        // Auto never leaks out of workload resolution.
-        for dirs in [1, 2, 3, 40] {
-            let e = ScanEngine::Auto.effective_for_workload(Representation::Full, 900, 32, dirs);
-            assert_ne!(e, ScanEngine::Auto);
-        }
-    }
-
-    #[test]
-    fn tier_table_without_repr_or_threshold_fields_deserializes() {
-        // Tables serialized before representation-class buckets and the
-        // t-slide threshold existed must load with the defaults.
-        let legacy = r#"{
-            "buckets": [{
-                "max_roi_voxels": 100,
-                "max_levels": 16,
-                "max_directions": 4,
-                "engine": "Incremental"
-            }],
-            "fallback": "FusedParallel"
-        }"#;
-        let table: TierTable = serde_json::from_str(legacy).unwrap();
-        assert_eq!(table.buckets[0].repr, ReprClass::Any);
-        assert_eq!(table.t_slide_min_roi_t, 3);
     }
 
     #[test]
@@ -1234,12 +607,7 @@ mod tests {
         let mut cfg = small_cfg();
         cfg.selection = FeatureSelection::all();
         let extent = cfg.roi.output_dims(dims);
-        for engine in [
-            ScanEngine::Fused,
-            ScanEngine::FusedParallel,
-            ScanEngine::IncrementalParallel,
-            ScanEngine::Auto,
-        ] {
+        for engine in [ScanEngine::Fused, ScanEngine::Reference] {
             cfg.engine = engine;
             let from_raw = scan_placements_raw(dims, &raw, &q, &cfg, Point4::ZERO, extent);
             let from_vol = scan_placements(&vol, &cfg, Point4::ZERO, extent);
@@ -1268,93 +636,5 @@ mod tests {
                 "sub-block placement {p:?} diverged"
             );
         }
-    }
-
-    #[test]
-    fn engine_field_deserializes_with_default() {
-        // Configs serialized before the engine existed must load with the
-        // default tier.
-        let json = serde_json::to_string(&small_cfg()).unwrap();
-        let parsed: ScanConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed.engine, ScanEngine::IncrementalParallel);
-        let legacy = json.replace(",\"engine\":\"IncrementalParallel\"", "");
-        assert!(!legacy.contains("engine"), "engine field not stripped");
-        let parsed: ScanConfig = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(parsed.engine, ScanEngine::IncrementalParallel);
-    }
-
-    #[test]
-    fn t_slide_field_deserializes_with_default() {
-        // Configs serialized before the t-slide policy existed must load
-        // with `Auto`.
-        let json = serde_json::to_string(&small_cfg()).unwrap();
-        let legacy = json.replace(",\"t_slide\":\"Auto\"", "");
-        assert!(!legacy.contains("t_slide"), "t_slide field not stripped");
-        let parsed: ScanConfig = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(parsed.t_slide, TSlidePolicy::Auto);
-    }
-
-    #[test]
-    fn t_slide_policies_agree_bitwise() {
-        // roi.t = 3 reaches the builtin Auto threshold, and the volume
-        // leaves 6 t-placements, so both On and Auto actually slide.
-        let vol = gradient_volume(Dims4::new(9, 7, 3, 8), 8);
-        let mut cfg = ScanConfig {
-            roi: RoiShape::from_lengths(4, 3, 2, 3),
-            directions: DirectionSet::all_unique_4d(1),
-            selection: FeatureSelection::all(),
-            representation: Representation::Full,
-            engine: ScanEngine::Fused,
-            t_slide: TSlidePolicy::Off,
-        };
-        for repr in [
-            Representation::Full,
-            Representation::Sparse,
-            Representation::SparseAccum,
-        ] {
-            cfg.representation = repr;
-            for engine in [ScanEngine::Fused, ScanEngine::FusedParallel] {
-                cfg.engine = engine;
-                cfg.t_slide = TSlidePolicy::Off;
-                let rebuilt = scan(&vol, &cfg);
-                for policy in [TSlidePolicy::On, TSlidePolicy::Auto] {
-                    cfg.t_slide = policy;
-                    let slid = scan(&vol, &cfg);
-                    assert_eq!(
-                        slid.max_abs_diff(&rebuilt),
-                        0.0,
-                        "{repr:?}/{engine:?} under {policy:?} diverged from rebuild"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn t_slide_raw_scan_matches_quantize_then_scan() {
-        let dims = Dims4::new(9, 7, 3, 8);
-        let raw: Vec<u16> = dims
-            .region()
-            .points()
-            .map(|p| ((p.x * 613 + p.y * 271 + p.z * 131 + p.t * 89) % 4001) as u16)
-            .collect();
-        let q = Quantizer::linear(16, 0, 4000);
-        let vol = q.quantize(dims, &raw);
-        let cfg = ScanConfig {
-            roi: RoiShape::from_lengths(4, 3, 2, 3),
-            directions: DirectionSet::all_unique_4d(1),
-            selection: FeatureSelection::all(),
-            representation: Representation::Full,
-            engine: ScanEngine::FusedParallel,
-            t_slide: TSlidePolicy::On,
-        };
-        let extent = cfg.roi.output_dims(dims);
-        let from_raw = scan_placements_raw(dims, &raw, &q, &cfg, Point4::ZERO, extent);
-        let from_vol = scan_placements(&vol, &cfg, Point4::ZERO, extent);
-        assert_eq!(
-            from_raw.max_abs_diff(&from_vol),
-            0.0,
-            "t-slide raw path diverged from quantize-then-scan"
-        );
     }
 }

@@ -165,8 +165,8 @@ impl SparseCoMatrix {
 /// A bitmap over the `Ng²` dense matrix cells recording which are non-zero
 /// (the matrix *support*).
 ///
-/// The incremental scan engine keeps this exact at every sliding-window step
-/// (each count transition `0 ↔ 1` sets or clears one bit), so the per-window
+/// The fused scan engine keeps this exact at every sliding-window step (a
+/// count moving to or from zero sets or clears one bit), so the per-window
 /// statistics — which must visit exactly the non-zero cells, in row-major
 /// order, to reproduce the zero-skip sweep bit-for-bit — can be recomputed in
 /// `O(nnz)` instead of `O(Ng²)` per placement.
@@ -176,7 +176,9 @@ pub(crate) struct SupportMask {
 }
 
 impl SupportMask {
-    /// The support of a dense matrix.
+    /// The support of a dense matrix — what the engine's incremental
+    /// bookkeeping is checked against.
+    #[cfg(test)]
     pub(crate) fn from_matrix(m: &CoMatrix) -> Self {
         let counts = m.as_slice();
         let mut words = vec![0u64; counts.len().div_ceil(64)];
@@ -202,19 +204,7 @@ impl SupportMask {
         self.words.fill(0);
     }
 
-    /// Flags cell `idx` as non-zero.
-    #[inline]
-    pub(crate) fn set(&mut self, idx: usize) {
-        self.words[idx / 64] |= 1 << (idx % 64);
-    }
-
-    /// Flags cell `idx` as zero.
-    #[inline]
-    pub(crate) fn clear(&mut self, idx: usize) {
-        self.words[idx / 64] &= !(1 << (idx % 64));
-    }
-
-    /// Branchless [`set`](Self::set): a no-op unless `cond`. Count
+    /// Flags cell `idx` as non-zero if `cond`, branchlessly: count
     /// transitions in the sliding-window hot loop are frequent enough to
     /// defeat the branch predictor, so the condition is folded into the OR
     /// mask instead.
@@ -223,21 +213,10 @@ impl SupportMask {
         self.words[idx / 64] |= u64::from(cond) << (idx % 64);
     }
 
-    /// Branchless [`clear`](Self::clear): a no-op unless `cond`.
+    /// Flags cell `idx` as zero if `cond`, branchlessly.
     #[inline]
     pub(crate) fn clear_if(&mut self, idx: usize, cond: bool) {
         self.words[idx / 64] &= !(u64::from(cond) << (idx % 64));
-    }
-
-    /// Makes this mask a copy of `other`, reusing the allocation. Used by
-    /// the fused engine's t-axis slide to load the per-run cursor support
-    /// into the working window.
-    ///
-    /// # Panics
-    /// In debug builds, if the masks cover different cell counts.
-    pub(crate) fn copy_from(&mut self, other: &SupportMask) {
-        debug_assert_eq!(self.words.len(), other.words.len(), "mask size mismatch");
-        self.words.copy_from_slice(&other.words);
     }
 
     /// Calls `f` for every set cell index in ascending (row-major) order.
@@ -557,11 +536,11 @@ mod tests {
 
         // Clearing and re-setting a bit keeps the sweep consistent.
         let first = expected[0];
-        mask.clear(first);
+        mask.clear_if(first, true);
         let mut seen = Vec::new();
         mask.for_each_set(|i| seen.push(i));
         assert_eq!(seen, expected[1..].to_vec());
-        mask.set(first);
+        mask.set_if(first, true);
         let mut seen = Vec::new();
         mask.for_each_set(|i| seen.push(i));
         assert_eq!(seen, expected);

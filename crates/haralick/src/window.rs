@@ -6,18 +6,16 @@
 //! pairs with an endpoint in the departing plane are removed, pairs with an
 //! endpoint in the arriving plane are added, and everything else is
 //! untouched. Per step this costs `O(W_y · W_z · W_t · |D|)` instead of
-//! `O(W_x · W_y · W_z · W_t · |D|)` — roughly a `W_x / 2` speedup for
-//! typical windows (measured in `crates/bench/benches/raster.rs`).
+//! `O(W_x · W_y · W_z · W_t · |D|)`.
 //!
 //! This is an extension beyond the paper (a natural optimization its
-//! pseudo-code leaves on the table); [`raster_scan_incremental`] is proven
-//! bit-identical to the reference scan by unit and property tests.
+//! pseudo-code leaves on the table). [`SlidingWindow`] and [`MatrixCursor`]
+//! are the matrix-only form used by pipeline stages that transmit matrices
+//! (the split variant's HCC filter); feature scans slide inside the fused
+//! kernel ([`crate::fused`]) instead.
 
 use crate::coocc::CoMatrix;
 use crate::direction::DirectionSet;
-use crate::features::compute_features;
-use crate::raster::{FeatureMaps, ScanConfig, ScanEngine};
-use crate::sparse::SupportMask;
 use crate::volume::{Dims4, LevelVolume, Point4, Region4};
 
 /// Maintains the co-occurrence matrix of an ROI window sliding along `x`.
@@ -49,10 +47,6 @@ pub struct SlidingWindow<'a> {
     /// Current window origin.
     origin: Point4,
     matrix: CoMatrix,
-    /// When present, every slide folds its dirty cells into this bitmap of
-    /// the matrix's non-zero cells, so feature statistics can be rebuilt
-    /// from `O(nnz)` cells instead of a full `Ng²` sweep.
-    support: Option<SupportMask>,
 }
 
 impl<'a> SlidingWindow<'a> {
@@ -68,23 +62,7 @@ impl<'a> SlidingWindow<'a> {
             roi,
             origin,
             matrix,
-            support: None,
         }
-    }
-
-    /// [`new`](Self::new), with dirty-cell support tracking attached: each
-    /// subsequent [`slide_x`](Self::slide_x) keeps the bitmap returned by
-    /// [`support`](Self::support) exactly equal to the set of non-zero
-    /// matrix cells, at a cost proportional to the cells actually touched.
-    pub(crate) fn new_tracked(
-        vol: &'a LevelVolume,
-        dirs: &'a DirectionSet,
-        roi: Dims4,
-        origin: Point4,
-    ) -> Self {
-        let mut w = Self::new(vol, dirs, roi, origin);
-        w.support = Some(SupportMask::from_matrix(&w.matrix));
-        w
     }
 
     /// The current window's matrix.
@@ -95,24 +73,6 @@ impl<'a> SlidingWindow<'a> {
     /// The current window origin.
     pub fn origin(&self) -> Point4 {
         self.origin
-    }
-
-    /// The maintained non-zero-cell bitmap (`None` unless the window was
-    /// created with [`new_tracked`](Self::new_tracked)).
-    pub(crate) fn support(&self) -> Option<&SupportMask> {
-        self.support.as_ref()
-    }
-
-    /// Adds or removes one symmetric pair, folding the dirty cells into the
-    /// support bitmap when tracking is attached.
-    #[inline]
-    fn apply_pair(&mut self, a: u8, b: u8, add: bool) {
-        match (&mut self.support, add) {
-            (Some(s), true) => self.matrix.increment_pair_tracked(a, b, s),
-            (Some(s), false) => self.matrix.decrement_pair_tracked(a, b, s),
-            (None, true) => self.matrix.increment_pair(a, b),
-            (None, false) => self.matrix.decrement_pair(a, b),
-        }
     }
 
     /// Applies all pair contributions of the plane `x = plane_x` within the
@@ -159,7 +119,11 @@ impl<'a> SlidingWindow<'a> {
                         for _ in y_lo..y_hi {
                             let a = data[base];
                             let b = data[(base as i64 + stride) as usize];
-                            self.apply_pair(a, b, add);
+                            if add {
+                                self.matrix.increment_pair(a, b);
+                            } else {
+                                self.matrix.decrement_pair(a, b);
+                            }
                             base += dims.x;
                         }
                     }
@@ -201,68 +165,13 @@ impl<'a> SlidingWindow<'a> {
     }
 }
 
-/// Computes one output row of `width` placements starting at `row_origin`,
-/// writing `selection.len()` values per placement into `out_row`.
-///
-/// This is the shared row kernel of the `Incremental*` scan engines: the
-/// window slides along `x` with dirty-cell support tracking (a
-/// [`SupportMask`] kept exactly equal to the matrix's non-zero cells on
-/// every count transition), and the per-placement statistics are rebuilt
-/// from exactly those cells, accumulating only what the selection reads
-/// ([`crate::features::MatrixStats::refill_from_support`] on the
-/// caller-provided reusable
-/// scratch, so the hot loop never allocates) — bit-identical to the
-/// full-sweep reference, at `O(plane · |D| + nnz)` per placement instead
-/// of `O(roi · |D| + Ng²)`.
-pub(crate) fn scan_row_incremental(
-    vol: &LevelVolume,
-    cfg: &ScanConfig,
-    row_origin: Point4,
-    width: usize,
-    out_row: &mut [f64],
-    scratch: &mut crate::raster::ScanScratch,
-) {
-    let n = cfg.selection.len();
-    debug_assert_eq!(out_row.len(), width * n);
-    let mut win = SlidingWindow::new_tracked(vol, &cfg.directions, cfg.roi.size(), row_origin);
-    for x in 0..width {
-        if x > 0 {
-            win.slide_x();
-        }
-        let support = win.support().expect("tracked window always has support");
-        scratch
-            .stats
-            .refill_from_support(win.matrix(), support, &cfg.selection);
-        let values = compute_features(&scratch.stats, &cfg.selection);
-        for (slot, feature) in cfg.selection.iter().enumerate() {
-            out_row[x * n + slot] = values.get(feature).expect("selected feature computed");
-        }
-    }
-}
-
-/// Raster scan using the incremental window along `x` (full rebuilds at the
-/// start of each row) — the sequential `Incremental` tier of the scan
-/// engine. Produces output bit-identical to [`crate::raster::raster_scan`].
-///
-/// Supported for the dense representations; `Sparse`/`SparseAccum` scans
-/// fall back to the reference implementation (their per-window matrices are
-/// rebuilt for transmission anyway).
-pub fn raster_scan_incremental(vol: &LevelVolume, cfg: &ScanConfig) -> FeatureMaps {
-    let cfg = ScanConfig {
-        engine: ScanEngine::Incremental,
-        ..cfg.clone()
-    };
-    crate::raster::scan(vol, &cfg)
-}
-
 /// Produces per-placement co-occurrence matrices on demand, sliding the
 /// window incrementally when consecutive requests advance one step along
 /// `+x` and rebuilding from scratch otherwise.
 ///
-/// This is the matrix-only face of the incremental engine, used by pipeline
-/// stages (the split variant's HCC filter) that transmit matrices instead of
-/// computing features locally. Matrices are identical to
-/// [`CoMatrix::from_region`] for every placement.
+/// Used by pipeline stages (the split variant's HCC filter) that transmit
+/// matrices instead of computing features locally. Matrices are identical
+/// to [`CoMatrix::from_region`] for every placement.
 pub struct MatrixCursor<'a> {
     vol: &'a LevelVolume,
     dirs: &'a DirectionSet,
@@ -303,9 +212,6 @@ impl<'a> MatrixCursor<'a> {
 mod tests {
     use super::*;
     use crate::direction::Direction;
-    use crate::features::FeatureSelection;
-    use crate::raster::{raster_scan, Representation, TSlidePolicy};
-    use crate::roi::RoiShape;
 
     fn volume(seed: usize) -> LevelVolume {
         let dims = Dims4::new(12, 9, 4, 4);
@@ -387,66 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_scan_equals_reference_scan() {
-        let vol = volume(3);
-        for dirs in [
-            DirectionSet::single(Direction::new(1, 1, 1, 1)),
-            DirectionSet::paper_4d(1),
-        ] {
-            let cfg = ScanConfig {
-                roi: RoiShape::from_lengths(4, 3, 2, 2),
-                directions: dirs,
-                selection: FeatureSelection::all(),
-                representation: Representation::Full,
-                engine: ScanEngine::default(),
-                t_slide: TSlidePolicy::default(),
-            };
-            let a = raster_scan(&vol, &cfg);
-            let b = raster_scan_incremental(&vol, &cfg);
-            assert_eq!(a.dims(), b.dims());
-            assert_eq!(
-                a.max_abs_diff(&b),
-                0.0,
-                "incremental scan diverges from reference"
-            );
-        }
-    }
-
-    #[test]
-    fn incremental_scan_falls_back_for_sparse() {
-        let vol = volume(4);
-        let cfg = ScanConfig {
-            roi: RoiShape::from_lengths(4, 3, 2, 2),
-            directions: DirectionSet::single(Direction::new(1, 1, 0, 0)),
-            selection: FeatureSelection::paper_default(),
-            representation: Representation::Sparse,
-            engine: ScanEngine::default(),
-            t_slide: TSlidePolicy::default(),
-        };
-        let a = raster_scan(&vol, &cfg);
-        let b = raster_scan_incremental(&vol, &cfg);
-        assert!(a.max_abs_diff(&b) < 1e-12);
-    }
-
-    #[test]
-    fn degenerate_single_column_output() {
-        // Output width 1: no slides at all.
-        let vol = volume(5);
-        let cfg = ScanConfig {
-            roi: RoiShape::from_lengths(12, 3, 2, 2),
-            directions: DirectionSet::single(Direction::new(1, 0, 0, 0)),
-            selection: FeatureSelection::paper_default(),
-            representation: Representation::Full,
-            engine: ScanEngine::default(),
-            t_slide: TSlidePolicy::default(),
-        };
-        let a = raster_scan(&vol, &cfg);
-        let b = raster_scan_incremental(&vol, &cfg);
-        assert_eq!(a.dims().x, 1);
-        assert!(a.max_abs_diff(&b) < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "slide past the volume edge")]
     fn slide_past_edge_panics() {
         let vol = volume(6);
@@ -470,24 +316,5 @@ mod tests {
         assert!(caught.is_err(), "slide past the edge must panic");
         assert_eq!(win.matrix(), &matrix_before, "matrix corrupted by panic");
         assert_eq!(win.origin(), origin_before, "origin advanced despite panic");
-    }
-
-    #[test]
-    fn tracked_slides_maintain_support_exactly() {
-        // The inline dirty-cell tracking must keep the support bitmap equal
-        // to the matrix's true support after every slide.
-        let vol = volume(8);
-        let dirs = DirectionSet::paper_4d(1);
-        let roi = Dims4::new(5, 4, 2, 2);
-        let mut win = SlidingWindow::new_tracked(&vol, &dirs, roi, Point4::new(0, 1, 0, 1));
-        for step in 1..=7 {
-            win.slide_x();
-            let fresh = SupportMask::from_matrix(win.matrix());
-            let mut a = Vec::new();
-            win.support().expect("tracked").for_each_set(|i| a.push(i));
-            let mut b = Vec::new();
-            fresh.for_each_set(|i| b.push(i));
-            assert_eq!(a, b, "support mask drifted from matrix at slide {step}");
-        }
     }
 }

@@ -6,21 +6,21 @@
 //! h4d info     <dataset_dir>
 //! h4d analyze  <dataset_dir> <out_dir> [--variant hmp|split|visual]
 //!              [--repr full|naive|sparse|sparse-accum] [--texture N]
-//!              [--engine reference|parallel|incremental|incremental-parallel|fused|fused-parallel|auto]
-//!              [--t-slide auto|on|off] [--report run.json] [--canonical true]
+//!              [--engine reference|fused]
+//!              [--report run.json] [--canonical true]
 //!              [--io-cache-bytes B] [--read-ahead N] [--result-store DIR]
 //! h4d graph    <out.json> [--variant hmp|split|visual] [--texture N]
 //! h4d simulate [--nodes N] [--repr ...] [--variant hmp|split]
 //! h4d run-graph <graph.json> <dataset_dir> <out_dir> [--repr ...]
-//!              [--engine ...] [--t-slide ...] [--report run.json] [--canonical true]
+//!              [--engine ...] [--report run.json] [--canonical true]
 //!              [--io-cache-bytes B] [--read-ahead N] [--result-store DIR]
 //! h4d node     <graph.json> <dataset_dir> <out_dir> --node K
-//!              --peers addr0,addr1,... [--repr ...] [--engine ...] [--t-slide ...]
+//!              --peers addr0,addr1,... [--repr ...] [--engine ...]
 //!              [--report run.json] [--canonical true]
 //!              [--io-cache-bytes B] [--read-ahead N] [--result-store DIR]
 //!              [--checksum true] [--compress true]
 //! h4d launch   <graph.json> <dataset_dir> <out_dir> --nodes N [--repr ...]
-//!              [--engine ...] [--t-slide ...] [--report-base run] [--canonical true]
+//!              [--engine ...] [--report-base run] [--canonical true]
 //!              [--io-cache-bytes B] [--read-ahead N] [--result-store DIR]
 //!              [--checksum true] [--compress true]
 //! h4d serve    [--bind 127.0.0.1:0] [--workers N] [--queue N]
@@ -54,7 +54,7 @@
 //! under `"store"`.
 
 use datacutter::NodeConfig;
-use haralick::raster::{Representation, ScanEngine, TSlidePolicy};
+use haralick::raster::{Representation, ScanEngine};
 use haralick::volume::Dims4;
 use mri::store::{write_distributed, DistributedDataset};
 use mri::synth::{generate, SynthConfig};
@@ -75,22 +75,21 @@ fn usage() -> ! {
          h4d info <dataset_dir>\n  \
          h4d analyze <dataset_dir> <out_dir> [--variant hmp|split|visual] \
          [--repr full|naive|sparse|sparse-accum] [--texture N] \
-         [--engine reference|parallel|incremental|incremental-parallel|fused|fused-parallel|auto] \
-         [--t-slide auto|on|off] \
+         [--engine reference|fused] \
          [--report run.json] [--canonical true] [--io-cache-bytes B] [--read-ahead N] \
          [--result-store DIR]\n  \
          h4d graph <out.json> [--variant hmp|split|visual] [--texture N]\n  \
          h4d simulate [--nodes N] [--repr ...] [--variant hmp|split]\n  \
          h4d run-graph <graph.json> <dataset_dir> <out_dir> [--repr full|naive|sparse|sparse-accum] \
-         [--engine ...] [--t-slide ...] [--report run.json] [--canonical true] \
+         [--engine ...] [--report run.json] [--canonical true] \
          [--io-cache-bytes B] [--read-ahead N] \
          [--result-store DIR]\n  \
          h4d node <graph.json> <dataset_dir> <out_dir> --node K --peers addr0,addr1,... \
-         [--repr ...] [--engine ...] [--t-slide ...] [--report run.json] [--canonical true] \
+         [--repr ...] [--engine ...] [--report run.json] [--canonical true] \
          [--io-cache-bytes B] [--read-ahead N] [--result-store DIR] \
          [--checksum true] [--compress true]\n  \
          h4d launch <graph.json> <dataset_dir> <out_dir> --nodes N [--repr ...] [--engine ...] \
-         [--t-slide ...] [--report-base run] [--canonical true] [--io-cache-bytes B] [--read-ahead N] \
+         [--report-base run] [--canonical true] [--io-cache-bytes B] [--read-ahead N] \
          [--result-store DIR] [--checksum true] [--compress true]\n  \
          h4d serve [--bind 127.0.0.1:0] [--workers N] [--queue N] [--io-cache-bytes B] \
          [--result-store DIR]"
@@ -172,26 +171,9 @@ fn parse_repr(s: &str) -> Representation {
 fn parse_engine(s: &str) -> ScanEngine {
     match s {
         "reference" => ScanEngine::Reference,
-        "parallel" => ScanEngine::Parallel,
-        "incremental" => ScanEngine::Incremental,
-        "incremental-parallel" => ScanEngine::IncrementalParallel,
         "fused" => ScanEngine::Fused,
-        "fused-parallel" => ScanEngine::FusedParallel,
-        "auto" => ScanEngine::Auto,
         other => {
             eprintln!("unknown engine {other:?}");
-            usage();
-        }
-    }
-}
-
-fn parse_t_slide(s: &str) -> TSlidePolicy {
-    match s {
-        "auto" => TSlidePolicy::Auto,
-        "on" => TSlidePolicy::On,
-        "off" => TSlidePolicy::Off,
-        other => {
-            eprintln!("unknown t-slide policy {other:?} (want auto|on|off)");
             usage();
         }
     }
@@ -211,14 +193,10 @@ fn apply_io_flags(cfg: &mut AppConfig, flags: &Flags) {
     cfg.read_ahead_chunks = flags.parse_or("read-ahead", cfg.read_ahead_chunks);
 }
 
-/// Applies the `--engine` scan-tier and `--t-slide` overrides onto a
-/// loaded configuration.
+/// Applies the `--engine` override onto a loaded configuration.
 fn apply_engine_flag(cfg: &mut AppConfig, flags: &Flags) {
     if let Some(e) = flags.get("engine") {
         cfg.engine = parse_engine(e);
-    }
-    if let Some(p) = flags.get("t-slide") {
-        cfg.t_slide = parse_t_slide(p);
     }
 }
 
@@ -300,10 +278,6 @@ fn build_graph(variant: &str, storage_nodes: usize, texture: usize) -> datacutte
 }
 
 fn main() {
-    // Install the committed measured tier table so `--engine auto` (and any
-    // config that asks for `ScanEngine::Auto`) resolves against calibrated
-    // measurements rather than the builtin heuristic.
-    haralick::raster::install_tier_table(cluster::calibrated_defaults::default_tier_table());
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
     match cmd.as_str() {
@@ -603,7 +577,6 @@ fn main() {
                     for key in [
                         "repr",
                         "engine",
-                        "t-slide",
                         "canonical",
                         "io-cache-bytes",
                         "read-ahead",

@@ -36,27 +36,17 @@ pub struct AppConfig {
     /// Bytes per parameter value on the output path (value + positional
     /// information, amortized).
     pub param_value_bytes: usize,
-    /// Scan-engine tier used by the texture filters (see
-    /// [`haralick::raster::ScanEngine`]). `Parallel` reproduces the paper's
-    /// per-placement rebuild; the incremental and fused tiers are
-    /// beyond-the-paper optimizations (sparse representations downgrade to
-    /// rebuild tiers), and `Auto` picks the measured-fastest tier per
-    /// workload from the installed
-    /// [`haralick::raster::TierTable`] (the calibrated snapshot is
-    /// installed at `h4d` startup).
+    /// Scan engine used by the texture filters (see
+    /// [`haralick::raster::ScanEngine`]). `Reference` is the paper's
+    /// single-core per-placement rebuild; `Fused` (the library default) is
+    /// the beyond-the-paper sliding sub-histogram kernel. Outputs are
+    /// byte-identical.
     #[serde(default)]
     pub engine: ScanEngine,
-    /// t-axis sliding-window reuse on the fused tiers (see
-    /// [`haralick::raster::TSlidePolicy`]). `Auto` (the default) engages the
-    /// t-slab slide whenever the chunk's t-extent yields at least two
-    /// placements and the ROI is deep enough in t for reuse to pay;
-    /// streaming DCE-MRI time-series are the intended beneficiary.
-    #[serde(default)]
-    pub t_slide: TSlidePolicy,
-    /// Worker threads available to one texture-filter copy for per-chunk
-    /// row parallelism (the `Parallel`/`IncrementalParallel` tiers). The
-    /// cost model divides a chunk's compute across these; the paper's PIII
-    /// nodes are single-core, hence the default of 1.
+    /// Worker threads available to one texture-filter copy for the fused
+    /// engine's per-chunk row parallelism. The cost model divides a
+    /// chunk's compute across these; the paper's PIII nodes are
+    /// single-core, hence the default of 1.
     #[serde(default = "default_texture_threads")]
     pub texture_threads: usize,
     /// Make USO output byte-order-deterministic: each copy buffers its
@@ -144,8 +134,7 @@ impl AppConfig {
             param_value_bytes: 8,
             // Pin the paper's per-placement rebuild semantics so the cost
             // model and every simulated figure stay on the measured regime.
-            engine: ScanEngine::Parallel,
-            t_slide: TSlidePolicy::default(),
+            engine: ScanEngine::Reference,
             texture_threads: 1,
             canonical_output: false,
             io_cache_bytes: default_io_cache_bytes(),
@@ -164,7 +153,7 @@ impl AppConfig {
             roi: RoiShape::from_lengths(6, 6, 2, 2),
             chunk_dims: Dims4::new(32, 32, 4, 4),
             storage_nodes: 2,
-            engine: ScanEngine::IncrementalParallel,
+            engine: ScanEngine::Fused,
             ..Self::paper(representation)
         }
     }
@@ -211,7 +200,7 @@ impl AppConfig {
             selection: self.selection,
             representation: self.representation,
             engine: self.engine,
-            t_slide: self.t_slide,
+            t_slide: TSlidePolicy::Auto,
         }
     }
 
@@ -243,32 +232,19 @@ mod tests {
         assert!(c.roi.fits_in(c.chunk_dims));
         assert!(c.roi.fits_in(c.dims));
         assert_eq!(c.scan_config().representation, Representation::Sparse);
-        assert_eq!(c.scan_config().engine, ScanEngine::IncrementalParallel);
+        assert_eq!(c.scan_config().engine, ScanEngine::Fused);
     }
 
     #[test]
     fn paper_config_pins_the_rebuild_engine() {
         let c = AppConfig::paper(Representation::Full);
-        assert_eq!(c.engine, ScanEngine::Parallel);
+        assert_eq!(c.engine, ScanEngine::Reference);
         // Legacy JSON configs (pre-engine) deserialize to the library default.
         let s = serde_json::to_string(&c)
             .unwrap()
-            .replace(",\"engine\":\"Parallel\"", "");
+            .replace(",\"engine\":\"Reference\"", "");
         let back: AppConfig = serde_json::from_str(&s).unwrap();
-        assert_eq!(back.engine, ScanEngine::IncrementalParallel);
-    }
-
-    #[test]
-    fn t_slide_defaults_for_legacy_configs() {
-        let c = AppConfig::paper(Representation::Full);
-        assert_eq!(c.t_slide, TSlidePolicy::Auto);
-        // Pre-t-slide JSON configs deserialize to the automatic policy.
-        let s = serde_json::to_string(&c)
-            .unwrap()
-            .replace(",\"t_slide\":\"Auto\"", "");
-        let back: AppConfig = serde_json::from_str(&s).unwrap();
-        assert_eq!(back.t_slide, TSlidePolicy::Auto);
-        assert_eq!(back.scan_config().t_slide, TSlidePolicy::Auto);
+        assert_eq!(back.engine, ScanEngine::Fused);
     }
 
     #[test]

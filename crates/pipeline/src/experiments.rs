@@ -498,8 +498,8 @@ pub fn fig_chunksize(model: &CostModel) -> Series {
 }
 
 /// Beyond-the-paper optimization study: the HMP implementation with the
-/// paper's per-placement rebuild engine versus the row-parallel incremental
-/// scan engine with dirty-cell statistics (`haralick::raster::ScanEngine`),
+/// paper's per-placement rebuild engine versus the fused sliding-window
+/// engine with dirty-cell statistics (`haralick::raster::ScanEngine`),
 /// across the Figure 7(a) node axis. The window is 10 voxels wide, so the
 /// update path does a small fraction of the accumulation work per
 /// placement.
@@ -511,10 +511,10 @@ pub fn fig_incremental(model: &CostModel) -> Series {
             n,
             run_hmp_piii(model, Representation::Full, n).makespan,
         );
-        // Same layout on the incremental scan-engine tier.
+        // Same layout on the fused scan engine.
         let layout = PiiiLayout::paper();
         let mut cfg = AppConfig::paper(Representation::Full);
-        cfg.engine = ScanEngine::IncrementalParallel;
+        cfg.engine = ScanEngine::Fused;
         let w = Arc::new(Workload::new(cfg));
         let model_arc = Arc::new(model.clone());
         let hmp: Vec<usize> = (0..n).map(|i| layout.texture_base + i).collect();

@@ -13,7 +13,7 @@ use crate::store::{KeyRecipe, StoreSession, StoreStage};
 use datacutter::{BufferPool, DataBuffer, Filter, FilterContext, FilterError, FilterErrorKind};
 use haralick::coocc::CoMatrix;
 use haralick::features::{compute_features, FeatureSelection, MatrixStats};
-use haralick::raster::Representation;
+use haralick::raster::{Representation, ScanEngine};
 use haralick::sparse::{SparseAccumulator, SparseCoMatrix};
 use haralick::volume::{LevelVolume, Point4, Region4};
 use haralick::window::MatrixCursor;
@@ -570,19 +570,14 @@ enum MatrixEither {
 /// into one `ParamPacket` per feature. Shared by HMP (directly) and used in
 /// tests as the per-chunk reference.
 ///
-/// The per-chunk raster scan is routed through the unified
-/// [`haralick::raster`] engine via its raw-voxel entry point: `cfg.engine`
-/// selects the tier (the paper's per-placement rebuild, the row-parallel
-/// incremental scan, the fused sub-histogram kernel, or measured `Auto`
-/// selection), and every tier produces bit-identical values. When the
-/// effective tier is fused, quantization folds into the window walk — the
-/// chunk's raw `u16` voxels are binned on the fly and no intermediate
-/// quantized volume is materialized. Sparse representations run through the
-/// fused tiers natively (the kernel emits sparse-entry state from its
-/// unmirrored merge, with no densify-then-sparsify round trip), and
-/// `cfg.t_slide` additionally lets the fused tiers reuse consecutive
-/// t-placements by sliding one t-slab instead of rebuilding — the win for
-/// streaming DCE-MRI chunks that are deep in t.
+/// The per-chunk raster scan is routed through [`haralick::raster`] via its
+/// raw-voxel entry point: `cfg.engine` selects the paper's per-placement
+/// rebuild (`Reference`) or the fused sub-histogram kernel (`Fused`), and
+/// both produce bit-identical values. Under `Fused`, quantization folds
+/// into the window walk — the chunk's raw `u16` voxels are binned on the
+/// fly and no intermediate quantized volume is materialized — and sparse
+/// representations run natively (the kernel emits sparse-entry state from
+/// its unmirrored merge, with no densify-then-sparsify round trip).
 pub fn analyze_chunk(cfg: &AppConfig, data: &ChunkData) -> Result<Vec<ParamPacket>, FilterError> {
     let chunk = &data.chunk;
     let owned = chunk.owned_output;
@@ -754,23 +749,14 @@ impl Filter for HccFilter {
         self.pool.put(data.raw.into_data());
         let n = chunk.rois();
         let per_packet = n.div_ceil(cfg.packet_split.max(1)).max(1);
-        // With a sliding engine (incremental or fused — resolve `Auto`
-        // through the measured tier table first), maintain the dense
-        // matrix with the sliding window across the chunk's raster order
-        // (`linear_point` advances +x within a row, so almost every
-        // placement slides). The `Sparse` wire form now rides the cursor
-        // too — the fused tiers no longer downgrade sparse scans, so the
-        // cursor's dense state converts per emitted matrix instead of
-        // rebuilding each window. `SparseAccum` keeps its per-ROI
-        // accumulation semantics — its whole point is never materializing
-        // the dense matrix.
-        let effective = cfg.engine.effective_for_workload(
-            cfg.representation,
-            cfg.roi.len(),
-            cfg.levels,
-            cfg.directions.len(),
-        );
-        let mut cursor = ((effective.is_incremental() || effective.is_fused())
+        // Under the fused engine, maintain the dense matrix with the
+        // sliding window across the chunk's raster order (`linear_point`
+        // advances +x within a row, so almost every placement slides). The
+        // `Sparse` wire form rides the cursor too: its dense state converts
+        // per emitted matrix instead of rebuilding each window.
+        // `SparseAccum` keeps its per-ROI accumulation semantics — its
+        // whole point is never materializing the dense matrix.
+        let mut cursor = (cfg.engine == ScanEngine::Fused
             && cfg.representation != Representation::SparseAccum)
             .then(|| MatrixCursor::new(&vol, &cfg.directions, cfg.roi.size()));
         // Exactly one of the two batch vectors is used per representation;

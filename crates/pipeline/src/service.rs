@@ -550,12 +550,7 @@ fn parse_repr(s: &str) -> Result<Representation, String> {
 fn parse_engine(s: &str) -> Result<ScanEngine, String> {
     Ok(match s {
         "reference" => ScanEngine::Reference,
-        "parallel" => ScanEngine::Parallel,
-        "incremental" => ScanEngine::Incremental,
-        "incremental-parallel" => ScanEngine::IncrementalParallel,
         "fused" => ScanEngine::Fused,
-        "fused-parallel" => ScanEngine::FusedParallel,
-        "auto" => ScanEngine::Auto,
         other => return Err(format!("unknown engine {other:?}")),
     })
 }

@@ -10,7 +10,7 @@ use cluster::cost::{CostModel, TextureWork};
 use cluster::des::{SimAction, SimBuf, SimFilter, SimFilterFactory, SourceItem};
 use cluster::spec::ClusterSpec;
 use datacutter::graph::GraphSpec;
-use haralick::raster::Representation;
+use haralick::raster::{Representation, ScanEngine};
 use mri::chunks::Chunk;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -123,9 +123,7 @@ fn texture_work(w: &Workload, chunk: &Chunk) -> TextureWork {
         rois: chunk.rois(),
         roi_voxels: w.roi_voxels(),
         roi_x: w.cfg.roi.size().x,
-        roi_t: w.cfg.roi.size().t,
         row_len: chunk.owned_output.size.x,
-        extent_t: chunk.owned_output.size.t,
         ndirs: w.ndirs(),
         ng: w.cfg.levels,
         repr: w.repr(),
@@ -174,12 +172,13 @@ impl HccSim {
 impl SimFilter for HccSim {
     fn on_buffer(&mut self, _: usize, buf: &SimBuf) -> SimAction {
         let chunk = self.w.chunk_by_id(buf.tag as usize);
-        // Mirrors the real HCC filter: with an incremental engine the dense
+        // Mirrors the real HCC filter: under the fused engine the dense
         // matrix is maintained by the sliding cursor (SparseAccum keeps its
         // per-ROI accumulation, and the sparse wire form still pays the
         // conversion).
         let repr = self.w.repr();
-        let cost = if self.w.cfg.engine.is_incremental() && repr != Representation::SparseAccum {
+        let cost = if self.w.cfg.engine == ScanEngine::Fused && repr != Representation::SparseAccum
+        {
             let w = texture_work(&self.w, &chunk);
             let mut c = self.model.coocc_incremental_cost(
                 w.rois,
@@ -329,7 +328,7 @@ pub fn sim_factories<'a>(
 mod tests {
     use super::*;
     use crate::config::AppConfig;
-    use haralick::raster::Representation;
+    use haralick::raster::{Representation, ScanEngine};
 
     #[test]
     fn rfr_schedule_covers_all_pieces_once() {

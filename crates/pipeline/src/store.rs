@@ -16,10 +16,11 @@
 //! 2. the [`StoreStage`] tag (`b'P'` parameter packets from HMP, `b'M'`
 //!    matrix packets from HCC) — the two payload formats never collide;
 //! 3. the config fingerprint: the JSON encoding of (levels, quantizer,
-//!    ROI, directions, selection, representation, engine, packet_split).
-//!    Value-neutral knobs (threads, caching, canonical output, transport,
-//!    the store path itself) are deliberately excluded — they cannot
-//!    change a chunk's bytes, so they must not fault the cache;
+//!    ROI, directions, selection, representation, packet_split).
+//!    Value-neutral knobs (the scan engine — both are byte-identical by
+//!    hard invariant — threads, caching, canonical output, transport, the
+//!    store path itself) are deliberately excluded — they cannot change a
+//!    chunk's bytes, so they must not fault the cache;
 //! 4. the chunk geometry: id, grid position, owned-output and input
 //!    regions (this pins the ROI/chunk grid — a geometry change changes
 //!    every key);
@@ -118,7 +119,6 @@ pub fn config_digest(cfg: &AppConfig) -> u64 {
         &cfg.directions,
         &cfg.selection,
         &cfg.representation,
-        &cfg.engine,
         &cfg.packet_split,
     );
     let json = serde_json::to_string(&fields).expect("config fields serialize");
@@ -813,9 +813,6 @@ mod tests {
         let mut levels = base.clone();
         levels.levels = 16;
         assert_ne!(config_digest(&levels), d0);
-        let mut engine = base.clone();
-        engine.engine = haralick::raster::ScanEngine::Fused;
-        assert_ne!(config_digest(&engine), d0);
         let mut roi = base.clone();
         roi.roi = haralick::roi::RoiShape::from_lengths(5, 5, 2, 2);
         assert_ne!(config_digest(&roi), d0);
@@ -824,6 +821,8 @@ mod tests {
         neutral.canonical_output = !neutral.canonical_output;
         neutral.io_cache_bytes = 0;
         neutral.texture_threads = 7;
+        neutral.engine = haralick::raster::ScanEngine::Reference;
+        assert_ne!(neutral.engine, base.engine);
         assert_eq!(config_digest(&neutral), d0);
     }
 

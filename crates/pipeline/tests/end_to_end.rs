@@ -212,25 +212,25 @@ fn uso_outputs_partition_across_copies() {
 }
 
 #[test]
-fn incremental_engine_pipeline_matches_reference() {
-    // `test_scale` already selects `IncrementalParallel`; pin it explicitly
-    // so the test keeps meaning even if that default moves.
+fn fused_engine_pipeline_matches_reference() {
+    // `test_scale` already selects `Fused`; pin it explicitly so the test
+    // keeps meaning even if that default moves.
     let mut base = AppConfig::test_scale(Representation::Full);
-    base.engine = ScanEngine::IncrementalParallel;
+    base.engine = ScanEngine::Fused;
     let cfg = Arc::new(base);
-    let (data, out) = setup("incremental", &cfg, 110);
+    let (data, out) = setup("fused", &cfg, 110);
     run_threaded(&hmp_spec(2), &cfg, &data, &out).expect("pipeline run");
-    // `reference` scans with the tier-forcing `raster_scan` (sequential
+    // `reference` scans with the engine-forcing `raster_scan` (sequential
     // rebuild), so this compares the engines end to end.
     assert_matches_reference(&cfg, &out, 1, &reference(&cfg, 110));
 }
 
 #[test]
 fn rebuild_engine_pipeline_matches_reference() {
-    // The paper-semantics tier (`Parallel`, per-placement rebuild) through
-    // the same pipeline.
+    // The paper-semantics engine (`Reference`, per-placement rebuild)
+    // through the same pipeline.
     let mut base = AppConfig::test_scale(Representation::Full);
-    base.engine = ScanEngine::Parallel;
+    base.engine = ScanEngine::Reference;
     let cfg = Arc::new(base);
     let (data, out) = setup("rebuild", &cfg, 111);
     run_threaded(&hmp_spec(2), &cfg, &data, &out).expect("pipeline run");

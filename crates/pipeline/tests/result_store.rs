@@ -2,8 +2,8 @@
 //! run and an incremental run after an in-place edit must produce `.h4dp`
 //! outputs **byte-identical** to a from-scratch run, with hit/miss counters
 //! exactly matching the chunk-grid geometry — and a config change must miss
-//! rather than serve stale results. The warm path is exercised across every
-//! scan-engine tier, with the reader-side slice cache both on and off.
+//! rather than serve stale results. The warm path is exercised on both scan
+//! engines, with the reader-side slice cache both on and off.
 
 use haralick::raster::{Representation, ScanEngine};
 use haralick::volume::Point4;
@@ -177,20 +177,29 @@ fn config_changes_miss_instead_of_serving_stale() {
     let mut levels = (*cfg).clone();
     levels.levels = 16;
     levels.quantizer = haralick::quantize::Quantizer::linear(16, 0, 4000);
-    // Engine change: tier semantics are part of the result identity.
-    let mut engine = (*cfg).clone();
-    engine.engine = ScanEngine::Parallel;
     // ROI change: different window geometry, different outputs entirely.
     let mut roi = (*cfg).clone();
     roi.roi = haralick::roi::RoiShape::from_lengths(4, 4, 2, 2);
 
-    for (tag, variant) in [("levels", levels), ("engine", engine), ("roi", roi)] {
+    for (tag, variant) in [("levels", levels), ("roi", roi)] {
         let variant = Arc::new(variant);
         let expect = Workload::new((*variant).clone()).grid.len() as u64;
         let (h, m, _) = run("hmp", &variant, &data, &base.join(format!("out_{tag}")));
         assert_eq!(h, 0, "{tag}: a config change must never serve stale blobs");
         assert_eq!(m, expect, "{tag}: every chunk recomputes under the new key");
     }
+
+    // Engine change: both engines are byte-identical by hard invariant, so
+    // the engine is value-neutral and a warm store stays warm.
+    let mut engine = (*cfg).clone();
+    engine.engine = ScanEngine::Reference;
+    assert_ne!(engine.engine, cfg.engine);
+    let (h, m, _) = run("hmp", &Arc::new(engine), &data, &base.join("out_engine"));
+    assert_eq!(
+        (h, m),
+        (chunks, 0),
+        "switching engines must not fault the store"
+    );
 
     // The changed-config run is itself correct: byte-identical to the same
     // config against a fresh, empty store.
@@ -211,18 +220,10 @@ fn config_changes_miss_instead_of_serving_stale() {
 }
 
 #[test]
-fn warm_store_round_trips_across_every_engine_tier_and_cache_mode() {
-    // Smaller extents: this matrix covers 7 tiers x 2 cache modes, each a
+fn warm_store_round_trips_on_both_engines_and_cache_modes() {
+    // Smaller extents: this matrix covers 2 engines x 2 cache modes, each a
     // cold + warm pipeline pair.
-    let tiers = [
-        ScanEngine::Reference,
-        ScanEngine::Parallel,
-        ScanEngine::Incremental,
-        ScanEngine::IncrementalParallel,
-        ScanEngine::Fused,
-        ScanEngine::FusedParallel,
-        ScanEngine::Auto,
-    ];
+    let tiers = [ScanEngine::Reference, ScanEngine::Fused];
     for (i, engine) in tiers.into_iter().enumerate() {
         for (j, cache_bytes) in [64 << 20, 0usize].into_iter().enumerate() {
             let base =

@@ -9,7 +9,7 @@ use haralick4d::haralick::{
     coocc::CoMatrix,
     direction::{Direction, DirectionSet},
     features::{compute_features, Feature, FeatureSelection},
-    raster::{raster_scan_par, Representation, ScanConfig, ScanEngine, TSlidePolicy},
+    raster::{scan, Representation, ScanConfig, ScanEngine, TSlidePolicy},
     roi::RoiShape,
     sparse::SparseCoMatrix,
     volume::{Point4, Region4},
@@ -53,9 +53,10 @@ fn main() {
         println!("  {:<22} = {:>12.6}", feature.short_name(), value);
     }
 
-    // 5. A full raster scan (parallelized with rayon) producing dense
-    //    feature maps for the paper's four parameters.
-    let scan = ScanConfig {
+    // 5. A full raster scan (the fused engine, output rows dispatched on
+    //    the rayon pool) producing dense feature maps for the paper's four
+    //    parameters.
+    let scan_cfg = ScanConfig {
         roi,
         directions: dirs,
         selection: FeatureSelection::paper_default(),
@@ -64,25 +65,15 @@ fn main() {
         t_slide: TSlidePolicy::default(),
     };
     let t = std::time::Instant::now();
-    let maps = raster_scan_par(&vol, &scan);
+    let maps = scan(&vol, &scan_cfg);
     println!(
         "\nraster scan: {} ROI placements -> {} feature maps in {:.2?}",
         maps.dims().len(),
-        scan.selection.len(),
+        scan_cfg.selection.len(),
         t.elapsed()
     );
     for feature in [Feature::AngularSecondMoment, Feature::Correlation] {
         let (lo, hi) = maps.min_max(feature);
         println!("  {:<22} range [{lo:.4}, {hi:.4}]", feature.short_name());
-    }
-
-    // 6. Probe texture periodicity: the same window across displacement
-    //    distances 1..4 (correlation decays as the displacement outruns
-    //    the local structure).
-    let sweep = haralick4d::haralick::raster::distance_sweep(&vol, &scan, origin, 4);
-    println!("\ncorrelation vs displacement distance at {origin:?}:");
-    for (k, values) in sweep.iter().enumerate() {
-        // paper_default selection order: ASM, correlation, ...
-        println!("  d = {}  correlation = {:+.4}", k + 1, values[1]);
     }
 }
