@@ -36,7 +36,6 @@ pub mod fault;
 pub mod filter;
 pub mod graph;
 pub mod metrics;
-pub mod pool;
 pub mod schedule;
 pub mod stats;
 pub mod transport;
@@ -50,7 +49,6 @@ pub use metrics::{
     ConnectionReport, CopyReport, FilterShape, IoReport, PhaseReport, RunPhases, RunReport,
     StoreReport, StreamMeter, StreamStats,
 };
-pub use pool::{BufferPool, PoolReport};
 pub use schedule::SchedulePolicy;
 pub use stats::{FilterCopyStats, RunStats};
 pub use transport::{

@@ -185,8 +185,6 @@ pub struct IoReport {
     pub cache_hits: u64,
     /// Slice requests that went to disk.
     pub cache_misses: u64,
-    /// Slices loaded by read-ahead before demand.
-    pub prefetched: u64,
     /// Loads the cache's byte budget refused to retain.
     pub budget_rejects: u64,
     /// Peak bytes retained by the slice cache.
@@ -273,9 +271,6 @@ pub struct RunReport {
     /// Additive and optional, so schema version 1 documents stay valid.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub io: Option<IoReport>,
-    /// Buffer-pool counters, when the run recorded them.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub pool: Option<crate::pool::PoolReport>,
     /// Per-peer transport counters, present only for distributed runs.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub transport: Option<Vec<ConnectionReport>>,
@@ -310,7 +305,6 @@ impl RunReport {
                 .map(CopyReport::from)
                 .collect(),
             io: None,
-            pool: None,
             transport: (!outcome.transport.is_empty()).then(|| outcome.transport.clone()),
             store: None,
         }
@@ -448,7 +442,6 @@ mod tests {
                 wall_s: 0.9,
             }],
             io: None,
-            pool: None,
             transport: None,
             store: None,
         }

@@ -838,10 +838,9 @@ mod tests {
     use haralick::volume::Dims4;
     use std::sync::atomic::AtomicUsize;
 
-    /// A deterministic in-memory source that counts reads per key.
+    /// A deterministic in-memory source that counts reads.
     struct CountingSource {
         dims: Dims4,
-        reads: Mutex<HashMap<SliceKey, usize>>,
         total_reads: AtomicUsize,
     }
 
@@ -849,17 +848,12 @@ mod tests {
         fn new(dims: Dims4) -> Self {
             Self {
                 dims,
-                reads: Mutex::new(HashMap::new()),
                 total_reads: AtomicUsize::new(0),
             }
         }
 
         fn pixel(&self, key: SliceKey, x: usize, y: usize) -> u16 {
             (key.t * 31 + key.z * 17 + y * 5 + x) as u16
-        }
-
-        fn reads_of(&self, key: SliceKey) -> usize {
-            *self.reads.lock().unwrap().get(&key).unwrap_or(&0)
         }
     }
 
@@ -869,7 +863,6 @@ mod tests {
         }
 
         fn load_slice(&self, key: SliceKey) -> io::Result<Vec<u16>> {
-            *self.reads.lock().unwrap().entry(key).or_insert(0) += 1;
             self.total_reads.fetch_add(1, Ordering::Relaxed);
             let mut v = Vec::with_capacity(self.dims.x * self.dims.y);
             for y in 0..self.dims.y {
@@ -1031,7 +1024,8 @@ mod tests {
         let cache = SliceCache::new(&src, plan, usize::MAX, Arc::new(IoStats::default()));
         std::thread::scope(|s| {
             let handle = cache.primary_handle();
-            let h = s.spawn(move || cache.wait_for_window(handle, 1000, 0, None));
+            let waiter = &cache;
+            let h = s.spawn(move || waiter.wait_for_window(handle, 1000, 0, None));
             cache.shutdown();
             assert_eq!(
                 h.join().unwrap(),

@@ -462,7 +462,7 @@ mod tests {
         // Cut the file mid-record: 10 bytes into the second record.
         let bytes = fs::read(&p).unwrap();
         fs::write(&p, &bytes[..bytes.len() - 14]).unwrap();
-        let e = read_parameter_file(&p).unwrap_err();
+        let e = read_parameter_file(&p).err().expect("must be rejected");
         assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
         assert!(e.to_string().contains("truncated"), "{e}");
     }
@@ -493,7 +493,7 @@ mod tests {
         w.finish().unwrap();
         let bytes = fs::read(&p).unwrap();
         fs::write(&p, &bytes[..10]).unwrap();
-        let e = read_parameter_file(&p).unwrap_err();
+        let e = read_parameter_file(&p).err().expect("must be rejected");
         assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
         assert!(e.to_string().contains("truncated header"), "{e}");
     }
@@ -509,7 +509,7 @@ mod tests {
             bytes.extend_from_slice(&u64::MAX.to_le_bytes());
         }
         fs::write(&p, &bytes).unwrap();
-        let e = read_parameter_file(&p).unwrap_err();
+        let e = read_parameter_file(&p).err().expect("must be rejected");
         assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
         assert!(e.to_string().contains("unreasonable output extents"), "{e}");
     }

@@ -8,20 +8,20 @@
 //!              [--repr full|naive|sparse|sparse-accum] [--texture N]
 //!              [--engine reference|fused]
 //!              [--report run.json] [--canonical true]
-//!              [--io-cache-bytes B] [--read-ahead N] [--result-store DIR]
+//!              [--io-cache-bytes B] [--result-store DIR]
 //! h4d graph    <out.json> [--variant hmp|split|visual] [--texture N]
 //! h4d simulate [--nodes N] [--repr ...] [--variant hmp|split]
 //! h4d run-graph <graph.json> <dataset_dir> <out_dir> [--repr ...]
 //!              [--engine ...] [--report run.json] [--canonical true]
-//!              [--io-cache-bytes B] [--read-ahead N] [--result-store DIR]
+//!              [--io-cache-bytes B] [--result-store DIR]
 //! h4d node     <graph.json> <dataset_dir> <out_dir> --node K
 //!              --peers addr0,addr1,... [--repr ...] [--engine ...]
 //!              [--report run.json] [--canonical true]
-//!              [--io-cache-bytes B] [--read-ahead N] [--result-store DIR]
+//!              [--io-cache-bytes B] [--result-store DIR]
 //!              [--checksum true] [--compress true]
 //! h4d launch   <graph.json> <dataset_dir> <out_dir> --nodes N [--repr ...]
 //!              [--engine ...] [--report-base run] [--canonical true]
-//!              [--io-cache-bytes B] [--read-ahead N] [--result-store DIR]
+//!              [--io-cache-bytes B] [--result-store DIR]
 //!              [--checksum true] [--compress true]
 //! h4d serve    [--bind 127.0.0.1:0] [--workers N] [--queue N]
 //!              [--io-cache-bytes B] [--result-store DIR]
@@ -76,20 +76,20 @@ fn usage() -> ! {
          h4d analyze <dataset_dir> <out_dir> [--variant hmp|split|visual] \
          [--repr full|naive|sparse|sparse-accum] [--texture N] \
          [--engine reference|fused] \
-         [--report run.json] [--canonical true] [--io-cache-bytes B] [--read-ahead N] \
+         [--report run.json] [--canonical true] [--io-cache-bytes B] \
          [--result-store DIR]\n  \
          h4d graph <out.json> [--variant hmp|split|visual] [--texture N]\n  \
          h4d simulate [--nodes N] [--repr ...] [--variant hmp|split]\n  \
          h4d run-graph <graph.json> <dataset_dir> <out_dir> [--repr full|naive|sparse|sparse-accum] \
          [--engine ...] [--report run.json] [--canonical true] \
-         [--io-cache-bytes B] [--read-ahead N] \
+         [--io-cache-bytes B] \
          [--result-store DIR]\n  \
          h4d node <graph.json> <dataset_dir> <out_dir> --node K --peers addr0,addr1,... \
          [--repr ...] [--engine ...] [--report run.json] [--canonical true] \
-         [--io-cache-bytes B] [--read-ahead N] [--result-store DIR] \
+         [--io-cache-bytes B] [--result-store DIR] \
          [--checksum true] [--compress true]\n  \
          h4d launch <graph.json> <dataset_dir> <out_dir> --nodes N [--repr ...] [--engine ...] \
-         [--report-base run] [--canonical true] [--io-cache-bytes B] [--read-ahead N] \
+         [--report-base run] [--canonical true] [--io-cache-bytes B] \
          [--result-store DIR] [--checksum true] [--compress true]\n  \
          h4d serve [--bind 127.0.0.1:0] [--workers N] [--queue N] [--io-cache-bytes B] \
          [--result-store DIR]"
@@ -186,11 +186,10 @@ fn app_config(dims: Dims4, nodes: usize, repr: Representation) -> AppConfig {
     })
 }
 
-/// Applies the I/O-plane flag overrides (`--io-cache-bytes`,
-/// `--read-ahead`) onto a loaded configuration.
+/// Applies the I/O-plane flag override (`--io-cache-bytes`) onto a loaded
+/// configuration.
 fn apply_io_flags(cfg: &mut AppConfig, flags: &Flags) {
     cfg.io_cache_bytes = flags.parse_or("io-cache-bytes", cfg.io_cache_bytes);
-    cfg.read_ahead_chunks = flags.parse_or("read-ahead", cfg.read_ahead_chunks);
 }
 
 /// Applies the `--engine` override onto a loaded configuration.
@@ -220,7 +219,7 @@ fn apply_transport_flags(cfg: &mut AppConfig, flags: &Flags) {
 }
 
 /// Writes the Figure-9-style busy-vs-wait run report as JSON to `path`,
-/// annotated with the run's I/O and buffer-pool counters.
+/// annotated with the run's I/O counters.
 fn write_report(
     path: &str,
     spec: &datacutter::GraphSpec,
@@ -579,7 +578,6 @@ fn main() {
                         "engine",
                         "canonical",
                         "io-cache-bytes",
-                        "read-ahead",
                         "result-store",
                         "checksum",
                         "compress",

@@ -65,11 +65,6 @@ pub struct AppConfig {
     /// the naive per-request subrect reads.
     #[serde(default = "default_io_cache_bytes")]
     pub io_cache_bytes: usize,
-    /// How many chunks ahead of the consumer the reader's prefetch thread
-    /// may decode slices (`0` disables read-ahead). Bounded so prefetch
-    /// memory stays proportional to the window, not the dataset.
-    #[serde(default = "default_read_ahead_chunks")]
-    pub read_ahead_chunks: usize,
     /// Distributed runs: stamp cross-node data frames with a payload
     /// checksum. Effective per connection only when the peer advertises it
     /// too (the handshake negotiates the feature intersection).
@@ -98,10 +93,6 @@ fn default_io_cache_bytes() -> usize {
     // (the paper-scale run peaks well below: ~chunk_z*chunk_t slices of
     // 256x256 u16 = 8 MiB).
     64 << 20
-}
-
-fn default_read_ahead_chunks() -> usize {
-    1
 }
 
 impl AppConfig {
@@ -138,7 +129,6 @@ impl AppConfig {
             texture_threads: 1,
             canonical_output: false,
             io_cache_bytes: default_io_cache_bytes(),
-            read_ahead_chunks: default_read_ahead_chunks(),
             transport_checksum: false,
             transport_compress: false,
             result_store: None,
@@ -251,15 +241,12 @@ mod tests {
     fn io_knobs_default_for_legacy_configs() {
         let c = AppConfig::paper(Representation::Full);
         assert_eq!(c.io_cache_bytes, 64 << 20);
-        assert_eq!(c.read_ahead_chunks, 1);
         // Pre-I/O-plane JSON configs pick up the defaults.
         let s = serde_json::to_string(&c)
             .unwrap()
-            .replace(&format!(",\"io_cache_bytes\":{}", 64 << 20), "")
-            .replace(",\"read_ahead_chunks\":1", "");
+            .replace(&format!(",\"io_cache_bytes\":{}", 64 << 20), "");
         let back: AppConfig = serde_json::from_str(&s).unwrap();
         assert_eq!(back.io_cache_bytes, 64 << 20);
-        assert_eq!(back.read_ahead_chunks, 1);
     }
 
     #[test]

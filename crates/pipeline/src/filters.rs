@@ -10,7 +10,7 @@ use crate::payload::{
     linear_point, ChunkData, FeatureVolume, MatrixBatch, MatrixPacket, ParamPacket, Piece,
 };
 use crate::store::{KeyRecipe, StoreSession, StoreStage};
-use datacutter::{BufferPool, DataBuffer, Filter, FilterContext, FilterError, FilterErrorKind};
+use datacutter::{DataBuffer, Filter, FilterContext, FilterError, FilterErrorKind};
 use haralick::coocc::CoMatrix;
 use haralick::features::{compute_features, FeatureSelection, MatrixStats};
 use haralick::raster::{Representation, ScanEngine};
@@ -19,7 +19,7 @@ use haralick::volume::{LevelVolume, Point4, Region4};
 use haralick::window::MatrixCursor;
 use mri::cache::{
     crop_subrect, CacheError, IoStats, PlanHandle, ReusePlan, SharedSliceSource, SliceCache,
-    SliceCacheRegistry, SliceSource, WindowWait,
+    SliceCacheRegistry, SliceSource,
 };
 use mri::chunks::ChunkGrid;
 use mri::dicom::DicomDataset;
@@ -29,11 +29,6 @@ use mri::store::{DistributedDataset, SliceKey};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
-
-/// How long a read-ahead thread waits on its plan's window before
-/// re-checking for shutdown or detach; bounds how long it can be held
-/// hostage by a consumer that died without unblocking it.
-const PREFETCH_WAIT: std::time::Duration = std::time::Duration::from_millis(500);
 
 /// Maps a typed cache failure onto the engine's error taxonomy: loader I/O
 /// failures keep their `Io` kind, and a panicked loader surfaces on the
@@ -49,22 +44,18 @@ fn cache_error(e: CacheError) -> FilterError {
 
 /// The reading loop shared by the per-run and daemon-scoped cache paths:
 /// walks the chunk grid in emission order through plan `handle` of `cache`,
-/// with an optional bounded read-ahead thread, cropping each chunk's
-/// sub-rectangle out of the cached full slices into pooled buffers. `emit`
-/// receives `(chunk, key, data)` for every piece the plan owns, in the
-/// exact order the naive path produces.
+/// cropping each chunk's sub-rectangle out of the cached full slices.
+/// `emit` receives `(chunk, key, data)` for every piece the plan owns, in
+/// the exact order the naive path produces.
 ///
 /// The plan is detached on every exit path (success and error alike):
-/// detaching releases the slices only this walk still held and unblocks the
-/// read-ahead thread, which is what makes an early error safe on a cache
-/// other jobs are still using — shutting the whole cache down would kill
-/// them too.
-fn pump_chunks<S: SliceSource + Sync>(
+/// detaching releases the slices only this walk still held, which is what
+/// makes an early error safe on a cache other jobs are still using —
+/// shutting the whole cache down would kill them too.
+fn pump_chunks<S: SliceSource>(
     cache: &SliceCache<S>,
     handle: PlanHandle,
     grid: &ChunkGrid,
-    read_ahead: usize,
-    pool: &BufferPool,
     mut emit: impl FnMut(mri::chunks::Chunk, SliceKey, Vec<u16>) -> Result<(), FilterError>,
 ) -> Result<(), FilterError> {
     let Some(plan) = cache.plan_of(handle) else {
@@ -73,69 +64,39 @@ fn pump_chunks<S: SliceSource + Sync>(
         ));
     };
     let (slice_x, _) = cache.slice_dims();
-    std::thread::scope(|s| {
-        if read_ahead > 0 {
-            let plan = Arc::clone(&plan);
-            s.spawn(move || {
-                let mut seq = 0;
-                while seq < plan.chunks() {
-                    match cache.wait_for_window(handle, seq, read_ahead, Some(PREFETCH_WAIT)) {
-                        WindowWait::Ready => {
-                            cache.prefetch_chunk(handle, seq);
-                            seq += 1;
-                        }
-                        // Re-check: a detach or shutdown turns the next
-                        // wait into `ShutDown`.
-                        WindowWait::TimedOut => continue,
-                        WindowWait::ShutDown => break,
-                    }
-                }
-            });
-        }
-        let result = (|| -> Result<(), FilterError> {
-            for (seq, chunk) in grid.chunks().enumerate() {
-                let r = chunk.input;
-                for &key in plan.keys_for(seq) {
-                    let slice = cache.get(key).map_err(cache_error)?;
-                    let mut data = pool.take::<u16>(r.size.x * r.size.y);
-                    crop_subrect(
-                        &slice, slice_x, r.origin.x, r.origin.y, r.size.x, r.size.y, &mut data,
-                    );
-                    emit(chunk, key, data)?;
-                }
-                cache.advance_for(handle, seq);
+    let result = (|| -> Result<(), FilterError> {
+        for (seq, chunk) in grid.chunks().enumerate() {
+            let r = chunk.input;
+            for &key in plan.keys_for(seq) {
+                let slice = cache.get(key).map_err(cache_error)?;
+                let mut data = Vec::with_capacity(r.size.x * r.size.y);
+                crop_subrect(
+                    &slice, slice_x, r.origin.x, r.origin.y, r.size.x, r.size.y, &mut data,
+                );
+                emit(chunk, key, data)?;
             }
-            Ok(())
-        })();
-        // Detach before the scope's implicit join, or the join deadlocks on
-        // a read-ahead thread waiting for a window that will never open.
-        cache.detach(handle);
-        result
-    })
+            cache.advance_for(handle, seq);
+        }
+        Ok(())
+    })();
+    cache.detach(handle);
+    result
 }
 
 /// Per-run cache path of the RFR and DFR filters: builds a private
 /// lifetime-exact [`SliceCache`] around `source` and pumps the grid
 /// through it.
-fn emit_chunks_cached<S: SliceSource + Sync>(
+fn emit_chunks_cached<S: SliceSource>(
     cfg: &AppConfig,
     grid: &ChunkGrid,
     source: S,
     owned: impl Fn(SliceKey) -> bool,
-    pool: &BufferPool,
     io: &Arc<IoStats>,
     emit: impl FnMut(mri::chunks::Chunk, SliceKey, Vec<u16>) -> Result<(), FilterError>,
 ) -> Result<(), FilterError> {
     let plan = ReusePlan::new(grid, owned);
     let cache = SliceCache::new(source, plan, cfg.io_cache_bytes, Arc::clone(io));
-    pump_chunks(
-        &cache,
-        cache.primary_handle(),
-        grid,
-        cfg.read_ahead_chunks,
-        pool,
-        emit,
-    )
+    pump_chunks(&cache, cache.primary_handle(), grid, emit)
 }
 
 /// Daemon-scoped cache path: attaches this walk's [`ReusePlan`] to the
@@ -143,13 +104,11 @@ fn emit_chunks_cached<S: SliceSource + Sync>(
 /// `open`), so concurrent jobs over the same dataset read each slice from
 /// disk exactly once, total.
 fn emit_chunks_shared(
-    cfg: &AppConfig,
     grid: &ChunkGrid,
     registry: &SliceCacheRegistry,
     root: &std::path::Path,
     open: impl FnOnce() -> std::io::Result<SharedSliceSource>,
     owned: impl Fn(SliceKey) -> bool,
-    pool: &BufferPool,
     emit: impl FnMut(mri::chunks::Chunk, SliceKey, Vec<u16>) -> Result<(), FilterError>,
 ) -> Result<(), FilterError> {
     let cache = registry.get_or_open(root, open).map_err(|e| {
@@ -162,7 +121,7 @@ fn emit_chunks_shared(
         )
     })?;
     let handle = cache.attach(ReusePlan::new(grid, owned));
-    pump_chunks(&*cache, handle, grid, cfg.read_ahead_chunks, pool, emit)
+    pump_chunks(&*cache, handle, grid, emit)
 }
 
 /// RAWFileReader: reads the local portions of every chunk's input region
@@ -175,13 +134,12 @@ pub struct RfrFilter {
     dataset: DistributedDataset,
     root: PathBuf,
     node: usize,
-    pool: Arc<BufferPool>,
     io: Arc<IoStats>,
     slices: Option<Arc<SliceCacheRegistry>>,
 }
 
 impl RfrFilter {
-    /// Opens the dataset for one copy (private pool and I/O counters; use
+    /// Opens the dataset for one copy (private I/O counters; use
     /// [`RfrFilter::with_io`] to share the run's).
     pub fn open(
         cfg: Arc<AppConfig>,
@@ -201,15 +159,13 @@ impl RfrFilter {
             dataset,
             root: root.to_path_buf(),
             node,
-            pool: Arc::new(BufferPool::new()),
             io: Arc::new(IoStats::default()),
             slices: None,
         })
     }
 
-    /// Attaches the run's shared buffer pool and I/O counters.
-    pub fn with_io(mut self, pool: Arc<BufferPool>, io: Arc<IoStats>) -> Self {
-        self.pool = pool;
+    /// Attaches the run's shared I/O counters.
+    pub fn with_io(mut self, io: Arc<IoStats>) -> Self {
         self.io = io;
         self
     }
@@ -267,7 +223,6 @@ impl Filter for RfrFilter {
             Some(registry) => {
                 let root = self.root.clone();
                 emit_chunks_shared(
-                    &self.cfg,
                     &grid,
                     registry,
                     &self.root,
@@ -275,7 +230,6 @@ impl Filter for RfrFilter {
                         DistributedDataset::open(&root).map(|d| Box::new(d) as SharedSliceSource)
                     },
                     |key| dataset.node_of(key) == Some(node),
-                    &self.pool,
                     emit,
                 )
             }
@@ -284,7 +238,6 @@ impl Filter for RfrFilter {
                 &grid,
                 dataset,
                 |key| dataset.node_of(key) == Some(node),
-                &self.pool,
                 &self.io,
                 emit,
             ),
@@ -311,14 +264,13 @@ pub struct DfrFilter {
     dataset: DicomDataset,
     root: PathBuf,
     node: usize,
-    pool: Arc<BufferPool>,
     io: Arc<IoStats>,
     slices: Option<Arc<SliceCacheRegistry>>,
 }
 
 impl DfrFilter {
-    /// Opens the DICOM dataset for one copy (private pool and I/O counters;
-    /// use [`DfrFilter::with_io`] to share the run's).
+    /// Opens the DICOM dataset for one copy (private I/O counters; use
+    /// [`DfrFilter::with_io`] to share the run's).
     pub fn open(
         cfg: Arc<AppConfig>,
         root: &std::path::Path,
@@ -338,15 +290,13 @@ impl DfrFilter {
             dataset,
             root: root.to_path_buf(),
             node,
-            pool: Arc::new(BufferPool::new()),
             io: Arc::new(IoStats::default()),
             slices: None,
         })
     }
 
-    /// Attaches the run's shared buffer pool and I/O counters.
-    pub fn with_io(mut self, pool: Arc<BufferPool>, io: Arc<IoStats>) -> Self {
-        self.pool = pool;
+    /// Attaches the run's shared I/O counters.
+    pub fn with_io(mut self, io: Arc<IoStats>) -> Self {
         self.io = io;
         self
     }
@@ -381,7 +331,7 @@ impl Filter for DfrFilter {
                         self.io.record_miss();
                         self.io.record_disk_read(slice.pixels.len() as u64 * 2);
                         // Crop the chunk's sub-rectangle out of the full slice.
-                        let mut data = self.pool.take::<u16>(r.size.x * r.size.y);
+                        let mut data = Vec::with_capacity(r.size.x * r.size.y);
                         for y in r.origin.y..r.origin.y + r.size.y {
                             let start = y * dims.x + r.origin.x;
                             data.extend_from_slice(&slice.pixels[start..start + r.size.x]);
@@ -412,7 +362,6 @@ impl Filter for DfrFilter {
             Some(registry) => {
                 let root = self.root.clone();
                 emit_chunks_shared(
-                    &self.cfg,
                     &grid,
                     registry,
                     &self.root,
@@ -424,7 +373,6 @@ impl Filter for DfrFilter {
                             })
                     },
                     |key| dataset.node_of(key) == Some(node),
-                    &self.pool,
                     emit,
                 )
             }
@@ -433,7 +381,6 @@ impl Filter for DfrFilter {
                 &grid,
                 dataset,
                 |key| dataset.node_of(key) == Some(node),
-                &self.pool,
                 &self.io,
                 emit,
             ),
@@ -457,23 +404,14 @@ impl Filter for DfrFilter {
 pub struct IicFilter {
     /// chunk id → (assembly buffer, received pieces, expected pieces).
     pending: HashMap<usize, (ChunkData, usize, usize)>,
-    pool: Arc<BufferPool>,
 }
 
 impl IicFilter {
-    /// Creates an empty stitcher with a private buffer pool (use
-    /// [`IicFilter::with_pool`] to share the run's).
+    /// Creates an empty stitcher.
     pub fn new() -> Self {
         Self {
             pending: HashMap::new(),
-            pool: Arc::new(BufferPool::new()),
         }
-    }
-
-    /// Attaches the run's shared buffer pool.
-    pub fn with_pool(mut self, pool: Arc<BufferPool>) -> Self {
-        self.pool = pool;
-        self
     }
 }
 
@@ -491,16 +429,12 @@ impl Filter for IicFilter {
         ctx: &mut FilterContext,
     ) -> Result<(), FilterError> {
         // Take the piece by value: on the tag-modulo stream exactly one IIC
-        // copy holds each piece, so this moves (no pixel copy) and lets the
-        // piece's backing store go back to the pool below.
+        // copy holds each piece, so this moves (no pixel copy).
         let piece: Piece = buf.into_payload()?;
         let chunk = piece.chunk;
-        let pool = &self.pool;
         let entry = self.pending.entry(chunk.id).or_insert_with(|| {
             let expected = chunk.input.size.z * chunk.input.size.t;
-            let len = chunk.input.size.len();
-            let mut store = pool.take::<u16>(len);
-            store.resize(len, 0);
+            let store = vec![0u16; chunk.input.size.len()];
             (
                 ChunkData {
                     chunk,
@@ -520,7 +454,6 @@ impl Filter for IicFilter {
             .0
             .raw
             .paste_plane(chunk.input.size.x, chunk.input.size.y, &piece.data, at);
-        self.pool.put(piece.data);
         entry.1 += 1;
         if entry.1 == entry.2 {
             let (data, _, _) = self.pending.remove(&chunk.id).expect("entry exists");
@@ -619,25 +552,13 @@ pub fn analyze_chunk(cfg: &AppConfig, data: &ChunkData) -> Result<Vec<ParamPacke
 /// and Haralick parameters in one filter (paper Figure 5).
 pub struct HmpFilter {
     cfg: Arc<AppConfig>,
-    pool: Arc<BufferPool>,
     store: Option<(KeyRecipe, Arc<StoreSession>)>,
 }
 
 impl HmpFilter {
-    /// Creates the filter with a private buffer pool (use
-    /// [`HmpFilter::with_pool`] to share the run's).
+    /// Creates the filter.
     pub fn new(cfg: Arc<AppConfig>) -> Self {
-        Self {
-            cfg,
-            pool: Arc::new(BufferPool::new()),
-            store: None,
-        }
-    }
-
-    /// Attaches the run's shared buffer pool.
-    pub fn with_pool(mut self, pool: Arc<BufferPool>) -> Self {
-        self.pool = pool;
-        self
+        Self { cfg, store: None }
     }
 
     /// Attaches the run's result-store session: chunks whose input region
@@ -659,8 +580,7 @@ impl Filter for HmpFilter {
     ) -> Result<(), FilterError> {
         let tag = buf.tag();
         // Demand-driven streams deliver each chunk to one copy, so this
-        // moves the chunk out of the buffer instead of borrowing it and
-        // lets its backing store recycle once quantized.
+        // moves the chunk out of the buffer instead of borrowing it.
         let data: ChunkData = buf.into_payload()?;
         // All of a chunk's parameter packets live in one blob under packet
         // index 0: they are produced together and always emitted together.
@@ -679,7 +599,7 @@ impl Filter for HmpFilter {
             }
             None => analyze_chunk(&self.cfg, &data)?,
         };
-        self.pool.put(data.raw.into_data());
+        drop(data);
         for packet in packets {
             let size = packet.wire_size(self.cfg.param_value_bytes);
             ctx.emit(0, DataBuffer::new(packet, size, tag))?;
@@ -693,25 +613,13 @@ impl Filter for HmpFilter {
 /// ROIs have been processed.
 pub struct HccFilter {
     cfg: Arc<AppConfig>,
-    pool: Arc<BufferPool>,
     store: Option<(KeyRecipe, Arc<StoreSession>)>,
 }
 
 impl HccFilter {
-    /// Creates the filter with a private buffer pool (use
-    /// [`HccFilter::with_pool`] to share the run's).
+    /// Creates the filter.
     pub fn new(cfg: Arc<AppConfig>) -> Self {
-        Self {
-            cfg,
-            pool: Arc::new(BufferPool::new()),
-            store: None,
-        }
-    }
-
-    /// Attaches the run's shared buffer pool.
-    pub fn with_pool(mut self, pool: Arc<BufferPool>) -> Self {
-        self.pool = pool;
-        self
+        Self { cfg, store: None }
     }
 
     /// Attaches the run's result-store session. Matrix output is stored at
@@ -738,15 +646,15 @@ impl Filter for HccFilter {
         let cfg = &self.cfg;
         let chunk = data.chunk;
         // The content digest covers the raw input region, so it must be
-        // folded before quantization recycles the raw buffer.
+        // folded before the raw buffer is dropped.
         let store = self
             .store
             .as_ref()
             .map(|(recipe, session)| (*recipe, session, recipe.content_digest(&chunk, &data.raw)));
         let vol = data.raw.quantize(&cfg.quantizer);
-        // The raw chunk is only needed for quantization; recycle its
-        // backing store before the per-ROI scan.
-        self.pool.put(data.raw.into_data());
+        // The raw chunk is only needed for quantization; free it before
+        // the per-ROI scan.
+        drop(data);
         let n = chunk.rois();
         let per_packet = n.div_ceil(cfg.packet_split.max(1)).max(1);
         // Under the fused engine, maintain the dense matrix with the
@@ -903,13 +811,10 @@ pub struct UsoFilter {
     /// the file bytes do not depend on packet arrival order — the property
     /// the distributed conformance suite compares across process counts.
     pending: HashMap<haralick::features::Feature, Vec<(Point4, f64)>>,
-    pool: Arc<BufferPool>,
 }
 
 impl UsoFilter {
-    /// Creates the filter writing into `dir` (created on demand), with a
-    /// private buffer pool (use [`UsoFilter::with_pool`] to share the
-    /// run's).
+    /// Creates the filter writing into `dir` (created on demand).
     pub fn new(cfg: Arc<AppConfig>, dir: PathBuf, copy: usize) -> Self {
         Self {
             cfg,
@@ -917,14 +822,7 @@ impl UsoFilter {
             copy,
             writers: HashMap::new(),
             pending: HashMap::new(),
-            pool: Arc::new(BufferPool::new()),
         }
-    }
-
-    /// Attaches the run's shared buffer pool.
-    pub fn with_pool(mut self, pool: Arc<BufferPool>) -> Self {
-        self.pool = pool;
-        self
     }
 
     /// The file a given (feature, copy) pair is written to, relative to the
@@ -943,17 +841,13 @@ impl Filter for UsoFilter {
     ) -> Result<(), FilterError> {
         let packet = buf.payload::<ParamPacket>()?;
         if self.cfg.canonical_output {
-            let pool = &self.pool;
-            self.pending
-                .entry(packet.feature)
-                .or_insert_with(|| pool.take(0))
-                .extend(
-                    packet
-                        .points
-                        .iter()
-                        .copied()
-                        .zip(packet.values.iter().copied()),
-                );
+            self.pending.entry(packet.feature).or_default().extend(
+                packet
+                    .points
+                    .iter()
+                    .copied()
+                    .zip(packet.values.iter().copied()),
+            );
             return Ok(());
         }
         if !self.writers.contains_key(&packet.feature) {
@@ -995,7 +889,6 @@ impl Filter for UsoFilter {
             for &(p, v) in &vals {
                 w.push(p, v)?;
             }
-            self.pool.put(vals);
             self.writers.insert(feature, w);
         }
         for (_, w) in self.writers.drain() {

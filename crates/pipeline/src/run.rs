@@ -13,8 +13,8 @@ use crate::filters::{
 use crate::store::{ResultStore, StoreSession};
 use datacutter::engine::FilterFactory;
 use datacutter::{
-    run_graph, run_node, BufferPool, EngineConfig, Filter, FilterError, GraphSpec, IoReport,
-    NodeConfig, RunFailure, RunOutcome, RunReport, RunStats,
+    run_graph, run_node, EngineConfig, Filter, FilterError, GraphSpec, IoReport, NodeConfig,
+    RunFailure, RunOutcome, RunReport, RunStats,
 };
 use haralick::features::Feature;
 use haralick::volume::Dims4;
@@ -24,14 +24,12 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// The shared I/O-plane state of one run: the buffer pool every filter
-/// recycles allocations through, and the I/O counters every reading-filter
-/// copy records into. Create one per run, pass it to the `_with` driver
-/// variants, and call [`IoRuntime::annotate`] on the run's report.
+/// The shared I/O-plane state of one run: the I/O counters every
+/// reading-filter copy records into. Create one per run, pass it to the
+/// `_with` driver variants, and call [`IoRuntime::annotate`] on the run's
+/// report.
 #[derive(Clone, Default)]
 pub struct IoRuntime {
-    /// Buffer pool shared by all filter copies of this process.
-    pub pool: Arc<BufferPool>,
     /// Reader-side I/O counters shared by all reading-filter copies.
     pub io: Arc<IoStats>,
     /// Daemon-scoped slice-cache registry. `None` (the default) keeps the
@@ -47,7 +45,7 @@ pub struct IoRuntime {
 }
 
 impl IoRuntime {
-    /// Fresh pool and counters.
+    /// Fresh counters.
     pub fn new() -> Self {
         Self::default()
     }
@@ -57,7 +55,6 @@ impl IoRuntime {
     /// service's `/status` endpoint agree.
     pub fn with_registry(slices: Arc<SliceCacheRegistry>) -> Self {
         Self {
-            pool: Arc::new(BufferPool::new()),
             io: Arc::clone(slices.stats()),
             slices: Some(slices),
             store: None,
@@ -91,17 +88,15 @@ impl IoRuntime {
             bytes_read: self.io.bytes_read(),
             cache_hits: self.io.cache_hits(),
             cache_misses: self.io.cache_misses(),
-            prefetched: self.io.prefetched(),
             budget_rejects: self.io.budget_rejects(),
             retained_high_water: self.io.retained_high_water(),
         }
     }
 
-    /// Attaches this runtime's I/O, pool and (when a store session is
-    /// attached) result-store counters to a run report.
+    /// Attaches this runtime's I/O and (when a store session is attached)
+    /// result-store counters to a run report.
     pub fn annotate(&self, report: &mut RunReport) {
         report.io = Some(self.io_report());
-        report.pool = Some(self.pool.report());
         if let Some(session) = &self.store {
             report.store = Some(session.stats().report());
         }
@@ -138,7 +133,7 @@ fn finish_store(rt: &IoRuntime, ok: bool) {
 /// into a [`RunFailure`] instead of panicking.
 ///
 /// Uses a fresh private [`IoRuntime`]; use [`threaded_factories_with`] to
-/// share the run's pool and counters across filters and observe them
+/// share the run's counters across filters and observe them
 /// afterwards.
 pub fn threaded_factories(
     spec: &GraphSpec,
@@ -149,9 +144,8 @@ pub fn threaded_factories(
     threaded_factories_with(spec, cfg, dataset_root, out_dir, &IoRuntime::new())
 }
 
-/// [`threaded_factories`] with an explicit shared [`IoRuntime`]: every
-/// filter copy recycles buffers through `rt.pool`, and the reading filters
-/// record cache/disk activity into `rt.io`.
+/// [`threaded_factories`] with an explicit shared [`IoRuntime`]: the
+/// reading filters record cache/disk activity into `rt.io`.
 pub fn threaded_factories_with(
     spec: &GraphSpec,
     cfg: &Arc<AppConfig>,
@@ -177,7 +171,7 @@ pub fn threaded_factories_with(
                         ),
                     )
                 })?;
-                let mut f = f.with_io(rt.pool.clone(), rt.io.clone());
+                let mut f = f.with_io(rt.io.clone());
                 if let Some(slices) = &rt.slices {
                     f = f.with_shared_cache(Arc::clone(slices));
                 }
@@ -194,33 +188,31 @@ pub fn threaded_factories_with(
                         ),
                     )
                 })?;
-                let mut f = f.with_io(rt.pool.clone(), rt.io.clone());
+                let mut f = f.with_io(rt.io.clone());
                 if let Some(slices) = &rt.slices {
                     f = f.with_shared_cache(Arc::clone(slices));
                 }
                 Ok(Box::new(f) as Box<dyn Filter>)
             }),
-            "IIC" => Box::new(move |_| Ok(Box::new(IicFilter::new().with_pool(rt.pool.clone())))),
+            "IIC" => Box::new(move |_| Ok(Box::new(IicFilter::new()))),
             "HMP" => Box::new(move |_| {
-                let mut f = HmpFilter::new(cfg.clone()).with_pool(rt.pool.clone());
+                let mut f = HmpFilter::new(cfg.clone());
                 if let Some(store) = &rt.store {
                     f = f.with_store(Arc::clone(store));
                 }
                 Ok(Box::new(f))
             }),
             "HCC" => Box::new(move |_| {
-                let mut f = HccFilter::new(cfg.clone()).with_pool(rt.pool.clone());
+                let mut f = HccFilter::new(cfg.clone());
                 if let Some(store) = &rt.store {
                     f = f.with_store(Arc::clone(store));
                 }
                 Ok(Box::new(f))
             }),
             "HPC" => Box::new(move |_| Ok(Box::new(HpcFilter::new(cfg.clone())))),
-            "USO" => Box::new(move |copy| {
-                Ok(Box::new(
-                    UsoFilter::new(cfg.clone(), dir.clone(), copy).with_pool(rt.pool.clone()),
-                ))
-            }),
+            "USO" => {
+                Box::new(move |copy| Ok(Box::new(UsoFilter::new(cfg.clone(), dir.clone(), copy))))
+            }
             "HIC" => Box::new(move |_| Ok(Box::new(HicFilter::new(cfg.clone())))),
             "JIW" => Box::new(move |_| Ok(Box::new(JiwFilter::new(dir.clone())))),
             other => {
@@ -254,7 +246,7 @@ pub fn run_threaded_outcome(
 }
 
 /// [`run_threaded_outcome`] with an explicit shared [`IoRuntime`], so the
-/// caller can read the I/O and pool counters after the run (and attach them
+/// caller can read the I/O counters after the run (and attach them
 /// to the report with [`IoRuntime::annotate`]).
 pub fn run_threaded_outcome_with(
     spec: &GraphSpec,

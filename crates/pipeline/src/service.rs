@@ -12,10 +12,10 @@
 //! **Isolation and sharing.** Each job runs its own filter graph with the
 //! engine's per-run failure containment (a panicking or failing job is
 //! reported on that job only), but the I/O plane is daemon-scoped: one
-//! [`SliceCacheRegistry`] and one [`datacutter::BufferPool`] serve every
-//! job, so concurrent analyses of the same dataset read each slice from
-//! disk **exactly once, total** — the registry's shared
-//! [`mri::cache::IoStats`] on `GET /status` is the observable proof.
+//! [`SliceCacheRegistry`] serves every job, so concurrent analyses of the
+//! same dataset read each slice from disk **exactly once, total** — the
+//! registry's shared [`mri::cache::IoStats`] on `GET /status` is the
+//! observable proof.
 //!
 //! **Shutdown.** `POST /drain` stops admission and finishes every admitted
 //! job; `POST /shutdown` drains and then stops the daemon. A hard kill
@@ -28,7 +28,7 @@ use crate::config::AppConfig;
 use crate::graphs::standard_graph;
 use crate::run::{run_threaded_outcome_with_engine, IoRuntime};
 use crate::store::{ResultStore, StoreSession};
-use datacutter::{BufferPool, EngineConfig, IoReport, RunReport, StoreReport};
+use datacutter::{EngineConfig, IoReport, RunReport, StoreReport};
 use haralick::raster::{Representation, ScanEngine};
 use mri::cache::SliceCacheRegistry;
 use mri::store::DistributedDataset;
@@ -223,7 +223,6 @@ struct ManagerState {
 struct ManagerInner {
     cfg: ServiceConfig,
     slices: Arc<SliceCacheRegistry>,
-    pool: Arc<BufferPool>,
     /// Daemon-scoped result store (shared counters); each job opens its own
     /// session against it. `None` when disabled or unopenable.
     store: Option<ResultStore>,
@@ -268,7 +267,6 @@ impl JobManager {
         });
         let inner = Arc::new(ManagerInner {
             slices,
-            pool: Arc::new(BufferPool::new()),
             store,
             state: Mutex::new(ManagerState {
                 jobs: HashMap::new(),
@@ -399,7 +397,6 @@ impl JobManager {
                 bytes_read: io.bytes_read(),
                 cache_hits: io.cache_hits(),
                 cache_misses: io.cache_misses(),
-                prefetched: io.prefetched(),
                 budget_rejects: io.budget_rejects(),
                 retained_high_water: io.retained_high_water(),
             },
@@ -576,13 +573,12 @@ fn execute_job(
         .ok_or_else(|| format!("unknown variant {:?}", spec.variant))?;
     std::fs::create_dir_all(&spec.out_dir)
         .map_err(|e| format!("could not create {}: {e}", spec.out_dir.display()))?;
-    // Daemon-scoped I/O plane: the shared registry and pool, with the
-    // registry's counters as this job's `io` so report and /status agree.
+    // Daemon-scoped I/O plane: the shared registry, with the registry's
+    // counters as this job's `io` so report and /status agree.
     // The store session is per-job (own staging area, committed only on
     // this job's success) but shares the daemon store's counters, so the
     // per-job report's `store` section aggregates like `io` does.
     let rt = IoRuntime {
-        pool: Arc::clone(&inner.pool),
         io: Arc::clone(inner.slices.stats()),
         slices: Some(Arc::clone(&inner.slices)),
         store: inner

@@ -1,8 +1,8 @@
-//! Integration tests for the overlap-aware I/O plane: the slice cache and
-//! read-ahead must change *when* disk is touched, never *what* the pipeline
-//! produces. `.h4dp` outputs are compared byte for byte between cache-on
-//! and cache-off runs (with canonical output, so arrival order cannot
-//! differ), on both scan engines, and against the sequential reference.
+//! Integration tests for the overlap-aware I/O plane: the slice cache
+//! must change *when* disk is touched, never *what* the pipeline produces.
+//! `.h4dp` outputs are compared byte for byte between cache-on and
+//! cache-off runs (with canonical output, so arrival order cannot differ),
+//! on both scan engines, and against the sequential reference.
 
 use datacutter::SchedulePolicy;
 use haralick::raster::{raster_scan, Representation, ScanEngine};
@@ -75,12 +75,9 @@ fn h4dp_outputs_are_byte_identical_cache_on_and_off() {
         base_cfg.canonical_output = true;
         let (data, base) = setup(&format!("ident{i}"), &base_cfg, 201);
 
-        let mut cached = base_cfg.clone();
-        cached.read_ahead_chunks = 2;
-        let cached = Arc::new(cached);
+        let cached = Arc::new(base_cfg.clone());
         let mut uncached = base_cfg.clone();
         uncached.io_cache_bytes = 0;
-        uncached.read_ahead_chunks = 0;
         let uncached = Arc::new(uncached);
 
         let on = run_into(&cached, &data, &base.join("on"));
@@ -108,7 +105,6 @@ fn cached_pipeline_reads_each_slice_exactly_once() {
     // dataset: every slice decoded once, by the node that owns it.
     let mut cfg = AppConfig::test_scale(Representation::Full);
     cfg.io_cache_bytes = usize::MAX;
-    cfg.read_ahead_chunks = 1;
     let cfg = Arc::new(cfg);
     let (data, base) = setup("once", &cfg, 202);
     let report = run_into(&cfg, &data, &base.join("out"));
@@ -124,13 +120,11 @@ fn cached_pipeline_reads_each_slice_exactly_once() {
 }
 
 #[test]
-fn tiny_budget_and_read_ahead_still_match_the_reference() {
-    // A budget of two slices forces constant eviction and budget rejects
-    // while a 2-chunk read-ahead races the consumer; results must still be
-    // exact to the sequential reference.
+fn tiny_budget_still_matches_the_reference() {
+    // A budget of two slices forces constant eviction and budget rejects;
+    // results must still be exact to the sequential reference.
     let mut cfg = AppConfig::test_scale(Representation::Full);
     cfg.io_cache_bytes = cfg.dims.x * cfg.dims.y * 2 * 2;
-    cfg.read_ahead_chunks = 2;
     let cfg = Arc::new(cfg);
     let (data, base) = setup("tiny", &cfg, 203);
     let out = base.join("out");

@@ -201,7 +201,6 @@ fn every_semantic_config_field_moves_the_fingerprint() {
         ("texture_threads", Box::new(|c| c.texture_threads = 4)),
         ("canonical_output", Box::new(|c| c.canonical_output = true)),
         ("io_cache_bytes", Box::new(|c| c.io_cache_bytes = 0)),
-        ("read_ahead_chunks", Box::new(|c| c.read_ahead_chunks = 3)),
         ("storage_nodes", Box::new(|c| c.storage_nodes = 7)),
         (
             "transport_checksum",
