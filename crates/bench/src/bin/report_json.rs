@@ -8,13 +8,13 @@
 //! cargo run --release -p bench --bin report_json
 //! ```
 
-use datacutter::{RunReport, SchedulePolicy};
+use datacutter::{EngineConfig, RunReport, SchedulePolicy};
 use haralick::raster::Representation;
 use mri::store::write_distributed;
 use mri::synth::{generate, SynthConfig};
 use pipeline::config::AppConfig;
 use pipeline::graphs::{Copies, HmpGraph};
-use pipeline::run::run_threaded_outcome;
+use pipeline::run::{run_threaded, IoRuntime};
 use std::sync::Arc;
 
 fn main() {
@@ -40,7 +40,8 @@ fn main() {
     }
     .build();
 
-    let outcome = run_threaded_outcome(&spec, &cfg, &data, &out)
+    let (rt, engine) = (IoRuntime::new(), EngineConfig::default());
+    let outcome = run_threaded(&spec, &cfg, &data, &out, &rt, &engine)
         .unwrap_or_else(|e| panic!("threaded run failed: {e}"));
     let report = RunReport::new(&spec, &outcome);
     if let Err(msg) = report.check() {

@@ -261,11 +261,10 @@ impl CostModel {
     }
 
     /// Full texture (matrices + parameters) service cost of one chunk under
-    /// a scan engine: the classic HMP rebuild cost for `Reference` (one
-    /// core), the fused kernel's build/slide and dirty-cell feature costs
-    /// for `Fused`, divided across the `threads` workers its row dispatch
-    /// can use.
-    pub fn texture_cost(&self, engine: ScanEngine, w: &TextureWork, threads: usize) -> f64 {
+    /// a scan engine: the classic HMP rebuild cost for `Reference`, the
+    /// fused kernel's build/slide and dirty-cell feature costs for `Fused`
+    /// — one core either way, like the paper's PIII nodes.
+    pub fn texture_cost(&self, engine: ScanEngine, w: &TextureWork) -> f64 {
         match engine {
             ScanEngine::Reference => self.hmp_cost(w.rois, w.roi_voxels, w.ndirs, w.ng, w.repr),
             ScanEngine::Fused => {
@@ -274,7 +273,7 @@ impl CostModel {
                 } else {
                     self.features_incremental_cost(w)
                 };
-                (self.coocc_fused_cost(w) + feats) / threads.max(1) as f64
+                self.coocc_fused_cost(w) + feats
             }
         }
     }
@@ -364,8 +363,8 @@ mod tests {
     fn fused_texture_cost_beats_rebuild_and_reference_is_the_hmp_cost() {
         let m = model();
         let w = paper_work(Representation::Full);
-        let rebuild = m.texture_cost(ScanEngine::Reference, &w, 1);
-        let fused = m.texture_cost(ScanEngine::Fused, &w, 1);
+        let rebuild = m.texture_cost(ScanEngine::Reference, &w);
+        let fused = m.texture_cost(ScanEngine::Fused, &w);
         assert!(
             fused < rebuild,
             "fused {fused} should undercut rebuild {rebuild}"
@@ -377,24 +376,12 @@ mod tests {
         // Sparse representations run the fused kernel natively: priced
         // below the sparse-storage rebuild.
         let ws = paper_work(Representation::SparseAccum);
-        let sparse_fused = m.texture_cost(ScanEngine::Fused, &ws, 1);
-        let sparse_rebuild = m.texture_cost(ScanEngine::Reference, &ws, 1);
+        let sparse_fused = m.texture_cost(ScanEngine::Fused, &ws);
+        let sparse_rebuild = m.texture_cost(ScanEngine::Reference, &ws);
         assert!(
             sparse_fused < sparse_rebuild,
             "sparse fused {sparse_fused} should undercut the rebuild {sparse_rebuild}"
         );
-    }
-
-    #[test]
-    fn texture_cost_scales_with_threads_on_the_fused_engine_only() {
-        let m = model();
-        let w = paper_work(Representation::Full);
-        let one = m.texture_cost(ScanEngine::Fused, &w, 1);
-        let quad = m.texture_cost(ScanEngine::Fused, &w, 4);
-        assert!((quad - one / 4.0).abs() < 1e-15);
-        let seq1 = m.texture_cost(ScanEngine::Reference, &w, 1);
-        let seq4 = m.texture_cost(ScanEngine::Reference, &w, 4);
-        assert!((seq4 - seq1).abs() < 1e-15);
     }
 
     #[test]

@@ -41,7 +41,10 @@ use std::time::{Duration, Instant};
 /// anyway is contained by a `catch_unwind` backstop and reported as a
 /// `Panic`-kind error; either way the copies already spawned drain and are
 /// joined before `run_graph` returns.
-pub type FilterFactory = Box<dyn FnMut(usize) -> Result<Box<dyn Filter>, FilterError>>;
+///
+/// Factories are `Send` so a driver (a service worker, a test watchdog) can
+/// build them on one thread and run the graph on another.
+pub type FilterFactory = Box<dyn FnMut(usize) -> Result<Box<dyn Filter>, FilterError> + Send>;
 
 /// Engine options.
 #[derive(Debug, Clone)]

@@ -281,11 +281,12 @@ fn dist_factories(buffers: u64, logs: &[Arc<Mutex<Vec<u64>>>; 2]) -> Factories {
     f
 }
 
-/// Runs both partitions of [`dist_spec`] concurrently under a watchdog,
-/// returning each node's result (indexed by node id).
-fn run_two_nodes(
-    buffers: u64,
-    logs: &[Arc<Mutex<Vec<u64>>>; 2],
+/// Runs both partitions of `spec` concurrently under a watchdog, returning
+/// each node's result (indexed by node id).
+fn run_partitions(
+    spec: &GraphSpec,
+    factories: impl Fn() -> Factories,
+    codec: &Arc<PayloadCodec>,
     faults: [Option<TransportFault>; 2],
 ) -> Vec<Result<RunOutcome, RunFailure>> {
     // Pre-bound listeners: the reservation is handed straight to each
@@ -294,12 +295,12 @@ fn run_two_nodes(
     let (tx, rx) = mpsc::channel();
     let mut handles = Vec::new();
     for node in 0..2 {
-        let spec = dist_spec();
-        let mut factories = dist_factories(buffers, logs);
+        let spec = spec.clone();
+        let mut factories = factories();
         let mut cfg = NodeConfig::new(node, addrs.clone());
         cfg.listener = Some(listeners[node].clone());
         cfg.fault = faults[node];
-        let codec = u64_codec();
+        let codec = Arc::clone(codec);
         let tx = tx.clone();
         handles.push(std::thread::spawn(move || {
             let r = run_node(&spec, &mut factories, codec, &cfg);
@@ -318,6 +319,16 @@ fn run_two_nodes(
         h.join().expect("node thread panicked");
     }
     results.into_iter().map(|r| r.expect("both sent")).collect()
+}
+
+/// [`run_partitions`] over [`dist_spec`] with the `u64` relays.
+fn run_two_nodes(
+    buffers: u64,
+    logs: &[Arc<Mutex<Vec<u64>>>; 2],
+    faults: [Option<TransportFault>; 2],
+) -> Vec<Result<RunOutcome, RunFailure>> {
+    let factories = || dist_factories(buffers, logs);
+    run_partitions(&dist_spec(), factories, &u64_codec(), faults)
 }
 
 #[test]
@@ -408,6 +419,123 @@ fn stalled_writer_is_benign_backpressure() {
         tags.sort_unstable();
         assert_eq!(tags, expect, "stage {} delivery under stall", stage + 1);
     }
+}
+
+/// Emits `count` byte buffers of `bytes` each, tagged by ordinal.
+struct BlobSource {
+    count: u64,
+    bytes: usize,
+}
+
+impl Filter for BlobSource {
+    fn start(&mut self, ctx: &mut FilterContext) -> Result<(), FilterError> {
+        for tag in 0..self.count {
+            let blob = vec![tag as u8; self.bytes];
+            ctx.emit(0, DataBuffer::new(blob, self.bytes, tag))?;
+        }
+        Ok(())
+    }
+    fn process(
+        &mut self,
+        _: usize,
+        _: DataBuffer,
+        _: &mut FilterContext,
+    ) -> Result<(), FilterError> {
+        unreachable!("source has no inputs")
+    }
+}
+
+/// Forwards each buffer after sleeping `delay`: the graph's bottleneck.
+struct Throttle {
+    delay: Duration,
+}
+
+impl Filter for Throttle {
+    fn process(
+        &mut self,
+        _: usize,
+        buf: DataBuffer,
+        ctx: &mut FilterContext,
+    ) -> Result<(), FilterError> {
+        std::thread::sleep(self.delay);
+        ctx.emit(0, buf)
+    }
+}
+
+#[test]
+fn credit_windows_keep_a_shared_connection_live_around_a_bottleneck() {
+    // A@0 -> B@1 -> C@0 -> D@1 with C slow: connection direction 0 -> 1
+    // carries a route upstream of the bottleneck (A -> B) and one downstream
+    // of it (C -> D). A is never the limit, so A -> B frames fill whatever
+    // the transport lets them fill. Were that the socket itself — plain
+    // bounded queues and TCP backpressure, a reader blocked on B's full
+    // queue — C -> D frames would wait behind frames nobody can deliver, C
+    // would block in `emit`, and nothing would drain B: a cycle through one
+    // socket in an acyclic graph (the volume exceeds loopback socket
+    // buffering, so the cycle closes). The per-route window stops A -> B at
+    // the sender instead, and the run finishes.
+    const BUFFERS: u64 = 256;
+    const BYTES: usize = 256 << 10;
+    let spec = GraphSpec::new()
+        .filter_placed("A", vec![0])
+        .filter_placed("B", vec![1])
+        .filter_placed("C", vec![0])
+        .filter_placed("D", vec![1])
+        .stream_with_capacity("ab", "A", "B", SchedulePolicy::RoundRobin, 1)
+        .stream_with_capacity("bc", "B", "C", SchedulePolicy::RoundRobin, 1)
+        .stream_with_capacity("cd", "C", "D", SchedulePolicy::RoundRobin, 1);
+    let mut codec = PayloadCodec::new();
+    codec.register::<Vec<u8>, _, _>(2, |v| v.clone(), |b| Ok(b.to_vec()));
+    // Tags seen at B and at D.
+    let logs = [
+        Arc::new(Mutex::new(Vec::new())),
+        Arc::new(Mutex::new(Vec::new())),
+    ];
+    let factories = || {
+        let mut f: Factories = HashMap::new();
+        let source = || BlobSource {
+            count: BUFFERS,
+            bytes: BYTES,
+        };
+        f.insert("A".into(), Box::new(move |_| Ok(Box::new(source()))));
+        let delay = Duration::from_millis(1);
+        f.insert(
+            "C".into(),
+            Box::new(move |_| Ok(Box::new(Throttle { delay }))),
+        );
+        for (name, log) in ["B", "D"].into_iter().zip(&logs) {
+            let log = log.clone();
+            f.insert(
+                name.into(),
+                Box::new(move |_| Ok(Box::new(Relay { log: log.clone() }))),
+            );
+        }
+        f
+    };
+    let results = run_partitions(&spec, factories, &Arc::new(codec), [None, None]);
+    for (node, r) in results.iter().enumerate() {
+        assert!(r.is_ok(), "node {node} failed: {}", r.as_ref().unwrap_err());
+    }
+    let expect: Vec<u64> = (0..BUFFERS).collect();
+    for (name, log) in ["B", "D"].into_iter().zip(&logs) {
+        let mut tags = log.lock().clone();
+        tags.sort_unstable();
+        assert_eq!(
+            tags, expect,
+            "{name} must receive every buffer exactly once"
+        );
+    }
+    let to_node_1 = results[0]
+        .as_ref()
+        .unwrap()
+        .transport
+        .iter()
+        .find(|c| c.peer == 1)
+        .expect("node 0 reports its connection to node 1");
+    assert!(
+        to_node_1.credit_stalls > 0,
+        "the A -> B window never engaged: {to_node_1:?}"
+    );
 }
 
 #[test]

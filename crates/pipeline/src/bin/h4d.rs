@@ -53,15 +53,14 @@
 //! and the run's hit/miss/publish counters land in the `--report` JSON
 //! under `"store"`.
 
-use datacutter::NodeConfig;
-use haralick::raster::{Representation, ScanEngine};
+use datacutter::{EngineConfig, NodeConfig};
 use haralick::volume::Dims4;
 use mri::store::{write_distributed, DistributedDataset};
 use mri::synth::{generate, SynthConfig};
-use pipeline::config::AppConfig;
+use pipeline::config::{parse_engine, parse_repr, AppConfig, RunOptions};
 use pipeline::experiments::{run_hmp_piii, run_split_piii};
 use pipeline::graphs::standard_graph;
-use pipeline::run::{run_node_threaded_with, run_threaded_outcome_with, IoRuntime};
+use pipeline::run::{run_node_threaded, run_threaded, IoRuntime};
 use pipeline::service::{AnalysisService, ServiceConfig};
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -135,14 +134,17 @@ impl Flags {
             .map(|(_, v)| v.as_str())
     }
 
-    fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        match self.get(key) {
-            None => default,
-            Some(v) => v.parse().unwrap_or_else(|_| {
+    fn value<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
+        self.get(key).map(|v| {
+            v.parse().unwrap_or_else(|_| {
                 eprintln!("bad value for --{key}: {v:?}");
                 usage()
-            }),
-        }
+            })
+        })
+    }
+
+    fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+        self.value(key).unwrap_or(default)
     }
 }
 
@@ -155,48 +157,32 @@ fn parse_dims(s: &str) -> Dims4 {
     Dims4::new(parts[0], parts[1], parts[2], parts[3])
 }
 
-fn parse_repr(s: &str) -> Representation {
-    match s {
-        "full" => Representation::Full,
-        "naive" => Representation::FullNaive,
-        "sparse" => Representation::Sparse,
-        "sparse-accum" => Representation::SparseAccum,
-        other => {
-            eprintln!("unknown representation {other:?}");
-            usage();
-        }
-    }
-}
-
-fn parse_engine(s: &str) -> ScanEngine {
-    match s {
-        "reference" => ScanEngine::Reference,
-        "fused" => ScanEngine::Fused,
-        other => {
-            eprintln!("unknown engine {other:?}");
-            usage();
-        }
-    }
-}
-
-fn app_config(dims: Dims4, nodes: usize, repr: Representation) -> AppConfig {
-    AppConfig::for_dataset(dims, nodes, repr).unwrap_or_else(|e| {
-        eprintln!("{e}; generate at least a window-sized dataset");
-        exit(1);
+/// A flag value through one of `pipeline::config`'s parsers, or usage.
+fn parsed<T>(parse: fn(&str) -> Result<T, String>, s: &str) -> T {
+    parse(s).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
     })
 }
 
-/// Applies the I/O-plane flag override (`--io-cache-bytes`) onto a loaded
-/// configuration.
-fn apply_io_flags(cfg: &mut AppConfig, flags: &Flags) {
-    cfg.io_cache_bytes = flags.parse_or("io-cache-bytes", cfg.io_cache_bytes);
-}
-
-/// Applies the `--engine` override onto a loaded configuration.
-fn apply_engine_flag(cfg: &mut AppConfig, flags: &Flags) {
-    if let Some(e) = flags.get("engine") {
-        cfg.engine = parse_engine(e);
-    }
+/// The configuration of a run over `desc` under the flags `analyze`,
+/// `run-graph` and `node` share: `--repr`, `--engine`, `--canonical`,
+/// `--io-cache-bytes`, and the transport toggles `--checksum` /
+/// `--compress` (each connection enables a feature only when both endpoints
+/// request it; they have no effect on a single-process run).
+fn run_config(desc: &mri::store::DatasetDescriptor, flags: &Flags) -> AppConfig {
+    let opts = RunOptions {
+        representation: parsed(parse_repr, flags.get("repr").unwrap_or("full")),
+        engine: flags.get("engine").map(|e| parsed(parse_engine, e)),
+        canonical_output: flags.parse_or("canonical", false),
+        io_cache_bytes: flags.value("io-cache-bytes"),
+        transport_checksum: flags.parse_or("checksum", false),
+        transport_compress: flags.parse_or("compress", false),
+    };
+    AppConfig::for_run(desc, &opts).unwrap_or_else(|e| {
+        eprintln!("{e}; generate at least a window-sized dataset");
+        exit(1);
+    })
 }
 
 /// Applies the `--result-store` directory onto a loaded configuration and
@@ -208,14 +194,6 @@ fn apply_store_flag(cfg: &mut AppConfig, flags: &Flags, rt: &mut IoRuntime) {
         cfg.result_store = Some(PathBuf::from(dir));
         rt.attach_result_store(cfg);
     }
-}
-
-/// Applies the transport feature toggles (`--checksum`, `--compress`) onto
-/// a loaded configuration. Each connection enables a feature only when both
-/// endpoints request it (the handshake negotiates the intersection).
-fn apply_transport_flags(cfg: &mut AppConfig, flags: &Flags) {
-    cfg.transport_checksum = flags.parse_or("checksum", cfg.transport_checksum);
-    cfg.transport_compress = flags.parse_or("compress", cfg.transport_compress);
 }
 
 /// Writes the Figure-9-style busy-vs-wait run report as JSON to `path`,
@@ -341,29 +319,26 @@ fn main() {
             };
             let flags = Flags::parse(&args[3..]);
             let variant = flags.get("variant").unwrap_or("hmp").to_string();
-            let repr = parse_repr(flags.get("repr").unwrap_or("full"));
             let texture: usize = flags.parse_or("texture", 3);
             let ds = DistributedDataset::open(&PathBuf::from(dir)).unwrap_or_else(|e| {
                 eprintln!("open failed: {e}");
                 exit(1);
             });
             let desc = ds.descriptor();
-            let mut cfg = app_config(desc.dims, desc.num_nodes, repr);
-            cfg.canonical_output = flags.parse_or("canonical", false);
-            apply_io_flags(&mut cfg, &flags);
-            apply_engine_flag(&mut cfg, &flags);
+            let mut cfg = run_config(desc, &flags);
             let mut rt = IoRuntime::new();
             apply_store_flag(&mut cfg, &flags, &mut rt);
             let cfg = Arc::new(cfg);
             let spec = build_graph(&variant, desc.num_nodes, texture);
             std::fs::create_dir_all(out).ok();
             let t = std::time::Instant::now();
-            let outcome = run_threaded_outcome_with(
+            let outcome = run_threaded(
                 &spec,
                 &cfg,
                 &PathBuf::from(dir),
                 &PathBuf::from(out),
                 &rt,
+                &EngineConfig::default(),
             )
             .unwrap_or_else(|e| {
                 eprintln!("pipeline failed: {e}");
@@ -374,9 +349,10 @@ fn main() {
             }
             let stats = outcome.stats;
             println!(
-                "analyzed {} in {:.2?} ({variant}, {repr:?})",
+                "analyzed {} in {:.2?} ({variant}, {:?})",
                 desc.dims,
-                t.elapsed()
+                t.elapsed(),
+                cfg.representation
             );
             for f in ["RFR", "IIC", "HMP", "HCC", "HPC", "USO", "HIC", "JIW"] {
                 let copies = stats.copies_of(f);
@@ -416,24 +392,20 @@ fn main() {
                 usage()
             };
             let flags = Flags::parse(&args[4..]);
-            let repr = parse_repr(flags.get("repr").unwrap_or("full"));
             let spec = load_graph(json);
-            let desc = load_descriptor(dir);
-            let mut cfg = app_config(desc.dims, desc.num_nodes, repr);
-            cfg.canonical_output = flags.parse_or("canonical", false);
-            apply_io_flags(&mut cfg, &flags);
-            apply_engine_flag(&mut cfg, &flags);
+            let mut cfg = run_config(&load_descriptor(dir), &flags);
             let mut rt = IoRuntime::new();
             apply_store_flag(&mut cfg, &flags, &mut rt);
             let cfg = Arc::new(cfg);
             std::fs::create_dir_all(out).ok();
             let t = std::time::Instant::now();
-            let outcome = run_threaded_outcome_with(
+            let outcome = run_threaded(
                 &spec,
                 &cfg,
                 &PathBuf::from(dir),
                 &PathBuf::from(out),
                 &rt,
+                &EngineConfig::default(),
             )
             .unwrap_or_else(|e| {
                 eprintln!("pipeline failed: {e}");
@@ -457,15 +429,10 @@ fn main() {
                 usage()
             };
             let flags = Flags::parse(&args[4..]);
-            let repr = parse_repr(flags.get("repr").unwrap_or("full"));
-            let Some(node_s) = flags.get("node") else {
+            let Some(node) = flags.value::<usize>("node") else {
                 eprintln!("node needs --node K");
                 usage();
             };
-            let node: usize = node_s.parse().unwrap_or_else(|_| {
-                eprintln!("bad value for --node: {node_s:?}");
-                usage()
-            });
             let Some(peers) = flags.get("peers") else {
                 eprintln!("node needs --peers addr0,addr1,...");
                 usage();
@@ -480,12 +447,7 @@ fn main() {
                 })
                 .collect();
             let spec = load_graph(json);
-            let desc = load_descriptor(dir);
-            let mut cfg = app_config(desc.dims, desc.num_nodes, repr);
-            cfg.canonical_output = flags.parse_or("canonical", false);
-            apply_io_flags(&mut cfg, &flags);
-            apply_engine_flag(&mut cfg, &flags);
-            apply_transport_flags(&mut cfg, &flags);
+            let mut cfg = run_config(&load_descriptor(dir), &flags);
             let mut rt = IoRuntime::new();
             apply_store_flag(&mut cfg, &flags, &mut rt);
             let cfg = Arc::new(cfg);
@@ -495,7 +457,7 @@ fn main() {
             node_cfg.checksum = cfg.transport_checksum;
             node_cfg.compress = cfg.transport_compress;
             let t = std::time::Instant::now();
-            let outcome = run_node_threaded_with(
+            let outcome = run_node_threaded(
                 &spec,
                 &cfg,
                 &PathBuf::from(dir),
@@ -689,7 +651,7 @@ fn main() {
         "simulate" => {
             let flags = Flags::parse(&args[1..]);
             let nodes: usize = flags.parse_or("nodes", 16);
-            let repr = parse_repr(flags.get("repr").unwrap_or("sparse"));
+            let repr = parsed(parse_repr, flags.get("repr").unwrap_or("sparse"));
             let variant = flags.get("variant").unwrap_or("split").to_string();
             let model = cluster::calibrated_defaults::default_model();
             let rep = match variant.as_str() {

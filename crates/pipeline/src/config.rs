@@ -6,6 +6,7 @@ use haralick::quantize::Quantizer;
 use haralick::raster::{Representation, ScanConfig, ScanEngine, TSlidePolicy};
 use haralick::roi::RoiShape;
 use haralick::volume::Dims4;
+use mri::store::DatasetDescriptor;
 use serde::{Deserialize, Serialize};
 
 /// Everything needed to run one 4D Haralick analysis, in either engine.
@@ -43,12 +44,6 @@ pub struct AppConfig {
     /// byte-identical.
     #[serde(default)]
     pub engine: ScanEngine,
-    /// Worker threads available to one texture-filter copy for the fused
-    /// engine's per-chunk row parallelism. The cost model divides a
-    /// chunk's compute across these; the paper's PIII nodes are
-    /// single-core, hence the default of 1.
-    #[serde(default = "default_texture_threads")]
-    pub texture_threads: usize,
     /// Make USO output byte-order-deterministic: each copy buffers its
     /// parameter values and writes them sorted by output position at
     /// finish, instead of in arrival order. Costs memory proportional to
@@ -84,15 +79,52 @@ pub struct AppConfig {
     pub result_store: Option<std::path::PathBuf>,
 }
 
-fn default_texture_threads() -> usize {
-    1
-}
-
 fn default_io_cache_bytes() -> usize {
     // 64 MiB holds the retained set of every geometry in the experiments
     // (the paper-scale run peaks well below: ~chunk_z*chunk_t slices of
     // 256x256 u16 = 8 MiB).
     64 << 20
+}
+
+/// Parses a representation name as the `h4d --repr` flag and a daemon
+/// `JobSpec` spell it.
+pub fn parse_repr(s: &str) -> Result<Representation, String> {
+    Ok(match s {
+        "full" => Representation::Full,
+        "naive" => Representation::FullNaive,
+        "sparse" => Representation::Sparse,
+        "sparse-accum" => Representation::SparseAccum,
+        other => return Err(format!("unknown representation {other:?}")),
+    })
+}
+
+/// Parses a scan-engine name as the `h4d --engine` flag and a daemon
+/// `JobSpec` spell it.
+pub fn parse_engine(s: &str) -> Result<ScanEngine, String> {
+    Ok(match s {
+        "reference" => ScanEngine::Reference,
+        "fused" => ScanEngine::Fused,
+        other => return Err(format!("unknown engine {other:?}")),
+    })
+}
+
+/// What a caller may choose for one run on top of the dataset's geometry:
+/// the `h4d analyze` / `run-graph` / `node` flags and the fields of a daemon
+/// `JobSpec`. `None` keeps the configuration default.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunOptions {
+    /// `--repr`.
+    pub representation: Representation,
+    /// `--engine`.
+    pub engine: Option<ScanEngine>,
+    /// `--canonical`.
+    pub canonical_output: bool,
+    /// `--io-cache-bytes`.
+    pub io_cache_bytes: Option<usize>,
+    /// `--checksum` (multi-process runs).
+    pub transport_checksum: bool,
+    /// `--compress` (multi-process runs).
+    pub transport_compress: bool,
 }
 
 impl AppConfig {
@@ -126,7 +158,6 @@ impl AppConfig {
             // Pin the paper's per-placement rebuild semantics so the cost
             // model and every simulated figure stay on the measured regime.
             engine: ScanEngine::Reference,
-            texture_threads: 1,
             canonical_output: false,
             io_cache_bytes: default_io_cache_bytes(),
             transport_checksum: false,
@@ -151,8 +182,6 @@ impl AppConfig {
     /// The paper configuration adapted to a concrete dataset: extents and
     /// storage-node count from the dataset descriptor, chunks scaled down
     /// for small datasets so at least a few flow through the pipeline.
-    /// Shared by the `h4d` CLI and the analysis service, so a daemon job
-    /// and a one-shot `h4d analyze` of the same dataset are byte-identical.
     ///
     /// # Errors
     /// The dataset is smaller than the analysis window.
@@ -178,6 +207,24 @@ impl AppConfig {
                 (dims.t / 2).max(cfg.roi.size().t),
             );
         }
+        Ok(cfg)
+    }
+
+    /// The configuration of one run over the dataset described by `desc`:
+    /// [`AppConfig::for_dataset`] plus the caller's `opts`. Every `h4d`
+    /// subcommand that runs a graph and every daemon job assembles its
+    /// configuration here and nowhere else, so a daemon job and a one-shot
+    /// `h4d analyze` of the same dataset are byte-identical.
+    ///
+    /// # Errors
+    /// The dataset is smaller than the analysis window.
+    pub fn for_run(desc: &DatasetDescriptor, opts: &RunOptions) -> Result<Self, String> {
+        let mut cfg = Self::for_dataset(desc.dims, desc.num_nodes, opts.representation)?;
+        cfg.engine = opts.engine.unwrap_or(cfg.engine);
+        cfg.canonical_output = opts.canonical_output;
+        cfg.io_cache_bytes = opts.io_cache_bytes.unwrap_or(cfg.io_cache_bytes);
+        cfg.transport_checksum = opts.transport_checksum;
+        cfg.transport_compress = opts.transport_compress;
         Ok(cfg)
     }
 

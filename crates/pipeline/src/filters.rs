@@ -9,6 +9,7 @@ use crate::config::AppConfig;
 use crate::payload::{
     linear_point, ChunkData, FeatureVolume, MatrixBatch, MatrixPacket, ParamPacket, Piece,
 };
+use crate::run::IoRuntime;
 use crate::store::{KeyRecipe, StoreSession, StoreStage};
 use datacutter::{DataBuffer, Filter, FilterContext, FilterError, FilterErrorKind};
 use haralick::coocc::CoMatrix;
@@ -22,12 +23,13 @@ use mri::cache::{
     SliceCacheRegistry, SliceSource,
 };
 use mri::chunks::ChunkGrid;
-use mri::dicom::DicomDataset;
+use mri::dicom::{DicomDataset, DicomError};
 use mri::output::{normalize_to_gray, write_pgm, ParameterWriter};
 use mri::raw::RawVolume;
-use mri::store::{DistributedDataset, SliceKey};
+use mri::store::{DatasetDescriptor, DistributedDataset, SliceKey};
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Maps a typed cache failure onto the engine's error taxonomy: loader I/O
@@ -83,7 +85,7 @@ fn pump_chunks<S: SliceSource>(
     result
 }
 
-/// Per-run cache path of the RFR and DFR filters: builds a private
+/// Per-run cache path of the reader filter: builds a private
 /// lifetime-exact [`SliceCache`] around `source` and pumps the grid
 /// through it.
 fn emit_chunks_cached<S: SliceSource>(
@@ -106,8 +108,8 @@ fn emit_chunks_cached<S: SliceSource>(
 fn emit_chunks_shared(
     grid: &ChunkGrid,
     registry: &SliceCacheRegistry,
-    root: &std::path::Path,
-    open: impl FnOnce() -> std::io::Result<SharedSliceSource>,
+    root: &Path,
+    open: impl FnOnce() -> io::Result<SharedSliceSource>,
     owned: impl Fn(SliceKey) -> bool,
     emit: impl FnMut(mri::chunks::Chunk, SliceKey, Vec<u16>) -> Result<(), FilterError>,
 ) -> Result<(), FilterError> {
@@ -124,93 +126,176 @@ fn emit_chunks_shared(
     pump_chunks(&*cache, handle, grid, emit)
 }
 
-/// RAWFileReader: reads the local portions of every chunk's input region
-/// from this storage node and ships them to the stitch filters.
+/// A disk-resident dataset format the reader filter can serve pieces from.
+///
+/// This is the seam behind the incremental-development claim of paper §4.3
+/// ("the filter developed to read in raw DCE-MRI data may be easily
+/// replaced by a filter which reads DICOM format images"): the formats
+/// differ only in how a dataset is opened and how one piece is read with
+/// the cache off; everything else is the one [`ReaderFilter`]. Whole-slice
+/// loads for the cached paths come from the [`SliceSource`] supertrait.
+pub trait PieceSource: SliceSource + Sized + Send + Sync + 'static {
+    /// The filter's name in graphs and error messages.
+    const LABEL: &'static str;
+
+    /// Opens the dataset rooted at `root`.
+    fn open(root: &Path) -> io::Result<Self>;
+
+    /// The dataset descriptor (extents, storage-node count).
+    fn descriptor(&self) -> &DatasetDescriptor;
+
+    /// The storage node holding slice `key`, if the dataset has it.
+    fn node_of(&self, key: SliceKey) -> Option<usize>;
+
+    /// Cache-off read of the `w x h` piece at `(x0, y0)` of slice `key`:
+    /// the pixels and the number of bytes read from disk to produce them.
+    fn read_piece(
+        &self,
+        key: SliceKey,
+        x0: usize,
+        y0: usize,
+        w: usize,
+        h: usize,
+    ) -> io::Result<(Vec<u16>, u64)>;
+}
+
+/// Raw slices: a piece is read as a sub-rectangle, so only its own bytes
+/// leave the disk.
+impl PieceSource for DistributedDataset {
+    const LABEL: &'static str = "RFR";
+
+    fn open(root: &Path) -> io::Result<Self> {
+        DistributedDataset::open(root)
+    }
+
+    fn descriptor(&self) -> &DatasetDescriptor {
+        DistributedDataset::descriptor(self)
+    }
+
+    fn node_of(&self, key: SliceKey) -> Option<usize> {
+        DistributedDataset::node_of(self, key)
+    }
+
+    fn read_piece(
+        &self,
+        key: SliceKey,
+        x0: usize,
+        y0: usize,
+        w: usize,
+        h: usize,
+    ) -> io::Result<(Vec<u16>, u64)> {
+        let data = self.read_subrect(key, x0, y0, w, h)?;
+        let bytes = data.len() as u64 * 2;
+        Ok((data, bytes))
+    }
+}
+
+/// DICOM files: a slice decodes whole, the piece is cropped out of it.
+/// Errors map as [`SliceSource::load_slice`] maps them for this dataset.
+impl PieceSource for DicomDataset {
+    const LABEL: &'static str = "DFR";
+
+    fn open(root: &Path) -> io::Result<Self> {
+        DicomDataset::open(root).map_err(|e| match e {
+            DicomError::Io(e) => e,
+            e @ DicomError::Malformed(_) => {
+                io::Error::new(io::ErrorKind::InvalidData, e.to_string())
+            }
+        })
+    }
+
+    fn descriptor(&self) -> &DatasetDescriptor {
+        DicomDataset::descriptor(self)
+    }
+
+    fn node_of(&self, key: SliceKey) -> Option<usize> {
+        DicomDataset::node_of(self, key)
+    }
+
+    fn read_piece(
+        &self,
+        key: SliceKey,
+        x0: usize,
+        y0: usize,
+        w: usize,
+        h: usize,
+    ) -> io::Result<(Vec<u16>, u64)> {
+        let slice = self.load_slice(key)?;
+        let mut data = Vec::new();
+        crop_subrect(&slice, self.slice_dims().0, x0, y0, w, h, &mut data);
+        Ok((data, slice.len() as u64 * 2))
+    }
+}
+
+/// The reader filter: reads the local portions of every chunk's input
+/// region from this storage node and ships them to the stitch filters as
+/// [`Piece`] buffers — byte-identical whatever the dataset format `D`, so
+/// nothing downstream changes.
 ///
 /// Copy `i` serves storage node `i`; the dataset must be distributed over
-/// exactly as many nodes as there are RFR copies.
-pub struct RfrFilter {
+/// exactly as many nodes as there are reader copies.
+pub struct ReaderFilter<D: PieceSource> {
     cfg: Arc<AppConfig>,
-    dataset: DistributedDataset,
+    dataset: D,
     root: PathBuf,
     node: usize,
     io: Arc<IoStats>,
     slices: Option<Arc<SliceCacheRegistry>>,
 }
 
-impl RfrFilter {
-    /// Opens the dataset for one copy (private I/O counters; use
-    /// [`RfrFilter::with_io`] to share the run's).
+/// RAWFileReader: the reader over raw distributed slices.
+pub type RfrFilter = ReaderFilter<DistributedDataset>;
+
+/// DCMFileReader: the drop-in DICOM replacement for [`RfrFilter`].
+pub type DfrFilter = ReaderFilter<DicomDataset>;
+
+impl<D: PieceSource> ReaderFilter<D> {
+    /// Opens the dataset for copy `node`, recording into `rt`'s I/O
+    /// counters and, when `rt` carries a daemon-scoped registry, reading
+    /// through the dataset's shared cache instead of a per-copy one.
+    ///
+    /// # Errors
+    /// `Io`-kind when the dataset cannot be opened, `App`-kind when its
+    /// storage-node count disagrees with `cfg`; both name `root`.
     pub fn open(
         cfg: Arc<AppConfig>,
-        root: &std::path::Path,
+        root: &Path,
         node: usize,
+        rt: &IoRuntime,
     ) -> Result<Self, FilterError> {
-        let dataset = DistributedDataset::open(root)?;
-        if dataset.descriptor().num_nodes != cfg.storage_nodes {
-            return Err(FilterError::msg(format!(
-                "dataset has {} storage nodes, config expects {}",
-                dataset.descriptor().num_nodes,
-                cfg.storage_nodes
-            )));
+        let failed = |kind, cause: String| {
+            let (label, at) = (D::LABEL, root.display());
+            let message = format!("{label} could not open the dataset at {at}: {cause}");
+            FilterError::new(kind, message)
+        };
+        let dataset = D::open(root).map_err(|e| failed(FilterErrorKind::Io, e.to_string()))?;
+        let nodes = dataset.descriptor().num_nodes;
+        if nodes != cfg.storage_nodes {
+            return Err(failed(
+                FilterErrorKind::App,
+                format!(
+                    "dataset has {nodes} storage nodes, config expects {}",
+                    cfg.storage_nodes
+                ),
+            ));
         }
         Ok(Self {
             cfg,
             dataset,
             root: root.to_path_buf(),
             node,
-            io: Arc::new(IoStats::default()),
-            slices: None,
+            io: Arc::clone(&rt.io),
+            slices: rt.slices.clone(),
         })
-    }
-
-    /// Attaches the run's shared I/O counters.
-    pub fn with_io(mut self, io: Arc<IoStats>) -> Self {
-        self.io = io;
-        self
-    }
-
-    /// Attaches a daemon-scoped slice-cache registry: slices are then read
-    /// through the dataset's shared cache instead of a per-copy one, so
-    /// concurrent jobs over the same dataset share every load.
-    pub fn with_shared_cache(mut self, slices: Arc<SliceCacheRegistry>) -> Self {
-        self.slices = Some(slices);
-        self
     }
 }
 
-impl Filter for RfrFilter {
+impl<D: PieceSource> Filter for ReaderFilter<D> {
     fn start(&mut self, ctx: &mut FilterContext) -> Result<(), FilterError> {
         let grid = ChunkGrid::new(self.cfg.dims, self.cfg.roi, self.cfg.chunk_dims);
-        if self.cfg.io_cache_bytes == 0 {
-            // Cache disabled: the original per-request subrect reads.
-            for chunk in grid.chunks() {
-                let r = chunk.input;
-                for t in r.origin.t..r.end().t {
-                    for z in r.origin.z..r.end().z {
-                        let key = SliceKey { t, z };
-                        if self.dataset.node_of(key) != Some(self.node) {
-                            continue;
-                        }
-                        let data = self
-                            .dataset
-                            .read_subrect(key, r.origin.x, r.origin.y, r.size.x, r.size.y)?;
-                        self.io.record_miss();
-                        self.io.record_disk_read(data.len() as u64 * 2);
-                        let piece = Piece {
-                            chunk,
-                            slice: key,
-                            data,
-                        };
-                        let size = piece.wire_size();
-                        ctx.emit(0, DataBuffer::new(piece, size, chunk.id as u64))?;
-                    }
-                }
-            }
-            return Ok(());
-        }
         let (dataset, node) = (&self.dataset, self.node);
-        let emit = |chunk: mri::chunks::Chunk, key: SliceKey, data: Vec<u16>| {
+        let owned = |key: SliceKey| dataset.node_of(key) == Some(node);
+        let mut emit = |chunk: mri::chunks::Chunk, key: SliceKey, data: Vec<u16>| {
             let piece = Piece {
                 chunk,
                 slice: key,
@@ -219,6 +304,26 @@ impl Filter for RfrFilter {
             let size = piece.wire_size();
             ctx.emit(0, DataBuffer::new(piece, size, chunk.id as u64))
         };
+        if self.cfg.io_cache_bytes == 0 {
+            // Cache disabled: one disk read per piece, nothing retained.
+            for chunk in grid.chunks() {
+                let r = chunk.input;
+                for t in r.origin.t..r.end().t {
+                    for z in r.origin.z..r.end().z {
+                        let key = SliceKey { t, z };
+                        if !owned(key) {
+                            continue;
+                        }
+                        let (data, bytes) =
+                            dataset.read_piece(key, r.origin.x, r.origin.y, r.size.x, r.size.y)?;
+                        self.io.record_miss();
+                        self.io.record_disk_read(bytes);
+                        emit(chunk, key, data)?;
+                    }
+                }
+            }
+            return Ok(());
+        }
         match &self.slices {
             Some(registry) => {
                 let root = self.root.clone();
@@ -226,21 +331,12 @@ impl Filter for RfrFilter {
                     &grid,
                     registry,
                     &self.root,
-                    move || {
-                        DistributedDataset::open(&root).map(|d| Box::new(d) as SharedSliceSource)
-                    },
-                    |key| dataset.node_of(key) == Some(node),
+                    move || D::open(&root).map(|d| Box::new(d) as SharedSliceSource),
+                    owned,
                     emit,
                 )
             }
-            None => emit_chunks_cached(
-                &self.cfg,
-                &grid,
-                dataset,
-                |key| dataset.node_of(key) == Some(node),
-                &self.io,
-                emit,
-            ),
+            None => emit_chunks_cached(&self.cfg, &grid, dataset, owned, &self.io, emit),
         }
     }
 
@@ -250,150 +346,7 @@ impl Filter for RfrFilter {
         _: DataBuffer,
         _: &mut FilterContext,
     ) -> Result<(), FilterError> {
-        Err(FilterError::msg("RFR has no inputs"))
-    }
-}
-
-/// DCMFileReader: the drop-in DICOM replacement for [`RfrFilter`] — the
-/// incremental-development claim of paper §4.3 ("the filter developed to
-/// read in raw DCE-MRI data may be easily replaced by a filter which reads
-/// DICOM format images"). It emits byte-identical [`Piece`] buffers, so
-/// nothing downstream changes.
-pub struct DfrFilter {
-    cfg: Arc<AppConfig>,
-    dataset: DicomDataset,
-    root: PathBuf,
-    node: usize,
-    io: Arc<IoStats>,
-    slices: Option<Arc<SliceCacheRegistry>>,
-}
-
-impl DfrFilter {
-    /// Opens the DICOM dataset for one copy (private I/O counters; use
-    /// [`DfrFilter::with_io`] to share the run's).
-    pub fn open(
-        cfg: Arc<AppConfig>,
-        root: &std::path::Path,
-        node: usize,
-    ) -> Result<Self, FilterError> {
-        let dataset = DicomDataset::open(root)
-            .map_err(|e| FilterError::msg(format!("DICOM open failed: {e}")))?;
-        if dataset.descriptor().num_nodes != cfg.storage_nodes {
-            return Err(FilterError::msg(format!(
-                "dataset has {} storage nodes, config expects {}",
-                dataset.descriptor().num_nodes,
-                cfg.storage_nodes
-            )));
-        }
-        Ok(Self {
-            cfg,
-            dataset,
-            root: root.to_path_buf(),
-            node,
-            io: Arc::new(IoStats::default()),
-            slices: None,
-        })
-    }
-
-    /// Attaches the run's shared I/O counters.
-    pub fn with_io(mut self, io: Arc<IoStats>) -> Self {
-        self.io = io;
-        self
-    }
-
-    /// Attaches a daemon-scoped slice-cache registry (see
-    /// [`RfrFilter::with_shared_cache`]).
-    pub fn with_shared_cache(mut self, slices: Arc<SliceCacheRegistry>) -> Self {
-        self.slices = Some(slices);
-        self
-    }
-}
-
-impl Filter for DfrFilter {
-    fn start(&mut self, ctx: &mut FilterContext) -> Result<(), FilterError> {
-        let grid = ChunkGrid::new(self.cfg.dims, self.cfg.roi, self.cfg.chunk_dims);
-        let dims = self.cfg.dims;
-        if self.cfg.io_cache_bytes == 0 {
-            // Cache disabled: decode the whole DICOM slice per request, as
-            // before.
-            for chunk in grid.chunks() {
-                let r = chunk.input;
-                for t in r.origin.t..r.end().t {
-                    for z in r.origin.z..r.end().z {
-                        let key = SliceKey { t, z };
-                        if self.dataset.node_of(key) != Some(self.node) {
-                            continue;
-                        }
-                        let slice = self
-                            .dataset
-                            .read_slice(key)
-                            .map_err(|e| FilterError::msg(format!("DICOM read failed: {e}")))?;
-                        self.io.record_miss();
-                        self.io.record_disk_read(slice.pixels.len() as u64 * 2);
-                        // Crop the chunk's sub-rectangle out of the full slice.
-                        let mut data = Vec::with_capacity(r.size.x * r.size.y);
-                        for y in r.origin.y..r.origin.y + r.size.y {
-                            let start = y * dims.x + r.origin.x;
-                            data.extend_from_slice(&slice.pixels[start..start + r.size.x]);
-                        }
-                        let piece = Piece {
-                            chunk,
-                            slice: key,
-                            data,
-                        };
-                        let size = piece.wire_size();
-                        ctx.emit(0, DataBuffer::new(piece, size, chunk.id as u64))?;
-                    }
-                }
-            }
-            return Ok(());
-        }
-        let (dataset, node) = (&self.dataset, self.node);
-        let emit = |chunk: mri::chunks::Chunk, key: SliceKey, data: Vec<u16>| {
-            let piece = Piece {
-                chunk,
-                slice: key,
-                data,
-            };
-            let size = piece.wire_size();
-            ctx.emit(0, DataBuffer::new(piece, size, chunk.id as u64))
-        };
-        match &self.slices {
-            Some(registry) => {
-                let root = self.root.clone();
-                emit_chunks_shared(
-                    &grid,
-                    registry,
-                    &self.root,
-                    move || {
-                        DicomDataset::open(&root)
-                            .map(|d| Box::new(d) as SharedSliceSource)
-                            .map_err(|e| {
-                                std::io::Error::new(std::io::ErrorKind::Other, e.to_string())
-                            })
-                    },
-                    |key| dataset.node_of(key) == Some(node),
-                    emit,
-                )
-            }
-            None => emit_chunks_cached(
-                &self.cfg,
-                &grid,
-                dataset,
-                |key| dataset.node_of(key) == Some(node),
-                &self.io,
-                emit,
-            ),
-        }
-    }
-
-    fn process(
-        &mut self,
-        _: usize,
-        _: DataBuffer,
-        _: &mut FilterContext,
-    ) -> Result<(), FilterError> {
-        Err(FilterError::msg("DFR has no inputs"))
+        Err(FilterError::msg(format!("{} has no inputs", D::LABEL)))
     }
 }
 
@@ -556,18 +509,12 @@ pub struct HmpFilter {
 }
 
 impl HmpFilter {
-    /// Creates the filter.
-    pub fn new(cfg: Arc<AppConfig>) -> Self {
-        Self { cfg, store: None }
-    }
-
-    /// Attaches the run's result-store session: chunks whose input region
-    /// and config match a committed blob are served instead of computed,
-    /// and fresh results are staged for publication.
-    pub fn with_store(mut self, session: Arc<StoreSession>) -> Self {
-        let recipe = KeyRecipe::new(&self.cfg, StoreStage::Params);
-        self.store = Some((recipe, session));
-        self
+    /// Creates the filter. With a result-store `session`, chunks whose
+    /// input region and config match a committed blob are served instead of
+    /// computed, and fresh results are staged for publication.
+    pub fn new(cfg: Arc<AppConfig>, session: Option<Arc<StoreSession>>) -> Self {
+        let store = session.map(|s| (KeyRecipe::new(&cfg, StoreStage::Params), s));
+        Self { cfg, store }
     }
 }
 
@@ -617,20 +564,14 @@ pub struct HccFilter {
 }
 
 impl HccFilter {
-    /// Creates the filter.
-    pub fn new(cfg: Arc<AppConfig>) -> Self {
-        Self { cfg, store: None }
-    }
-
-    /// Attaches the run's result-store session. Matrix output is stored at
-    /// packet granularity — one blob per `packet_split` packet, keyed by
-    /// the packet's first ROI index — so a store hit preserves the split
-    /// variant's streaming memory bounds instead of materializing a whole
-    /// chunk's matrices.
-    pub fn with_store(mut self, session: Arc<StoreSession>) -> Self {
-        let recipe = KeyRecipe::new(&self.cfg, StoreStage::Matrices);
-        self.store = Some((recipe, session));
-        self
+    /// Creates the filter. With a result-store `session`, matrix output is
+    /// stored at packet granularity — one blob per `packet_split` packet,
+    /// keyed by the packet's first ROI index — so a store hit preserves the
+    /// split variant's streaming memory bounds instead of materializing a
+    /// whole chunk's matrices.
+    pub fn new(cfg: Arc<AppConfig>, session: Option<Arc<StoreSession>>) -> Self {
+        let store = session.map(|s| (KeyRecipe::new(&cfg, StoreStage::Matrices), s));
+        Self { cfg, store }
     }
 }
 

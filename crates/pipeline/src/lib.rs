@@ -8,10 +8,10 @@
 //! * [`codecs`] — the wire codecs those buffers use when a stream crosses
 //!   a process boundary (the [`datacutter::transport`] payload registry);
 //! * [`filters`] — the real filter implementations for the threaded engine:
-//!   **RFR** (raw file reader), **IIC** (input stitch), **HMP** (combined
-//!   texture analysis), **HCC** (co-occurrence), **HPC** (parameters),
-//!   **USO** (unstitched output), **HIC** (output stitch), **JIW** (image
-//!   writer);
+//!   **RFR** / **DFR** (the one reader filter over raw or DICOM slices),
+//!   **IIC** (input stitch), **HMP** (combined texture analysis), **HCC**
+//!   (co-occurrence), **HPC** (parameters), **USO** (unstitched output),
+//!   **HIC** (output stitch), **JIW** (image writer);
 //! * [`graphs`] — graph builders for the paper's two implementations (the
 //!   HMP variant and the split HCC + HPC variant) and their placements;
 //! * [`workload`] — the analytic flow model: how many pieces, chunks,
@@ -24,9 +24,9 @@
 //!   over a daemon-scoped slice-cache registry, an HTTP/JSON management
 //!   API, and a typed client;
 //! * [`store`] — the content-addressed result store: chunk feature output
-//!   keyed by input-region content + config fingerprint, behind a
-//!   [`store::ResultBackend`] with a sharded local-FS layout, giving warm
-//!   reruns and incremental follow-up recompute.
+//!   keyed by input-region content + config fingerprint, in a sharded
+//!   local-FS layout ([`store::FsBackend`]), giving warm reruns and
+//!   incremental follow-up recompute.
 //!
 //! The threaded engine runs the *real* filters on real data (tests verify
 //! end-to-end equality with the sequential reference); the simulator runs
@@ -49,17 +49,13 @@ pub mod workload;
 
 pub use codecs::payload_codec;
 pub use config::AppConfig;
-pub use run::{
-    merge_uso_outputs, run_node_threaded, run_node_threaded_with, run_threaded,
-    run_threaded_outcome, run_threaded_outcome_with, run_threaded_outcome_with_engine,
-    threaded_factories, threaded_factories_with, IoRuntime,
-};
+pub use run::{merge_uso_outputs, run_node_threaded, run_threaded, threaded_factories, IoRuntime};
 pub use service::{
     AnalysisService, JobManager, JobSpec, JobState, JobStatus, MgmtClient, ServiceConfig,
     ServiceStatus, SubmitError,
 };
 pub use store::{
-    config_digest, FsBackend, KeyRecipe, Manifest, ResultBackend, ResultStore, StoreSession,
-    StoreStage, STORE_SCHEMA_VERSION,
+    config_digest, FsBackend, KeyRecipe, Manifest, ResultStore, StoreSession, StoreStage,
+    STORE_SCHEMA_VERSION,
 };
 pub use workload::Workload;

@@ -1,33 +1,35 @@
-//! Convenience drivers for running the application on the threaded engine.
+//! Drivers for running the application on the threaded engine.
 //!
 //! [`threaded_factories`] builds the real filter constructors for whatever
-//! filters a graph declares; [`run_threaded`] executes the graph and
-//! returns the engine's statistics. The output lands on disk: parameter
-//! files from USO copies, image series from JIW.
+//! filters a graph declares; [`run_threaded`] executes the graph in this
+//! process and [`run_node_threaded`] executes this process's share of a
+//! multi-process run. The output lands on disk: parameter files from USO
+//! copies, image series from JIW.
 
 use crate::config::AppConfig;
 use crate::filters::{
-    DfrFilter, HccFilter, HicFilter, HmpFilter, HpcFilter, IicFilter, JiwFilter, RfrFilter,
+    HccFilter, HicFilter, HmpFilter, HpcFilter, IicFilter, JiwFilter, PieceSource, ReaderFilter,
     UsoFilter,
 };
 use crate::store::{ResultStore, StoreSession};
 use datacutter::engine::FilterFactory;
 use datacutter::{
-    run_graph, run_node, EngineConfig, Filter, FilterError, GraphSpec, IoReport, NodeConfig,
-    RunFailure, RunOutcome, RunReport, RunStats,
+    run_graph, run_node, EngineConfig, FilterError, GraphSpec, IoReport, NodeConfig, RunFailure,
+    RunOutcome, RunReport,
 };
 use haralick::features::Feature;
 use haralick::volume::Dims4;
 use mri::cache::{IoStats, SliceCacheRegistry};
+use mri::dicom::DicomDataset;
 use mri::output::{read_parameter_file, ParameterData};
+use mri::store::DistributedDataset;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// The shared I/O-plane state of one run: the I/O counters every
 /// reading-filter copy records into. Create one per run, pass it to the
-/// `_with` driver variants, and call [`IoRuntime::annotate`] on the run's
-/// report.
+/// drivers, and call [`IoRuntime::annotate`] on the run's report.
 #[derive(Clone, Default)]
 pub struct IoRuntime {
     /// Reader-side I/O counters shared by all reading-filter copies.
@@ -48,17 +50,6 @@ impl IoRuntime {
     /// Fresh counters.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A daemon-scoped runtime: readers go through `slices`' shared caches,
-    /// and `io` aliases the registry's counters so per-run reports and the
-    /// service's `/status` endpoint agree.
-    pub fn with_registry(slices: Arc<SliceCacheRegistry>) -> Self {
-        Self {
-            io: Arc::clone(slices.stats()),
-            slices: Some(slices),
-            store: None,
-        }
     }
 
     /// Attaches a result-store session when `cfg.result_store` names a
@@ -120,33 +111,33 @@ fn finish_store(rt: &IoRuntime, ok: bool) {
     }
 }
 
+/// The factory of a reader filter over dataset format `D`: copy `i` opens
+/// the dataset for storage node `i`.
+fn reader_factory<D: PieceSource>(
+    cfg: Arc<AppConfig>,
+    root: PathBuf,
+    rt: IoRuntime,
+) -> FilterFactory {
+    Box::new(move |copy| {
+        let filter = ReaderFilter::<D>::open(cfg.clone(), &root, copy, &rt)?;
+        Ok(Box::new(filter))
+    })
+}
+
 /// Builds real-filter factories for every filter named in `spec`.
 ///
 /// `dataset_root` must hold a distributed dataset matching `cfg`
 /// (see [`mri::store::write_distributed`]); `out_dir` receives USO
-/// parameter files and JIW image series.
+/// parameter files and JIW image series. The reading filters record
+/// cache/disk activity into `rt.io` (and read through `rt.slices` when it is
+/// set); the texture filters consult `rt.store` when a session is attached.
 ///
 /// Spin-up is fallible: a reader that cannot open its dataset returns a
-/// typed [`FilterError`] (preserving the underlying kind and naming the
-/// dataset path), and a filter kind this application does not provide
-/// yields an `Engine`-kind error from its factory — the engine turns either
-/// into a [`RunFailure`] instead of panicking.
-///
-/// Uses a fresh private [`IoRuntime`]; use [`threaded_factories_with`] to
-/// share the run's counters across filters and observe them
-/// afterwards.
+/// typed [`FilterError`] (`Io`-kind, naming the filter and the dataset
+/// path), and a filter kind this application does not provide yields an
+/// `Engine`-kind error from its factory — the engine turns either into a
+/// [`RunFailure`] instead of panicking.
 pub fn threaded_factories(
-    spec: &GraphSpec,
-    cfg: &Arc<AppConfig>,
-    dataset_root: &Path,
-    out_dir: &Path,
-) -> HashMap<String, FilterFactory> {
-    threaded_factories_with(spec, cfg, dataset_root, out_dir, &IoRuntime::new())
-}
-
-/// [`threaded_factories`] with an explicit shared [`IoRuntime`]: the
-/// reading filters record cache/disk activity into `rt.io`.
-pub fn threaded_factories_with(
     spec: &GraphSpec,
     cfg: &Arc<AppConfig>,
     dataset_root: &Path,
@@ -160,55 +151,11 @@ pub fn threaded_factories_with(
         let dir: PathBuf = out_dir.to_path_buf();
         let rt = rt.clone();
         let factory: FilterFactory = match f.name.as_str() {
-            "RFR" => Box::new(move |copy| {
-                let f = RfrFilter::open(cfg.clone(), &root, copy).map_err(|e| {
-                    FilterError::new(
-                        e.kind(),
-                        format!(
-                            "RFR could not open the dataset at {}: {}",
-                            root.display(),
-                            e.message()
-                        ),
-                    )
-                })?;
-                let mut f = f.with_io(rt.io.clone());
-                if let Some(slices) = &rt.slices {
-                    f = f.with_shared_cache(Arc::clone(slices));
-                }
-                Ok(Box::new(f) as Box<dyn Filter>)
-            }),
-            "DFR" => Box::new(move |copy| {
-                let f = DfrFilter::open(cfg.clone(), &root, copy).map_err(|e| {
-                    FilterError::new(
-                        e.kind(),
-                        format!(
-                            "DFR could not open the DICOM dataset at {}: {}",
-                            root.display(),
-                            e.message()
-                        ),
-                    )
-                })?;
-                let mut f = f.with_io(rt.io.clone());
-                if let Some(slices) = &rt.slices {
-                    f = f.with_shared_cache(Arc::clone(slices));
-                }
-                Ok(Box::new(f) as Box<dyn Filter>)
-            }),
+            "RFR" => reader_factory::<DistributedDataset>(cfg, root, rt),
+            "DFR" => reader_factory::<DicomDataset>(cfg, root, rt),
             "IIC" => Box::new(move |_| Ok(Box::new(IicFilter::new()))),
-            "HMP" => Box::new(move |_| {
-                let mut f = HmpFilter::new(cfg.clone());
-                if let Some(store) = &rt.store {
-                    f = f.with_store(Arc::clone(store));
-                }
-                Ok(Box::new(f))
-            }),
-            "HCC" => Box::new(move |_| {
-                let mut f = HccFilter::new(cfg.clone());
-                if let Some(store) = &rt.store {
-                    f = f.with_store(Arc::clone(store));
-                }
-                Ok(Box::new(f))
-            }),
+            "HMP" => Box::new(move |_| Ok(Box::new(HmpFilter::new(cfg.clone(), rt.store.clone())))),
+            "HCC" => Box::new(move |_| Ok(Box::new(HccFilter::new(cfg.clone(), rt.store.clone())))),
             "HPC" => Box::new(move |_| Ok(Box::new(HpcFilter::new(cfg.clone())))),
             "USO" => {
                 Box::new(move |copy| Ok(Box::new(UsoFilter::new(cfg.clone(), dir.clone(), copy))))
@@ -229,45 +176,16 @@ pub fn threaded_factories_with(
     out
 }
 
-/// Runs `spec` on the threaded engine with the real filters and returns the
-/// full [`RunOutcome`]: per-copy statistics plus the per-stream delivery
-/// meters and phase split a [`datacutter::RunReport`] is built from.
+/// Runs `spec` in this process on the threaded engine with the real
+/// filters and returns the full [`RunOutcome`]: per-copy statistics (its
+/// `stats` field) plus the per-stream delivery meters and phase split a
+/// [`datacutter::RunReport`] is built from. `engine` carries an embedding
+/// service's cooperative cancellation flag and per-job thread-name prefix;
+/// pass `&EngineConfig::default()` otherwise.
 ///
 /// On failure the returned [`RunFailure`] carries the root-cause
 /// [`datacutter::FilterError`] — typed by kind and naming the failing
 /// filter copy — plus the statistics of every copy that ran.
-pub fn run_threaded_outcome(
-    spec: &GraphSpec,
-    cfg: &Arc<AppConfig>,
-    dataset_root: &Path,
-    out_dir: &Path,
-) -> Result<RunOutcome, RunFailure> {
-    run_threaded_outcome_with(spec, cfg, dataset_root, out_dir, &IoRuntime::new())
-}
-
-/// [`run_threaded_outcome`] with an explicit shared [`IoRuntime`], so the
-/// caller can read the I/O counters after the run (and attach them
-/// to the report with [`IoRuntime::annotate`]).
-pub fn run_threaded_outcome_with(
-    spec: &GraphSpec,
-    cfg: &Arc<AppConfig>,
-    dataset_root: &Path,
-    out_dir: &Path,
-    rt: &IoRuntime,
-) -> Result<RunOutcome, RunFailure> {
-    run_threaded_outcome_with_engine(
-        spec,
-        cfg,
-        dataset_root,
-        out_dir,
-        rt,
-        &EngineConfig::default(),
-    )
-}
-
-/// [`run_threaded_outcome_with`] with an explicit [`EngineConfig`], so an
-/// embedding service can pass a cooperative cancellation flag (and a
-/// per-job thread-name prefix) alongside the shared [`IoRuntime`].
 ///
 /// When `cfg.result_store` is set (and `rt` has no session attached
 /// already) a store session is opened for the run; it is committed after a
@@ -275,7 +193,7 @@ pub fn run_threaded_outcome_with(
 /// attached to an internal clone of `rt` in that case — a caller that wants
 /// to read the store counters afterwards attaches the session itself (as
 /// the `h4d` CLI and the analysis service do).
-pub fn run_threaded_outcome_with_engine(
+pub fn run_threaded(
     spec: &GraphSpec,
     cfg: &Arc<AppConfig>,
     dataset_root: &Path,
@@ -285,7 +203,7 @@ pub fn run_threaded_outcome_with_engine(
 ) -> Result<RunOutcome, RunFailure> {
     let mut rt = rt.clone();
     rt.attach_result_store(cfg);
-    let mut factories = threaded_factories_with(spec, cfg, dataset_root, out_dir, &rt);
+    let mut factories = threaded_factories(spec, cfg, dataset_root, out_dir, &rt);
     let result = run_graph(spec, &mut factories, engine);
     finish_store(&rt, result.is_ok());
     result
@@ -294,38 +212,18 @@ pub fn run_threaded_outcome_with_engine(
 /// Runs this process's share of a placed `spec` as one node of a
 /// multi-process run (see [`datacutter::transport`]).
 ///
-/// Same contract as [`run_threaded_outcome`], restricted to the filter
-/// copies placed on `node_cfg.node`: cross-node streams are bridged over
-/// TCP using the application's [`crate::codecs::payload_codec`], same-node
-/// streams keep the engine's zero-copy path. Every peer process must call
-/// this with an identical `spec` and address list. The returned statistics
-/// and stream meters cover only the local copies; build a per-node report
-/// with [`datacutter::RunReport::for_node`].
-pub fn run_node_threaded(
-    spec: &GraphSpec,
-    cfg: &Arc<AppConfig>,
-    dataset_root: &Path,
-    out_dir: &Path,
-    node_cfg: &NodeConfig,
-) -> Result<RunOutcome, RunFailure> {
-    run_node_threaded_with(
-        spec,
-        cfg,
-        dataset_root,
-        out_dir,
-        node_cfg,
-        &IoRuntime::new(),
-    )
-}
-
-/// [`run_node_threaded`] with an explicit shared [`IoRuntime`] for this
-/// process's filter copies.
+/// Same contract as [`run_threaded`], restricted to the filter copies
+/// placed on `node_cfg.node`: cross-node streams are bridged over TCP using
+/// the application's [`crate::codecs::payload_codec`], same-node streams
+/// keep the engine's zero-copy path. Every peer process must call this with
+/// an identical `spec` and address list. The returned statistics and stream
+/// meters cover only the local copies; build a per-node report with
+/// [`datacutter::RunReport::for_node`].
 ///
-/// Store semantics match [`run_threaded_outcome_with_engine`]: each node
-/// process runs its own session (its own token and staging area) against
-/// the shared store directory, committing only the blobs its local texture
-/// copies produced.
-pub fn run_node_threaded_with(
+/// Each node process runs its own store session (its own token and staging
+/// area) against the shared store directory, committing only the blobs its
+/// local texture copies produced.
+pub fn run_node_threaded(
     spec: &GraphSpec,
     cfg: &Arc<AppConfig>,
     dataset_root: &Path,
@@ -335,7 +233,7 @@ pub fn run_node_threaded_with(
 ) -> Result<RunOutcome, RunFailure> {
     let mut rt = rt.clone();
     rt.attach_result_store(cfg);
-    let mut factories = threaded_factories_with(spec, cfg, dataset_root, out_dir, &rt);
+    let mut factories = threaded_factories(spec, cfg, dataset_root, out_dir, &rt);
     let result = run_node(
         spec,
         &mut factories,
@@ -344,20 +242,6 @@ pub fn run_node_threaded_with(
     );
     finish_store(&rt, result.is_ok());
     result
-}
-
-/// Runs `spec` on the threaded engine with the real filters.
-///
-/// On failure the returned [`RunFailure`] carries the root-cause
-/// [`datacutter::FilterError`] — typed by kind and naming the failing
-/// filter copy — plus the statistics of every copy that ran.
-pub fn run_threaded(
-    spec: &GraphSpec,
-    cfg: &Arc<AppConfig>,
-    dataset_root: &Path,
-    out_dir: &Path,
-) -> Result<RunStats, RunFailure> {
-    Ok(run_threaded_outcome(spec, cfg, dataset_root, out_dir)?.stats)
 }
 
 /// Reads and merges the USO output files of all `copies` for one feature

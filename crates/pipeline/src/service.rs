@@ -24,12 +24,11 @@
 //! interrupted daemon never leaves a partial `.h4dp` behind — and the
 //! manager sweeps `.h4dp.tmp` residue of failed or cancelled jobs itself.
 
-use crate::config::AppConfig;
+use crate::config::{parse_engine, parse_repr, AppConfig, RunOptions};
 use crate::graphs::standard_graph;
-use crate::run::{run_threaded_outcome_with_engine, IoRuntime};
+use crate::run::{run_threaded, IoRuntime};
 use crate::store::{ResultStore, StoreSession};
 use datacutter::{EngineConfig, IoReport, RunReport, StoreReport};
-use haralick::raster::{Representation, ScanEngine};
 use mri::cache::SliceCacheRegistry;
 use mri::store::DistributedDataset;
 use serde::{Deserialize, Serialize};
@@ -534,24 +533,6 @@ fn sweep_tmp_outputs(out_dir: &Path) {
     }
 }
 
-fn parse_repr(s: &str) -> Result<Representation, String> {
-    Ok(match s {
-        "full" => Representation::Full,
-        "naive" => Representation::FullNaive,
-        "sparse" => Representation::Sparse,
-        "sparse-accum" => Representation::SparseAccum,
-        other => return Err(format!("unknown representation {other:?}")),
-    })
-}
-
-fn parse_engine(s: &str) -> Result<ScanEngine, String> {
-    Ok(match s {
-        "reference" => ScanEngine::Reference,
-        "fused" => ScanEngine::Fused,
-        other => return Err(format!("unknown engine {other:?}")),
-    })
-}
-
 /// Runs one job to completion, returning its serialized run report.
 fn execute_job(
     inner: &ManagerInner,
@@ -562,13 +543,15 @@ fn execute_job(
     let ds = DistributedDataset::open(&spec.dataset)
         .map_err(|e| format!("could not open dataset {}: {e}", spec.dataset.display()))?;
     let desc = ds.descriptor();
-    let repr = parse_repr(&spec.repr)?;
-    let mut cfg = AppConfig::for_dataset(desc.dims, desc.num_nodes, repr)?;
-    cfg.canonical_output = spec.canonical;
-    if let Some(engine) = &spec.engine {
-        cfg.engine = parse_engine(engine)?;
-    }
-    let cfg = Arc::new(cfg);
+    let opts = RunOptions {
+        representation: parse_repr(&spec.repr)?,
+        engine: spec.engine.as_deref().map(parse_engine).transpose()?,
+        canonical_output: spec.canonical,
+        io_cache_bytes: None,
+        transport_checksum: false,
+        transport_compress: false,
+    };
+    let cfg = Arc::new(AppConfig::for_run(desc, &opts)?);
     let graph = standard_graph(&spec.variant, desc.num_nodes, spec.texture.max(1))
         .ok_or_else(|| format!("unknown variant {:?}", spec.variant))?;
     std::fs::create_dir_all(&spec.out_dir)
@@ -590,14 +573,7 @@ fn execute_job(
         thread_name_prefix: format!("job{id}"),
         cancel: Some(Arc::clone(cancel)),
     };
-    match run_threaded_outcome_with_engine(
-        &graph,
-        &cfg,
-        &spec.dataset,
-        &spec.out_dir,
-        &rt,
-        &engine_cfg,
-    ) {
+    match run_threaded(&graph, &cfg, &spec.dataset, &spec.out_dir, &rt, &engine_cfg) {
         Ok(outcome) => {
             let mut report = RunReport::new(&graph, &outcome);
             rt.annotate(&mut report);

@@ -134,11 +134,9 @@ impl SimFilter for HmpSim {
     fn on_buffer(&mut self, _: usize, buf: &SimBuf) -> SimAction {
         let chunk = self.w.chunk_by_id(buf.tag as usize);
         let rois = chunk.rois();
-        let cost = self.model.texture_cost(
-            self.w.cfg.engine,
-            &texture_work(&self.w, &chunk),
-            self.w.cfg.texture_threads,
-        );
+        let cost = self
+            .model
+            .texture_cost(self.w.cfg.engine, &texture_work(&self.w, &chunk));
         let bytes = self.w.param_packet_bytes(rois);
         let emits = (0..self.w.cfg.selection.len())
             .map(|_| {

@@ -47,11 +47,6 @@
 //! self-describing header (magic, version, digest echo, payload length,
 //! payload checksum); any mismatch is counted, the blob is evicted, and
 //! the chunk recomputes — corruption is never served.
-//!
-//! The [`ResultBackend`] trait is the seam for a future object-store
-//! backend (the `get`/`stage`/`commit`/`abandon` contract maps onto
-//! conditional puts and multipart commits); [`FsBackend`] is the local
-//! layout above.
 
 use crate::config::AppConfig;
 use crate::payload::{MatrixPacket, ParamPacket};
@@ -289,42 +284,15 @@ fn decode_params(bytes: &[u8]) -> Result<Vec<ParamPacket>, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Backend trait + local-FS implementation
+// Local-FS backend
 // ---------------------------------------------------------------------------
 
-/// Storage seam of the result store. `get` sees only committed blobs;
-/// `stage` accumulates a run's publications under its token, invisible
-/// until `commit` publishes them atomically together with the run
-/// manifest. An object-store backend maps `stage`/`commit` onto multipart
-/// or conditional puts; [`FsBackend`] maps them onto a staging directory
-/// and renames.
-pub trait ResultBackend: Send + Sync {
-    /// Reads a committed blob; `Ok(None)` when absent.
-    fn get(&self, digest: u64) -> io::Result<Option<Vec<u8>>>;
-
-    /// Stages a blob under a run token, invisible to [`ResultBackend::get`]
-    /// until committed.
-    fn stage(&self, token: &str, digest: u64, blob: &[u8]) -> io::Result<()>;
-
-    /// Publishes every blob staged under `token` and writes the run
-    /// manifest, atomically per blob and per manifest.
-    fn commit(&self, token: &str, manifest: &Manifest) -> io::Result<()>;
-
-    /// Discards everything staged under `token` (idempotent).
-    fn abandon(&self, token: &str) -> io::Result<()>;
-
-    /// Evicts a committed blob (used when it fails validation; idempotent).
-    fn remove(&self, digest: u64) -> io::Result<()>;
-
-    /// Loads and validates the manifest of a committed run. Partial,
-    /// truncated or incomplete manifests are `InvalidData` errors, never
-    /// returned as usable manifests.
-    fn load_manifest(&self, token: &str) -> io::Result<Manifest>;
-}
-
 /// The local-filesystem backend: sharded `objects/ab/cd/<digest>` blobs,
-/// per-token staging directories, per-run manifests.
-#[derive(Debug)]
+/// per-token staging directories, per-run manifests. `get` sees only
+/// committed blobs; `stage` accumulates a run's publications under its
+/// token, invisible until `commit` publishes them atomically together with
+/// the run manifest.
+#[derive(Debug, Clone)]
 pub struct FsBackend {
     root: PathBuf,
 }
@@ -361,10 +329,9 @@ impl FsBackend {
     fn manifest_path(&self, token: &str) -> PathBuf {
         self.root.join("manifests").join(format!("{token}.json"))
     }
-}
 
-impl ResultBackend for FsBackend {
-    fn get(&self, digest: u64) -> io::Result<Option<Vec<u8>>> {
+    /// Reads a committed blob; `Ok(None)` when absent.
+    pub fn get(&self, digest: u64) -> io::Result<Option<Vec<u8>>> {
         match fs::read(self.object_path(digest)) {
             Ok(bytes) => Ok(Some(bytes)),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
@@ -372,13 +339,17 @@ impl ResultBackend for FsBackend {
         }
     }
 
-    fn stage(&self, token: &str, digest: u64, blob: &[u8]) -> io::Result<()> {
+    /// Stages a blob under a run token, invisible to [`FsBackend::get`]
+    /// until committed.
+    pub fn stage(&self, token: &str, digest: u64, blob: &[u8]) -> io::Result<()> {
         let dir = self.staging_dir(token);
         fs::create_dir_all(&dir)?;
         fs::write(dir.join(Self::hex(digest)), blob)
     }
 
-    fn commit(&self, token: &str, manifest: &Manifest) -> io::Result<()> {
+    /// Publishes every blob staged under `token` and writes the run
+    /// manifest, atomically per blob and per manifest.
+    pub fn commit(&self, token: &str, manifest: &Manifest) -> io::Result<()> {
         let dir = self.staging_dir(token);
         match fs::read_dir(&dir) {
             Ok(entries) => {
@@ -416,7 +387,8 @@ impl ResultBackend for FsBackend {
         fs::rename(&tmp, &path)
     }
 
-    fn abandon(&self, token: &str) -> io::Result<()> {
+    /// Discards everything staged under `token` (idempotent).
+    pub fn abandon(&self, token: &str) -> io::Result<()> {
         match fs::remove_dir_all(self.staging_dir(token)) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
@@ -424,7 +396,8 @@ impl ResultBackend for FsBackend {
         }
     }
 
-    fn remove(&self, digest: u64) -> io::Result<()> {
+    /// Evicts a committed blob (used when it fails validation; idempotent).
+    pub fn remove(&self, digest: u64) -> io::Result<()> {
         match fs::remove_file(self.object_path(digest)) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
@@ -432,7 +405,10 @@ impl ResultBackend for FsBackend {
         }
     }
 
-    fn load_manifest(&self, token: &str) -> io::Result<Manifest> {
+    /// Loads and validates the manifest of a committed run. Partial,
+    /// truncated or incomplete manifests are `InvalidData` errors, never
+    /// returned as usable manifests.
+    pub fn load_manifest(&self, token: &str) -> io::Result<Manifest> {
         let text = fs::read_to_string(self.manifest_path(token))?;
         let manifest: Manifest = serde_json::from_str(&text)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
@@ -559,22 +535,17 @@ impl StoreStats {
 /// A handle on one result store: the backend plus its shared counters.
 #[derive(Clone)]
 pub struct ResultStore {
-    backend: Arc<dyn ResultBackend>,
+    backend: FsBackend,
     stats: Arc<StoreStats>,
 }
 
 impl ResultStore {
     /// Opens a local-FS store rooted at `dir` (created if needed).
     pub fn open_fs(dir: &Path) -> io::Result<Self> {
-        Ok(Self::with_backend(Arc::new(FsBackend::open(dir)?)))
-    }
-
-    /// Wraps an arbitrary backend (the object-store seam).
-    pub fn with_backend(backend: Arc<dyn ResultBackend>) -> Self {
-        Self {
-            backend,
+        Ok(Self {
+            backend: FsBackend::open(dir)?,
             stats: Arc::new(StoreStats::default()),
-        }
+        })
     }
 
     /// The store's counters.
@@ -820,7 +791,6 @@ mod tests {
         let mut neutral = base.clone();
         neutral.canonical_output = !neutral.canonical_output;
         neutral.io_cache_bytes = 0;
-        neutral.texture_threads = 7;
         neutral.engine = haralick::raster::ScanEngine::Reference;
         assert_ne!(neutral.engine, base.engine);
         assert_eq!(config_digest(&neutral), d0);

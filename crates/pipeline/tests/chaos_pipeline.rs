@@ -19,8 +19,7 @@ use pipeline::config::AppConfig;
 use pipeline::graphs::{Copies, HmpGraph};
 use pipeline::payload::ParamPacket;
 use pipeline::run::{
-    merge_uso_outputs, run_node_threaded, run_threaded_outcome, run_threaded_outcome_with,
-    threaded_factories, threaded_factories_with, IoRuntime,
+    merge_uso_outputs, run_node_threaded, run_threaded, threaded_factories, IoRuntime,
 };
 use pipeline::store::ResultStore;
 use rand::rngs::StdRng;
@@ -114,7 +113,7 @@ fn injected_lethal_faults_abort_cleanly_without_committed_outputs() {
         let cfg = Arc::new(AppConfig::test_scale(Representation::Full));
         let (data, out) = setup(&format!("lethal_{seed}"), &cfg, 200 + seed);
         let spec = hmp_spec();
-        let mut factories = threaded_factories(&spec, &cfg, &data, &out);
+        let mut factories = threaded_factories(&spec, &cfg, &data, &out, &IoRuntime::new());
         FaultPlan::new()
             .with(FaultSpec {
                 filter: victim.to_string(),
@@ -170,7 +169,7 @@ fn fault_in_reader_start_aborts_cleanly() {
     let cfg = Arc::new(AppConfig::test_scale(Representation::Full));
     let (data, out) = setup("rfr_start", &cfg, 210);
     let spec = hmp_spec();
-    let mut factories = threaded_factories(&spec, &cfg, &data, &out);
+    let mut factories = threaded_factories(&spec, &cfg, &data, &out, &IoRuntime::new());
     FaultPlan::new()
         .with(FaultSpec {
             filter: "RFR".to_string(),
@@ -195,7 +194,7 @@ fn benign_faults_preserve_reference_results() {
     let seed = 220;
     let (data, out) = setup("benign", &cfg, seed);
     let spec = hmp_spec();
-    let mut factories = threaded_factories(&spec, &cfg, &data, &out);
+    let mut factories = threaded_factories(&spec, &cfg, &data, &out, &IoRuntime::new());
     FaultPlan::new()
         .with(FaultSpec {
             filter: "HMP".to_string(),
@@ -275,7 +274,7 @@ fn run_two_node_pipeline(
         node_cfg.fault = faults[node];
         let tx = tx.clone();
         handles.push(std::thread::spawn(move || {
-            let r = run_node_threaded(&spec, &cfg, &data, &out, &node_cfg);
+            let r = run_node_threaded(&spec, &cfg, &data, &out, &node_cfg, &IoRuntime::new());
             let _ = tx.send((node, r));
         }));
     }
@@ -305,7 +304,8 @@ fn distributed_clean_run_is_byte_identical_to_in_process() {
     let cfg = Arc::new(cfg);
     let (data, out_local) = setup("dist_equiv", &cfg, 230);
     let spec = placed_hmp_spec();
-    run_threaded_outcome(&spec, &cfg, &data, &out_local).expect("in-process run failed");
+    let (rt, engine) = (IoRuntime::new(), EngineConfig::default());
+    run_threaded(&spec, &cfg, &data, &out_local, &rt, &engine).expect("in-process run failed");
 
     let out_dist = out_local.parent().unwrap().join("out_dist");
     std::fs::create_dir_all(&out_dist).unwrap();
@@ -482,12 +482,12 @@ fn failed_run_commits_nothing_to_the_result_store() {
     let (data, out) = setup("store_fail", &cfg, 250);
     let spec = hmp_spec();
 
-    // The driver's exact sequence (`run_threaded_outcome_with_engine`),
+    // The driver's exact sequence (`run_threaded`),
     // opened up so the fault plan can wrap the factories.
     let mut rt = IoRuntime::new();
     rt.attach_result_store(&cfg);
     let session = rt.store.clone().expect("store attached");
-    let mut factories = threaded_factories_with(&spec, &cfg, &data, &out, &rt);
+    let mut factories = threaded_factories(&spec, &cfg, &data, &out, &rt);
     FaultPlan::new()
         .with(FaultSpec {
             filter: "USO".to_string(),
@@ -540,7 +540,7 @@ fn store_surviving_a_crashed_run_is_safe_to_reuse() {
     let mut rt = IoRuntime::new();
     rt.attach_result_store(&cfg);
     let session = rt.store.clone().expect("store attached");
-    let mut factories = threaded_factories_with(&hmp_spec(), &cfg, &data, &out, &rt);
+    let mut factories = threaded_factories(&hmp_spec(), &cfg, &data, &out, &rt);
     FaultPlan::new()
         .with(FaultSpec {
             filter: "HMP".to_string(),
@@ -569,7 +569,8 @@ fn store_surviving_a_crashed_run_is_safe_to_reuse() {
     std::fs::create_dir_all(&out_clean).unwrap();
     let mut rt_clean = IoRuntime::new();
     rt_clean.attach_result_store(&cfg);
-    run_threaded_outcome_with(&hmp_spec(), &cfg, &data, &out_clean, &rt_clean)
+    let engine = EngineConfig::default();
+    run_threaded(&hmp_spec(), &cfg, &data, &out_clean, &rt_clean, &engine)
         .expect("clean run over a crashed store");
     let s = rt_clean.store.as_ref().unwrap().stats();
     assert_eq!(
@@ -600,7 +601,7 @@ fn store_surviving_a_crashed_run_is_safe_to_reuse() {
     std::fs::create_dir_all(&out_warm).unwrap();
     let mut rt_warm = IoRuntime::new();
     rt_warm.attach_result_store(&cfg);
-    run_threaded_outcome_with(&hmp_spec(), &cfg, &data, &out_warm, &rt_warm).expect("warm run");
+    run_threaded(&hmp_spec(), &cfg, &data, &out_warm, &rt_warm, &engine).expect("warm run");
     let s = rt_warm.store.as_ref().unwrap().stats();
     assert_eq!((s.hits(), s.misses()), (chunks, 0), "warm-run counters");
     for name in committed_outputs(&out_clean) {

@@ -2,7 +2,7 @@
 //! for voxel, the same Haralick parameter maps as the sequential reference
 //! implementation — for every graph variant and representation.
 
-use datacutter::SchedulePolicy;
+use datacutter::{EngineConfig, GraphSpec, RunFailure, RunStats, SchedulePolicy};
 use haralick::raster::{raster_scan, Representation, ScanEngine};
 use haralick::volume::Point4;
 use mri::output::read_pgm;
@@ -10,9 +10,20 @@ use mri::store::write_distributed;
 use mri::synth::{generate, SynthConfig};
 use pipeline::config::AppConfig;
 use pipeline::graphs::{Copies, HmpGraph, SplitGraph, VisualGraph};
-use pipeline::run::{merge_uso_outputs, run_threaded};
-use std::path::PathBuf;
+use pipeline::run::{merge_uso_outputs, run_threaded, IoRuntime};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+/// Runs `spec` with private I/O counters and default engine options.
+fn run(
+    spec: &GraphSpec,
+    cfg: &Arc<AppConfig>,
+    data: &Path,
+    out: &Path,
+) -> Result<RunStats, RunFailure> {
+    let (rt, engine) = (IoRuntime::new(), EngineConfig::default());
+    run_threaded(spec, cfg, data, out, &rt, &engine).map(|outcome| outcome.stats)
+}
 
 /// Creates a fresh working directory, a small distributed dataset matching
 /// `cfg`, and returns `(dataset root, output dir)`.
@@ -91,7 +102,7 @@ fn split_spec(hcc: usize, hpc: usize, uso: usize) -> datacutter::GraphSpec {
 fn hmp_pipeline_matches_sequential_reference() {
     let cfg = Arc::new(AppConfig::test_scale(Representation::Full));
     let (data, out) = setup("hmp_full", &cfg, 101);
-    let stats = run_threaded(&hmp_spec(3), &cfg, &data, &out).expect("pipeline run");
+    let stats = run(&hmp_spec(3), &cfg, &data, &out).expect("pipeline run");
     assert_matches_reference(&cfg, &out, 1, &reference(&cfg, 101));
     // Flow sanity: every chunk passed through exactly once.
     let w = pipeline::Workload::new((*cfg).clone());
@@ -102,7 +113,7 @@ fn hmp_pipeline_matches_sequential_reference() {
 fn split_pipeline_sparse_matches_reference() {
     let cfg = Arc::new(AppConfig::test_scale(Representation::Sparse));
     let (data, out) = setup("split_sparse", &cfg, 102);
-    run_threaded(&split_spec(3, 2, 2), &cfg, &data, &out).expect("pipeline run");
+    run(&split_spec(3, 2, 2), &cfg, &data, &out).expect("pipeline run");
     assert_matches_reference(&cfg, &out, 2, &reference(&cfg, 102));
 }
 
@@ -110,7 +121,7 @@ fn split_pipeline_sparse_matches_reference() {
 fn split_pipeline_full_matches_reference() {
     let cfg = Arc::new(AppConfig::test_scale(Representation::Full));
     let (data, out) = setup("split_full", &cfg, 103);
-    run_threaded(&split_spec(2, 1, 1), &cfg, &data, &out).expect("pipeline run");
+    run(&split_spec(2, 1, 1), &cfg, &data, &out).expect("pipeline run");
     assert_matches_reference(&cfg, &out, 1, &reference(&cfg, 103));
 }
 
@@ -118,7 +129,7 @@ fn split_pipeline_full_matches_reference() {
 fn hmp_sparse_accum_matches_reference() {
     let cfg = Arc::new(AppConfig::test_scale(Representation::SparseAccum));
     let (data, out) = setup("hmp_sacc", &cfg, 104);
-    run_threaded(&hmp_spec(2), &cfg, &data, &out).expect("pipeline run");
+    run(&hmp_spec(2), &cfg, &data, &out).expect("pipeline run");
     assert_matches_reference(&cfg, &out, 1, &reference(&cfg, 104));
 }
 
@@ -129,8 +140,8 @@ fn representations_agree_end_to_end() {
     let cfg_b = Arc::new(AppConfig::test_scale(Representation::Sparse));
     let (data_a, out_a) = setup("agree_a", &cfg_a, 105);
     let (data_b, out_b) = setup("agree_b", &cfg_b, 105);
-    run_threaded(&split_spec(2, 1, 1), &cfg_a, &data_a, &out_a).unwrap();
-    run_threaded(&split_spec(2, 1, 1), &cfg_b, &data_b, &out_b).unwrap();
+    run(&split_spec(2, 1, 1), &cfg_a, &data_a, &out_a).unwrap();
+    run(&split_spec(2, 1, 1), &cfg_b, &data_b, &out_b).unwrap();
     let dims = cfg_a.out_dims();
     for feature in cfg_a.selection.iter() {
         let a = merge_uso_outputs(&out_a, feature, 1, dims).unwrap();
@@ -153,7 +164,7 @@ fn visual_pipeline_writes_image_series() {
         jiw: Copies::Count(1),
     }
     .build();
-    run_threaded(&spec, &cfg, &data, &out).expect("pipeline run");
+    run(&spec, &cfg, &data, &out).expect("pipeline run");
     let dims = cfg.out_dims();
     let reference = reference(&cfg, 106);
     for feature in cfg.selection.iter() {
@@ -200,7 +211,7 @@ fn uso_outputs_partition_across_copies() {
     // duplicates or gaps).
     let cfg = Arc::new(AppConfig::test_scale(Representation::Sparse));
     let (data, out) = setup("uso_split", &cfg, 107);
-    run_threaded(&split_spec(2, 2, 2), &cfg, &data, &out).expect("pipeline run");
+    run(&split_spec(2, 2, 2), &cfg, &data, &out).expect("pipeline run");
     for copy in 0..2 {
         let wrote_any = cfg.selection.iter().any(|feature| {
             out.join(pipeline::filters::UsoFilter::file_name(feature, copy))
@@ -219,7 +230,7 @@ fn fused_engine_pipeline_matches_reference() {
     base.engine = ScanEngine::Fused;
     let cfg = Arc::new(base);
     let (data, out) = setup("fused", &cfg, 110);
-    run_threaded(&hmp_spec(2), &cfg, &data, &out).expect("pipeline run");
+    run(&hmp_spec(2), &cfg, &data, &out).expect("pipeline run");
     // `reference` scans with the engine-forcing `raster_scan` (sequential
     // rebuild), so this compares the engines end to end.
     assert_matches_reference(&cfg, &out, 1, &reference(&cfg, 110));
@@ -233,7 +244,7 @@ fn rebuild_engine_pipeline_matches_reference() {
     base.engine = ScanEngine::Reference;
     let cfg = Arc::new(base);
     let (data, out) = setup("rebuild", &cfg, 111);
-    run_threaded(&hmp_spec(2), &cfg, &data, &out).expect("pipeline run");
+    run(&hmp_spec(2), &cfg, &data, &out).expect("pipeline run");
     assert_matches_reference(&cfg, &out, 1, &reference(&cfg, 111));
 }
 
@@ -260,9 +271,9 @@ fn dicom_reader_is_a_dropin_replacement() {
     mri::dicom::write_distributed_dicom(&vol, &dcm_dir, "dcm", cfg.storage_nodes).unwrap();
 
     let spec = hmp_spec(2);
-    run_threaded(&spec, &cfg, &raw_dir, &out_raw).expect("raw pipeline");
+    run(&spec, &cfg, &raw_dir, &out_raw).expect("raw pipeline");
     let dicom_spec = pipeline::graphs::with_dicom_reader(spec);
-    run_threaded(&dicom_spec, &cfg, &dcm_dir, &out_dcm).expect("DICOM pipeline");
+    run(&dicom_spec, &cfg, &dcm_dir, &out_dcm).expect("DICOM pipeline");
 
     let dims = cfg.out_dims();
     for feature in cfg.selection.iter() {

@@ -2,16 +2,18 @@
 //! must change *when* disk is touched, never *what* the pipeline produces.
 //! `.h4dp` outputs are compared byte for byte between cache-on and
 //! cache-off runs (with canonical output, so arrival order cannot differ),
-//! on both scan engines, and against the sequential reference.
+//! on both scan engines and both dataset formats, and against the
+//! sequential reference.
 
-use datacutter::SchedulePolicy;
+use datacutter::{EngineConfig, GraphSpec, SchedulePolicy};
 use haralick::raster::{raster_scan, Representation, ScanEngine};
+use mri::dicom::write_distributed_dicom;
 use mri::store::write_distributed;
 use mri::synth::{generate, SynthConfig};
 use pipeline::config::AppConfig;
 use pipeline::filters::UsoFilter;
-use pipeline::graphs::{Copies, HmpGraph};
-use pipeline::run::{merge_uso_outputs, run_threaded_outcome_with, IoRuntime};
+use pipeline::graphs::{with_dicom_reader, Copies, HmpGraph};
+use pipeline::run::{merge_uso_outputs, run_threaded, IoRuntime};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -31,7 +33,7 @@ fn setup(tag: &str, cfg: &AppConfig, seed: u64) -> (PathBuf, PathBuf) {
     (data, base)
 }
 
-fn hmp_spec(hmp: usize) -> datacutter::GraphSpec {
+fn hmp_spec(hmp: usize) -> GraphSpec {
     HmpGraph {
         rfr: Copies::Count(2),
         iic: Copies::Count(1),
@@ -42,11 +44,16 @@ fn hmp_spec(hmp: usize) -> datacutter::GraphSpec {
     .build()
 }
 
-/// Runs the pipeline into `out` and returns the run's I/O report.
-fn run_into(cfg: &Arc<AppConfig>, data: &Path, out: &Path) -> datacutter::IoReport {
+/// Runs `spec` into `out` and returns the run's I/O report.
+fn run_into(
+    spec: &GraphSpec,
+    cfg: &Arc<AppConfig>,
+    data: &Path,
+    out: &Path,
+) -> datacutter::IoReport {
     std::fs::create_dir_all(out).unwrap();
     let rt = IoRuntime::new();
-    run_threaded_outcome_with(&hmp_spec(2), cfg, data, out, &rt).expect("pipeline run");
+    run_threaded(spec, cfg, data, out, &rt, &EngineConfig::default()).expect("pipeline run");
     rt.io_report()
 }
 
@@ -64,8 +71,9 @@ fn output_files(cfg: &AppConfig, out: &Path) -> Vec<(String, Vec<u8>)> {
 
 #[test]
 fn h4dp_outputs_are_byte_identical_cache_on_and_off() {
-    // On both scan engines: the I/O plane sits upstream of the texture
-    // filters, so neither may observe different pixels.
+    // On both scan engines and both dataset formats: the I/O plane sits
+    // upstream of the texture filters, so neither may observe different
+    // pixels — whichever reader path (cached or not, RFR or DFR) ran.
     for (i, engine) in [ScanEngine::Reference, ScanEngine::Fused]
         .into_iter()
         .enumerate()
@@ -73,28 +81,49 @@ fn h4dp_outputs_are_byte_identical_cache_on_and_off() {
         let mut base_cfg = AppConfig::test_scale(Representation::Full);
         base_cfg.engine = engine;
         base_cfg.canonical_output = true;
-        let (data, base) = setup(&format!("ident{i}"), &base_cfg, 201);
+        let (raw_data, base) = setup(&format!("ident{i}"), &base_cfg, 201);
+        // The same study again as DICOM files, for the DFR graph.
+        let dicom_data = base.join("dicom");
+        let study = generate(&SynthConfig {
+            dims: base_cfg.dims,
+            ..SynthConfig::test_scale(201)
+        });
+        write_distributed_dicom(&study, &dicom_data, "io", base_cfg.storage_nodes).unwrap();
 
         let cached = Arc::new(base_cfg.clone());
         let mut uncached = base_cfg.clone();
         uncached.io_cache_bytes = 0;
         let uncached = Arc::new(uncached);
 
-        let on = run_into(&cached, &data, &base.join("on"));
-        let off = run_into(&uncached, &data, &base.join("off"));
+        let mut outputs = Vec::new();
+        for (reader, spec, data) in [
+            ("RFR", hmp_spec(2), &raw_data),
+            ("DFR", with_dicom_reader(hmp_spec(2)), &dicom_data),
+        ] {
+            let on_dir = base.join(format!("{reader}_on"));
+            let off_dir = base.join(format!("{reader}_off"));
+            let on = run_into(&spec, &cached, data, &on_dir);
+            let off = run_into(&spec, &uncached, data, &off_dir);
 
-        assert!(on.cache_hits > 0, "overlapped grid must produce hits");
-        assert_eq!(off.cache_hits, 0, "disabled cache cannot hit");
-        assert!(
-            on.bytes_read < off.bytes_read,
-            "cache must reduce disk traffic ({} vs {})",
-            on.bytes_read,
-            off.bytes_read
-        );
+            assert!(on.cache_hits > 0, "overlapped grid must produce hits");
+            assert_eq!(off.cache_hits, 0, "disabled cache cannot hit");
+            assert!(
+                on.bytes_read < off.bytes_read,
+                "{reader}: cache must reduce disk traffic ({} vs {})",
+                on.bytes_read,
+                off.bytes_read
+            );
+            let files = output_files(&cached, &on_dir);
+            assert_eq!(
+                files,
+                output_files(&uncached, &off_dir),
+                "{engine:?}/{reader}: .h4dp outputs diverge between cache on and off"
+            );
+            outputs.push(files);
+        }
         assert_eq!(
-            output_files(&cached, &base.join("on")),
-            output_files(&uncached, &base.join("off")),
-            "{engine:?}: .h4dp outputs diverge between cache on and off"
+            outputs[0], outputs[1],
+            "{engine:?}: .h4dp outputs diverge between the raw and DICOM datasets"
         );
     }
 }
@@ -107,7 +136,7 @@ fn cached_pipeline_reads_each_slice_exactly_once() {
     cfg.io_cache_bytes = usize::MAX;
     let cfg = Arc::new(cfg);
     let (data, base) = setup("once", &cfg, 202);
-    let report = run_into(&cfg, &data, &base.join("out"));
+    let report = run_into(&hmp_spec(2), &cfg, &data, &base.join("out"));
     let dataset_bytes = (cfg.dims.len() * 2) as u64;
     assert_eq!(
         report.bytes_read, dataset_bytes,
@@ -128,7 +157,7 @@ fn tiny_budget_still_matches_the_reference() {
     let cfg = Arc::new(cfg);
     let (data, base) = setup("tiny", &cfg, 203);
     let out = base.join("out");
-    let report = run_into(&cfg, &data, &out);
+    let report = run_into(&hmp_spec(2), &cfg, &data, &out);
     assert!(report.budget_rejects > 0, "tiny budget must reject");
 
     let raw = generate(&SynthConfig {

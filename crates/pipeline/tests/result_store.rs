@@ -5,6 +5,7 @@
 //! rather than serve stale results. The warm path is exercised on both scan
 //! engines, with the reader-side slice cache both on and off.
 
+use datacutter::EngineConfig;
 use haralick::raster::{Representation, ScanEngine};
 use haralick::volume::Point4;
 use mri::store::{write_distributed, DistributedDataset, SliceKey};
@@ -12,7 +13,7 @@ use mri::synth::{generate, SynthConfig};
 use pipeline::config::AppConfig;
 use pipeline::filters::UsoFilter;
 use pipeline::graphs::standard_graph;
-use pipeline::run::{run_threaded_outcome_with, IoRuntime};
+use pipeline::run::{run_threaded, IoRuntime};
 use pipeline::Workload;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -47,7 +48,7 @@ fn run(variant: &str, cfg: &Arc<AppConfig>, data: &Path, out: &Path) -> (u64, u6
     std::fs::create_dir_all(out).unwrap();
     let mut rt = IoRuntime::new();
     rt.attach_result_store(cfg);
-    run_threaded_outcome_with(&spec, cfg, data, out, &rt)
+    run_threaded(&spec, cfg, data, out, &rt, &EngineConfig::default())
         .unwrap_or_else(|e| panic!("pipeline run into {out:?}: {e}"));
     match &rt.store {
         Some(s) => (s.stats().hits(), s.stats().misses(), s.stats().published()),

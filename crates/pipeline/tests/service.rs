@@ -6,13 +6,14 @@
 //! Every test drives the daemon through the real HTTP management API via
 //! [`MgmtClient`] — the same path CI's curl/jq checks use.
 
+use datacutter::EngineConfig;
 use haralick::raster::Representation;
 use mri::store::write_distributed;
 use mri::synth::{generate, SynthConfig};
 use pipeline::config::AppConfig;
 use pipeline::filters::UsoFilter;
 use pipeline::graphs::standard_graph;
-use pipeline::run::{run_threaded_outcome_with, IoRuntime};
+use pipeline::run::{run_threaded, IoRuntime};
 use pipeline::service::{AnalysisService, JobSpec, JobState, MgmtClient, ServiceConfig};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -98,15 +99,16 @@ fn concurrent_jobs_match_one_shot_and_share_disk_reads() {
     let (data, base) = setup("equiv", dims, 310);
 
     // The one-shot reference: the same config path the daemon's executor
-    // uses (`AppConfig::for_dataset` + `standard_graph`), per-run cache.
+    // uses (`AppConfig::for_dataset` beneath `for_run`, + `standard_graph`),
+    // per-run cache.
     let mut cfg = AppConfig::for_dataset(dims, 2, Representation::Full).expect("dataset fits");
     cfg.canonical_output = true;
     let cfg = Arc::new(cfg);
     let spec = standard_graph("hmp", 2, 3).expect("hmp variant");
     let reference = base.join("reference");
     std::fs::create_dir_all(&reference).unwrap();
-    let rt = IoRuntime::new();
-    run_threaded_outcome_with(&spec, &cfg, &data, &reference, &rt).expect("reference run");
+    let (rt, engine) = (IoRuntime::new(), EngineConfig::default());
+    run_threaded(&spec, &cfg, &data, &reference, &rt, &engine).expect("reference run");
     let expected = committed_outputs(&cfg, &reference);
 
     let (service, client) = start_daemon(2);

@@ -1,7 +1,8 @@
-//! Fallible spin-up over the real application graphs: a reader whose
-//! dataset is missing must fail the run with a typed `Io` root cause that
-//! names the dataset path — no panic, no committed output — and a healthy
-//! run must produce a `RunReport` that passes its own invariant check.
+//! Fallible spin-up over the real application graphs: a reader (raw or
+//! DICOM) whose dataset is missing must fail the run with a typed `Io` root
+//! cause that names the filter and the dataset path — no panic, no
+//! committed output — and a healthy run must produce a `RunReport` that
+//! passes its own invariant check.
 
 use datacutter::{
     run_graph, EngineConfig, FilterErrorKind, GraphSpec, RunFailure, RunOutcome, RunReport,
@@ -11,8 +12,8 @@ use haralick::raster::Representation;
 use mri::store::write_distributed;
 use mri::synth::{generate, SynthConfig};
 use pipeline::config::AppConfig;
-use pipeline::graphs::{Copies, HmpGraph};
-use pipeline::run::{run_threaded_outcome, threaded_factories};
+use pipeline::graphs::{with_dicom_reader, Copies, HmpGraph};
+use pipeline::run::{run_threaded, threaded_factories, IoRuntime};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc};
@@ -77,21 +78,25 @@ fn missing_dataset_fails_typed_with_path_and_no_committed_output() {
     let base = std::env::temp_dir().join(format!("h4d_spinup_missing_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let data = base.join("no_such_dataset");
-    let out = base.join("out");
-    std::fs::create_dir_all(&out).unwrap();
-    let spec = hmp_spec();
-    let factories = threaded_factories(&spec, &cfg, &data, &out);
-    let err = run_with_watchdog(spec, factories).expect_err("missing dataset must fail the run");
-    assert_eq!(err.error.kind(), FilterErrorKind::Io, "{err}");
-    assert_eq!(err.error.filter(), Some("RFR"), "{err}");
-    assert!(
-        err.error.message().contains("no_such_dataset"),
-        "error must name the dataset path: {err}"
-    );
-    assert!(
-        committed_outputs(&out).is_empty(),
-        "a run that failed at spin-up must commit no parameter files"
-    );
+    // Both dataset formats fail the same way: one reader filter opens both.
+    for (reader, spec) in [("RFR", hmp_spec()), ("DFR", with_dicom_reader(hmp_spec()))] {
+        let out = base.join(format!("out_{reader}"));
+        std::fs::create_dir_all(&out).unwrap();
+        let factories = threaded_factories(&spec, &cfg, &data, &out, &IoRuntime::new());
+        let err =
+            run_with_watchdog(spec, factories).expect_err("missing dataset must fail the run");
+        assert_eq!(err.error.kind(), FilterErrorKind::Io, "{reader}: {err}");
+        assert_eq!(err.error.filter(), Some(reader), "{err}");
+        let message = err.error.message();
+        assert!(
+            message.contains(reader) && message.contains("no_such_dataset"),
+            "error must name the filter and the dataset path: {err}"
+        );
+        assert!(
+            committed_outputs(&out).is_empty(),
+            "{reader}: a run that failed at spin-up must commit no parameter files"
+        );
+    }
 }
 
 #[test]
@@ -99,7 +104,7 @@ fn unknown_filter_kind_is_an_engine_error_not_a_panic() {
     let cfg = Arc::new(AppConfig::test_scale(Representation::Full));
     let (data, out) = setup("unknown", &cfg, 11);
     let spec = GraphSpec::new().filter("XYZ", 1);
-    let factories = threaded_factories(&spec, &cfg, &data, &out);
+    let factories = threaded_factories(&spec, &cfg, &data, &out, &IoRuntime::new());
     let err = run_with_watchdog(spec, factories).expect_err("unknown filter kind must fail");
     assert_eq!(err.error.kind(), FilterErrorKind::Engine, "{err}");
     assert!(err.error.message().contains("XYZ"), "{err}");
@@ -110,7 +115,8 @@ fn healthy_run_produces_checkable_run_report() {
     let cfg = Arc::new(AppConfig::test_scale(Representation::Full));
     let (data, out) = setup("report", &cfg, 12);
     let spec = hmp_spec();
-    let outcome = run_threaded_outcome(&spec, &cfg, &data, &out).expect("pipeline run");
+    let (rt, engine) = (IoRuntime::new(), EngineConfig::default());
+    let outcome = run_threaded(&spec, &cfg, &data, &out, &rt, &engine).expect("pipeline run");
     let report = RunReport::new(&spec, &outcome);
     report.check().expect("report invariants");
     // Every declared filter appears with its copy rows.

@@ -8,13 +8,13 @@
 //! cargo run --release --example dce_mri_study [output_dir]
 //! ```
 
-use haralick4d::datacutter::SchedulePolicy;
+use haralick4d::datacutter::{EngineConfig, SchedulePolicy};
 use haralick4d::haralick::raster::Representation;
 use haralick4d::mri::store::write_distributed;
 use haralick4d::mri::synth::{generate, SynthConfig};
 use haralick4d::pipeline::config::AppConfig;
 use haralick4d::pipeline::graphs::{Copies, SplitGraph, VisualGraph};
-use haralick4d::pipeline::run::run_threaded;
+use haralick4d::pipeline::run::{run_threaded, IoRuntime};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -60,7 +60,10 @@ fn main() {
     }
     .build();
     let t = std::time::Instant::now();
-    let stats = run_threaded(&visual, &cfg, &data, &out).expect("visual pipeline");
+    let engine = EngineConfig::default();
+    let stats = run_threaded(&visual, &cfg, &data, &out, &IoRuntime::new(), &engine)
+        .expect("visual pipeline")
+        .stats;
     println!(
         "\nvisual pipeline done in {:.2?}: {} chunks through {} HMP copies",
         t.elapsed(),
@@ -90,7 +93,9 @@ fn main() {
     let cad_out = base.join("cad");
     std::fs::create_dir_all(&cad_out).unwrap();
     let t = std::time::Instant::now();
-    let stats = run_threaded(&split, &cfg, &data, &cad_out).expect("split pipeline");
+    let stats = run_threaded(&split, &cfg, &data, &cad_out, &IoRuntime::new(), &engine)
+        .expect("split pipeline")
+        .stats;
     println!(
         "\nsplit (HCC+HPC) pipeline done in {:.2?}: {} matrix packets HCC -> HPC",
         t.elapsed(),

@@ -16,6 +16,7 @@
 //! cargo run --release --example followup_monitoring
 //! ```
 
+use haralick4d::datacutter::EngineConfig;
 use haralick4d::haralick::features::Feature;
 use haralick4d::haralick::raster::Representation;
 use haralick4d::haralick::volume::{Dims4, Point4};
@@ -25,7 +26,7 @@ use haralick4d::mri::synth::{generate_followup, generate_with_truth, Lesion, Syn
 use haralick4d::mri::ChunkGrid;
 use haralick4d::pipeline::config::AppConfig;
 use haralick4d::pipeline::graphs::standard_graph;
-use haralick4d::pipeline::run::{merge_uso_outputs, run_threaded_outcome_with, IoRuntime};
+use haralick4d::pipeline::run::{merge_uso_outputs, run_threaded, IoRuntime};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -37,7 +38,8 @@ fn analyze_visit(cfg: &AppConfig, dataset: &Path, out: &Path) -> (u64, u64) {
     let mut rt = IoRuntime::new();
     rt.attach_result_store(cfg);
     let cfg = Arc::new(cfg.clone());
-    run_threaded_outcome_with(&spec, &cfg, dataset, out, &rt).expect("pipeline run succeeds");
+    run_threaded(&spec, &cfg, dataset, out, &rt, &EngineConfig::default())
+        .expect("pipeline run succeeds");
     let session = rt.store.as_ref().expect("store attached");
     (session.stats().hits(), session.stats().misses())
 }

@@ -4,17 +4,26 @@
 
 use haralick4d::cluster::calibrated_defaults::default_model;
 use haralick4d::cluster::des::simulate;
-use haralick4d::datacutter::SchedulePolicy;
+use haralick4d::datacutter::{EngineConfig, GraphSpec, RunStats, SchedulePolicy};
 use haralick4d::haralick::raster::Representation;
 use haralick4d::mri::store::write_distributed;
 use haralick4d::mri::synth::{generate, SynthConfig};
 use haralick4d::pipeline::config::AppConfig;
 use haralick4d::pipeline::graphs::{Copies, SplitGraph};
-use haralick4d::pipeline::run::run_threaded;
+use haralick4d::pipeline::run::{run_threaded, IoRuntime};
 use haralick4d::pipeline::simfilters::sim_factories;
 use haralick4d::pipeline::Workload;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+/// Runs `spec` with private I/O counters and default engine options,
+/// returning the per-copy statistics.
+fn run_stats(spec: &GraphSpec, cfg: &Arc<AppConfig>, data: &Path, out: &Path) -> RunStats {
+    let (rt, engine) = (IoRuntime::new(), EngineConfig::default());
+    run_threaded(spec, cfg, data, out, &rt, &engine)
+        .unwrap()
+        .stats
+}
 
 fn setup(tag: &str, cfg: &AppConfig, seed: u64) -> (PathBuf, PathBuf) {
     let base = std::env::temp_dir().join(format!("h4d_xc_{tag}_{}", std::process::id()));
@@ -49,7 +58,7 @@ fn simulator_flow_model_matches_real_engine_buffer_counts() {
         matrix_policy: SchedulePolicy::DemandDriven,
     }
     .build();
-    let real = run_threaded(&spec_real, &cfg, &data, &out).unwrap();
+    let real = run_stats(&spec_real, &cfg, &data, &out);
 
     // Simulated run: identical topology on a small modeled cluster.
     let cluster = haralick4d::cluster::presets::uniform(7);
@@ -94,7 +103,7 @@ fn simulator_byte_model_tracks_real_engine() {
         matrix_policy: SchedulePolicy::DemandDriven,
     }
     .build();
-    let real = run_threaded(&spec, &cfg, &data, &out).unwrap();
+    let real = run_stats(&spec, &cfg, &data, &out);
 
     let cluster = haralick4d::cluster::presets::uniform(6);
     let spec_sim = SplitGraph {
@@ -142,7 +151,6 @@ fn simulator_byte_model_tracks_real_engine() {
 fn result_store_round_trips_through_the_facade() {
     use haralick4d::datacutter::RunReport;
     use haralick4d::pipeline::filters::UsoFilter;
-    use haralick4d::pipeline::run::{run_threaded_outcome_with, IoRuntime};
 
     let base = std::env::temp_dir().join(format!("h4d_xc_store_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
@@ -168,7 +176,8 @@ fn result_store_round_trips_through_the_facade() {
         std::fs::create_dir_all(&out).unwrap();
         let mut rt = IoRuntime::new();
         rt.attach_result_store(&cfg);
-        let outcome = run_threaded_outcome_with(&spec, &cfg, &data, &out, &rt).unwrap();
+        let outcome =
+            run_threaded(&spec, &cfg, &data, &out, &rt, &EngineConfig::default()).unwrap();
         let mut report = RunReport::new(&spec, &outcome);
         rt.annotate(&mut report);
         report.check().expect("report invariants");
@@ -214,7 +223,7 @@ fn sparse_transmission_cuts_real_traffic() {
             matrix_policy: SchedulePolicy::DemandDriven,
         }
         .build();
-        let stats = run_threaded(&spec, &cfg, &data, &out).unwrap();
+        let stats = run_stats(&spec, &cfg, &data, &out);
         stats
             .copies_of("HPC")
             .iter()

@@ -194,11 +194,10 @@ fn every_semantic_config_field_moves_the_fingerprint() {
 
     // Value-neutral knobs (where or how fast to run, not what to compute)
     // must NOT move the fingerprint — otherwise moving a store directory or
-    // adding threads would discard every cached result.
+    // switching engines would discard every cached result.
     let neutral: Vec<(&str, Box<dyn Fn(&mut AppConfig)>)> = vec![
         // Both engines are byte-identical by hard invariant.
         ("engine", Box::new(|c| c.engine = ScanEngine::Reference)),
-        ("texture_threads", Box::new(|c| c.texture_threads = 4)),
         ("canonical_output", Box::new(|c| c.canonical_output = true)),
         ("io_cache_bytes", Box::new(|c| c.io_cache_bytes = 0)),
         ("storage_nodes", Box::new(|c| c.storage_nodes = 7)),
