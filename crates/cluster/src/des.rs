@@ -25,6 +25,7 @@
 
 use crate::spec::ClusterSpec;
 use datacutter::graph::GraphSpec;
+use datacutter::metrics::{CopyReport, CopyRows};
 use datacutter::schedule::{Route, SchedulePolicy};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -101,83 +102,23 @@ impl Default for SimOptions {
     }
 }
 
-/// Statistics of one simulated filter copy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SimCopyStats {
-    /// Filter name.
-    pub filter: String,
-    /// Copy index.
-    pub copy: usize,
-    /// Node id the copy ran on.
-    pub node: usize,
-    /// Buffers consumed.
-    pub buffers_in: u64,
-    /// Buffers emitted.
-    pub buffers_out: u64,
-    /// Bytes consumed.
-    pub bytes_in: u64,
-    /// Bytes emitted.
-    pub bytes_out: u64,
-    /// Virtual seconds spent in service.
-    pub busy: f64,
-    /// Virtual time at which the copy completed (after its final flush).
-    pub done_at: f64,
-}
-
 /// The result of a simulation run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimReport {
     /// End-to-end virtual execution time.
     pub makespan: f64,
-    /// One record per filter copy.
-    pub per_copy: Vec<SimCopyStats>,
+    /// One row per filter copy, sorted by (filter, copy) — the same rows and
+    /// accessors as a measured [`datacutter::RunReport::per_copy`], in
+    /// virtual seconds: `busy_s` is time in service, `wall_s` the virtual
+    /// time at which the copy completed (after its final flush). The
+    /// simulator does not split a copy's waiting into send and receive, so
+    /// both `blocked_*_s` stay `0.0`.
+    pub per_copy: CopyRows,
     /// Total seconds each network resource (NIC or shared trunk) was
     /// occupied by transfers, keyed by resource id.
     pub net_occupancy: BTreeMap<String, f64>,
     /// Total bytes moved per network resource.
     pub net_bytes: BTreeMap<String, u64>,
-}
-
-impl SimReport {
-    /// All copies of `filter`.
-    pub fn copies_of(&self, filter: &str) -> Vec<&SimCopyStats> {
-        self.per_copy
-            .iter()
-            .filter(|c| c.filter == filter)
-            .collect()
-    }
-
-    /// Total busy seconds across the copies of `filter`.
-    pub fn busy_of(&self, filter: &str) -> f64 {
-        self.copies_of(filter).iter().map(|c| c.busy).sum()
-    }
-
-    /// Maximum per-copy busy seconds of `filter` — the paper's "processing
-    /// time of each filter".
-    pub fn max_busy_of(&self, filter: &str) -> f64 {
-        self.copies_of(filter)
-            .iter()
-            .map(|c| c.busy)
-            .fold(0.0, f64::max)
-    }
-
-    /// Total buffers consumed by the copies of `filter`.
-    pub fn buffers_into(&self, filter: &str) -> u64 {
-        self.copies_of(filter).iter().map(|c| c.buffers_in).sum()
-    }
-
-    /// Total bytes emitted by the copies of `filter`.
-    pub fn bytes_out_of(&self, filter: &str) -> u64 {
-        self.copies_of(filter).iter().map(|c| c.bytes_out).sum()
-    }
-
-    /// Buffers received per copy of `filter`, keyed by copy index.
-    pub fn per_copy_buffers_in(&self, filter: &str) -> BTreeMap<usize, u64> {
-        self.copies_of(filter)
-            .iter()
-            .map(|c| (c.copy, c.buffers_in))
-            .collect()
-    }
 }
 
 /// Demand-driven routing decision.
@@ -290,7 +231,7 @@ struct Copy_ {
     avg_service: f64,
     /// Round-robin sequence per output index.
     rr_seq: Vec<u64>,
-    stats: SimCopyStats,
+    stats: CopyReport,
 }
 
 struct StreamRt {
@@ -540,7 +481,7 @@ impl Engine<'_> {
     /// Marks `id` complete and propagates end-of-stream.
     fn complete(&mut self, id: usize, now: f64) {
         self.copies[id].done = true;
-        self.copies[id].stats.done_at = now;
+        self.copies[id].stats.wall_s = now;
         let fi = self.copies[id].filter_idx;
         for &si in &self.outputs_of[fi].clone() {
             self.streams[si].remaining_producers -= 1;
@@ -629,7 +570,7 @@ impl Engine<'_> {
         // memory-bound kernel down (node.busy already counts this job).
         let contention = 1.0 + node.smp_contention * (node.busy - 1) as f64;
         let service = cost / node.speed * contention + extra;
-        c.stats.busy += service;
+        c.stats.busy_s += service;
         c.avg_service = if c.stats.buffers_in <= 1 && c.avg_service == 0.0 {
             service
         } else {
@@ -686,7 +627,7 @@ impl Engine<'_> {
 /// f.insert("producer".into(), Box::new(|_| Box::new(Producer)));
 /// f.insert("consumer".into(), Box::new(|_| Box::new(Consumer)));
 /// let report = simulate(&spec, &cluster, &mut f);
-/// assert_eq!(report.buffers_into("consumer"), 10);
+/// assert_eq!(report.per_copy.buffers_into("consumer"), 10);
 /// assert!(report.makespan >= 1.0); // ten 0.1 s productions
 /// ```
 pub fn simulate(
@@ -770,16 +711,17 @@ pub fn simulate_with(
                 slot_waiters: VecDeque::new(),
                 avg_service: 0.0,
                 rr_seq: vec![0; outputs_of[fi].len()],
-                stats: SimCopyStats {
+                stats: CopyReport {
                     filter: fdecl.name.clone(),
                     copy: ci,
-                    node,
                     buffers_in: 0,
                     buffers_out: 0,
                     bytes_in: 0,
                     bytes_out: 0,
-                    busy: 0.0,
-                    done_at: 0.0,
+                    busy_s: 0.0,
+                    blocked_send_s: 0.0,
+                    blocked_recv_s: 0.0,
+                    wall_s: 0.0,
                 },
             });
         }
@@ -792,14 +734,9 @@ pub fn simulate_with(
         .map(|(si, s)| {
             let to_fi = filter_index[s.to.as_str()];
             let from_fi = filter_index[s.from.as_str()];
-            let dest_port = spec
-                .inputs_of(&s.to)
-                .iter()
-                .position(|&i| i == si)
-                .expect("stream is an input of its consumer");
             StreamRt {
                 policy: s.policy,
-                dest_port,
+                dest_port: spec.input_port_of(si),
                 consumer_copies: (0..spec.filters[to_fi].copies)
                     .map(|c| copy_ids[&(to_fi, c)])
                     .collect(),
@@ -936,11 +873,11 @@ pub fn simulate_with(
 
     let net_occupancy = eng.net_occupancy.clone();
     let net_bytes = eng.net_bytes.clone();
-    let mut per_copy: Vec<SimCopyStats> = eng.copies.into_iter().map(|c| c.stats).collect();
+    let mut per_copy: Vec<CopyReport> = eng.copies.into_iter().map(|c| c.stats).collect();
     per_copy.sort_by(|a, b| (&a.filter, a.copy).cmp(&(&b.filter, b.copy)));
     SimReport {
         makespan,
-        per_copy,
+        per_copy: CopyRows(per_copy),
         net_occupancy,
         net_bytes,
     }

@@ -123,7 +123,7 @@ fn two_stage_pipeline_closed_form() {
         rep.makespan,
         expect
     );
-    assert_eq!(rep.buffers_into("sink"), n);
+    assert_eq!(rep.per_copy.buffers_into("sink"), n);
 }
 
 #[test]
@@ -225,7 +225,7 @@ fn round_robin_splits_evenly_across_copies() {
     f.insert("src".into(), src_factory(100, 0.0, 1, 1));
     f.insert("w".into(), work_factory(0.001, false));
     let rep = simulate(&spec, &c, &mut f);
-    for (copy, n) in rep.per_copy_buffers_in("w") {
+    for (copy, n) in rep.per_copy.per_copy_buffers_in("w") {
         assert_eq!(n, 25, "copy {copy} got {n}");
     }
 }
@@ -258,7 +258,7 @@ fn demand_driven_beats_round_robin_on_heterogeneous_consumers() {
         rr.makespan
     );
     // And the fast copy (copy 1, on the FAST node) received more buffers.
-    let per = dd.per_copy_buffers_in("w");
+    let per = dd.per_copy.per_copy_buffers_in("w");
     assert!(per[&1] > per[&0], "fast copy under-loaded: {per:?}");
 }
 
@@ -275,7 +275,7 @@ fn tag_modulo_routing() {
     f.insert("src".into(), src_factory(10, 0.0, 1, 1));
     f.insert("w".into(), work_factory(0.0, false));
     let rep = simulate(&spec, &c, &mut f);
-    let per = rep.per_copy_buffers_in("w");
+    let per = rep.per_copy.per_copy_buffers_in("w");
     assert_eq!(per[&0], 5, "even tags");
     assert_eq!(per[&1], 5, "odd tags");
 }
@@ -317,7 +317,7 @@ fn broadcast_reaches_all_copies() {
     f.insert("src".into(), src_factory(7, 0.0, 1, 1));
     f.insert("w".into(), work_factory(0.0, false));
     let rep = simulate(&spec, &c, &mut f);
-    assert_eq!(rep.buffers_into("w"), 21);
+    assert_eq!(rep.per_copy.buffers_into("w"), 21);
 }
 
 #[test]
@@ -331,14 +331,14 @@ fn conservation_and_busy_accounting() {
     f.insert("src".into(), src_factory(n, 0.001, 64, 1));
     f.insert("sink".into(), work_factory(b_cost, false));
     let rep = simulate(&spec, &two_fast_nodes(), &mut f);
-    let src = &rep.copies_of("src")[0];
-    let sink = &rep.copies_of("sink")[0];
+    let src = &rep.per_copy.copies_of("src")[0];
+    let sink = &rep.per_copy.copies_of("sink")[0];
     assert_eq!(src.buffers_out, n);
     assert_eq!(sink.buffers_in, n);
     assert_eq!(src.bytes_out, n * 64);
     assert_eq!(sink.bytes_in, n * 64);
-    assert!((sink.busy - n as f64 * b_cost).abs() < 1e-9);
-    assert!(rep.makespan >= sink.busy);
+    assert!((sink.busy_s - n as f64 * b_cost).abs() < 1e-9);
+    assert!(rep.makespan >= sink.busy_s);
 }
 
 #[test]
@@ -412,7 +412,7 @@ fn stateful_stitch_behaviour_flushes_on_finish() {
     f.insert("sink".into(), work_factory(0.0, false));
     let rep = simulate(&spec, &c, &mut f);
     // 13 inputs → two full groups of 5 plus a flush of 3.
-    assert_eq!(rep.buffers_into("sink"), 3);
+    assert_eq!(rep.per_copy.buffers_into("sink"), 3);
 }
 
 #[test]
@@ -476,8 +476,8 @@ fn bounded_queues_throttle_the_producer() {
     f.insert("src".into(), src_factory(20, 0.001, 1, 1));
     f.insert("sink".into(), work_factory(0.1, false));
     let rep = simulate(&spec, &c, &mut f);
-    let src_done = rep.copies_of("src")[0].done_at;
-    let sink_done = rep.copies_of("sink")[0].done_at;
+    let src_done = rep.per_copy.copies_of("src")[0].wall_s;
+    let sink_done = rep.per_copy.copies_of("sink")[0].wall_s;
     // Sink needs 2 s of service; the throttled source finishes within a
     // few buffers of it rather than at ~0.02 s.
     assert!(sink_done > 1.9, "sink time {sink_done}");

@@ -152,7 +152,7 @@ proptest! {
         for (i, (_, _, fan_out, _)) in pipe.stages.iter().enumerate() {
             let name = format!("s{}", i + 1);
             prop_assert_eq!(
-                rep.buffers_into(&name),
+                rep.per_copy.buffers_into(&name),
                 expected,
                 "stage {} lost or duplicated buffers", name
             );
@@ -192,7 +192,7 @@ proptest! {
             SimOptions { synchronous_sends: false, bounded_queues: false },
         ] {
             let rep = run_pipe(&pipe, &options);
-            prop_assert_eq!(rep.buffers_into("s1"), pipe.buffers);
+            prop_assert_eq!(rep.per_copy.buffers_into("s1"), pipe.buffers);
             prop_assert!(rep.makespan.is_finite());
         }
     }
@@ -226,7 +226,7 @@ fn round_robin_remains_exact_under_randomized_interleavings() {
         stages: vec![(3, 0.002, 1, 0)],
     };
     let rep = run_pipe(&pipe, &SimOptions::default());
-    for (copy, n) in rep.per_copy_buffers_in("s1") {
+    for (copy, n) in rep.per_copy.per_copy_buffers_in("s1") {
         assert_eq!(n, 12, "copy {copy} got {n}");
     }
 }

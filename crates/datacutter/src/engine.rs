@@ -14,7 +14,7 @@
 //! and drops its endpoints; upstream producers then fail their next `emit`
 //! ([`FilterErrorKind::DownstreamClosed`]) and unwind, downstream consumers
 //! see early disconnection and finish. The run drains without deadlock,
-//! every spawned copy reports its [`FilterCopyStats`] (panicked copies
+//! every spawned copy reports its [`CopyReport`] row (panicked copies
 //! included), `run_graph` joins **every** worker thread before returning,
 //! and the reported root cause is selected by error *kind*: an originating
 //! `App`/`Io`/`Panic` failure always wins over the `DownstreamClosed`
@@ -23,8 +23,10 @@
 
 use crate::filter::{Filter, FilterContext, FilterError, FilterErrorKind, Msg, OutPort};
 use crate::graph::GraphSpec;
-use crate::metrics::{RunPhases, StreamMeter, StreamStats};
-use crate::stats::{FilterCopyStats, RunStats};
+use crate::metrics::{
+    CopyReport, CopyRows, FilterShape, PhaseReport, RunReport, StreamMeter, StreamStats,
+    RUN_REPORT_SCHEMA_VERSION,
+};
 use crossbeam::channel::{bounded, Receiver, Select, Sender};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -75,23 +77,9 @@ impl Default for EngineConfig {
 /// never by matching this string.
 pub const CANCEL_MESSAGE: &str = "run cancelled";
 
-/// The result of a successful run.
-#[derive(Debug, Clone)]
-pub struct RunOutcome {
-    /// Per-copy statistics.
-    pub stats: RunStats,
-    /// Per-stream delivery aggregates and queue-depth high-water marks.
-    pub streams: Vec<StreamStats>,
-    /// Spin-up / steady / drain phase split of the run.
-    pub phases: RunPhases,
-    /// Per-peer transport counters, one per connection; empty for
-    /// single-process runs (filled by [`crate::transport::run_node`]).
-    pub transport: Vec<crate::metrics::ConnectionReport>,
-}
-
 /// A failed run: the selected root cause, the cascade errors it triggered,
-/// and the statistics of every copy that reported before shutdown — on a
-/// fully spawned graph that is *every* copy, panicked ones included.
+/// and the row of every copy that reported before shutdown — on a fully
+/// spawned graph that is *every* copy, panicked ones included.
 #[derive(Debug, Clone)]
 pub struct RunFailure {
     /// The root-cause error (kind-selected: originating failures beat
@@ -99,9 +87,9 @@ pub struct RunFailure {
     pub error: FilterError,
     /// Other errors observed during the drain, in arrival order.
     pub secondary: Vec<FilterError>,
-    /// Per-copy statistics collected up to the failure (empty when the run
+    /// Per-copy rows collected up to the failure (empty when the run
     /// failed before any thread was spawned, e.g. graph validation).
-    pub stats: RunStats,
+    pub per_copy: CopyRows,
 }
 
 impl std::fmt::Display for RunFailure {
@@ -121,7 +109,7 @@ impl From<FilterError> for RunFailure {
         Self {
             error,
             secondary: Vec::new(),
-            stats: RunStats::default(),
+            per_copy: CopyRows::default(),
         }
     }
 }
@@ -188,7 +176,9 @@ pub(crate) struct StreamInjector {
 /// Executes `spec` with the given filter factories and blocks until every
 /// filter has finished **and every worker thread has been joined** — no
 /// thread outlives this call, so a failed run cannot keep writing output
-/// behind the caller's back.
+/// behind the caller's back. The returned [`RunReport`] carries the graph
+/// shape, phases, per-stream meters and per-copy rows; `io`, `transport`
+/// and `store` are the outer drivers' to fill.
 ///
 /// # Errors
 /// Graph validation failures, a missing factory, or the kind-selected root
@@ -197,7 +187,7 @@ pub fn run_graph(
     spec: &GraphSpec,
     factories: &mut HashMap<String, FilterFactory>,
     cfg: &EngineConfig,
-) -> Result<RunOutcome, RunFailure> {
+) -> Result<RunReport, RunFailure> {
     run_graph_partition(spec, factories, cfg, Partition::whole())
 }
 
@@ -205,13 +195,14 @@ pub fn run_graph(
 /// only for locally hosted consumer copies, cross-node positions in each
 /// producer's sender vector are filled with transport uplinks, and factories
 /// are called with **global** copy indices so node mapping, output file
-/// naming and routing are identical to the single-process run.
+/// naming and routing are identical to the single-process run. The report's
+/// `filters` count the locally hosted copies only.
 pub(crate) fn run_graph_partition(
     spec: &GraphSpec,
     factories: &mut HashMap<String, FilterFactory>,
     cfg: &EngineConfig,
-    partition: Partition,
-) -> Result<RunOutcome, RunFailure> {
+    mut partition: Partition,
+) -> Result<RunReport, RunFailure> {
     spec.validate()
         .map_err(|e| FilterError::engine(format!("invalid graph: {e}")))?;
     for f in &spec.filters {
@@ -323,7 +314,6 @@ pub(crate) fn run_graph_partition(
     // Hand the injectors to the transport readers *before* any copy runs:
     // readers must hold their queue clones before local consumers could
     // mistake a missing remote producer for end-of-stream.
-    let mut partition = partition;
     if let Some(handoff) = partition.handoff.take() {
         let injectors: Vec<Option<StreamInjector>> = spec
             .streams
@@ -335,13 +325,8 @@ pub(crate) fn run_graph_partition(
                 if chans[si].local_txs.is_empty() || !has_remote_producer {
                     return None;
                 }
-                let port = spec
-                    .inputs_of(&s.to)
-                    .iter()
-                    .position(|&i| i == si)
-                    .expect("stream is an input of its consumer");
                 Some(StreamInjector {
-                    port,
+                    port: spec.input_port_of(si),
                     senders: chans[si].local_txs.clone(),
                     meter: meters[si].clone(),
                 })
@@ -349,26 +334,26 @@ pub(crate) fn run_graph_partition(
             .collect();
         handoff(injectors);
     }
-    let node = partition.node;
     let failed = Arc::clone(&partition.failed);
     // The uplink originals drop here; producers' OutPorts hold the clones
     // and the transport writers hold the receiving ends.
-    drop(partition);
+    partition.uplinks.clear();
 
     let start = Instant::now();
-    let is_local = |fdecl: &crate::graph::FilterDecl, copy: usize| match node {
-        None => true,
-        Some(n) => fdecl.placement.get(copy).copied() == Some(n),
-    };
+    let filters: Vec<FilterShape> = spec
+        .filters
+        .iter()
+        .map(|f| FilterShape {
+            name: f.name.clone(),
+            copies: (0..f.copies).filter(|&c| partition.is_local(f, c)).count(),
+        })
+        .filter(|f| f.copies > 0)
+        .collect();
     // Sized to the *local* copy count so every worker's single completion
     // send is non-blocking even if the drain loop exits early — a graph
     // with more than N copies must never stall against a fixed-size channel.
-    let total_copies: usize = spec
-        .filters
-        .iter()
-        .map(|f| (0..f.copies).filter(|&c| is_local(f, c)).count())
-        .sum();
-    let (done_tx, done_rx) = bounded::<(FilterCopyStats, Option<FilterError>)>(total_copies.max(1));
+    let total_copies: usize = filters.iter().map(|f| f.copies).sum();
+    let (done_tx, done_rx) = bounded::<(CopyReport, Option<FilterError>)>(total_copies.max(1));
     // Run-level failure flag: raised by the first failing copy before it
     // releases its channels, so sinks can refuse to commit output on runs
     // that are already doomed (see `FilterContext::run_failed`).
@@ -380,20 +365,15 @@ pub(crate) fn run_graph_partition(
         let input_streams = spec.inputs_of(&fdecl.name);
         let output_streams = spec.outputs_of(&fdecl.name);
         let factory = factories.get_mut(&fdecl.name).expect("checked above");
-        for copy in (0..fdecl.copies).filter(|&c| is_local(fdecl, c)) {
+        for copy in (0..fdecl.copies).filter(|&c| partition.is_local(fdecl, c)) {
             let outputs: Vec<OutPort> = output_streams
                 .iter()
                 .map(|&si| {
                     let s = &spec.streams[si];
-                    let dest_port = spec
-                        .inputs_of(&s.to)
-                        .iter()
-                        .position(|&i| i == si)
-                        .expect("stream is an input of its consumer");
                     OutPort {
                         policy: s.policy,
                         dest_filter: s.to.clone(),
-                        dest_port,
+                        dest_port: spec.input_port_of(si),
                         senders: chans[si].senders.clone(),
                         consumer_copies: spec.filter_decl(&s.to).expect("validated").copies,
                         seq: 0,
@@ -480,9 +460,9 @@ pub(crate) fn run_graph_partition(
     let mut engine_error: Option<FilterError> = None;
     for _ in 0..spawned {
         match done_rx.recv() {
-            Ok((stats, err)) => {
+            Ok((row, err)) => {
                 first_done.get_or_insert_with(Instant::now);
-                per_copy.push(stats);
+                per_copy.push(row);
                 if let Some(e) = err {
                     // Cascade symptoms (a producer noticing its consumer
                     // died) can never shadow — or be faked by — an
@@ -523,16 +503,14 @@ pub(crate) fn run_graph_partition(
     // `spinup + steady + drain <= wall` holds exactly in Duration space.
     let finished = Instant::now();
     let first_done = first_done.unwrap_or(spinup_done);
-    let phases = RunPhases {
-        spinup: spinup_done.duration_since(start),
-        steady: first_done.duration_since(spinup_done),
-        drain: finished.duration_since(first_done),
+    let phases = PhaseReport {
+        spinup_s: spinup_done.duration_since(start).as_secs_f64(),
+        steady_s: first_done.duration_since(spinup_done).as_secs_f64(),
+        drain_s: finished.duration_since(first_done).as_secs_f64(),
     };
+    let wall_s = start.elapsed().as_secs_f64();
     per_copy.sort_by(|a, b| (&a.filter, a.copy).cmp(&(&b.filter, b.copy)));
-    let stats = RunStats {
-        per_copy,
-        wall: start.elapsed(),
-    };
+    let per_copy = CopyRows(per_copy);
     // Root-cause precedence: a typed spin-up failure or an originating
     // in-flight failure (App/Io/Panic) beats an engine failure, which beats
     // the DownstreamClosed cascade symptoms all of them trigger. Whatever is
@@ -575,11 +553,16 @@ pub(crate) fn run_graph_partition(
                 }
             })
             .collect();
-        return Ok(RunOutcome {
-            stats,
-            streams,
+        return Ok(RunReport {
+            schema_version: RUN_REPORT_SCHEMA_VERSION,
+            wall_s,
             phases,
-            transport: Vec::new(),
+            filters,
+            streams,
+            per_copy,
+            io: None,
+            transport: None,
+            store: None,
         });
     }
     let error = candidates.remove(0);
@@ -587,7 +570,7 @@ pub(crate) fn run_graph_partition(
     Err(RunFailure {
         error,
         secondary: candidates,
-        stats,
+        per_copy,
     })
 }
 
@@ -622,14 +605,14 @@ const CANCEL_POLL: Duration = Duration::from_millis(25);
 /// Drives one filter copy to completion on the current thread.
 ///
 /// Every callback runs under panic containment; after a failure (error or
-/// panic) the filter is not called again, but the stats accumulated so far
-/// are still reported and the thread exits normally, so the engine's drain
+/// panic) the filter is not called again, but the row accumulated so far
+/// is still reported and the thread exits normally, so the engine's drain
 /// and join logic never depends on filters being well-behaved.
 fn run_copy(
     mut filter: Box<dyn Filter>,
     mut ctx: FilterContext,
     receivers: Vec<Receiver<Msg>>,
-) -> (FilterCopyStats, Option<FilterError>) {
+) -> (CopyReport, Option<FilterError>) {
     let t0 = Instant::now();
     let mut busy = Duration::ZERO;
     let mut blocked_recv = Duration::ZERO;
@@ -727,20 +710,21 @@ fn run_copy(
 
     // `emit` runs inside callbacks, so its blocked-send time is nested in
     // the callback timing; subtracting it makes `busy` pure compute and
-    // `busy + blocked_send + blocked_recv <= wall` exact.
+    // `busy + blocked_send + blocked_recv <= wall` exact. Everything above
+    // is measured in `Duration`; this is the one conversion to seconds.
     let blocked_send = ctx.blocked_send;
     let busy = busy.saturating_sub(blocked_send);
-    let stats = FilterCopyStats {
+    let row = CopyReport {
         filter: ctx.filter_name.clone(),
         copy: ctx.copy_index,
         buffers_in,
         buffers_out: ctx.buffers_out,
         bytes_in,
         bytes_out: ctx.bytes_out,
-        busy,
-        blocked_send,
-        blocked_recv,
-        wall: t0.elapsed(),
+        busy_s: busy.as_secs_f64(),
+        blocked_send_s: blocked_send.as_secs_f64(),
+        blocked_recv_s: blocked_recv.as_secs_f64(),
+        wall_s: t0.elapsed().as_secs_f64(),
     };
     let error = error.map(|e| e.with_origin(&ctx.filter_name, ctx.copy_index));
     if error.is_some() {
@@ -752,5 +736,5 @@ fn run_copy(
     // filter may hold broken invariants, so its destructor is contained too.
     drop(ctx);
     let _ = catch_unwind(AssertUnwindSafe(move || drop(filter)));
-    (stats, error)
+    (row, error)
 }

@@ -185,6 +185,13 @@ impl GraphSpec {
             .collect()
     }
 
+    /// The input port stream `si` occupies on its consumer: its position
+    /// among [`GraphSpec::inputs_of`] that filter.
+    pub fn input_port_of(&self, si: usize) -> usize {
+        let to = &self.streams[si].to;
+        self.streams[..si].iter().filter(|s| &s.to == to).count()
+    }
+
     /// Stream indices leaving `filter`, in declaration order — these are
     /// the filter's output ports.
     pub fn outputs_of(&self, filter: &str) -> Vec<usize> {
@@ -294,6 +301,7 @@ mod tests {
             .stream("s1", "a", "c", SchedulePolicy::RoundRobin)
             .stream("s2", "b", "c", SchedulePolicy::RoundRobin);
         assert_eq!(g.inputs_of("c"), vec![0, 1]);
+        assert_eq!((g.input_port_of(0), g.input_port_of(1)), (0, 1));
         assert_eq!(g.outputs_of("a"), vec![0]);
         assert!(g.inputs_of("a").is_empty());
     }

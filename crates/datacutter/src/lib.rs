@@ -37,20 +37,18 @@ pub mod filter;
 pub mod graph;
 pub mod metrics;
 pub mod schedule;
-pub mod stats;
 pub mod transport;
 
 pub use buffer::DataBuffer;
-pub use engine::{run_graph, EngineConfig, FilterFactory, RunFailure, RunOutcome, CANCEL_MESSAGE};
+pub use engine::{run_graph, EngineConfig, FilterFactory, RunFailure, CANCEL_MESSAGE};
 pub use fault::{FaultKind, FaultPlan, FaultSite, FaultSpec};
 pub use filter::{Filter, FilterContext, FilterError, FilterErrorKind};
 pub use graph::{FilterDecl, GraphSpec, StreamDecl};
 pub use metrics::{
-    ConnectionReport, CopyReport, FilterShape, IoReport, PhaseReport, RunPhases, RunReport,
+    ConnectionReport, CopyReport, CopyRows, FilterShape, IoReport, PhaseReport, RunReport,
     StoreReport, StreamMeter, StreamStats,
 };
 pub use schedule::SchedulePolicy;
-pub use stats::{FilterCopyStats, RunStats};
 pub use transport::{
     free_loopback_addrs, reserve_loopback_listeners, run_node, NodeConfig, PayloadCodec,
     TransportFault, TransportFaultKind, WireConfig, WireError,

@@ -3,21 +3,19 @@
 //!
 //! Paper Figure 9 plots, per filter, processing time against time spent
 //! waiting on streams. The engine measures that split directly — per copy,
-//! [`crate::stats::FilterCopyStats::blocked_send`] (emit blocked on a full
-//! downstream queue) and [`crate::stats::FilterCopyStats::blocked_recv`]
-//! (waiting for input) — and per stream, delivered buffer/byte counts plus a
-//! sampled queue-depth high-water mark. [`RunReport`] aggregates the lot
-//! with the graph shape and schedule policies into one JSON-serializable
-//! document (`h4d … --report out.json`), the filter-level instrumentation
-//! frameworks like Region Templates rely on to diagnose pipeline placement.
+//! [`CopyReport::blocked_send_s`] (emit blocked on a full downstream queue)
+//! and [`CopyReport::blocked_recv_s`] (waiting for input) — and per stream,
+//! delivered buffer/byte counts plus a sampled queue-depth high-water mark.
+//! [`RunReport`] aggregates the lot with the graph shape and schedule
+//! policies into one JSON-serializable document (`h4d … --report out.json`),
+//! the filter-level instrumentation frameworks like Region Templates rely on
+//! to diagnose pipeline placement. It is the one value every driver returns;
+//! the `cluster` simulator predicts the same [`CopyRows`].
 
-use crate::engine::RunOutcome;
-use crate::graph::GraphSpec;
 use crate::schedule::SchedulePolicy;
-use crate::stats::FilterCopyStats;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
 
 /// Shared per-stream meter, updated lock-free by every producer copy.
 ///
@@ -57,23 +55,6 @@ impl StreamMeter {
     }
 }
 
-/// Timestamps of the engine's three run phases.
-///
-/// *Spin-up* covers validation, channel creation and factory/thread
-/// creation; *steady* runs from the last spawn to the first copy
-/// completion; *drain* from the first completion until every worker thread
-/// is joined. The three phases partition the run, so their sum never
-/// exceeds the run's wall time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RunPhases {
-    /// Validation, channel creation, factories, thread spawns.
-    pub spinup: Duration,
-    /// Last spawn to first copy completion.
-    pub steady: Duration,
-    /// First copy completion to last thread join.
-    pub drain: Duration,
-}
-
 /// One filter's shape in the report: its name and copy count.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FilterShape {
@@ -108,8 +89,12 @@ pub struct StreamStats {
     pub depth_high_water: usize,
 }
 
-/// Per-copy row of the report: [`FilterCopyStats`] with durations flattened
-/// to seconds, the unit Figure 9 plots.
+/// One filter copy's row: buffers and bytes in and out, and the busy /
+/// blocked-send / blocked-recv split of its lifetime in seconds, the unit
+/// Figure 9 plots. The threaded engine measures each duration disjointly on
+/// the copy's own thread, so `busy + blocked_send + blocked_recv <= wall` is
+/// exact where measured and holds within [`RunReport::check`]'s `1e-6` once
+/// flattened to `f64`. The simulator fills the same row in virtual seconds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CopyReport {
     /// Filter name.
@@ -124,34 +109,105 @@ pub struct CopyReport {
     pub bytes_in: u64,
     /// Bytes emitted.
     pub bytes_out: u64,
-    /// Seconds computing inside callbacks, net of blocked sends.
+    /// Seconds computing inside `start`/`process`/`finish`, net of the
+    /// blocked-send time accumulated by `emit` calls within them.
     pub busy_s: f64,
-    /// Seconds blocked in `emit` on full downstream queues.
+    /// Seconds blocked in `emit` on full downstream queues. The simulator
+    /// does not split its waiting and leaves this `0.0`.
     pub blocked_send_s: f64,
-    /// Seconds waiting for input on the copy's streams.
+    /// Seconds waiting for input on the copy's streams. The simulator does
+    /// not split its waiting and leaves this `0.0`.
     pub blocked_recv_s: f64,
-    /// Thread lifetime in seconds.
+    /// Thread lifetime in seconds; in the simulator, the virtual time at
+    /// which the copy completed (after its final flush).
     pub wall_s: f64,
 }
 
-impl From<&FilterCopyStats> for CopyReport {
-    fn from(c: &FilterCopyStats) -> Self {
-        Self {
-            filter: c.filter.clone(),
-            copy: c.copy,
-            buffers_in: c.buffers_in,
-            buffers_out: c.buffers_out,
-            bytes_in: c.bytes_in,
-            bytes_out: c.bytes_out,
-            busy_s: c.busy.as_secs_f64(),
-            blocked_send_s: c.blocked_send.as_secs_f64(),
-            blocked_recv_s: c.blocked_recv.as_secs_f64(),
-            wall_s: c.wall.as_secs_f64(),
-        }
+impl CopyReport {
+    /// Seconds the copy spent waiting on streams, either direction — the
+    /// "waiting" half of paper Figure 9's busy-vs-wait split.
+    pub fn blocked_s(&self) -> f64 {
+        self.blocked_send_s + self.blocked_recv_s
     }
 }
 
-/// Run phases flattened to seconds for the report.
+/// The per-copy rows of one run, sorted by (filter, copy), with the
+/// per-filter aggregates every consumer reads them through — the same for a
+/// measured [`RunReport`], the rows a [`crate::RunFailure`] collected and
+/// the simulator's prediction. Serializes as the bare array of rows.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(transparent)]
+pub struct CopyRows(pub Vec<CopyReport>);
+
+impl std::ops::Deref for CopyRows {
+    type Target = [CopyReport];
+
+    fn deref(&self) -> &[CopyReport] {
+        &self.0
+    }
+}
+
+impl CopyRows {
+    fn of<'a>(&'a self, filter: &'a str) -> impl Iterator<Item = &'a CopyReport> {
+        self.iter().filter(move |c| c.filter == filter)
+    }
+
+    /// All copies of `filter`.
+    pub fn copies_of(&self, filter: &str) -> Vec<&CopyReport> {
+        self.iter().filter(|c| c.filter == filter).collect()
+    }
+
+    /// Total busy seconds across the copies of `filter`.
+    pub fn busy_of(&self, filter: &str) -> f64 {
+        self.of(filter).map(|c| c.busy_s).sum()
+    }
+
+    /// Maximum per-copy busy seconds of `filter` — the paper's "processing
+    /// time of each filter" under perfect balance.
+    pub fn max_busy_of(&self, filter: &str) -> f64 {
+        self.of(filter).map(|c| c.busy_s).fold(0.0, f64::max)
+    }
+
+    /// Total buffers consumed by the copies of `filter`.
+    pub fn buffers_into(&self, filter: &str) -> u64 {
+        self.of(filter).map(|c| c.buffers_in).sum()
+    }
+
+    /// Total buffers emitted by the copies of `filter`.
+    pub fn buffers_out_of(&self, filter: &str) -> u64 {
+        self.of(filter).map(|c| c.buffers_out).sum()
+    }
+
+    /// Total bytes emitted by the copies of `filter` — the communication
+    /// volume leaving that stage.
+    pub fn bytes_out_of(&self, filter: &str) -> u64 {
+        self.of(filter).map(|c| c.bytes_out).sum()
+    }
+
+    /// Buffer counts received per copy of `filter`, by copy index — used to
+    /// verify round-robin fairness and observe demand-driven skew.
+    pub fn per_copy_buffers_in(&self, filter: &str) -> BTreeMap<usize, u64> {
+        self.of(filter).map(|c| (c.copy, c.buffers_in)).collect()
+    }
+
+    /// Total seconds the copies of `filter` spent blocked in `emit`.
+    pub fn blocked_send_of(&self, filter: &str) -> f64 {
+        self.of(filter).map(|c| c.blocked_send_s).sum()
+    }
+
+    /// Total seconds the copies of `filter` spent waiting for input.
+    pub fn blocked_recv_of(&self, filter: &str) -> f64 {
+        self.of(filter).map(|c| c.blocked_recv_s).sum()
+    }
+}
+
+/// The engine's three run phases in seconds.
+///
+/// *Spin-up* covers validation, channel creation and factory/thread
+/// creation; *steady* runs from the last spawn to the first copy
+/// completion; *drain* from the first completion until every worker thread
+/// is joined. The three phases partition the run, so their sum never
+/// exceeds the run's wall time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct PhaseReport {
     /// Spin-up seconds (validation, channels, factories, spawns).
@@ -160,16 +216,6 @@ pub struct PhaseReport {
     pub steady_s: f64,
     /// Drain seconds (first completion to last join).
     pub drain_s: f64,
-}
-
-impl From<RunPhases> for PhaseReport {
-    fn from(p: RunPhases) -> Self {
-        Self {
-            spinup_s: p.spinup.as_secs_f64(),
-            steady_s: p.steady.as_secs_f64(),
-            drain_s: p.drain.as_secs_f64(),
-        }
-    }
 }
 
 /// Reader-side I/O plane counters (slice cache + disk reads) as serialized
@@ -252,7 +298,10 @@ pub struct ConnectionReport {
 
 /// The serializable run report: graph shape, schedule policies, run phases,
 /// per-stream delivery aggregates, and the per-copy busy / blocked-send /
-/// blocked-recv breakdown of paper Figure 9.
+/// blocked-recv breakdown of paper Figure 9. Every driver returns one:
+/// [`crate::run_graph`] fills everything up to `per_copy`,
+/// [`crate::run_node`] adds `transport`, and the pipeline layer's drivers
+/// add `io` and `store`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Report format version.
@@ -261,12 +310,15 @@ pub struct RunReport {
     pub wall_s: f64,
     /// Spin-up / steady / drain split.
     pub phases: PhaseReport,
-    /// Declared filters and their copy counts.
+    /// Declared filters and their copy counts; the report of one node of a
+    /// distributed run lists only the copies placed on that node, so
+    /// [`RunReport::check`]'s rows-versus-declared invariant holds per
+    /// process.
     pub filters: Vec<FilterShape>,
     /// Per-stream aggregates (policy, capacity, deliveries, high water).
     pub streams: Vec<StreamStats>,
     /// Per-copy breakdown, sorted by (filter, copy).
-    pub per_copy: Vec<CopyReport>,
+    pub per_copy: CopyRows,
     /// Reader-side I/O plane counters, when the run recorded them.
     /// Additive and optional, so schema version 1 documents stay valid.
     #[serde(default, skip_serializing_if = "Option::is_none")]
@@ -283,55 +335,6 @@ pub struct RunReport {
 pub const RUN_REPORT_SCHEMA_VERSION: u32 = 1;
 
 impl RunReport {
-    /// Builds a report from a completed run of `spec`.
-    pub fn new(spec: &GraphSpec, outcome: &RunOutcome) -> Self {
-        Self {
-            schema_version: RUN_REPORT_SCHEMA_VERSION,
-            wall_s: outcome.stats.wall.as_secs_f64(),
-            phases: outcome.phases.into(),
-            filters: spec
-                .filters
-                .iter()
-                .map(|f| FilterShape {
-                    name: f.name.clone(),
-                    copies: f.copies,
-                })
-                .collect(),
-            streams: outcome.streams.clone(),
-            per_copy: outcome
-                .stats
-                .per_copy
-                .iter()
-                .map(CopyReport::from)
-                .collect(),
-            io: None,
-            transport: (!outcome.transport.is_empty()).then(|| outcome.transport.clone()),
-            store: None,
-        }
-    }
-
-    /// Builds a report for the partition of `spec` that ran on `node` in a
-    /// distributed run: declared copy counts are restricted to the copies
-    /// placed on that node, so [`RunReport::check`]'s rows-versus-declared
-    /// invariant holds per process even though each process only hosts a
-    /// slice of the graph.
-    pub fn for_node(spec: &GraphSpec, outcome: &RunOutcome, node: usize) -> Self {
-        let mut report = Self::new(spec, outcome);
-        for (shape, decl) in report.filters.iter_mut().zip(&spec.filters) {
-            shape.copies = decl.placement.iter().filter(|&&n| n == node).count();
-        }
-        report.filters.retain(|f| f.copies > 0);
-        report
-    }
-
-    /// All per-copy rows of `filter`.
-    pub fn copies_of(&self, filter: &str) -> Vec<&CopyReport> {
-        self.per_copy
-            .iter()
-            .filter(|c| c.filter == filter)
-            .collect()
-    }
-
     /// Validates the report's internal invariants; returns the first
     /// violation found. Used by tests and the CI schema check.
     ///
@@ -351,8 +354,8 @@ impl RunReport {
                 self.per_copy.len()
             ));
         }
-        for c in &self.per_copy {
-            let accounted = c.busy_s + c.blocked_send_s + c.blocked_recv_s;
+        for c in self.per_copy.iter() {
+            let accounted = c.busy_s + c.blocked_s();
             if accounted > c.wall_s + EPS {
                 return Err(format!(
                     "{}#{}: busy+blocked {accounted:.6}s exceeds wall {:.6}s",
@@ -405,6 +408,49 @@ mod tests {
         assert_eq!(m.depth_high_water(), 4);
     }
 
+    fn rows() -> CopyRows {
+        let copy = |filter: &str, copy: usize, bin: u64, bout: u64| CopyReport {
+            filter: filter.into(),
+            copy,
+            buffers_in: bin,
+            buffers_out: bout,
+            bytes_in: bin * 10,
+            bytes_out: bout * 10,
+            busy_s: (bin + bout) as f64 * 1e-3,
+            blocked_send_s: bout as f64 * 1e-3,
+            blocked_recv_s: bin as f64 * 1e-3,
+            wall_s: 0.1,
+        };
+        CopyRows(vec![
+            copy("a", 0, 0, 10),
+            copy("b", 0, 6, 3),
+            copy("b", 1, 4, 2),
+        ])
+    }
+
+    #[test]
+    fn aggregation() {
+        let s = rows();
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-12;
+        assert_eq!(s.buffers_into("b"), 10);
+        assert_eq!(s.buffers_out_of("b"), 5);
+        assert_eq!(s.bytes_out_of("a"), 100);
+        assert!(close(s.busy_of("b"), 0.015));
+        assert!(close(s.max_busy_of("b"), 0.009));
+        assert_eq!(s.max_busy_of("ghost"), 0.0);
+        assert!(close(s.blocked_send_of("b"), 0.005));
+        assert!(close(s.blocked_recv_of("b"), 0.010));
+        assert!(close(s[1].blocked_s(), 0.009));
+    }
+
+    #[test]
+    fn per_copy_breakdown() {
+        let s = rows();
+        let m = s.per_copy_buffers_in("b");
+        assert_eq!(m[&0], 6);
+        assert_eq!(m[&1], 4);
+    }
+
     fn report() -> RunReport {
         RunReport {
             schema_version: RUN_REPORT_SCHEMA_VERSION,
@@ -429,7 +475,7 @@ mod tests {
                 bytes: 70,
                 depth_high_water: 3,
             }],
-            per_copy: vec![CopyReport {
+            per_copy: CopyRows(vec![CopyReport {
                 filter: "a".into(),
                 copy: 0,
                 buffers_in: 0,
@@ -440,7 +486,7 @@ mod tests {
                 blocked_send_s: 0.3,
                 blocked_recv_s: 0.1,
                 wall_s: 0.9,
-            }],
+            }]),
             io: None,
             transport: None,
             store: None,
@@ -455,7 +501,7 @@ mod tests {
     #[test]
     fn check_rejects_overaccounted_copy() {
         let mut r = report();
-        r.per_copy[0].busy_s = 0.9; // 0.9 + 0.3 + 0.1 > 0.9 wall
+        r.per_copy.0[0].busy_s = 0.9; // 0.9 + 0.3 + 0.1 > 0.9 wall
         let e = r.check().unwrap_err();
         assert!(e.contains("exceeds wall"), "{e}");
     }

@@ -51,12 +51,11 @@
 
 use crate::buffer::DataBuffer;
 use crate::engine::{
-    run_graph_partition, EngineConfig, FilterFactory, Partition, RunFailure, RunOutcome,
-    StreamInjector,
+    run_graph_partition, EngineConfig, FilterFactory, Partition, RunFailure, StreamInjector,
 };
 use crate::filter::{FilterError, FilterErrorKind, Msg};
 use crate::graph::GraphSpec;
-use crate::metrics::ConnectionReport;
+use crate::metrics::{ConnectionReport, RunReport};
 use crate::transport::codec::PayloadCodec;
 use crate::transport::wire::{
     encode_data_frame, read_frame, spec_digest, write_frame, Frame, WireConfig, MAX_CREDIT_GRANT,
@@ -333,7 +332,7 @@ impl Shared {
 }
 
 /// Per-connection transport counters, shared between the writer and reader
-/// threads and harvested into the [`RunOutcome`] after the join.
+/// threads and harvested into the [`RunReport`] after the join.
 struct ConnStats {
     peer: usize,
     wire: WireConfig,
@@ -1502,8 +1501,9 @@ fn dest_keys(spec: &GraphSpec, si: usize) -> Vec<(u32, usize)> {
 ///
 /// Blocks until the local partition has finished **and** every transport
 /// thread has been joined; like [`crate::run_graph`], no thread outlives
-/// the call. The returned [`RunOutcome`] / [`RunFailure`] covers this
-/// node's copies only — a successful outcome additionally carries one
+/// the call. The returned [`RunReport`] / [`RunFailure`] covers this
+/// node's copies only — `filters` counts the copies placed here, so
+/// [`RunReport::check`] holds per process, and `transport` carries one
 /// [`ConnectionReport`] per peer connection (frames, flushes, credits,
 /// compression) — and root-cause selection extends the engine's kind
 /// ordering with transport classes: a locally detected peer loss beats a
@@ -1518,7 +1518,7 @@ pub fn run_node(
     factories: &mut HashMap<String, FilterFactory>,
     codec: Arc<PayloadCodec>,
     cfg: &NodeConfig,
-) -> Result<RunOutcome, RunFailure> {
+) -> Result<RunReport, RunFailure> {
     prevalidate(spec, factories, cfg)?;
     let me = cfg.node;
     let spec_json = serde_json::to_vec(spec)
@@ -1731,20 +1731,20 @@ pub fn run_node(
         .position(|(class, origin, _)| *class == ErrClass::Remote && *origin != me);
     let root_at = local_at.or(remote_at);
     match result {
-        Ok(mut outcome) => {
-            outcome.transport = transport;
-            match root_at {
-                Some(at) => {
-                    let (_, _, error) = errors.remove(at);
-                    Err(RunFailure {
-                        error,
-                        secondary: errors.into_iter().map(|(_, _, e)| e).collect(),
-                        stats: outcome.stats,
-                    })
-                }
-                None => Ok(outcome),
+        Ok(mut report) => match root_at {
+            Some(at) => {
+                let (_, _, error) = errors.remove(at);
+                Err(RunFailure {
+                    error,
+                    secondary: errors.into_iter().map(|(_, _, e)| e).collect(),
+                    per_copy: report.per_copy,
+                })
             }
-        }
+            None => {
+                report.transport = (!transport.is_empty()).then_some(transport);
+                Ok(report)
+            }
+        },
         Err(mut failure) => {
             match root_at {
                 Some(at) => {

@@ -13,7 +13,7 @@
 use datacutter::{
     reserve_loopback_listeners, run_graph, run_node, DataBuffer, EngineConfig, FaultKind,
     FaultPlan, FaultSite, FaultSpec, Filter, FilterContext, FilterError, FilterErrorKind,
-    GraphSpec, NodeConfig, PayloadCodec, RunFailure, RunOutcome, SchedulePolicy, TransportFault,
+    GraphSpec, NodeConfig, PayloadCodec, RunFailure, RunReport, SchedulePolicy, TransportFault,
     TransportFaultKind,
 };
 use parking_lot::Mutex;
@@ -119,7 +119,7 @@ fn build_case(rng: &mut StdRng) -> Case {
     }
 }
 
-fn run_with_watchdog(spec: GraphSpec, mut factories: Factories) -> Result<RunOutcome, RunFailure> {
+fn run_with_watchdog(spec: GraphSpec, mut factories: Factories) -> Result<RunReport, RunFailure> {
     let (tx, rx) = mpsc::channel();
     let handle = std::thread::spawn(move || {
         let r = run_graph(&spec, &mut factories, &EngineConfig::default());
@@ -288,7 +288,7 @@ fn run_partitions(
     factories: impl Fn() -> Factories,
     codec: &Arc<PayloadCodec>,
     faults: [Option<TransportFault>; 2],
-) -> Vec<Result<RunOutcome, RunFailure>> {
+) -> Vec<Result<RunReport, RunFailure>> {
     // Pre-bound listeners: the reservation is handed straight to each
     // node, so parallel test processes can never steal the ports.
     let (addrs, listeners) = reserve_loopback_listeners(2).expect("loopback ports");
@@ -308,7 +308,7 @@ fn run_partitions(
         }));
     }
     drop(tx);
-    let mut results: Vec<Option<Result<RunOutcome, RunFailure>>> = vec![None, None];
+    let mut results: Vec<Option<Result<RunReport, RunFailure>>> = vec![None, None];
     for _ in 0..2 {
         let (node, r) = rx
             .recv_timeout(Duration::from_secs(30))
@@ -318,7 +318,31 @@ fn run_partitions(
     for h in handles {
         h.join().expect("node thread panicked");
     }
-    results.into_iter().map(|r| r.expect("both sent")).collect()
+    let results: Vec<_> = results.into_iter().map(|r| r.expect("both sent")).collect();
+    // A node's report covers its own partition: only the copies placed
+    // there, one connection to the one peer, invariants intact.
+    for (node, report) in results.iter().enumerate() {
+        let Ok(report) = report else { continue };
+        for f in &report.filters {
+            let decl = spec.filter_decl(&f.name).expect("declared");
+            let here = decl.placement.iter().filter(|&&n| n == node).count();
+            assert!(
+                here > 0 && f.copies == here,
+                "node {node} lists {} copies of {:?} but hosts {here}",
+                f.copies,
+                f.name
+            );
+        }
+        assert_eq!(
+            report.transport.as_ref().map(Vec::len),
+            Some(1),
+            "node {node}"
+        );
+        report
+            .check()
+            .unwrap_or_else(|e| panic!("node {node}: {e}"));
+    }
+    results
 }
 
 /// [`run_partitions`] over [`dist_spec`] with the `u64` relays.
@@ -326,7 +350,7 @@ fn run_two_nodes(
     buffers: u64,
     logs: &[Arc<Mutex<Vec<u64>>>; 2],
     faults: [Option<TransportFault>; 2],
-) -> Vec<Result<RunOutcome, RunFailure>> {
+) -> Vec<Result<RunReport, RunFailure>> {
     let factories = || dist_factories(buffers, logs);
     run_partitions(&dist_spec(), factories, &u64_codec(), faults)
 }
@@ -530,6 +554,7 @@ fn credit_windows_keep_a_shared_connection_live_around_a_bottleneck() {
         .unwrap()
         .transport
         .iter()
+        .flatten()
         .find(|c| c.peer == 1)
         .expect("node 0 reports its connection to node 1");
     assert!(
@@ -557,7 +582,7 @@ fn every_copy_reports_stats_under_chaos() {
         plan.apply_to_factories(&mut factories);
         let err = run_with_watchdog(case.spec, factories).expect_err("fault must abort");
         assert_eq!(
-            err.stats.per_copy.len(),
+            err.per_copy.len(),
             spawned,
             "seed {seed}: not every spawned copy reported stats"
         );

@@ -123,7 +123,7 @@ fn add_sink(f: &mut Factories, name: &str) -> Arc<Mutex<Vec<u64>>> {
     out
 }
 
-fn run(spec: &GraphSpec, f: &mut Factories) -> datacutter::RunOutcome {
+fn run(spec: &GraphSpec, f: &mut Factories) -> datacutter::RunReport {
     run_graph(spec, f, &EngineConfig::default()).expect("graph run failed")
 }
 
@@ -138,12 +138,12 @@ fn exactly_once_delivery_single_stage() {
     let mut f = factories();
     add_source(&mut f, "src", 500);
     let out = add_sink(&mut f, "sink");
-    let outcome = run(&spec, &mut f);
+    let report = run(&spec, &mut f);
     let mut got = out.lock().clone();
     got.sort_unstable();
     assert_eq!(got, (0..500).collect::<Vec<u64>>());
-    assert_eq!(outcome.stats.buffers_into("sink"), 500);
-    assert_eq!(outcome.stats.buffers_out_of("src"), 500);
+    assert_eq!(report.per_copy.buffers_into("sink"), 500);
+    assert_eq!(report.per_copy.buffers_out_of("src"), 500);
 }
 
 #[test]
@@ -175,8 +175,7 @@ fn round_robin_balances_exactly() {
     add_source(&mut f, "src", 400);
     add_worker(&mut f, "w", Duration::ZERO, 0);
     add_sink(&mut f, "sink");
-    let outcome = run(&spec, &mut f);
-    let per = outcome.stats.per_copy_buffers_in("w");
+    let per = run(&spec, &mut f).per_copy.per_copy_buffers_in("w");
     for (&copy, &n) in &per {
         assert_eq!(n, 100, "copy {copy} received {n}, want exactly 100");
     }
@@ -361,14 +360,14 @@ fn stats_account_bytes_and_buffers() {
     add_source(&mut f, "src", 64);
     add_worker(&mut f, "w", Duration::ZERO, 0);
     add_sink(&mut f, "sink");
-    let outcome = run(&spec, &mut f);
-    let s = &outcome.stats;
+    let report = run(&spec, &mut f);
+    let s = &report.per_copy;
     assert_eq!(s.buffers_out_of("src"), 64);
     assert_eq!(s.buffers_into("w"), 64);
     assert_eq!(s.buffers_out_of("w"), 64);
     assert_eq!(s.buffers_into("sink"), 64);
     assert_eq!(s.bytes_out_of("src"), 64 * 8);
-    assert!(s.wall > Duration::ZERO);
+    assert!(report.wall_s > 0.0);
     // Per-copy records exist for every copy.
     assert_eq!(s.copies_of("w").len(), 2);
 }

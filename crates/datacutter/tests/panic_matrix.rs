@@ -3,14 +3,14 @@
 //! demand-driven streams, must always yield
 //!
 //! * a `Panic`-kind root cause naming the failing filter copy,
-//! * one `FilterCopyStats` record per spawned copy (the panicked one
+//! * one `CopyReport` row per spawned copy (the panicked one
 //!   included),
 //! * a `run_graph` that returns within a watchdog timeout — no deadlock, no
 //!   leaked threads.
 
 use datacutter::{
     run_graph, DataBuffer, EngineConfig, FaultKind, FaultPlan, FaultSite, FaultSpec, Filter,
-    FilterContext, FilterError, FilterErrorKind, GraphSpec, RunFailure, RunOutcome, SchedulePolicy,
+    FilterContext, FilterError, FilterErrorKind, GraphSpec, RunFailure, RunReport, SchedulePolicy,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -78,7 +78,7 @@ fn graph(policy: SchedulePolicy) -> (GraphSpec, Factories) {
 
 /// Runs the graph on a helper thread with a deadline: a hang is a test
 /// failure, not a CI timeout.
-fn run_with_watchdog(spec: GraphSpec, mut factories: Factories) -> Result<RunOutcome, RunFailure> {
+fn run_with_watchdog(spec: GraphSpec, mut factories: Factories) -> Result<RunReport, RunFailure> {
     let (tx, rx) = mpsc::channel();
     let handle = std::thread::spawn(move || {
         let r = run_graph(&spec, &mut factories, &EngineConfig::default());
@@ -116,10 +116,10 @@ fn assert_contained_panic(site: FaultSite, policy: SchedulePolicy) {
     );
     // Every spawned copy reports stats — the panicked one too.
     assert_eq!(
-        err.stats.per_copy.len(),
+        err.per_copy.len(),
         TOTAL_COPIES,
         "site {site:?} / {policy:?}: stats incomplete: {:?}",
-        err.stats.per_copy
+        err.per_copy
     );
     // No secondary error may claim to be an originating failure.
     for s in &err.secondary {
@@ -170,7 +170,6 @@ fn panicked_copy_reports_its_own_stats() {
     let err = run_with_watchdog(spec, factories).expect_err("fault must abort the run");
     assert_eq!(err.error.copy(), Some(0), "{err}");
     let faulted = err
-        .stats
         .per_copy
         .iter()
         .find(|c| c.filter == "w" && c.copy == 0)

@@ -10,7 +10,7 @@
 
 use datacutter::{
     run_graph, DataBuffer, EngineConfig, Filter, FilterContext, FilterError, FilterErrorKind,
-    GraphSpec, RunFailure, RunOutcome, SchedulePolicy,
+    GraphSpec, RunFailure, RunReport, SchedulePolicy,
 };
 use std::collections::HashMap;
 use std::sync::mpsc;
@@ -80,7 +80,7 @@ fn base_factories() -> Factories {
 
 /// Runs the graph on a helper thread with a deadline: a hang is a test
 /// failure, not a CI timeout.
-fn run_with_watchdog(spec: GraphSpec, mut factories: Factories) -> Result<RunOutcome, RunFailure> {
+fn run_with_watchdog(spec: GraphSpec, mut factories: Factories) -> Result<RunReport, RunFailure> {
     let (tx, rx) = mpsc::channel();
     let handle = std::thread::spawn(move || {
         let r = run_graph(&spec, &mut factories, &EngineConfig::default());
@@ -124,10 +124,10 @@ fn err_returning_factory_yields_typed_root_cause() {
     // The copies spawned before the failure (src x2, w copy 0) all drained
     // and reported their stats.
     assert_eq!(
-        err.stats.per_copy.len(),
+        err.per_copy.len(),
         3,
         "every spawned copy must be joined and reported: {:?}",
-        err.stats.per_copy
+        err.per_copy
     );
 }
 
@@ -152,7 +152,7 @@ fn panicking_factory_is_contained() {
     );
     assert!(err.error.message().contains("factory exploded"), "{err}");
     // Only the two src copies were running.
-    assert_eq!(err.stats.per_copy.len(), 2, "{:?}", err.stats.per_copy);
+    assert_eq!(err.per_copy.len(), 2, "{:?}", err.per_copy);
 }
 
 #[test]
@@ -173,7 +173,7 @@ fn factory_error_beats_cascades_from_spawned_copies() {
         "{err}"
     );
     // All four upstream copies (src x2, w x2) joined and reported.
-    assert_eq!(err.stats.per_copy.len(), 4, "{:?}", err.stats.per_copy);
+    assert_eq!(err.per_copy.len(), 4, "{:?}", err.per_copy);
 }
 
 #[test]
@@ -190,5 +190,5 @@ fn first_copy_factory_error_reports_no_stats() {
         (Some("src"), Some(0)),
         "{err}"
     );
-    assert!(err.stats.per_copy.is_empty(), "{:?}", err.stats.per_copy);
+    assert!(err.per_copy.is_empty(), "{:?}", err.per_copy);
 }

@@ -185,29 +185,19 @@ fn run_config(desc: &mri::store::DatasetDescriptor, flags: &Flags) -> AppConfig 
     })
 }
 
-/// Applies the `--result-store` directory onto a loaded configuration and
-/// attaches a session to the run's `IoRuntime`, so `write_report`'s
-/// [`IoRuntime::annotate`] sees the run's store counters (the driver
-/// commits or abandons the session when the run finishes).
-fn apply_store_flag(cfg: &mut AppConfig, flags: &Flags, rt: &mut IoRuntime) {
+/// Applies the `--result-store` directory onto a loaded configuration; the
+/// driver opens, commits or abandons the run's store session and reports
+/// its counters.
+fn apply_store_flag(cfg: &mut AppConfig, flags: &Flags) {
     if let Some(dir) = flags.get("result-store") {
         cfg.result_store = Some(PathBuf::from(dir));
-        rt.attach_result_store(cfg);
     }
 }
 
-/// Writes the Figure-9-style busy-vs-wait run report as JSON to `path`,
-/// annotated with the run's I/O counters.
-fn write_report(
-    path: &str,
-    spec: &datacutter::GraphSpec,
-    outcome: &datacutter::RunOutcome,
-    rt: &IoRuntime,
-) {
-    let mut report = datacutter::RunReport::new(spec, outcome);
-    rt.annotate(&mut report);
+/// Writes the Figure-9-style busy-vs-wait run report as JSON to `path`.
+fn write_report(path: &str, report: &datacutter::RunReport) {
     if let Err(msg) = report.check() {
-        eprintln!("warning: run report failed its invariant check: {msg}");
+        eprintln!("warning: run report {path} failed its invariant check: {msg}");
     }
     std::fs::write(path, report.to_json_pretty()).unwrap_or_else(|e| {
         eprintln!("write {path}: {e}");
@@ -326,18 +316,17 @@ fn main() {
             });
             let desc = ds.descriptor();
             let mut cfg = run_config(desc, &flags);
-            let mut rt = IoRuntime::new();
-            apply_store_flag(&mut cfg, &flags, &mut rt);
+            apply_store_flag(&mut cfg, &flags);
             let cfg = Arc::new(cfg);
             let spec = build_graph(&variant, desc.num_nodes, texture);
             std::fs::create_dir_all(out).ok();
             let t = std::time::Instant::now();
-            let outcome = run_threaded(
+            let report = run_threaded(
                 &spec,
                 &cfg,
                 &PathBuf::from(dir),
                 &PathBuf::from(out),
-                &rt,
+                &IoRuntime::new(),
                 &EngineConfig::default(),
             )
             .unwrap_or_else(|e| {
@@ -345,9 +334,8 @@ fn main() {
                 exit(1);
             });
             if let Some(rp) = flags.get("report") {
-                write_report(rp, &spec, &outcome, &rt);
+                write_report(rp, &report);
             }
-            let stats = outcome.stats;
             println!(
                 "analyzed {} in {:.2?} ({variant}, {:?})",
                 desc.dims,
@@ -355,13 +343,13 @@ fn main() {
                 cfg.representation
             );
             for f in ["RFR", "IIC", "HMP", "HCC", "HPC", "USO", "HIC", "JIW"] {
-                let copies = stats.copies_of(f);
+                let copies = report.per_copy.copies_of(f);
                 if !copies.is_empty() {
                     println!(
                         "  {f:<4} x{:<2} busy {:>8.1?} buffers {:>6}",
                         copies.len(),
-                        stats.max_busy_of(f),
-                        stats.buffers_into(f)
+                        std::time::Duration::from_secs_f64(report.per_copy.max_busy_of(f)),
+                        report.per_copy.buffers_into(f)
                     );
                 }
             }
@@ -394,17 +382,16 @@ fn main() {
             let flags = Flags::parse(&args[4..]);
             let spec = load_graph(json);
             let mut cfg = run_config(&load_descriptor(dir), &flags);
-            let mut rt = IoRuntime::new();
-            apply_store_flag(&mut cfg, &flags, &mut rt);
+            apply_store_flag(&mut cfg, &flags);
             let cfg = Arc::new(cfg);
             std::fs::create_dir_all(out).ok();
             let t = std::time::Instant::now();
-            let outcome = run_threaded(
+            let report = run_threaded(
                 &spec,
                 &cfg,
                 &PathBuf::from(dir),
                 &PathBuf::from(out),
-                &rt,
+                &IoRuntime::new(),
                 &EngineConfig::default(),
             )
             .unwrap_or_else(|e| {
@@ -412,7 +399,7 @@ fn main() {
                 exit(1);
             });
             if let Some(rp) = flags.get("report") {
-                write_report(rp, &spec, &outcome, &rt);
+                write_report(rp, &report);
             }
             println!(
                 "ran {} filters / {} streams in {:.2?}; output under {out}",
@@ -448,8 +435,7 @@ fn main() {
                 .collect();
             let spec = load_graph(json);
             let mut cfg = run_config(&load_descriptor(dir), &flags);
-            let mut rt = IoRuntime::new();
-            apply_store_flag(&mut cfg, &flags, &mut rt);
+            apply_store_flag(&mut cfg, &flags);
             let cfg = Arc::new(cfg);
             std::fs::create_dir_all(out).ok();
             // Picks up H4D_TRANSPORT_FAULT from the environment.
@@ -457,13 +443,13 @@ fn main() {
             node_cfg.checksum = cfg.transport_checksum;
             node_cfg.compress = cfg.transport_compress;
             let t = std::time::Instant::now();
-            let outcome = run_node_threaded(
+            let report = run_node_threaded(
                 &spec,
                 &cfg,
                 &PathBuf::from(dir),
                 &PathBuf::from(out),
                 &node_cfg,
-                &rt,
+                &IoRuntime::new(),
             )
             .unwrap_or_else(|e| {
                 eprintln!("node {node} failed: {e}");
@@ -475,15 +461,7 @@ fn main() {
                 exit(1);
             });
             if let Some(rp) = flags.get("report") {
-                let mut report = datacutter::RunReport::for_node(&spec, &outcome, node);
-                rt.annotate(&mut report);
-                if let Err(msg) = report.check() {
-                    eprintln!("warning: node {node} report failed its invariant check: {msg}");
-                }
-                std::fs::write(rp, report.to_json_pretty()).unwrap_or_else(|e| {
-                    eprintln!("write {rp}: {e}");
-                    exit(1);
-                });
+                write_report(rp, &report);
             }
             println!(
                 "node {node}/{} ran its share of {} filters in {:.2?}; output under {out}",
@@ -665,8 +643,9 @@ fn main() {
             println!("simulated paper-scale {variant} ({repr:?}) on {nodes} PIII texture nodes:");
             println!("  execution time: {:.1} virtual seconds", rep.makespan);
             for f in ["RFR", "IIC", "HCC", "HPC", "HMP", "USO"] {
-                if !rep.copies_of(f).is_empty() {
-                    println!("  {f:<4} max-copy busy {:>8.1}s", rep.max_busy_of(f));
+                if !rep.per_copy.copies_of(f).is_empty() {
+                    let busy = rep.per_copy.max_busy_of(f);
+                    println!("  {f:<4} max-copy busy {busy:>8.1}s");
                 }
             }
         }

@@ -285,7 +285,7 @@ pub fn fig9(model: &CostModel) -> Series {
     for &n in &[2usize, 4, 8, 16] {
         let rep = run_split_piii(model, Representation::Sparse, n, false);
         for filter in ["RFR", "IIC", "HCC", "HPC", "USO"] {
-            s.push(filter, n, rep.max_busy_of(filter));
+            s.push(filter, n, rep.per_copy.max_busy_of(filter));
         }
     }
     s
@@ -380,7 +380,7 @@ pub fn run_fig11(model: &CostModel, policy: SchedulePolicy) -> Fig11Run {
     let spec = SplitGraph {
         rfr: Copies::Placed(opt[0..4].to_vec()),
         iic: Copies::Placed(vec![opt[4]]),
-        hcc: Copies::Placed(hcc),
+        hcc: Copies::Placed(hcc.clone()),
         hpc: Copies::Placed(vec![opt[4], opt[5]]),
         uso: Copies::Placed(vec![opt[5]]),
         texture_policy: policy,
@@ -390,8 +390,8 @@ pub fn run_fig11(model: &CostModel, policy: SchedulePolicy) -> Fig11Run {
     let report = run(&spec, &cluster, &w, &model_arc);
     let mut xeon_buffers = 0;
     let mut opteron_buffers = 0;
-    for c in report.copies_of("HCC") {
-        if cluster.nodes[c.node].cluster == presets::XEON {
+    for c in report.per_copy.copies_of("HCC") {
+        if cluster.nodes[hcc[c.copy]].cluster == presets::XEON {
             xeon_buffers += c.buffers_in;
         } else {
             opteron_buffers += c.buffers_in;
@@ -454,7 +454,11 @@ pub fn fig_iic(model: &CostModel) -> Series {
         }
         .build();
         let rep = run(&spec, &layout.cluster, &w, &model_arc);
-        s.push("IIC busy (max copy)", n_iic, rep.max_busy_of("IIC"));
+        s.push(
+            "IIC busy (max copy)",
+            n_iic,
+            rep.per_copy.max_busy_of("IIC"),
+        );
         s.push("Execution time", n_iic, rep.makespan);
     }
     s
@@ -591,7 +595,7 @@ pub fn scaling_limits(model: &CostModel) -> Series {
         .build();
         let rep = run(&spec, &cluster, &w, &model_arc);
         s.push("Execution time", n, rep.makespan);
-        s.push("HCC busy (max copy)", n, rep.max_busy_of("HCC"));
+        s.push("HCC busy (max copy)", n, rep.per_copy.max_busy_of("HCC"));
     }
     s
 }

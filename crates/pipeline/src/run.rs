@@ -15,7 +15,7 @@ use crate::store::{ResultStore, StoreSession};
 use datacutter::engine::FilterFactory;
 use datacutter::{
     run_graph, run_node, EngineConfig, FilterError, GraphSpec, IoReport, NodeConfig, RunFailure,
-    RunOutcome, RunReport,
+    RunReport,
 };
 use haralick::features::Feature;
 use haralick::volume::Dims4;
@@ -28,8 +28,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// The shared I/O-plane state of one run: the I/O counters every
-/// reading-filter copy records into. Create one per run, pass it to the
-/// drivers, and call [`IoRuntime::annotate`] on the run's report.
+/// reading-filter copy records into. Create one per run and pass it to the
+/// drivers; the report they return carries its counters.
 #[derive(Clone, Default)]
 pub struct IoRuntime {
     /// Reader-side I/O counters shared by all reading-filter copies.
@@ -40,9 +40,9 @@ pub struct IoRuntime {
     /// from disk exactly once across concurrent jobs.
     pub slices: Option<Arc<SliceCacheRegistry>>,
     /// This run's result-store session (see [`crate::store`]). `None` (the
-    /// default) recomputes every chunk; the drivers attach one automatically
-    /// when [`AppConfig::result_store`] is set, and commit or abandon it
-    /// when the run finishes.
+    /// default) recomputes every chunk unless [`AppConfig::result_store`] is
+    /// set, in which case the drivers open a session of their own; either
+    /// way they commit or abandon it when the run finishes.
     pub store: Option<Arc<StoreSession>>,
 }
 
@@ -52,62 +52,55 @@ impl IoRuntime {
         Self::default()
     }
 
-    /// Attaches a result-store session when `cfg.result_store` names a
-    /// directory and no session is attached yet. An unusable store degrades
-    /// to recompute-everything with a warning rather than failing the run —
-    /// the store is a cache, not a correctness dependency.
-    pub fn attach_result_store(&mut self, cfg: &AppConfig) {
-        if self.store.is_some() {
-            return;
+    /// This runtime with a result-store session attached: its own, else one
+    /// opened on `cfg.result_store` when that names a directory. An unusable
+    /// store degrades to recompute-everything with a warning rather than
+    /// failing the run — the store is a cache, not a correctness dependency.
+    fn with_result_store(&self, cfg: &AppConfig) -> Self {
+        let mut rt = self.clone();
+        if let (None, Some(dir)) = (&rt.store, &cfg.result_store) {
+            match ResultStore::open_fs(dir) {
+                Ok(store) => rt.store = Some(Arc::new(StoreSession::new(&store, cfg))),
+                Err(e) => eprintln!(
+                    "warning: result store at {} unavailable, recomputing everything: {e}",
+                    dir.display()
+                ),
+            }
         }
-        let Some(dir) = &cfg.result_store else {
-            return;
-        };
-        match ResultStore::open_fs(dir) {
-            Ok(store) => self.store = Some(Arc::new(StoreSession::new(&store, cfg))),
-            Err(e) => eprintln!(
-                "warning: result store at {} unavailable, recomputing everything: {e}",
-                dir.display()
-            ),
-        }
+        rt
     }
 
-    /// The run's I/O counters as a serializable report fragment.
-    pub fn io_report(&self) -> IoReport {
-        IoReport {
-            disk_reads: self.io.disk_reads(),
-            bytes_read: self.io.bytes_read(),
-            cache_hits: self.io.cache_hits(),
-            cache_misses: self.io.cache_misses(),
-            budget_rejects: self.io.budget_rejects(),
-            retained_high_water: self.io.retained_high_water(),
-        }
-    }
-
-    /// Attaches this runtime's I/O and (when a store session is attached)
-    /// result-store counters to a run report.
-    pub fn annotate(&self, report: &mut RunReport) {
-        report.io = Some(self.io_report());
+    /// Closes the run: commits the store session when the engine reported
+    /// success and abandons it otherwise — staged blobs become visible only
+    /// then, so a failed run contributes nothing to the store, and neither
+    /// outcome can fail the run (the analysis output is already on disk) —
+    /// and attaches this runtime's I/O and store counters to the report.
+    fn finish(&self, result: Result<RunReport, RunFailure>) -> Result<RunReport, RunFailure> {
         if let Some(session) = &self.store {
-            report.store = Some(session.stats().report());
+            if result.is_err() {
+                session.abandon();
+            } else if let Err(e) = session.commit() {
+                eprintln!("warning: result store commit failed: {e}");
+            }
         }
+        result.map(|mut report| {
+            report.io = Some(io_report(&self.io));
+            report.store = self.store.as_ref().map(|s| s.stats().report());
+            report
+        })
     }
 }
 
-/// Commits or abandons a run's store session, if any: staged blobs become
-/// visible only when the engine reported success, so a failed run
-/// contributes nothing to the store. Neither outcome can fail the run —
-/// the analysis output is already on disk.
-fn finish_store(rt: &IoRuntime, ok: bool) {
-    let Some(session) = &rt.store else {
-        return;
-    };
-    if ok {
-        if let Err(e) = session.commit() {
-            eprintln!("warning: result store commit failed: {e}");
-        }
-    } else {
-        session.abandon();
+/// I/O counters as the report fragment a run report and the daemon's
+/// `/status` both carry.
+pub(crate) fn io_report(io: &IoStats) -> IoReport {
+    IoReport {
+        disk_reads: io.disk_reads(),
+        bytes_read: io.bytes_read(),
+        cache_hits: io.cache_hits(),
+        cache_misses: io.cache_misses(),
+        budget_rejects: io.budget_rejects(),
+        retained_high_water: io.retained_high_water(),
     }
 }
 
@@ -177,22 +170,19 @@ pub fn threaded_factories(
 }
 
 /// Runs `spec` in this process on the threaded engine with the real
-/// filters and returns the full [`RunOutcome`]: per-copy statistics (its
-/// `stats` field) plus the per-stream delivery meters and phase split a
-/// [`datacutter::RunReport`] is built from. `engine` carries an embedding
-/// service's cooperative cancellation flag and per-job thread-name prefix;
-/// pass `&EngineConfig::default()` otherwise.
+/// filters and returns the run's [`RunReport`]: graph shape, phases,
+/// per-stream meters and per-copy rows from the engine, plus `io` (always)
+/// and `store` (exactly when the run had a store session) from `rt`.
+/// `engine` carries an embedding service's cooperative cancellation flag and
+/// per-job thread-name prefix; pass `&EngineConfig::default()` otherwise.
 ///
 /// On failure the returned [`RunFailure`] carries the root-cause
 /// [`datacutter::FilterError`] — typed by kind and naming the failing
-/// filter copy — plus the statistics of every copy that ran.
+/// filter copy — plus the row of every copy that ran.
 ///
-/// When `cfg.result_store` is set (and `rt` has no session attached
-/// already) a store session is opened for the run; it is committed after a
-/// successful run and abandoned after a failure. Note the session is
-/// attached to an internal clone of `rt` in that case — a caller that wants
-/// to read the store counters afterwards attaches the session itself (as
-/// the `h4d` CLI and the analysis service do).
+/// When `cfg.result_store` is set (and `rt` carries no session already) a
+/// store session is opened for the run; it is committed after a successful
+/// run and abandoned after a failure.
 pub fn run_threaded(
     spec: &GraphSpec,
     cfg: &Arc<AppConfig>,
@@ -200,13 +190,10 @@ pub fn run_threaded(
     out_dir: &Path,
     rt: &IoRuntime,
     engine: &EngineConfig,
-) -> Result<RunOutcome, RunFailure> {
-    let mut rt = rt.clone();
-    rt.attach_result_store(cfg);
+) -> Result<RunReport, RunFailure> {
+    let rt = rt.with_result_store(cfg);
     let mut factories = threaded_factories(spec, cfg, dataset_root, out_dir, &rt);
-    let result = run_graph(spec, &mut factories, engine);
-    finish_store(&rt, result.is_ok());
-    result
+    rt.finish(run_graph(spec, &mut factories, engine))
 }
 
 /// Runs this process's share of a placed `spec` as one node of a
@@ -216,9 +203,8 @@ pub fn run_threaded(
 /// placed on `node_cfg.node`: cross-node streams are bridged over TCP using
 /// the application's [`crate::codecs::payload_codec`], same-node streams
 /// keep the engine's zero-copy path. Every peer process must call this with
-/// an identical `spec` and address list. The returned statistics and stream
-/// meters cover only the local copies; build a per-node report with
-/// [`datacutter::RunReport::for_node`].
+/// an identical `spec` and address list. The returned report covers only the
+/// local copies and adds one `transport` entry per peer connection.
 ///
 /// Each node process runs its own store session (its own token and staging
 /// area) against the shared store directory, committing only the blobs its
@@ -230,18 +216,15 @@ pub fn run_node_threaded(
     out_dir: &Path,
     node_cfg: &NodeConfig,
     rt: &IoRuntime,
-) -> Result<RunOutcome, RunFailure> {
-    let mut rt = rt.clone();
-    rt.attach_result_store(cfg);
+) -> Result<RunReport, RunFailure> {
+    let rt = rt.with_result_store(cfg);
     let mut factories = threaded_factories(spec, cfg, dataset_root, out_dir, &rt);
-    let result = run_node(
+    rt.finish(run_node(
         spec,
         &mut factories,
         Arc::new(crate::codecs::payload_codec()),
         node_cfg,
-    );
-    finish_store(&rt, result.is_ok());
-    result
+    ))
 }
 
 /// Reads and merges the USO output files of all `copies` for one feature

@@ -26,7 +26,7 @@
 
 use crate::config::{parse_engine, parse_repr, AppConfig, RunOptions};
 use crate::graphs::standard_graph;
-use crate::run::{run_threaded, IoRuntime};
+use crate::run::{io_report, run_threaded, IoRuntime};
 use crate::store::{ResultStore, StoreSession};
 use datacutter::{EngineConfig, IoReport, RunReport, StoreReport};
 use mri::cache::SliceCacheRegistry;
@@ -382,7 +382,6 @@ impl JobManager {
                 _ => {}
             }
         }
-        let io = self.inner.slices.stats();
         ServiceStatus {
             queued: st.queue.len(),
             running: st.running,
@@ -391,14 +390,7 @@ impl JobManager {
             cancelled: counts[2],
             draining: st.draining,
             open_caches: self.inner.slices.open_caches(),
-            io: IoReport {
-                disk_reads: io.disk_reads(),
-                bytes_read: io.bytes_read(),
-                cache_hits: io.cache_hits(),
-                cache_misses: io.cache_misses(),
-                budget_rejects: io.budget_rejects(),
-                retained_high_water: io.retained_high_water(),
-            },
+            io: io_report(self.inner.slices.stats()),
             store: self.inner.store.as_ref().map(|s| s.stats().report()),
         }
     }
@@ -573,14 +565,9 @@ fn execute_job(
         thread_name_prefix: format!("job{id}"),
         cancel: Some(Arc::clone(cancel)),
     };
-    match run_threaded(&graph, &cfg, &spec.dataset, &spec.out_dir, &rt, &engine_cfg) {
-        Ok(outcome) => {
-            let mut report = RunReport::new(&graph, &outcome);
-            rt.annotate(&mut report);
-            Ok(report.to_json_pretty())
-        }
-        Err(failure) => Err(failure.to_string()),
-    }
+    run_threaded(&graph, &cfg, &spec.dataset, &spec.out_dir, &rt, &engine_cfg)
+        .map(|report| report.to_json_pretty())
+        .map_err(|failure| failure.to_string())
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@
 use datacutter::{
     reserve_loopback_listeners, run_graph, DataBuffer, EngineConfig, FaultKind, FaultPlan,
     FaultSite, FaultSpec, Filter, FilterContext, FilterError, FilterErrorKind, GraphSpec,
-    NodeConfig, RunFailure, RunOutcome, SchedulePolicy, TransportFault, TransportFaultKind,
+    NodeConfig, RunFailure, RunReport, SchedulePolicy, TransportFault, TransportFaultKind,
 };
 use haralick::raster::{raster_scan, Representation};
 use haralick::volume::Point4;
@@ -21,7 +21,7 @@ use pipeline::payload::ParamPacket;
 use pipeline::run::{
     merge_uso_outputs, run_node_threaded, run_threaded, threaded_factories, IoRuntime,
 };
-use pipeline::store::ResultStore;
+use pipeline::store::{ResultStore, StoreSession};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -63,7 +63,7 @@ const HMP_SPEC_COPIES: usize = 2 + 2 + 2 + 1;
 
 /// Runs the graph on a helper thread with a deadline so an injected-fault
 /// deadlock fails the test instead of hanging CI.
-fn run_with_watchdog(spec: GraphSpec, mut factories: Factories) -> Result<RunOutcome, RunFailure> {
+fn run_with_watchdog(spec: GraphSpec, mut factories: Factories) -> Result<RunReport, RunFailure> {
     let (tx, rx) = mpsc::channel();
     let handle = std::thread::spawn(move || {
         let r = run_graph(&spec, &mut factories, &EngineConfig::default());
@@ -146,10 +146,10 @@ fn injected_lethal_faults_abort_cleanly_without_committed_outputs() {
         );
         // Every spawned copy still reports stats on the aborted run.
         assert_eq!(
-            err.stats.per_copy.len(),
+            err.per_copy.len(),
             HMP_SPEC_COPIES,
             "{case}: stats incomplete: {:?}",
-            err.stats.per_copy
+            err.per_copy
         );
         // The crash-clean guarantee: nothing committed, only .tmp residue.
         let leaked = committed_outputs(&out);
@@ -260,7 +260,7 @@ fn run_two_node_pipeline(
     data: &Path,
     out: &Path,
     faults: [Option<TransportFault>; 2],
-) -> Vec<Result<RunOutcome, RunFailure>> {
+) -> Vec<Result<RunReport, RunFailure>> {
     // Pre-bound listeners close the port-reservation race under parallel CI.
     let (addrs, listeners) = reserve_loopback_listeners(2).expect("loopback ports");
     let (tx, rx) = mpsc::channel();
@@ -279,7 +279,7 @@ fn run_two_node_pipeline(
         }));
     }
     drop(tx);
-    let mut results: Vec<Option<Result<RunOutcome, RunFailure>>> = vec![None, None];
+    let mut results: Vec<Option<Result<RunReport, RunFailure>>> = vec![None, None];
     for _ in 0..2 {
         let (node, r) = rx
             .recv_timeout(Duration::from_secs(120))
@@ -469,6 +469,18 @@ fn committed_blob_count(store_dir: &Path) -> usize {
     n
 }
 
+/// An `IoRuntime` carrying its own store session, as a caller that wraps
+/// the factories itself (instead of calling `run_threaded`) sets one up.
+fn runtime_with_session(store_dir: &Path, cfg: &AppConfig) -> (IoRuntime, Arc<StoreSession>) {
+    let store = ResultStore::open_fs(store_dir).expect("store opens");
+    let session = Arc::new(StoreSession::new(&store, cfg));
+    let rt = IoRuntime {
+        store: Some(Arc::clone(&session)),
+        ..IoRuntime::new()
+    };
+    (rt, session)
+}
+
 #[test]
 fn failed_run_commits_nothing_to_the_result_store() {
     // A lethal fault lands in USO after several chunks were computed (and
@@ -484,9 +496,7 @@ fn failed_run_commits_nothing_to_the_result_store() {
 
     // The driver's exact sequence (`run_threaded`),
     // opened up so the fault plan can wrap the factories.
-    let mut rt = IoRuntime::new();
-    rt.attach_result_store(&cfg);
-    let session = rt.store.clone().expect("store attached");
+    let (rt, session) = runtime_with_session(&store_dir, &cfg);
     let mut factories = threaded_factories(&spec, &cfg, &data, &out, &rt);
     FaultPlan::new()
         .with(FaultSpec {
@@ -537,9 +547,7 @@ fn store_surviving_a_crashed_run_is_safe_to_reuse() {
     let cfg = Arc::new(cfg);
     let (data, out) = setup("store_crash", &cfg, seed);
 
-    let mut rt = IoRuntime::new();
-    rt.attach_result_store(&cfg);
-    let session = rt.store.clone().expect("store attached");
+    let (rt, session) = runtime_with_session(&store_dir, &cfg);
     let mut factories = threaded_factories(&hmp_spec(), &cfg, &data, &out, &rt);
     FaultPlan::new()
         .with(FaultSpec {
@@ -567,14 +575,12 @@ fn store_surviving_a_crashed_run_is_safe_to_reuse() {
     let chunks = pipeline::Workload::new((*cfg).clone()).grid.len() as u64;
     let out_clean = out.parent().unwrap().join("out_clean");
     std::fs::create_dir_all(&out_clean).unwrap();
-    let mut rt_clean = IoRuntime::new();
-    rt_clean.attach_result_store(&cfg);
-    let engine = EngineConfig::default();
-    run_threaded(&hmp_spec(), &cfg, &data, &out_clean, &rt_clean, &engine)
+    let (rt, engine) = (IoRuntime::new(), EngineConfig::default());
+    let clean = run_threaded(&hmp_spec(), &cfg, &data, &out_clean, &rt, &engine)
         .expect("clean run over a crashed store");
-    let s = rt_clean.store.as_ref().unwrap().stats();
+    let s = clean.store.expect("store section");
     assert_eq!(
-        (s.hits(), s.misses()),
+        (s.hits, s.misses),
         (0, chunks),
         "a dead run's staged chunks must never be served"
     );
@@ -599,11 +605,9 @@ fn store_surviving_a_crashed_run_is_safe_to_reuse() {
     // reproduces the files byte for byte.
     let out_warm = out.parent().unwrap().join("out_warm");
     std::fs::create_dir_all(&out_warm).unwrap();
-    let mut rt_warm = IoRuntime::new();
-    rt_warm.attach_result_store(&cfg);
-    run_threaded(&hmp_spec(), &cfg, &data, &out_warm, &rt_warm, &engine).expect("warm run");
-    let s = rt_warm.store.as_ref().unwrap().stats();
-    assert_eq!((s.hits(), s.misses()), (chunks, 0), "warm-run counters");
+    let warm = run_threaded(&hmp_spec(), &cfg, &data, &out_warm, &rt, &engine).expect("warm run");
+    let s = warm.store.expect("store section");
+    assert_eq!((s.hits, s.misses), (chunks, 0), "warm-run counters");
     for name in committed_outputs(&out_clean) {
         let a = std::fs::read(out_clean.join(&name)).unwrap();
         let b = std::fs::read(out_warm.join(&name)).unwrap();

@@ -115,7 +115,7 @@ fn check_node_report(path: &Path, node: usize) -> RunReport {
         .check()
         .unwrap_or_else(|e| panic!("node {node} report fails invariants: {e}"));
     const EPS: f64 = 1e-6;
-    for c in &report.per_copy {
+    for c in report.per_copy.iter() {
         assert!(
             c.busy_s + c.blocked_send_s + c.blocked_recv_s <= c.wall_s + EPS,
             "node {node} {}#{}: busy {} + blocked_send {} + blocked_recv {} > wall {}",

@@ -2,7 +2,7 @@
 //! for voxel, the same Haralick parameter maps as the sequential reference
 //! implementation — for every graph variant and representation.
 
-use datacutter::{EngineConfig, GraphSpec, RunFailure, RunStats, SchedulePolicy};
+use datacutter::{EngineConfig, GraphSpec, RunFailure, RunReport, SchedulePolicy};
 use haralick::raster::{raster_scan, Representation, ScanEngine};
 use haralick::volume::Point4;
 use mri::output::read_pgm;
@@ -20,9 +20,9 @@ fn run(
     cfg: &Arc<AppConfig>,
     data: &Path,
     out: &Path,
-) -> Result<RunStats, RunFailure> {
+) -> Result<RunReport, RunFailure> {
     let (rt, engine) = (IoRuntime::new(), EngineConfig::default());
-    run_threaded(spec, cfg, data, out, &rt, &engine).map(|outcome| outcome.stats)
+    run_threaded(spec, cfg, data, out, &rt, &engine)
 }
 
 /// Creates a fresh working directory, a small distributed dataset matching
@@ -102,11 +102,11 @@ fn split_spec(hcc: usize, hpc: usize, uso: usize) -> datacutter::GraphSpec {
 fn hmp_pipeline_matches_sequential_reference() {
     let cfg = Arc::new(AppConfig::test_scale(Representation::Full));
     let (data, out) = setup("hmp_full", &cfg, 101);
-    let stats = run(&hmp_spec(3), &cfg, &data, &out).expect("pipeline run");
+    let report = run(&hmp_spec(3), &cfg, &data, &out).expect("pipeline run");
     assert_matches_reference(&cfg, &out, 1, &reference(&cfg, 101));
     // Flow sanity: every chunk passed through exactly once.
     let w = pipeline::Workload::new((*cfg).clone());
-    assert_eq!(stats.buffers_into("HMP"), w.grid.len() as u64);
+    assert_eq!(report.per_copy.buffers_into("HMP"), w.grid.len() as u64);
 }
 
 #[test]

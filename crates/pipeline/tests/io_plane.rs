@@ -52,9 +52,9 @@ fn run_into(
     out: &Path,
 ) -> datacutter::IoReport {
     std::fs::create_dir_all(out).unwrap();
-    let rt = IoRuntime::new();
-    run_threaded(spec, cfg, data, out, &rt, &EngineConfig::default()).expect("pipeline run");
-    rt.io_report()
+    let (rt, engine) = (IoRuntime::new(), EngineConfig::default());
+    let report = run_threaded(spec, cfg, data, out, &rt, &engine).expect("pipeline run");
+    report.io.expect("run_threaded always reports io")
 }
 
 /// Reads every `.h4dp` parameter file the run wrote, keyed by file name.

@@ -41,19 +41,20 @@ fn store_cfg(repr: Representation, store: &Path) -> AppConfig {
     cfg
 }
 
-/// Runs `variant` through the real threaded pipeline with the config's
-/// result store attached; returns `(hits, misses, published)` for the run.
+/// Runs `variant` through the real threaded pipeline and returns the
+/// `(hits, misses, published)` its report carries. The caller sets nothing
+/// but `cfg.result_store` — a fresh `IoRuntime`, no session of its own — so
+/// every counter asserted in this file also checks that the driver's report
+/// has the `store` (and `io`) section of the session the driver opened.
 fn run(variant: &str, cfg: &Arc<AppConfig>, data: &Path, out: &Path) -> (u64, u64, u64) {
     let spec = standard_graph(variant, cfg.storage_nodes, 3).expect("graph variant exists");
     std::fs::create_dir_all(out).unwrap();
-    let mut rt = IoRuntime::new();
-    rt.attach_result_store(cfg);
-    run_threaded(&spec, cfg, data, out, &rt, &EngineConfig::default())
+    let (rt, engine) = (IoRuntime::new(), EngineConfig::default());
+    let report = run_threaded(&spec, cfg, data, out, &rt, &engine)
         .unwrap_or_else(|e| panic!("pipeline run into {out:?}: {e}"));
-    match &rt.store {
-        Some(s) => (s.stats().hits(), s.stats().misses(), s.stats().published()),
-        None => (0, 0, 0),
-    }
+    assert!(report.io.expect("io section").disk_reads > 0);
+    let store = report.store.expect("store section");
+    (store.hits, store.misses, store.published)
 }
 
 /// Every committed `.h4dp` under `out`, keyed by file name. The standard

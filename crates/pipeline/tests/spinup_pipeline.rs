@@ -5,8 +5,7 @@
 //! passes its own invariant check.
 
 use datacutter::{
-    run_graph, EngineConfig, FilterErrorKind, GraphSpec, RunFailure, RunOutcome, RunReport,
-    SchedulePolicy,
+    run_graph, EngineConfig, FilterErrorKind, GraphSpec, RunFailure, RunReport, SchedulePolicy,
 };
 use haralick::raster::Representation;
 use mri::store::write_distributed;
@@ -48,7 +47,7 @@ fn hmp_spec() -> GraphSpec {
     .build()
 }
 
-fn run_with_watchdog(spec: GraphSpec, mut factories: Factories) -> Result<RunOutcome, RunFailure> {
+fn run_with_watchdog(spec: GraphSpec, mut factories: Factories) -> Result<RunReport, RunFailure> {
     let (tx, rx) = mpsc::channel();
     let handle = std::thread::spawn(move || {
         let r = run_graph(&spec, &mut factories, &EngineConfig::default());
@@ -116,12 +115,16 @@ fn healthy_run_produces_checkable_run_report() {
     let (data, out) = setup("report", &cfg, 12);
     let spec = hmp_spec();
     let (rt, engine) = (IoRuntime::new(), EngineConfig::default());
-    let outcome = run_threaded(&spec, &cfg, &data, &out, &rt, &engine).expect("pipeline run");
-    let report = RunReport::new(&spec, &outcome);
+    let report = run_threaded(&spec, &cfg, &data, &out, &rt, &engine).expect("pipeline run");
     report.check().expect("report invariants");
+    assert!(
+        report.io.is_some() && report.store.is_none(),
+        "io always, store only when the run had a result store"
+    );
     // Every declared filter appears with its copy rows.
     for f in &spec.filters {
-        assert_eq!(report.copies_of(&f.name).len(), f.copies, "{}", f.name);
+        let rows = report.per_copy.copies_of(&f.name);
+        assert_eq!(rows.len(), f.copies, "{}", f.name);
     }
     // Figure 9's waiting split is present and parseable end-to-end.
     let json = report.to_json_pretty();

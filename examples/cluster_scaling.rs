@@ -34,7 +34,8 @@ fn main() {
     println!("\nper-filter busy time at 16 texture nodes (split, sparse):");
     let rep = run_split_piii(&model, Representation::Sparse, 16, true);
     for f in ["RFR", "IIC", "HCC", "HPC", "USO"] {
-        println!("  {f:<4} max-copy busy = {:>8.1}s", rep.max_busy_of(f));
+        let busy = rep.per_copy.max_busy_of(f);
+        println!("  {f:<4} max-copy busy = {busy:>8.1}s");
     }
     println!("  end-to-end          = {:>8.1}s", rep.makespan);
 }

@@ -61,14 +61,14 @@ fn main() {
     .build();
     let t = std::time::Instant::now();
     let engine = EngineConfig::default();
-    let stats = run_threaded(&visual, &cfg, &data, &out, &IoRuntime::new(), &engine)
+    let rows = run_threaded(&visual, &cfg, &data, &out, &IoRuntime::new(), &engine)
         .expect("visual pipeline")
-        .stats;
+        .per_copy;
     println!(
         "\nvisual pipeline done in {:.2?}: {} chunks through {} HMP copies",
         t.elapsed(),
-        stats.buffers_into("HMP"),
-        stats.copies_of("HMP").len()
+        rows.buffers_into("HMP"),
+        rows.copies_of("HMP").len()
     );
     for feature in cfg.selection.iter() {
         println!(
@@ -93,13 +93,13 @@ fn main() {
     let cad_out = base.join("cad");
     std::fs::create_dir_all(&cad_out).unwrap();
     let t = std::time::Instant::now();
-    let stats = run_threaded(&split, &cfg, &data, &cad_out, &IoRuntime::new(), &engine)
+    let rows = run_threaded(&split, &cfg, &data, &cad_out, &IoRuntime::new(), &engine)
         .expect("split pipeline")
-        .stats;
+        .per_copy;
     println!(
         "\nsplit (HCC+HPC) pipeline done in {:.2?}: {} matrix packets HCC -> HPC",
         t.elapsed(),
-        stats.buffers_into("HPC")
+        rows.buffers_into("HPC")
     );
     println!("  parameter files under {}", cad_out.display());
     println!("\nall output under {}", base.display());

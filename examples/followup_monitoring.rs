@@ -35,13 +35,12 @@ use std::sync::Arc;
 fn analyze_visit(cfg: &AppConfig, dataset: &Path, out: &Path) -> (u64, u64) {
     let spec = standard_graph("hmp", cfg.storage_nodes, 3).expect("hmp variant exists");
     std::fs::create_dir_all(out).expect("create output dir");
-    let mut rt = IoRuntime::new();
-    rt.attach_result_store(cfg);
     let cfg = Arc::new(cfg.clone());
-    run_threaded(&spec, &cfg, dataset, out, &rt, &EngineConfig::default())
-        .expect("pipeline run succeeds");
-    let session = rt.store.as_ref().expect("store attached");
-    (session.stats().hits(), session.stats().misses())
+    let (rt, engine) = (IoRuntime::new(), EngineConfig::default());
+    let report =
+        run_threaded(&spec, &cfg, dataset, out, &rt, &engine).expect("pipeline run succeeds");
+    let store = report.store.expect("cfg.result_store is set");
+    (store.hits, store.misses)
 }
 
 /// Merges the USO parameter files of one run into a dense x-fastest map.

@@ -32,11 +32,11 @@ fn main() {
         // Where the co-occurrence time was actually spent.
         let mut xeon_busy = 0.0;
         let mut opt_busy = 0.0;
-        for c in run.report.copies_of("HCC") {
+        for c in run.report.per_copy.copies_of("HCC") {
             if c.copy < 4 {
-                xeon_busy += c.busy;
+                xeon_busy += c.busy_s;
             } else {
-                opt_busy += c.busy;
+                opt_busy += c.busy_s;
             }
         }
         println!(

@@ -4,7 +4,7 @@
 
 use haralick4d::cluster::calibrated_defaults::default_model;
 use haralick4d::cluster::des::simulate;
-use haralick4d::datacutter::{EngineConfig, GraphSpec, RunStats, SchedulePolicy};
+use haralick4d::datacutter::{CopyRows, EngineConfig, GraphSpec, SchedulePolicy};
 use haralick4d::haralick::raster::Representation;
 use haralick4d::mri::store::write_distributed;
 use haralick4d::mri::synth::{generate, SynthConfig};
@@ -17,12 +17,18 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Runs `spec` with private I/O counters and default engine options,
-/// returning the per-copy statistics.
-fn run_stats(spec: &GraphSpec, cfg: &Arc<AppConfig>, data: &Path, out: &Path) -> RunStats {
+/// returning the per-copy rows.
+fn run_rows(spec: &GraphSpec, cfg: &Arc<AppConfig>, data: &Path, out: &Path) -> CopyRows {
     let (rt, engine) = (IoRuntime::new(), EngineConfig::default());
     run_threaded(spec, cfg, data, out, &rt, &engine)
         .unwrap()
-        .stats
+        .per_copy
+}
+
+/// Bytes consumed by the copies of `filter` — measured or simulated, the
+/// rows are one type.
+fn bytes_into(rows: &CopyRows, filter: &str) -> u64 {
+    rows.copies_of(filter).iter().map(|c| c.bytes_in).sum()
 }
 
 fn setup(tag: &str, cfg: &AppConfig, seed: u64) -> (PathBuf, PathBuf) {
@@ -58,7 +64,7 @@ fn simulator_flow_model_matches_real_engine_buffer_counts() {
         matrix_policy: SchedulePolicy::DemandDriven,
     }
     .build();
-    let real = run_stats(&spec_real, &cfg, &data, &out);
+    let real = run_rows(&spec_real, &cfg, &data, &out);
 
     // Simulated run: identical topology on a small modeled cluster.
     let cluster = haralick4d::cluster::presets::uniform(7);
@@ -80,7 +86,7 @@ fn simulator_flow_model_matches_real_engine_buffer_counts() {
     for filter in ["IIC", "HCC", "HPC", "USO"] {
         assert_eq!(
             real.buffers_into(filter),
-            sim.buffers_into(filter),
+            sim.per_copy.buffers_into(filter),
             "{filter}: flow model diverges from the real engine"
         );
     }
@@ -103,7 +109,7 @@ fn simulator_byte_model_tracks_real_engine() {
         matrix_policy: SchedulePolicy::DemandDriven,
     }
     .build();
-    let real = run_stats(&spec, &cfg, &data, &out);
+    let real = run_rows(&spec, &cfg, &data, &out);
 
     let cluster = haralick4d::cluster::presets::uniform(6);
     let spec_sim = SplitGraph {
@@ -123,33 +129,26 @@ fn simulator_byte_model_tracks_real_engine() {
 
     // Chunk bytes into HCC must match exactly (deterministic geometry).
     assert_eq!(
-        real.copies_of("HCC")
-            .iter()
-            .map(|c| c.bytes_in)
-            .sum::<u64>(),
-        sim.copies_of("HCC").iter().map(|c| c.bytes_in).sum::<u64>(),
+        bytes_into(&real, "HCC"),
+        bytes_into(&sim.per_copy, "HCC"),
         "IIC->HCC bytes diverge"
     );
     // Full-representation matrix bytes are exactly Ng^2-sized, so they too
     // must match.
     assert_eq!(
-        real.copies_of("HPC")
-            .iter()
-            .map(|c| c.bytes_in)
-            .sum::<u64>(),
-        sim.copies_of("HPC").iter().map(|c| c.bytes_in).sum::<u64>(),
+        bytes_into(&real, "HPC"),
+        bytes_into(&sim.per_copy, "HPC"),
         "HCC->HPC bytes diverge"
     );
 }
 
 /// The result store composes through the facade: a cold run publishes and
 /// a warm run serves every chunk, the `.h4dp` files are byte-identical
-/// across the two, and the store counters flow into the same `RunReport`
-/// the CLI's `--report` path emits (hits + misses == chunk count, the
-/// invariant CI's jq assertions rely on).
+/// across the two, and the store counters arrive in the `RunReport` the
+/// driver returns — the one the CLI's `--report` path writes (hits + misses
+/// == chunk count, the invariant CI's jq assertions rely on).
 #[test]
 fn result_store_round_trips_through_the_facade() {
-    use haralick4d::datacutter::RunReport;
     use haralick4d::pipeline::filters::UsoFilter;
 
     let base = std::env::temp_dir().join(format!("h4d_xc_store_{}", std::process::id()));
@@ -174,14 +173,10 @@ fn result_store_round_trips_through_the_facade() {
     let mut reports = Vec::new();
     for out in [base.join("cold"), base.join("warm")] {
         std::fs::create_dir_all(&out).unwrap();
-        let mut rt = IoRuntime::new();
-        rt.attach_result_store(&cfg);
-        let outcome =
-            run_threaded(&spec, &cfg, &data, &out, &rt, &EngineConfig::default()).unwrap();
-        let mut report = RunReport::new(&spec, &outcome);
-        rt.annotate(&mut report);
+        let (rt, engine) = (IoRuntime::new(), EngineConfig::default());
+        let report = run_threaded(&spec, &cfg, &data, &out, &rt, &engine).unwrap();
         report.check().expect("report invariants");
-        reports.push(report.store.expect("store counters annotated"));
+        reports.push(report.store.expect("store counters reported"));
     }
     let (cold, warm) = (&reports[0], &reports[1]);
     assert_eq!((cold.hits, cold.misses), (0, cold.published));
@@ -223,12 +218,7 @@ fn sparse_transmission_cuts_real_traffic() {
             matrix_policy: SchedulePolicy::DemandDriven,
         }
         .build();
-        let stats = run_stats(&spec, &cfg, &data, &out);
-        stats
-            .copies_of("HPC")
-            .iter()
-            .map(|c| c.bytes_in)
-            .sum::<u64>()
+        bytes_into(&run_rows(&spec, &cfg, &data, &out), "HPC")
     };
     let full = traffic(Representation::Full);
     let sparse = traffic(Representation::Sparse);

@@ -86,11 +86,11 @@ fn fig9_filter_profile_trends() {
     let r4 = run_split_piii(&model, Representation::Sparse, 4, false);
     let r16 = run_split_piii(&model, Representation::Sparse, 16, false);
     // HCC busy falls with more nodes.
-    assert!(r16.max_busy_of("HCC") < 0.5 * r4.max_busy_of("HCC"));
+    assert!(r16.per_copy.max_busy_of("HCC") < 0.5 * r4.per_copy.max_busy_of("HCC"));
     // RFR/IIC/USO are per-copy constant: the same service work regardless
     // of texture node count.
     for f in ["RFR", "IIC", "USO"] {
-        let (a, b) = (r4.max_busy_of(f), r16.max_busy_of(f));
+        let (a, b) = (r4.per_copy.max_busy_of(f), r16.per_copy.max_busy_of(f));
         assert!(
             (a - b).abs() < 0.05 * a.max(b),
             "{f} busy should be flat: {a:.1} vs {b:.1}"
@@ -98,8 +98,8 @@ fn fig9_filter_profile_trends() {
     }
     // Read and write are small relative to the texture computation at
     // moderate scale.
-    assert!(r4.max_busy_of("RFR") < 0.2 * r4.max_busy_of("HCC"));
-    assert!(r4.max_busy_of("USO") < 0.2 * r4.max_busy_of("HCC"));
+    assert!(r4.per_copy.max_busy_of("RFR") < 0.2 * r4.per_copy.max_busy_of("HCC"));
+    assert!(r4.per_copy.max_busy_of("USO") < 0.2 * r4.per_copy.max_busy_of("HCC"));
 }
 
 #[test]
