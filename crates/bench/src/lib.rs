@@ -1,7 +1,7 @@
-//! Benchmark harness support: table/CSV rendering of experiment series.
+//! Figure harness support: table/CSV rendering of experiment series.
 //!
 //! The `fig*` binaries in `src/bin/` regenerate every figure of the paper's
-//! evaluation section; criterion micro-benchmarks live in `benches/`.
+//! evaluation section; measured kernel and I/O rates come from `benchmark/`.
 
 pub mod plot;
 

@@ -9,10 +9,9 @@
 
 use haralick::raster::{Representation, ScanEngine};
 use haralick::sparse::SparseCoMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Measured per-unit costs (seconds, at reference speed 1.0).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Dense co-occurrence accumulation per (ROI voxel × direction).
     pub coocc_s_per_voxel_dir: f64,
@@ -42,26 +41,20 @@ pub struct CostModel {
     /// Dirty-cell statistics maintenance, per matrix cell touched by a
     /// window slide (the fused engine settles the support bitmap at each
     /// merge; a slide touches at most
-    /// `2 · W/W_x · |D|` cells). Defaults for old serialized models via
-    /// `serde(default)`.
-    #[serde(default = "default_stats_dirty")]
+    /// `2 · W/W_x · |D|` cells).
     pub stats_dirty_s_per_cell: f64,
     /// Fused-kernel pair accumulation, per (plane voxel × direction) — the
     /// per-lane sub-histogram kernel of `haralick::fused`. Each pair is one
     /// lane store plus a touched-cell push; the once-per-placement merge
     /// that settles the dense matrix, support bitmap and total is
-    /// amortized into it. Defaults for old serialized models via
-    /// `serde(default)`.
-    #[serde(default = "default_coocc_fused")]
+    /// amortized into it.
     pub coocc_fused_s_per_voxel_dir: f64,
     /// Fused-kernel pair accumulation under a **sparse** representation,
     /// per (plane voxel × direction). The lane stores are identical to the
     /// dense fused constant; the difference is the unmirrored merge and
     /// the sparse-order support sweep feeding it, so this sits slightly
     /// above the dense fused constant but far under the sparse-storage
-    /// binary-search accumulation the reference engine pays. Defaults for old
-    /// serialized models via `serde(default)`.
-    #[serde(default = "default_coocc_fused_sparse")]
+    /// binary-search accumulation the reference engine pays.
     pub coocc_fused_sparse_s_per_voxel_dir: f64,
     /// Stitch (IIC) copy/reorganize cost per byte.
     pub stitch_s_per_byte: f64,
@@ -71,27 +64,6 @@ pub struct CostModel {
     /// Measured mean non-zero entries per co-occurrence matrix on the
     /// calibration workload (the paper's "10.7 of 1024").
     pub mean_nnz: f64,
-}
-
-/// Conservative host-scale fallback for models serialized before the
-/// dirty-cell constant existed (same order as the other per-entry costs).
-fn default_stats_dirty() -> f64 {
-    3.0e-8
-}
-
-/// Host-scale fallback for models serialized before the fused kernel
-/// existed: half the incremental slide constant, the conservative end of
-/// the measured range.
-fn default_coocc_fused() -> f64 {
-    4.2e-8
-}
-
-/// Host-scale fallback for models serialized before the sparse-aware fused
-/// path existed: a shade over the dense fused constant (the unmirrored
-/// merge writes one cell instead of two, but the sparse sweep re-walks the
-/// support per placement).
-fn default_coocc_fused_sparse() -> f64 {
-    4.6e-8
 }
 
 /// Per-chunk texture workload quantities, bundled for

@@ -27,12 +27,11 @@ use crate::spec::ClusterSpec;
 use datacutter::graph::GraphSpec;
 use datacutter::metrics::{CopyReport, CopyRows};
 use datacutter::schedule::{Route, SchedulePolicy};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 
 /// A simulated buffer: routing tag and wire size only (no payload).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimBuf {
     /// Routing tag (drives tag-modulo streams).
     pub tag: u64,
@@ -103,7 +102,7 @@ impl Default for SimOptions {
 }
 
 /// The result of a simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimReport {
     /// End-to-end virtual execution time.
     pub makespan: f64,

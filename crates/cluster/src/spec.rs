@@ -1,10 +1,9 @@
 //! Cluster description: nodes, CPUs, speeds, and the network between them.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One compute/storage node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// Node name, e.g. `"piii-07"`.
     pub name: String,
@@ -33,7 +32,7 @@ pub struct NodeSpec {
 }
 
 /// A network class: latency plus bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetClass {
     /// One-way latency per transfer, seconds.
     pub latency: f64,
@@ -70,7 +69,7 @@ impl NetClass {
 }
 
 /// The full cluster model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// All nodes; node ids are indices into this vector.
     pub nodes: Vec<NodeSpec>,
@@ -287,13 +286,5 @@ mod tests {
         let t1 = c.shared_trunk_id(0, 3).unwrap();
         let t2 = c.shared_trunk_id(4, 2).unwrap();
         assert_eq!(t1, t2, "one trunk per cluster pair, direction-free");
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let c = sample();
-        let s = serde_json::to_string(&c).unwrap();
-        let back: ClusterSpec = serde_json::from_str(&s).unwrap();
-        assert_eq!(c, back);
     }
 }

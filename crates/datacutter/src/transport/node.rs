@@ -95,59 +95,6 @@ pub struct TransportFault {
     pub kind: TransportFaultKind,
 }
 
-impl TransportFault {
-    /// Environment variable read by [`TransportFault::from_env`].
-    pub const ENV: &'static str = "H4D_TRANSPORT_FAULT";
-
-    /// Parses `H4D_TRANSPORT_FAULT` for this node.
-    ///
-    /// Format: `drop:after=N[:peer=K][:node=J]` or
-    /// `stall:after=N:ms=M[:peer=K][:node=J]`. The optional `node` selector
-    /// restricts the fault to one process of a multi-node launch; when
-    /// present and different from `self_node` the fault is ignored, so a
-    /// parent can export one value for all children. Returns `None` when
-    /// the variable is unset, not aimed at this node, or malformed (chaos
-    /// harnesses set it deliberately; a typo degrades to a fault-free run
-    /// the test then reports as such).
-    pub fn from_env(self_node: usize) -> Option<Self> {
-        Self::parse(&std::env::var(Self::ENV).ok()?, self_node)
-    }
-
-    /// Parses the [`TransportFault::ENV`] syntax; see
-    /// [`TransportFault::from_env`].
-    pub fn parse(value: &str, self_node: usize) -> Option<Self> {
-        let mut parts = value.split(':');
-        let kind_word = parts.next()?;
-        let mut after: Option<u64> = None;
-        let mut ms: Option<u64> = None;
-        let mut peer: Option<usize> = None;
-        let mut node: Option<usize> = None;
-        for part in parts {
-            let (key, val) = part.split_once('=')?;
-            match key {
-                "after" => after = Some(val.parse().ok()?),
-                "ms" => ms = Some(val.parse().ok()?),
-                "peer" => peer = Some(val.parse().ok()?),
-                "node" => node = Some(val.parse().ok()?),
-                _ => return None,
-            }
-        }
-        if node.is_some_and(|n| n != self_node) {
-            return None;
-        }
-        let kind = match kind_word {
-            "drop" => TransportFaultKind::Drop,
-            "stall" => TransportFaultKind::Stall(Duration::from_millis(ms?)),
-            _ => return None,
-        };
-        Some(Self {
-            peer,
-            after_frames: after?,
-            kind,
-        })
-    }
-}
-
 /// Configuration of one node process in a distributed run.
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
@@ -179,8 +126,8 @@ pub struct NodeConfig {
 
 impl NodeConfig {
     /// A loopback configuration for `node` among `addrs`, with a 10 s
-    /// connect timeout, checksums and compression off, and the fault taken
-    /// from the environment.
+    /// connect timeout, checksums and compression off, and no injected
+    /// fault.
     pub fn new(node: usize, addrs: Vec<SocketAddr>) -> Self {
         Self {
             node,
@@ -189,7 +136,7 @@ impl NodeConfig {
             connect_timeout: Duration::from_secs(10),
             checksum: false,
             compress: false,
-            fault: TransportFault::from_env(node),
+            fault: None,
             listener: None,
         }
     }
@@ -1778,37 +1725,6 @@ mod tests {
                 (n.to_string(), f)
             })
             .collect()
-    }
-
-    #[test]
-    fn fault_parsing_covers_both_kinds_and_selectors() {
-        let f = TransportFault::parse("drop:after=5:peer=1", 0).unwrap();
-        assert_eq!(f.peer, Some(1));
-        assert_eq!(f.after_frames, 5);
-        assert_eq!(f.kind, TransportFaultKind::Drop);
-
-        let f = TransportFault::parse("stall:after=3:ms=250", 2).unwrap();
-        assert_eq!(f.peer, None);
-        assert_eq!(
-            f.kind,
-            TransportFaultKind::Stall(Duration::from_millis(250))
-        );
-
-        // Node selector: matches, filters, and is optional.
-        assert!(TransportFault::parse("drop:after=0:node=1", 1).is_some());
-        assert!(TransportFault::parse("drop:after=0:node=1", 0).is_none());
-
-        // Malformed inputs degrade to no fault, never a panic.
-        for bad in [
-            "",
-            "drop",
-            "drop:after=x",
-            "stall:after=1",
-            "flood:after=1",
-            "drop:after=1:bogus=2",
-        ] {
-            assert!(TransportFault::parse(bad, 0).is_none(), "{bad:?}");
-        }
     }
 
     #[test]

@@ -16,12 +16,11 @@ use datacutter::{
     GraphSpec, NodeConfig, PayloadCodec, RunFailure, RunReport, SchedulePolicy, TransportFault,
     TransportFaultKind,
 };
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 type Factories = HashMap<String, datacutter::engine::FilterFactory>;
@@ -59,7 +58,7 @@ impl Filter for Relay {
         buf: DataBuffer,
         ctx: &mut FilterContext,
     ) -> Result<(), FilterError> {
-        self.log.lock().push(buf.tag());
+        self.log.lock().unwrap().push(buf.tag());
         if ctx.output_count() > 0 {
             ctx.emit(0, buf)?;
         }
@@ -217,7 +216,7 @@ fn benign_faults_do_not_change_results() {
         run_with_watchdog(case.spec, factories)
             .unwrap_or_else(|e| panic!("seed {seed}: benign fault killed the run: {e}"));
         for (i, log) in case.logs.iter().enumerate() {
-            let mut tags = log.lock().clone();
+            let mut tags = log.lock().unwrap().clone();
             tags.sort_unstable();
             let expect: Vec<u64> = (0..case.buffers).collect();
             assert_eq!(
@@ -379,8 +378,8 @@ fn distributed_loopback_delivers_what_a_single_process_does() {
     }
 
     for (stage, (local, dist)) in local_logs.iter().zip(&dist_logs).enumerate() {
-        let mut l = local.lock().clone();
-        let mut d = dist.lock().clone();
+        let mut l = local.lock().unwrap().clone();
+        let mut d = dist.lock().unwrap().clone();
         l.sort_unstable();
         d.sort_unstable();
         assert_eq!(l, expect, "single-process stage {} delivery", stage + 1);
@@ -439,7 +438,7 @@ fn stalled_writer_is_benign_backpressure() {
     }
     let expect: Vec<u64> = (0..buffers).collect();
     for (stage, log) in logs.iter().enumerate() {
-        let mut tags = log.lock().clone();
+        let mut tags = log.lock().unwrap().clone();
         tags.sort_unstable();
         assert_eq!(tags, expect, "stage {} delivery under stall", stage + 1);
     }
@@ -542,7 +541,7 @@ fn credit_windows_keep_a_shared_connection_live_around_a_bottleneck() {
     }
     let expect: Vec<u64> = (0..BUFFERS).collect();
     for (name, log) in ["B", "D"].into_iter().zip(&logs) {
-        let mut tags = log.lock().clone();
+        let mut tags = log.lock().unwrap().clone();
         tags.sort_unstable();
         assert_eq!(
             tags, expect,

@@ -5,9 +5,8 @@ use datacutter::{
     run_graph, DataBuffer, EngineConfig, Filter, FilterContext, FilterError, GraphSpec,
     SchedulePolicy,
 };
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Emits `count` u64 buffers tagged 0..count on output port 0.
@@ -54,7 +53,7 @@ impl Filter for Worker {
             std::thread::sleep(self.delay);
         }
         let v = *buf.expect::<u64>();
-        self.log.lock().push((ctx.copy_index(), buf.tag()));
+        self.log.lock().unwrap().push((ctx.copy_index(), buf.tag()));
         if ctx.output_count() > 0 {
             ctx.emit(0, DataBuffer::new(v + self.add, 8, buf.tag()))?;
         }
@@ -74,7 +73,7 @@ impl Filter for Sink {
         buf: DataBuffer,
         _: &mut FilterContext,
     ) -> Result<(), FilterError> {
-        self.out.lock().push(*buf.expect::<u64>());
+        self.out.lock().unwrap().push(*buf.expect::<u64>());
         Ok(())
     }
 }
@@ -139,7 +138,7 @@ fn exactly_once_delivery_single_stage() {
     add_source(&mut f, "src", 500);
     let out = add_sink(&mut f, "sink");
     let report = run(&spec, &mut f);
-    let mut got = out.lock().clone();
+    let mut got = out.lock().unwrap().clone();
     got.sort_unstable();
     assert_eq!(got, (0..500).collect::<Vec<u64>>());
     assert_eq!(report.per_copy.buffers_into("sink"), 500);
@@ -158,7 +157,7 @@ fn multi_copy_sources_cover_tag_space() {
     add_source(&mut f, "src", 1000);
     let out = add_sink(&mut f, "sink");
     run(&spec, &mut f);
-    let mut got = out.lock().clone();
+    let mut got = out.lock().unwrap().clone();
     got.sort_unstable();
     assert_eq!(got, (0..1000).collect::<Vec<u64>>());
 }
@@ -212,7 +211,7 @@ fn demand_driven_favours_fast_copies() {
     );
     add_sink(&mut f, "sink");
     run(&spec, &mut f);
-    let log = log.lock();
+    let log = log.lock().unwrap();
     let fast = log.iter().filter(|(c, _)| *c == 1).count();
     let slow = log.len() - fast;
     assert_eq!(log.len(), 120);
@@ -235,7 +234,7 @@ fn tag_modulo_routes_deterministically() {
     let log = add_worker(&mut f, "w", Duration::ZERO, 0);
     add_sink(&mut f, "sink");
     run(&spec, &mut f);
-    for (copy, tag) in log.lock().iter() {
+    for (copy, tag) in log.lock().unwrap().iter() {
         assert_eq!(*copy as u64, tag % 3, "tag {tag} on wrong copy {copy}");
     }
 }
@@ -253,10 +252,15 @@ fn broadcast_reaches_every_copy() {
     let log = add_worker(&mut f, "w", Duration::ZERO, 0);
     let out = add_sink(&mut f, "sink");
     run(&spec, &mut f);
-    assert_eq!(log.lock().len(), 150, "3 copies x 50 buffers");
-    assert_eq!(out.lock().len(), 150);
+    assert_eq!(log.lock().unwrap().len(), 150, "3 copies x 50 buffers");
+    assert_eq!(out.lock().unwrap().len(), 150);
     for copy in 0..3 {
-        let n = log.lock().iter().filter(|(c, _)| *c == copy).count();
+        let n = log
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|(c, _)| *c == copy)
+            .count();
         assert_eq!(n, 50, "copy {copy} missed broadcasts");
     }
 }
@@ -277,7 +281,7 @@ fn three_stage_pipeline_transforms_values() {
     add_worker(&mut f, "w2", Duration::ZERO, 100_000);
     let out = add_sink(&mut f, "sink");
     run(&spec, &mut f);
-    let mut got = out.lock().clone();
+    let mut got = out.lock().unwrap().clone();
     got.sort_unstable();
     let expect: Vec<u64> = (0..200).map(|v| v + 101_000).collect();
     assert_eq!(got, expect);
@@ -385,7 +389,7 @@ fn fan_in_from_two_producers() {
             buf: DataBuffer,
             _: &mut FilterContext,
         ) -> Result<(), FilterError> {
-            self.log.lock().push((port, *buf.expect::<u64>()));
+            self.log.lock().unwrap().push((port, *buf.expect::<u64>()));
             Ok(())
         }
     }
@@ -405,7 +409,7 @@ fn fan_in_from_two_producers() {
         Box::new(move |_| Ok(Box::new(PortSink { log: l2.clone() }))),
     );
     run(&spec, &mut f);
-    let log = log.lock();
+    let log = log.lock().unwrap();
     assert_eq!(log.iter().filter(|(p, _)| *p == 0).count(), 10);
     assert_eq!(log.iter().filter(|(p, _)| *p == 1).count(), 20);
 }

@@ -1,14 +1,54 @@
 //! Randomized tests of the threaded engine: delivery guarantees and policy
 //! laws over arbitrary pipeline shapes and buffer counts.
+//!
+//! The shapes come from an in-file generator with a fixed base seed per
+//! property, so the suite needs no dev-dependency and a failing case prints
+//! the seed that reproduces it.
 
 use datacutter::{
     run_graph, DataBuffer, EngineConfig, Filter, FilterContext, FilterError, GraphSpec,
     SchedulePolicy,
 };
-use parking_lot::Mutex;
-use proptest::prelude::*;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+// Thread spawning is comparatively expensive; keep the case count sane.
+const CASES: u32 = 24;
+
+/// The Numerical Recipes LCG; the high half of the state is the sample.
+struct Lcg(u32);
+
+impl Lcg {
+    fn next(&mut self) -> u32 {
+        self.0 = self.0.wrapping_mul(1664525).wrapping_add(1013904223);
+        self.0 >> 16
+    }
+
+    /// A value in `lo..=hi`.
+    fn in_range(&mut self, lo: usize, hi: usize) -> usize {
+        lo + self.next() as usize % (hi - lo + 1)
+    }
+}
+
+/// Names the failing case when a property panics inside it.
+struct CaseSeed(u32);
+
+impl Drop for CaseSeed {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("failing case seed {:#010x}", self.0);
+        }
+    }
+}
+
+/// Runs `property` on `CASES` generators seeded from `base_seed`.
+fn for_each_case(base_seed: u32, property: impl Fn(&mut Lcg)) {
+    for case in 0..CASES {
+        let seed = base_seed.wrapping_add(case.wrapping_mul(0x9e37_79b9));
+        let _named_on_panic = CaseSeed(seed);
+        property(&mut Lcg(seed));
+    }
+}
 
 struct Source {
     count: u64,
@@ -43,7 +83,7 @@ impl Filter for Relay {
         buf: DataBuffer,
         ctx: &mut FilterContext,
     ) -> Result<(), FilterError> {
-        self.log.lock().push((ctx.copy_index(), buf.tag()));
+        self.log.lock().unwrap().push((ctx.copy_index(), buf.tag()));
         if ctx.output_count() > 0 {
             ctx.emit(0, buf)?;
         }
@@ -58,17 +98,14 @@ struct Shape {
     stages: Vec<(usize, u8)>, // (copies, policy)
 }
 
-fn shape_strategy() -> impl Strategy<Value = Shape> {
-    (
-        1u64..120,
-        1usize..4,
-        proptest::collection::vec((1usize..5, 0u8..3), 1..4),
-    )
-        .prop_map(|(buffers, sources, stages)| Shape {
-            buffers,
-            sources,
-            stages,
-        })
+fn arb_shape(rng: &mut Lcg) -> Shape {
+    Shape {
+        buffers: rng.in_range(1, 119) as u64,
+        sources: rng.in_range(1, 3),
+        stages: (0..rng.in_range(1, 3))
+            .map(|_| (rng.in_range(1, 4), rng.in_range(0, 2) as u8))
+            .collect(),
+    }
 }
 
 fn policy_of(p: u8) -> SchedulePolicy {
@@ -110,39 +147,40 @@ fn run_shape(shape: &Shape) -> Vec<StageLog> {
     logs
 }
 
-proptest! {
-    // Thread spawning is comparatively expensive; keep the case count sane.
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn every_stage_sees_each_tag_exactly_once(shape in shape_strategy()) {
+#[test]
+fn every_stage_sees_each_tag_exactly_once() {
+    for_each_case(0x4552_0001, |rng| {
+        let shape = arb_shape(rng);
         let logs = run_shape(&shape);
         for (i, log) in logs.iter().enumerate() {
-            let mut tags: Vec<u64> = log.lock().iter().map(|(_, t)| *t).collect();
+            let mut tags: Vec<u64> = log.lock().unwrap().iter().map(|(_, t)| *t).collect();
             tags.sort_unstable();
             let expect: Vec<u64> = (0..shape.buffers).collect();
-            prop_assert_eq!(&tags, &expect, "stage {} delivery broken", i + 1);
+            assert_eq!(&tags, &expect, "stage {} delivery broken", i + 1);
         }
-    }
+    });
+}
 
-    #[test]
-    fn tag_modulo_is_exact_everywhere(shape in shape_strategy()) {
+#[test]
+fn tag_modulo_is_exact_everywhere() {
+    for_each_case(0x4552_0002, |rng| {
+        let shape = arb_shape(rng);
         let logs = run_shape(&shape);
         for (i, (copies, policy)) in shape.stages.iter().enumerate() {
             if policy_of(*policy) != SchedulePolicy::ByTagModulo {
                 continue;
             }
-            for (copy, tag) in logs[i].lock().iter() {
-                prop_assert_eq!(*copy as u64, tag % *copies as u64);
+            for (copy, tag) in logs[i].lock().unwrap().iter() {
+                assert_eq!(*copy as u64, tag % *copies as u64);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn single_producer_round_robin_is_balanced(
-        buffers in 1u64..120,
-        copies in 1usize..5,
-    ) {
+#[test]
+fn single_producer_round_robin_is_balanced() {
+    for_each_case(0x4552_0003, |rng| {
+        let (buffers, copies) = (rng.in_range(1, 119) as u64, rng.in_range(1, 4));
         // With one producer, RR fairness is exact (multi-producer RR is
         // only fair per producer).
         let shape = Shape {
@@ -152,13 +190,13 @@ proptest! {
         };
         let logs = run_shape(&shape);
         let mut per_copy = vec![0u64; copies];
-        for (copy, _) in logs[0].lock().iter() {
+        for (copy, _) in logs[0].lock().unwrap().iter() {
             per_copy[*copy] += 1;
         }
         let (min, max) = (
             *per_copy.iter().min().unwrap(),
             *per_copy.iter().max().unwrap(),
         );
-        prop_assert!(max - min <= 1, "unbalanced RR: {:?}", per_copy);
-    }
+        assert!(max - min <= 1, "unbalanced RR: {per_copy:?}");
+    });
 }

@@ -35,8 +35,7 @@
 //! its own entry of `--peers` (index `--node`) and dials the others, so
 //! every process must receive the identical graph and peer list. `launch`
 //! is the single-machine orchestrator: it picks N free loopback ports and
-//! spawns one `h4d node` child per placement node, forwarding
-//! `H4D_TRANSPORT_FAULT` to the children for chaos testing. A node that
+//! spawns one `h4d node` child per placement node. A node that
 //! loses its reserved port to another process exits with code 7, and
 //! `launch` responds by killing the remaining children and retrying the
 //! whole launch with fresh ports (bounded attempts), so concurrent
@@ -438,7 +437,6 @@ fn main() {
             apply_store_flag(&mut cfg, &flags);
             let cfg = Arc::new(cfg);
             std::fs::create_dir_all(out).ok();
-            // Picks up H4D_TRANSPORT_FAULT from the environment.
             let mut node_cfg = NodeConfig::new(node, addrs);
             node_cfg.checksum = cfg.transport_checksum;
             node_cfg.compress = cfg.transport_compress;
@@ -529,8 +527,6 @@ fn main() {
                     if let Some(base) = flags.get("report-base") {
                         cmd.arg("--report").arg(format!("{base}.node{node}.json"));
                     }
-                    // The fault env var is inherited, so chaos runs inject
-                    // into every child that matches the spec's node selector.
                     let child = cmd.spawn().unwrap_or_else(|e| {
                         eprintln!("spawn node {node}: {e}");
                         exit(1);

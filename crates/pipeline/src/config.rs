@@ -7,10 +7,9 @@ use haralick::raster::{Representation, ScanConfig, ScanEngine, TSlidePolicy};
 use haralick::roi::RoiShape;
 use haralick::volume::Dims4;
 use mri::store::DatasetDescriptor;
-use serde::{Deserialize, Serialize};
 
 /// Everything needed to run one 4D Haralick analysis, in either engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppConfig {
     /// Dataset extents.
     pub dims: Dims4,
@@ -42,7 +41,6 @@ pub struct AppConfig {
     /// single-core per-placement rebuild; `Fused` (the library default) is
     /// the beyond-the-paper sliding sub-histogram kernel. Outputs are
     /// byte-identical.
-    #[serde(default)]
     pub engine: ScanEngine,
     /// Make USO output byte-order-deterministic: each copy buffers its
     /// parameter values and writes them sorted by output position at
@@ -50,7 +48,6 @@ pub struct AppConfig {
     /// the copy's share of the output; used by the distributed conformance
     /// tests, where in-process and multi-process runs must produce
     /// byte-identical `.h4dp` files despite different arrival orders.
-    #[serde(default)]
     pub canonical_output: bool,
     /// Byte budget of the reader-side slice cache (per reading-filter
     /// copy). The cache retains each decoded slice until its last consuming
@@ -58,16 +55,13 @@ pub struct AppConfig {
     /// exactly once; when retention would exceed the budget the slice is
     /// re-read later instead. `0` disables the cache entirely and restores
     /// the naive per-request subrect reads.
-    #[serde(default = "default_io_cache_bytes")]
     pub io_cache_bytes: usize,
     /// Distributed runs: stamp cross-node data frames with a payload
     /// checksum. Effective per connection only when the peer advertises it
     /// too (the handshake negotiates the feature intersection).
-    #[serde(default)]
     pub transport_checksum: bool,
     /// Distributed runs: compress cross-node payloads when it wins.
     /// Negotiated like `transport_checksum`.
-    #[serde(default)]
     pub transport_compress: bool,
     /// Root directory of the content-addressed result store (see
     /// [`crate::store`]). When set, the texture filters consult the store
@@ -75,15 +69,7 @@ pub struct AppConfig {
     /// (the default) recomputes everything. The path is a *value-neutral*
     /// knob: it is excluded from the store's config fingerprint, so moving
     /// a store directory does not invalidate its contents.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub result_store: Option<std::path::PathBuf>,
-}
-
-fn default_io_cache_bytes() -> usize {
-    // 64 MiB holds the retained set of every geometry in the experiments
-    // (the paper-scale run peaks well below: ~chunk_z*chunk_t slices of
-    // 256x256 u16 = 8 MiB).
-    64 << 20
 }
 
 /// Parses a representation name as the `h4d --repr` flag and a daemon
@@ -159,7 +145,10 @@ impl AppConfig {
             // model and every simulated figure stay on the measured regime.
             engine: ScanEngine::Reference,
             canonical_output: false,
-            io_cache_bytes: default_io_cache_bytes(),
+            // 64 MiB holds the retained set of every geometry in the
+            // experiments (the paper-scale run peaks well below:
+            // ~chunk_z*chunk_t slices of 256x256 u16 = 8 MiB).
+            io_cache_bytes: 64 << 20,
             transport_checksum: false,
             transport_compress: false,
             result_store: None,
@@ -181,7 +170,9 @@ impl AppConfig {
 
     /// The paper configuration adapted to a concrete dataset: extents and
     /// storage-node count from the dataset descriptor, chunks scaled down
-    /// for small datasets so at least a few flow through the pipeline.
+    /// for small datasets so at least a few flow through the pipeline, and
+    /// the library-default scan engine (`Fused`) — a real run has no
+    /// simulated figure to stay comparable with.
     ///
     /// # Errors
     /// The dataset is smaller than the analysis window.
@@ -199,6 +190,7 @@ impl AppConfig {
         }
         cfg.dims = dims;
         cfg.storage_nodes = storage_nodes;
+        cfg.engine = ScanEngine::default();
         if dims.x < 128 {
             cfg.chunk_dims = Dims4::new(
                 (dims.x / 2).max(cfg.roi.size().x),
@@ -276,31 +268,36 @@ mod tests {
     fn paper_config_pins_the_rebuild_engine() {
         let c = AppConfig::paper(Representation::Full);
         assert_eq!(c.engine, ScanEngine::Reference);
-        // Legacy JSON configs (pre-engine) deserialize to the library default.
-        let s = serde_json::to_string(&c)
-            .unwrap()
-            .replace(",\"engine\":\"Reference\"", "");
-        let back: AppConfig = serde_json::from_str(&s).unwrap();
-        assert_eq!(back.engine, ScanEngine::Fused);
     }
 
     #[test]
-    fn io_knobs_default_for_legacy_configs() {
-        let c = AppConfig::paper(Representation::Full);
-        assert_eq!(c.io_cache_bytes, 64 << 20);
-        // Pre-I/O-plane JSON configs pick up the defaults.
-        let s = serde_json::to_string(&c)
-            .unwrap()
-            .replace(&format!(",\"io_cache_bytes\":{}", 64 << 20), "");
-        let back: AppConfig = serde_json::from_str(&s).unwrap();
-        assert_eq!(back.io_cache_bytes, 64 << 20);
-    }
+    fn runs_over_a_dataset_default_to_the_fused_engine() {
+        let dims = Dims4::new(56, 56, 6, 6);
+        let cfg = AppConfig::for_dataset(dims, 3, Representation::Full).unwrap();
+        assert_eq!(cfg.engine, ScanEngine::Fused);
 
-    #[test]
-    fn json_roundtrip() {
-        let c = AppConfig::paper(Representation::Full);
-        let s = serde_json::to_string(&c).unwrap();
-        let back: AppConfig = serde_json::from_str(&s).unwrap();
-        assert_eq!(c, back);
+        let desc = DatasetDescriptor {
+            name: "ds".into(),
+            dims,
+            pixel_bytes: 2,
+            num_nodes: 3,
+        };
+        let mut opts = RunOptions {
+            representation: Representation::Full,
+            engine: None,
+            canonical_output: false,
+            io_cache_bytes: None,
+            transport_checksum: false,
+            transport_compress: false,
+        };
+        assert_eq!(
+            AppConfig::for_run(&desc, &opts).unwrap().engine,
+            ScanEngine::Fused
+        );
+        opts.engine = Some(ScanEngine::Reference);
+        assert_eq!(
+            AppConfig::for_run(&desc, &opts).unwrap().engine,
+            ScanEngine::Reference
+        );
     }
 }

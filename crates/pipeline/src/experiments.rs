@@ -18,11 +18,10 @@ use cluster::spec::{ClusterSpec, NetClass};
 use datacutter::graph::GraphSpec;
 use datacutter::SchedulePolicy;
 use haralick::raster::{Representation, ScanEngine};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One measured point of an experiment series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Point {
     /// Series label (e.g. `"HMP Full"`).
     pub series: String,
@@ -33,7 +32,7 @@ pub struct Point {
 }
 
 /// A complete experiment result: its points plus free-form notes.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Series {
     /// All measured points.
     pub points: Vec<Point>,

@@ -12,11 +12,10 @@
 //! experiment), and parameter packets round-robin over the output filters.
 
 use datacutter::{GraphSpec, SchedulePolicy};
-use serde::{Deserialize, Serialize};
 
 /// Copy count, optionally with explicit node placement (required by the
 /// simulator, ignored by the threaded engine).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Copies {
     /// `n` unplaced copies.
     Count(usize),
@@ -47,7 +46,7 @@ impl Copies {
 }
 
 /// Builder for the combined (HMP) implementation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HmpGraph {
     /// RAWFileReader copies (one per storage node).
     pub rfr: Copies,
@@ -76,7 +75,7 @@ impl HmpGraph {
 }
 
 /// Builder for the split (HCC + HPC) implementation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitGraph {
     /// RAWFileReader copies.
     pub rfr: Copies,
@@ -113,7 +112,7 @@ impl SplitGraph {
 
 /// Builder for the image-output pipeline: HMP feeding the output stitch
 /// and image writer instead of the raw parameter sink.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VisualGraph {
     /// RAWFileReader copies.
     pub rfr: Copies,

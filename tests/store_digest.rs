@@ -1,8 +1,12 @@
-//! Property-based tests (proptest) over the result store's key recipe and
-//! blob integrity: chunk keys are pure functions of content + config
-//! (visit-order invariant), any single-voxel or single-config-field change
-//! moves the key, and corrupted or truncated blobs are detected, evicted
-//! and recomputed — never served.
+//! Property tests over the result store's key recipe and blob integrity:
+//! chunk keys are pure functions of content + config (visit-order
+//! invariant), any single-voxel or single-config-field change moves the
+//! key, and corrupted or truncated blobs are detected, evicted and
+//! recomputed — never served.
+//!
+//! The generated inputs come from an in-file generator with a fixed base
+//! seed per property, so the suite needs no dev-dependency and a failing
+//! case prints the seed that reproduces it.
 
 use haralick4d::haralick::direction::{Direction, DirectionSet};
 use haralick4d::haralick::features::{Feature, FeatureSelection};
@@ -16,10 +20,53 @@ use haralick4d::pipeline::payload::ParamPacket;
 use haralick4d::pipeline::store::{
     config_digest, KeyRecipe, ResultStore, StoreSession, StoreStage,
 };
-use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The Numerical Recipes LCG; the high half of the state is the sample.
+struct Lcg(u32);
+
+impl Lcg {
+    fn next(&mut self) -> u32 {
+        self.0 = self.0.wrapping_mul(1664525).wrapping_add(1013904223);
+        self.0 >> 16
+    }
+
+    fn u64(&mut self) -> u64 {
+        (0..4).fold(0, |v, _| v << 16 | u64::from(self.next()))
+    }
+
+    /// A value in `lo..=hi`.
+    fn in_range(&mut self, lo: usize, hi: usize) -> usize {
+        lo + self.next() as usize % (hi - lo + 1)
+    }
+
+    /// A value in `lo..hi`.
+    fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * ((self.u64() >> 11) as f64 / (1u64 << 53) as f64)
+    }
+}
+
+/// Names the failing case when a property panics inside it.
+struct CaseSeed(u32);
+
+impl Drop for CaseSeed {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("failing case seed {:#010x}", self.0);
+        }
+    }
+}
+
+/// Runs `property` on `cases` generators seeded from `base_seed`.
+fn for_each_case(cases: u32, base_seed: u32, property: impl Fn(&mut Lcg)) {
+    for case in 0..cases {
+        let seed = base_seed.wrapping_add(case.wrapping_mul(0x9e37_79b9));
+        let _named_on_panic = CaseSeed(seed);
+        property(&mut Lcg(seed));
+    }
+}
 
 /// A config whose geometry matches the generated grid; everything else at
 /// test-scale defaults.
@@ -39,20 +86,17 @@ fn fill(dims: Dims4, seed: u16) -> RawVolume {
     RawVolume::new(dims, data)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn chunk_keys_are_visit_order_invariant_and_distinct(
-        dx in 12usize..32,
-        dy in 12usize..32,
-        dz in 3usize..8,
-        dt in 3usize..8,
-        cx in 12usize..20,
-        cz in 3usize..5,
-        seed in 1u16..1000,
-    ) {
-        let dims = Dims4::new(dx, dy, dz, dt);
+#[test]
+fn chunk_keys_are_visit_order_invariant_and_distinct() {
+    for_each_case(48, 0x5344_0001, |rng| {
+        let dims = Dims4::new(
+            rng.in_range(12, 31),
+            rng.in_range(12, 31),
+            rng.in_range(3, 7),
+            rng.in_range(3, 7),
+        );
+        let (cx, cz) = (rng.in_range(12, 19), rng.in_range(3, 4));
+        let seed = rng.in_range(1, 999) as u16;
         let roi = RoiShape::from_lengths(5, 5, 2, 2);
         let chunk_dims = Dims4::new(cx, cx, cz, cz);
         let cfg = cfg_for(dims, roi, chunk_dims);
@@ -81,23 +125,22 @@ proptest! {
             })
             .collect();
         backward.reverse();
-        prop_assert_eq!(&forward, &backward);
+        assert_eq!(&forward, &backward);
 
         // Distinct chunks get distinct keys (chunk identity is folded in).
         let mut sorted = forward.clone();
         sorted.sort_unstable();
         sorted.dedup();
-        prop_assert_eq!(sorted.len(), forward.len(), "key collision across chunks");
-    }
+        assert_eq!(sorted.len(), forward.len(), "key collision across chunks");
+    });
+}
 
-    #[test]
-    fn single_voxel_change_moves_the_key(
-        dx in 12usize..28,
-        dz in 3usize..6,
-        seed in 1u16..1000,
-        pick in any::<usize>(),
-        voxel in any::<usize>(),
-    ) {
+#[test]
+fn single_voxel_change_moves_the_key() {
+    for_each_case(48, 0x5344_0002, |rng| {
+        let (dx, dz) = (rng.in_range(12, 27), rng.in_range(3, 5));
+        let seed = rng.in_range(1, 999) as u16;
+        let (pick, voxel) = (rng.u64() as usize, rng.u64() as usize);
         let dims = Dims4::new(dx, dx, dz, dz);
         let roi = RoiShape::from_lengths(5, 5, 2, 2);
         let chunk_dims = Dims4::new(12, 12, 3, 3);
@@ -116,19 +159,19 @@ proptest! {
         let recipe = KeyRecipe::new(&cfg, StoreStage::Params);
         let a = recipe.content_digest(&chunk, &raw);
         let b = recipe.content_digest(&chunk, &edited);
-        prop_assert_ne!(a, b, "voxel {} change left the content digest fixed", i);
-        prop_assert_ne!(
+        assert_ne!(a, b, "voxel {i} change left the content digest fixed");
+        assert_ne!(
             recipe.key(&chunk, a, 0).digest,
             recipe.key(&chunk, b, 0).digest
         );
-    }
+    });
+}
 
-    #[test]
-    fn packet_index_and_stage_separate_keys(
-        seed in 1u16..1000,
-        i in 0usize..16,
-        j in 0usize..16,
-    ) {
+#[test]
+fn packet_index_and_stage_separate_keys() {
+    for_each_case(48, 0x5344_0003, |rng| {
+        let seed = rng.in_range(1, 999) as u16;
+        let (i, j) = (rng.in_range(0, 15), rng.in_range(0, 15));
         let cfg = AppConfig::test_scale(Representation::Full);
         let grid = ChunkGrid::new(cfg.dims, cfg.roi, cfg.chunk_dims);
         let chunk = grid.chunks().next().unwrap();
@@ -137,20 +180,20 @@ proptest! {
         let matrices = KeyRecipe::new(&cfg, StoreStage::Matrices);
         let content = params.content_digest(&chunk, &raw);
         if i != j {
-            prop_assert_ne!(
+            assert_ne!(
                 params.key(&chunk, content, i).digest,
                 params.key(&chunk, content, j).digest,
-                "packets {} and {} share a key", i, j
+                "packets {i} and {j} share a key"
             );
         }
         // The same chunk content under the other stage is a different key:
         // parameter maps can never be served where matrices are expected.
         let m_content = matrices.content_digest(&chunk, &raw);
-        prop_assert_ne!(
+        assert_ne!(
             params.key(&chunk, content, i).digest,
             matrices.key(&chunk, m_content, i).digest
         );
-    }
+    });
 }
 
 #[test]
@@ -221,8 +264,7 @@ fn every_semantic_config_field_moves_the_fingerprint() {
     }
 }
 
-/// Unique store directory per proptest case (cases run sequentially but
-/// shrinking revisits them; never share state between cases).
+/// Unique store directory per case; never share state between cases.
 fn case_dir() -> PathBuf {
     static CASE: AtomicU64 = AtomicU64::new(0);
     let n = CASE.fetch_add(1, Ordering::Relaxed);
@@ -231,15 +273,14 @@ fn case_dir() -> PathBuf {
     dir
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn corrupted_or_truncated_blobs_are_never_served(
-        values in proptest::collection::vec(-1e3f64..1e3, 1..40),
-        corrupt_at in any::<usize>(),
-        truncate in any::<bool>(),
-    ) {
+#[test]
+fn corrupted_or_truncated_blobs_are_never_served() {
+    for_each_case(16, 0x5344_0004, |rng| {
+        let values: Vec<f64> = (0..rng.in_range(1, 39))
+            .map(|_| rng.f64_in(-1e3, 1e3))
+            .collect();
+        let corrupt_at = rng.u64() as usize;
+        let truncate = rng.next() & 1 == 1;
         let dir = case_dir();
         let cfg = AppConfig::test_scale(Representation::Full);
         let grid = ChunkGrid::new(cfg.dims, cfg.roi, cfg.chunk_dims);
@@ -261,10 +302,10 @@ proptest! {
         // Intact round-trip first: served bit-exactly.
         let reader = StoreSession::new(&store, &cfg);
         let served = reader.lookup_params(&key).expect("intact blob is served");
-        prop_assert_eq!(served.len(), 1);
-        prop_assert!(served[0].feature == Feature::Contrast);
+        assert_eq!(served.len(), 1);
+        assert!(served[0].feature == Feature::Contrast);
         for (a, b) in served[0].values.iter().zip(&values) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
+            assert_eq!(a.to_bits(), b.to_bits());
         }
 
         // Corrupt the committed object in place: flip one byte or truncate.
@@ -274,7 +315,7 @@ proptest! {
             .join(&hex[0..2])
             .join(&hex[2..4])
             .join(&hex);
-        prop_assert!(path.exists(), "committed object missing at {:?}", path);
+        assert!(path.exists(), "committed object missing at {path:?}");
         let mut bytes = std::fs::read(&path).unwrap();
         if truncate {
             bytes.truncate(corrupt_at % bytes.len());
@@ -286,13 +327,13 @@ proptest! {
 
         // Detected, counted, evicted — and absolutely not served.
         let before = store.stats().corrupt_rejected();
-        prop_assert!(reader.lookup_params(&key).is_none());
-        prop_assert_eq!(store.stats().corrupt_rejected(), before + 1);
-        prop_assert!(!path.exists(), "corrupt blob must be evicted");
+        assert!(reader.lookup_params(&key).is_none());
+        assert_eq!(store.stats().corrupt_rejected(), before + 1);
+        assert!(!path.exists(), "corrupt blob must be evicted");
 
         // The follow-up lookup is a clean miss, not another rejection.
-        prop_assert!(reader.lookup_params(&key).is_none());
-        prop_assert_eq!(store.stats().corrupt_rejected(), before + 1);
+        assert!(reader.lookup_params(&key).is_none());
+        assert_eq!(store.stats().corrupt_rejected(), before + 1);
 
         // Recompute-and-republish heals the entry.
         let healer = StoreSession::new(&store, &cfg);
@@ -300,8 +341,8 @@ proptest! {
         healer.commit().unwrap();
         let healed = reader.lookup_params(&key).expect("healed blob is served");
         for (a, b) in healed[0].values.iter().zip(&values) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
+            assert_eq!(a.to_bits(), b.to_bits());
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
 }
