@@ -18,14 +18,12 @@
 //!   once** per run — and when retention would exceed the budget, the
 //!   slice is served without being retained and simply re-read later (the
 //!   correct-but-slower fallback);
-//! * the cache is prefetch-safe: a per-key *loading* state guarantees the
-//!   exactly-once property even when a read-ahead thread and the consumer
-//!   race for the same slice, and [`SliceCache::wait_for_window`] bounds
-//!   how far ahead the prefetcher may run.
+//! * a per-key *loading* state keeps the exactly-once property when several
+//!   consumers (reader copies, or jobs on a shared cache) race for the same
+//!   slice: one loads, the others wait for it.
 //!
 //! Everything is instrumented through a shared [`IoStats`] (lock-free
-//! counters), which the pipeline surfaces in its run report and the
-//! `BENCH_io.json` exporter.
+//! counters), which the pipeline surfaces in its run report.
 
 use crate::chunks::ChunkGrid;
 use crate::dicom::{DicomDataset, DicomError};
@@ -36,7 +34,6 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
 
 /// Anything the slice cache can decode whole 2D slices from.
 ///
@@ -296,9 +293,9 @@ pub enum CacheError {
         /// The underlying I/O error.
         error: io::Error,
     },
-    /// The party that claimed the load of `key` (a consumer or the
-    /// read-ahead thread) panicked before publishing a result. The key has
-    /// been reverted to absent, so a retry is permitted.
+    /// The consumer that claimed the load of `key` panicked before
+    /// publishing a result. The key has been reverted to absent, so a retry
+    /// is permitted.
     LoaderPanicked {
         /// Slice whose loader died.
         key: SliceKey,
@@ -320,30 +317,18 @@ impl fmt::Display for CacheError {
 
 impl std::error::Error for CacheError {}
 
-/// Outcome of a bounded [`SliceCache::wait_for_window`] wait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WindowWait {
-    /// The window opened; the prefetcher may work on the chunk.
-    Ready,
-    /// The cache (or this plan) shut down; the prefetcher should exit.
-    ShutDown,
-    /// The deadline expired with the window still closed — the producer
-    /// that was supposed to call `advance` is presumed dead.
-    TimedOut,
-}
-
 /// Identifies one attached [`ReusePlan`] on a (possibly shared) cache.
 ///
 /// Handles are plain ids — cloning one does not attach anything, and using
-/// a handle after [`SliceCache::detach`] degrades to no-ops / `ShutDown`
-/// rather than panicking.
+/// a handle after [`SliceCache::detach`] degrades to no-ops rather than
+/// panicking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanHandle(u64);
 
-/// One cache entry's lifecycle. `Loading` is the prefetch-safety device:
-/// whoever transitions a key `Absent → Loading` (consumer or prefetcher)
-/// is the only party that reads it from disk; everyone else waits on the
-/// condvar for the transition out of `Loading`. `Poisoned` records a loader
+/// One cache entry's lifecycle. `Loading` is the exactly-once device:
+/// whoever transitions a key `Absent → Loading` is the only party that reads
+/// it from disk; everyone else waits on the condvar for the transition out
+/// of `Loading`. `Poisoned` records a loader
 /// that panicked mid-claim: the first waiter to observe it reverts the key
 /// to absent and surfaces a typed [`CacheError::LoaderPanicked`].
 enum Entry {
@@ -367,7 +352,8 @@ struct CacheState {
     /// attached plan still has a future use for it.
     plans: HashMap<u64, PlanState>,
     next_plan: u64,
-    /// Raised once; unblocks window waits so prefetchers can exit.
+    /// Raised once by `shutdown`; nothing reads it since the read-ahead API
+    /// went (the field waits for the next `benchmark` PR, see ROADMAP).
     shutdown: bool,
 }
 
@@ -498,8 +484,7 @@ impl<S: SliceSource> SliceCache<S> {
         PlanHandle(id)
     }
 
-    /// Detaches a job's plan, evicting every slice only that job still
-    /// held and unblocking any prefetcher waiting on the plan's window.
+    /// Detaches a job's plan, evicting every slice only that job still held.
     pub fn detach(&self, h: PlanHandle) {
         let mut st = lock_recovered(&self.state);
         if st.plans.remove(&h.0).is_some() {
@@ -585,47 +570,7 @@ impl<S: SliceSource> SliceCache<S> {
         };
         let loaded = self.source.load_slice(key);
         claim.armed = false;
-        self.finish_load(key, loaded, false)
-    }
-
-    /// Loads every not-yet-cached slice of chunk `seq` of plan `h` that
-    /// still fits the budget — the read-ahead thread's work item. I/O
-    /// errors leave the key absent (the demand path will retry and surface
-    /// them); slices whose retention would exceed the budget are skipped
-    /// rather than loaded and dropped.
-    pub fn prefetch_chunk(&self, h: PlanHandle, seq: usize) {
-        let Some(plan) = self.plan_of(h) else {
-            return;
-        };
-        for &key in plan.keys_for(seq) {
-            let claimed = {
-                let mut st = lock_recovered(&self.state);
-                if st.shutdown || st.entries.contains_key(&key) {
-                    false
-                } else if st.retained_bytes >= self.budget_bytes {
-                    // No room to retain: a prefetched-then-dropped slice
-                    // would be pure wasted I/O. Leave it to the demand path.
-                    false
-                } else {
-                    st.entries.insert(key, Entry::Loading);
-                    true
-                }
-            };
-            if !claimed {
-                continue;
-            }
-            let mut claim = LoadClaim {
-                state: &self.state,
-                cond: &self.cond,
-                key,
-                armed: true,
-            };
-            let loaded = self.source.load_slice(key);
-            claim.armed = false;
-            if self.finish_load(key, loaded, true).is_ok() {
-                self.stats.record_prefetch();
-            }
-        }
+        self.finish_load(key, loaded)
     }
 
     /// Completes a claimed load: retains the slice if any attached plan
@@ -635,7 +580,6 @@ impl<S: SliceSource> SliceCache<S> {
         &self,
         key: SliceKey,
         loaded: io::Result<Vec<u16>>,
-        prefetch: bool,
     ) -> Result<Arc<Vec<u16>>, CacheError> {
         let mut st = lock_recovered(&self.state);
         let data = match loaded {
@@ -657,11 +601,9 @@ impl<S: SliceSource> SliceCache<S> {
             st.retained_bytes += bytes;
             self.stats.record_retained(st.retained_bytes as u64);
         } else {
-            // Serve without retaining; a later chunk re-reads it. A
-            // prefetch load that no longer fits is also a reject (the
-            // budget moved between the claim and the load).
+            // Serve without retaining; a later chunk re-reads it.
             st.entries.remove(&key);
-            if has_future_use || prefetch {
+            if has_future_use {
                 self.stats.record_budget_reject();
             }
         }
@@ -676,8 +618,7 @@ impl<S: SliceSource> SliceCache<S> {
     }
 
     /// Marks chunk `seq` of plan `h` fully consumed: slices no attached
-    /// plan needs anymore are evicted, and that plan's read-ahead window
-    /// slides forward.
+    /// plan needs anymore are evicted.
     pub fn advance_for(&self, h: PlanHandle, seq: usize) {
         let mut st = lock_recovered(&self.state);
         let Some(plan) = st.plans.get_mut(&h.0) else {
@@ -688,52 +629,8 @@ impl<S: SliceSource> SliceCache<S> {
         self.cond.notify_all();
     }
 
-    /// Blocks until the prefetcher may work on chunk `seq` of plan `h` —
-    /// i.e. until `seq <= completed + ahead` — the cache or plan shuts
-    /// down, or `deadline` expires. A deadline bounds how long a prefetcher
-    /// can be held hostage by a consumer that died without calling
-    /// [`advance_for`](SliceCache::advance_for) or
-    /// [`shutdown`](SliceCache::shutdown); pass `None` to wait forever.
-    pub fn wait_for_window(
-        &self,
-        h: PlanHandle,
-        seq: usize,
-        ahead: usize,
-        deadline: Option<Duration>,
-    ) -> WindowWait {
-        let expires = deadline.map(|d| Instant::now() + d);
-        let mut st = lock_recovered(&self.state);
-        loop {
-            if st.shutdown {
-                return WindowWait::ShutDown;
-            }
-            let Some(plan) = st.plans.get(&h.0) else {
-                return WindowWait::ShutDown;
-            };
-            if seq <= plan.completed + ahead {
-                return WindowWait::Ready;
-            }
-            st = match expires {
-                None => self.cond.wait(st).unwrap_or_else(PoisonError::into_inner),
-                Some(when) => {
-                    let Some(left) = when
-                        .checked_duration_since(Instant::now())
-                        .filter(|d| !d.is_zero())
-                    else {
-                        return WindowWait::TimedOut;
-                    };
-                    self.cond
-                        .wait_timeout(st, left)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0
-                }
-            };
-        }
-    }
-
-    /// Unblocks every prefetcher permanently. Must be called before joining
-    /// a read-ahead thread on *every* exit path of the consumer, including
-    /// errors — otherwise the join deadlocks on `wait_for_window`.
+    /// Marks the cache shut down. Retained slices and attached plans are
+    /// untouched; [`SliceCacheRegistry::shutdown`] drops the cache next.
     pub fn shutdown(&self) {
         let mut st = lock_recovered(&self.state);
         st.shutdown = true;
@@ -819,8 +716,7 @@ impl SliceCacheRegistry {
             .len()
     }
 
-    /// Shuts down every open cache (unblocks all prefetchers) and drops
-    /// them. Part of daemon drain.
+    /// Shuts down every open cache and drops them. Part of daemon drain.
     pub fn shutdown(&self) {
         let mut caches = self.caches.lock().unwrap_or_else(PoisonError::into_inner);
         for cache in caches.values() {
@@ -975,80 +871,6 @@ mod tests {
         // The failed load must not wedge the entry in `Loading`.
         let slice = cache.get(key).unwrap();
         assert_eq!(slice[0], src.inner.pixel(key, 0, 0));
-    }
-
-    #[test]
-    fn prefetch_and_demand_never_double_read() {
-        let g = grid();
-        let src = CountingSource::new(g.data_dims());
-        let plan = ReusePlan::new(&g, |_| true);
-        let distinct = plan.distinct_slices();
-        let stats = Arc::new(IoStats::default());
-        let cache = SliceCache::new(&src, plan, usize::MAX, stats.clone());
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let h = cache.primary_handle();
-                for seq in 0..cache.plan().chunks() {
-                    if cache.wait_for_window(h, seq, 2, None) != WindowWait::Ready {
-                        break;
-                    }
-                    cache.prefetch_chunk(h, seq);
-                }
-            });
-            for (seq, chunk) in g.chunks().enumerate() {
-                let r = chunk.input;
-                for t in r.origin.t..r.end().t {
-                    for z in r.origin.z..r.end().z {
-                        let key = SliceKey { t, z };
-                        let slice = cache.get(key).unwrap();
-                        assert_eq!(slice[0], src.pixel(key, 0, 0));
-                    }
-                }
-                cache.advance(seq);
-            }
-            cache.shutdown();
-        });
-        assert_eq!(
-            src.total_reads.load(Ordering::Relaxed),
-            distinct,
-            "prefetcher and consumer must coordinate to exactly-once"
-        );
-        assert_eq!(stats.disk_reads() as usize, distinct);
-    }
-
-    #[test]
-    fn shutdown_unblocks_waiting_prefetcher() {
-        let g = grid();
-        let src = CountingSource::new(g.data_dims());
-        let plan = ReusePlan::new(&g, |_| true);
-        let cache = SliceCache::new(&src, plan, usize::MAX, Arc::new(IoStats::default()));
-        std::thread::scope(|s| {
-            let handle = cache.primary_handle();
-            let waiter = &cache;
-            let h = s.spawn(move || waiter.wait_for_window(handle, 1000, 0, None));
-            cache.shutdown();
-            assert_eq!(
-                h.join().unwrap(),
-                WindowWait::ShutDown,
-                "shutdown must unblock the window wait"
-            );
-        });
-    }
-
-    #[test]
-    fn window_wait_deadline_fires_without_producer() {
-        let g = grid();
-        let src = CountingSource::new(g.data_dims());
-        let plan = ReusePlan::new(&g, |_| true);
-        let cache = SliceCache::new(&src, plan, usize::MAX, Arc::new(IoStats::default()));
-        // Nobody ever advances or shuts down: the deadline is the only exit.
-        let got = cache.wait_for_window(
-            cache.primary_handle(),
-            1000,
-            0,
-            Some(Duration::from_millis(50)),
-        );
-        assert_eq!(got, WindowWait::TimedOut);
     }
 
     #[test]

@@ -25,8 +25,7 @@
 //!   "easily replaced by a filter which reads DICOM format images");
 //! * [`cache`] — the overlap-aware I/O plane: a lifetime-exact slice cache
 //!   driven by the chunk grid's deterministic emission order, with
-//!   byte-budget fallback, bounded read-ahead support and shared I/O
-//!   counters;
+//!   byte-budget fallback and shared I/O counters;
 //! * [`digest`] — FNV-1a content digesting of volumes and dataset regions,
 //!   the content half of the result store's chunk keys.
 
@@ -45,7 +44,7 @@ pub mod synth;
 
 pub use cache::{
     crop_subrect, CacheError, IoStats, PlanHandle, ReusePlan, SharedSliceCache, SharedSliceSource,
-    SliceCache, SliceCacheRegistry, SliceSource, WindowWait,
+    SliceCache, SliceCacheRegistry, SliceSource,
 };
 pub use chunks::{Chunk, ChunkGrid};
 pub use dicom::{DicomDataset, DicomSlice};

@@ -56,13 +56,14 @@ use datacutter::{EngineConfig, NodeConfig};
 use haralick::volume::Dims4;
 use mri::store::{write_distributed, DistributedDataset};
 use mri::synth::{generate, SynthConfig};
-use pipeline::config::{parse_engine, parse_repr, AppConfig, RunOptions};
+use pipeline::config::{parse_engine, parse_repr, AppConfig};
 use pipeline::experiments::{run_hmp_piii, run_split_piii};
 use pipeline::graphs::standard_graph;
-use pipeline::run::{run_node_threaded, run_threaded, IoRuntime};
+use pipeline::run::{run_node_threaded, run_threaded, IoRuntime, SliceCaching};
 use pipeline::service::{AnalysisService, ServiceConfig};
+use pipeline::store::{ResultStore, StoreSession};
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::sync::Arc;
 
@@ -164,33 +165,55 @@ fn parsed<T>(parse: fn(&str) -> Result<T, String>, s: &str) -> T {
     })
 }
 
-/// The configuration of a run over `desc` under the flags `analyze`,
-/// `run-graph` and `node` share: `--repr`, `--engine`, `--canonical`,
-/// `--io-cache-bytes`, and the transport toggles `--checksum` /
-/// `--compress` (each connection enables a feature only when both endpoints
-/// request it; they have no effect on a single-process run).
+/// What a run over `desc` computes, under the flags `analyze`, `run-graph`
+/// and `node` share: `--repr` and `--engine`.
 fn run_config(desc: &mri::store::DatasetDescriptor, flags: &Flags) -> AppConfig {
-    let opts = RunOptions {
-        representation: parsed(parse_repr, flags.get("repr").unwrap_or("full")),
-        engine: flags.get("engine").map(|e| parsed(parse_engine, e)),
-        canonical_output: flags.parse_or("canonical", false),
-        io_cache_bytes: flags.value("io-cache-bytes"),
-        transport_checksum: flags.parse_or("checksum", false),
-        transport_compress: flags.parse_or("compress", false),
-    };
-    AppConfig::for_run(desc, &opts).unwrap_or_else(|e| {
+    let repr = parsed(parse_repr, flags.get("repr").unwrap_or("full"));
+    let engine = flags.get("engine").map(|e| parsed(parse_engine, e));
+    AppConfig::for_run(desc, repr, engine).unwrap_or_else(|e| {
         eprintln!("{e}; generate at least a window-sized dataset");
         exit(1);
     })
 }
 
-/// Applies the `--result-store` directory onto a loaded configuration; the
-/// driver opens, commits or abandons the run's store session and reports
-/// its counters.
-fn apply_store_flag(cfg: &mut AppConfig, flags: &Flags) {
-    if let Some(dir) = flags.get("result-store") {
-        cfg.result_store = Some(PathBuf::from(dir));
+/// How that run is hosted, under the flags the same three subcommands
+/// share: `--io-cache-bytes`, `--canonical` and `--result-store` (a store
+/// session of this run's own; the driver commits or abandons it and reports
+/// its counters).
+fn run_hosting(cfg: &AppConfig, flags: &Flags) -> IoRuntime {
+    IoRuntime {
+        caching: flags
+            .value("io-cache-bytes")
+            .map_or_else(SliceCaching::default, SliceCaching::per_copy),
+        canonical_output: flags.parse_or("canonical", false),
+        store: flags
+            .get("result-store")
+            .and_then(|dir| ResultStore::open_fs_or_warn(Path::new(dir)))
+            .map(|store| Arc::new(StoreSession::new(&store, cfg))),
+        ..IoRuntime::new()
     }
+}
+
+/// Runs `spec` in this process for `analyze` / `run-graph`, hosted as the
+/// flags say, and writes the `--report`; a pipeline failure exits 1.
+fn run_local(
+    spec: &datacutter::GraphSpec,
+    cfg: &Arc<AppConfig>,
+    dir: &str,
+    out: &str,
+    flags: &Flags,
+) -> datacutter::RunReport {
+    std::fs::create_dir_all(out).ok();
+    let (rt, engine) = (run_hosting(cfg, flags), EngineConfig::default());
+    let report = run_threaded(spec, cfg, Path::new(dir), Path::new(out), &rt, &engine)
+        .unwrap_or_else(|e| {
+            eprintln!("pipeline failed: {e}");
+            exit(1);
+        });
+    if let Some(rp) = flags.get("report") {
+        write_report(rp, &report);
+    }
+    report
 }
 
 /// Writes the Figure-9-style busy-vs-wait run report as JSON to `path`.
@@ -314,27 +337,10 @@ fn main() {
                 exit(1);
             });
             let desc = ds.descriptor();
-            let mut cfg = run_config(desc, &flags);
-            apply_store_flag(&mut cfg, &flags);
-            let cfg = Arc::new(cfg);
+            let cfg = Arc::new(run_config(desc, &flags));
             let spec = build_graph(&variant, desc.num_nodes, texture);
-            std::fs::create_dir_all(out).ok();
             let t = std::time::Instant::now();
-            let report = run_threaded(
-                &spec,
-                &cfg,
-                &PathBuf::from(dir),
-                &PathBuf::from(out),
-                &IoRuntime::new(),
-                &EngineConfig::default(),
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("pipeline failed: {e}");
-                exit(1);
-            });
-            if let Some(rp) = flags.get("report") {
-                write_report(rp, &report);
-            }
+            let report = run_local(&spec, &cfg, dir, out, &flags);
             println!(
                 "analyzed {} in {:.2?} ({variant}, {:?})",
                 desc.dims,
@@ -380,26 +386,9 @@ fn main() {
             };
             let flags = Flags::parse(&args[4..]);
             let spec = load_graph(json);
-            let mut cfg = run_config(&load_descriptor(dir), &flags);
-            apply_store_flag(&mut cfg, &flags);
-            let cfg = Arc::new(cfg);
-            std::fs::create_dir_all(out).ok();
+            let cfg = Arc::new(run_config(&load_descriptor(dir), &flags));
             let t = std::time::Instant::now();
-            let report = run_threaded(
-                &spec,
-                &cfg,
-                &PathBuf::from(dir),
-                &PathBuf::from(out),
-                &IoRuntime::new(),
-                &EngineConfig::default(),
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("pipeline failed: {e}");
-                exit(1);
-            });
-            if let Some(rp) = flags.get("report") {
-                write_report(rp, &report);
-            }
+            run_local(&spec, &cfg, dir, out, &flags);
             println!(
                 "ran {} filters / {} streams in {:.2?}; output under {out}",
                 spec.filters.len(),
@@ -433,13 +422,13 @@ fn main() {
                 })
                 .collect();
             let spec = load_graph(json);
-            let mut cfg = run_config(&load_descriptor(dir), &flags);
-            apply_store_flag(&mut cfg, &flags);
-            let cfg = Arc::new(cfg);
+            let cfg = Arc::new(run_config(&load_descriptor(dir), &flags));
             std::fs::create_dir_all(out).ok();
+            // Each connection enables a transport feature only when both
+            // endpoints request it.
             let mut node_cfg = NodeConfig::new(node, addrs);
-            node_cfg.checksum = cfg.transport_checksum;
-            node_cfg.compress = cfg.transport_compress;
+            node_cfg.checksum = flags.parse_or("checksum", false);
+            node_cfg.compress = flags.parse_or("compress", false);
             let t = std::time::Instant::now();
             let report = run_node_threaded(
                 &spec,
@@ -447,7 +436,7 @@ fn main() {
                 &PathBuf::from(dir),
                 &PathBuf::from(out),
                 &node_cfg,
-                &IoRuntime::new(),
+                &run_hosting(&cfg, &flags),
             )
             .unwrap_or_else(|e| {
                 eprintln!("node {node} failed: {e}");

@@ -8,7 +8,11 @@ use haralick::roi::RoiShape;
 use haralick::volume::Dims4;
 use mri::store::DatasetDescriptor;
 
-/// Everything needed to run one 4D Haralick analysis, in either engine.
+/// What one 4D Haralick analysis computes: every field determines output
+/// values or the simulated flow (paper §5.1). How a run is hosted — slice
+/// caching, canonical output order, the result store — is
+/// [`crate::run::IoRuntime`]'s, and the transport toggles are
+/// [`datacutter::NodeConfig`]'s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppConfig {
     /// Dataset extents.
@@ -42,34 +46,6 @@ pub struct AppConfig {
     /// the beyond-the-paper sliding sub-histogram kernel. Outputs are
     /// byte-identical.
     pub engine: ScanEngine,
-    /// Make USO output byte-order-deterministic: each copy buffers its
-    /// parameter values and writes them sorted by output position at
-    /// finish, instead of in arrival order. Costs memory proportional to
-    /// the copy's share of the output; used by the distributed conformance
-    /// tests, where in-process and multi-process runs must produce
-    /// byte-identical `.h4dp` files despite different arrival orders.
-    pub canonical_output: bool,
-    /// Byte budget of the reader-side slice cache (per reading-filter
-    /// copy). The cache retains each decoded slice until its last consuming
-    /// chunk, so with a sufficient budget every slice is read from disk
-    /// exactly once; when retention would exceed the budget the slice is
-    /// re-read later instead. `0` disables the cache entirely and restores
-    /// the naive per-request subrect reads.
-    pub io_cache_bytes: usize,
-    /// Distributed runs: stamp cross-node data frames with a payload
-    /// checksum. Effective per connection only when the peer advertises it
-    /// too (the handshake negotiates the feature intersection).
-    pub transport_checksum: bool,
-    /// Distributed runs: compress cross-node payloads when it wins.
-    /// Negotiated like `transport_checksum`.
-    pub transport_compress: bool,
-    /// Root directory of the content-addressed result store (see
-    /// [`crate::store`]). When set, the texture filters consult the store
-    /// before computing a chunk and publish fresh results after; `None`
-    /// (the default) recomputes everything. The path is a *value-neutral*
-    /// knob: it is excluded from the store's config fingerprint, so moving
-    /// a store directory does not invalidate its contents.
-    pub result_store: Option<std::path::PathBuf>,
 }
 
 /// Parses a representation name as the `h4d --repr` flag and a daemon
@@ -92,25 +68,6 @@ pub fn parse_engine(s: &str) -> Result<ScanEngine, String> {
         "fused" => ScanEngine::Fused,
         other => return Err(format!("unknown engine {other:?}")),
     })
-}
-
-/// What a caller may choose for one run on top of the dataset's geometry:
-/// the `h4d analyze` / `run-graph` / `node` flags and the fields of a daemon
-/// `JobSpec`. `None` keeps the configuration default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunOptions {
-    /// `--repr`.
-    pub representation: Representation,
-    /// `--engine`.
-    pub engine: Option<ScanEngine>,
-    /// `--canonical`.
-    pub canonical_output: bool,
-    /// `--io-cache-bytes`.
-    pub io_cache_bytes: Option<usize>,
-    /// `--checksum` (multi-process runs).
-    pub transport_checksum: bool,
-    /// `--compress` (multi-process runs).
-    pub transport_compress: bool,
 }
 
 impl AppConfig {
@@ -144,14 +101,6 @@ impl AppConfig {
             // Pin the paper's per-placement rebuild semantics so the cost
             // model and every simulated figure stay on the measured regime.
             engine: ScanEngine::Reference,
-            canonical_output: false,
-            // 64 MiB holds the retained set of every geometry in the
-            // experiments (the paper-scale run peaks well below:
-            // ~chunk_z*chunk_t slices of 256x256 u16 = 8 MiB).
-            io_cache_bytes: 64 << 20,
-            transport_checksum: false,
-            transport_compress: false,
-            result_store: None,
         }
     }
 
@@ -203,20 +152,21 @@ impl AppConfig {
     }
 
     /// The configuration of one run over the dataset described by `desc`:
-    /// [`AppConfig::for_dataset`] plus the caller's `opts`. Every `h4d`
-    /// subcommand that runs a graph and every daemon job assembles its
-    /// configuration here and nowhere else, so a daemon job and a one-shot
-    /// `h4d analyze` of the same dataset are byte-identical.
+    /// [`AppConfig::for_dataset`] plus the caller's `--repr` and `--engine`
+    /// (`None` keeps the default). Every `h4d` subcommand that runs a graph
+    /// and every daemon job assembles its configuration here and nowhere
+    /// else, so a daemon job and a one-shot `h4d analyze` of the same
+    /// dataset are byte-identical.
     ///
     /// # Errors
     /// The dataset is smaller than the analysis window.
-    pub fn for_run(desc: &DatasetDescriptor, opts: &RunOptions) -> Result<Self, String> {
-        let mut cfg = Self::for_dataset(desc.dims, desc.num_nodes, opts.representation)?;
-        cfg.engine = opts.engine.unwrap_or(cfg.engine);
-        cfg.canonical_output = opts.canonical_output;
-        cfg.io_cache_bytes = opts.io_cache_bytes.unwrap_or(cfg.io_cache_bytes);
-        cfg.transport_checksum = opts.transport_checksum;
-        cfg.transport_compress = opts.transport_compress;
+    pub fn for_run(
+        desc: &DatasetDescriptor,
+        representation: Representation,
+        engine: Option<ScanEngine>,
+    ) -> Result<Self, String> {
+        let mut cfg = Self::for_dataset(desc.dims, desc.num_nodes, representation)?;
+        cfg.engine = engine.unwrap_or(cfg.engine);
         Ok(cfg)
     }
 
@@ -282,21 +232,14 @@ mod tests {
             pixel_bytes: 2,
             num_nodes: 3,
         };
-        let mut opts = RunOptions {
-            representation: Representation::Full,
-            engine: None,
-            canonical_output: false,
-            io_cache_bytes: None,
-            transport_checksum: false,
-            transport_compress: false,
+        let engine_of = |engine| {
+            AppConfig::for_run(&desc, Representation::Full, engine)
+                .unwrap()
+                .engine
         };
+        assert_eq!(engine_of(None), ScanEngine::Fused);
         assert_eq!(
-            AppConfig::for_run(&desc, &opts).unwrap().engine,
-            ScanEngine::Fused
-        );
-        opts.engine = Some(ScanEngine::Reference);
-        assert_eq!(
-            AppConfig::for_run(&desc, &opts).unwrap().engine,
+            engine_of(Some(ScanEngine::Reference)),
             ScanEngine::Reference
         );
     }

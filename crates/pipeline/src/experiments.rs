@@ -8,7 +8,7 @@
 //! targets.
 
 use crate::config::AppConfig;
-use crate::graphs::{Copies, HmpGraph, SplitGraph};
+use crate::graphs::{split_counts, Copies, HmpGraph, SplitGraph};
 use crate::simfilters::sim_factories;
 use crate::workload::Workload;
 use cluster::cost::CostModel;
@@ -77,18 +77,6 @@ impl Series {
 
 /// Node-count axis used by Figures 7 and 8.
 pub const NODE_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
-
-/// The 4:1 HCC-to-HPC node split of §5.2: `n` texture nodes become
-/// `(hcc, hpc)` counts ("a 4-to-1 ratio was maintained ... when possible";
-/// 16 → 13 + 3 as in the paper). For `n = 1`, both run co-located on the
-/// one node.
-pub fn split_counts(n: usize) -> (usize, usize) {
-    if n <= 1 {
-        return (1, 1);
-    }
-    let hpc = (n as f64 / 5.0).round().max(1.0) as usize;
-    (n - hpc, hpc)
-}
 
 /// The PIII service layout shared by the homogeneous experiments: the
 /// dataset lives on 4 I/O nodes (0–3), the stitch runs on node 4, the
@@ -701,19 +689,6 @@ pub fn buffer_depth_sweep(model: &CostModel) -> Series {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn split_counts_match_paper() {
-        assert_eq!(split_counts(16), (13, 3));
-        assert_eq!(split_counts(1), (1, 1));
-        assert_eq!(split_counts(2), (1, 1));
-        assert_eq!(split_counts(8), (6, 2));
-        for n in 2..=24 {
-            let (hcc, hpc) = split_counts(n);
-            assert_eq!(hcc + hpc, n);
-            assert!(hcc >= 1 && hpc >= 1);
-        }
-    }
 
     #[test]
     fn series_accessors() {

@@ -9,7 +9,7 @@ use crate::config::AppConfig;
 use crate::payload::{
     linear_point, ChunkData, FeatureVolume, MatrixBatch, MatrixPacket, ParamPacket, Piece,
 };
-use crate::run::IoRuntime;
+use crate::run::{IoRuntime, SliceCaching};
 use crate::store::{KeyRecipe, StoreSession, StoreStage};
 use datacutter::{DataBuffer, Filter, FilterContext, FilterError, FilterErrorKind};
 use haralick::coocc::CoMatrix;
@@ -20,7 +20,7 @@ use haralick::volume::{LevelVolume, Point4, Region4};
 use haralick::window::MatrixCursor;
 use mri::cache::{
     crop_subrect, CacheError, IoStats, PlanHandle, ReusePlan, SharedSliceSource, SliceCache,
-    SliceCacheRegistry, SliceSource,
+    SliceSource,
 };
 use mri::chunks::ChunkGrid;
 use mri::dicom::{DicomDataset, DicomError};
@@ -44,7 +44,7 @@ fn cache_error(e: CacheError) -> FilterError {
     FilterError::new(kind, e.to_string())
 }
 
-/// The reading loop shared by the per-run and daemon-scoped cache paths:
+/// The reading loop shared by the per-copy and daemon-scoped cache paths:
 /// walks the chunk grid in emission order through plan `handle` of `cache`,
 /// cropping each chunk's sub-rectangle out of the cached full slices.
 /// `emit` receives `(chunk, key, data)` for every piece the plan owns, in
@@ -83,47 +83,6 @@ fn pump_chunks<S: SliceSource>(
     })();
     cache.detach(handle);
     result
-}
-
-/// Per-run cache path of the reader filter: builds a private
-/// lifetime-exact [`SliceCache`] around `source` and pumps the grid
-/// through it.
-fn emit_chunks_cached<S: SliceSource>(
-    cfg: &AppConfig,
-    grid: &ChunkGrid,
-    source: S,
-    owned: impl Fn(SliceKey) -> bool,
-    io: &Arc<IoStats>,
-    emit: impl FnMut(mri::chunks::Chunk, SliceKey, Vec<u16>) -> Result<(), FilterError>,
-) -> Result<(), FilterError> {
-    let plan = ReusePlan::new(grid, owned);
-    let cache = SliceCache::new(source, plan, cfg.io_cache_bytes, Arc::clone(io));
-    pump_chunks(&cache, cache.primary_handle(), grid, emit)
-}
-
-/// Daemon-scoped cache path: attaches this walk's [`ReusePlan`] to the
-/// dataset's shared cache from `registry` (opening it on first use via
-/// `open`), so concurrent jobs over the same dataset read each slice from
-/// disk exactly once, total.
-fn emit_chunks_shared(
-    grid: &ChunkGrid,
-    registry: &SliceCacheRegistry,
-    root: &Path,
-    open: impl FnOnce() -> io::Result<SharedSliceSource>,
-    owned: impl Fn(SliceKey) -> bool,
-    emit: impl FnMut(mri::chunks::Chunk, SliceKey, Vec<u16>) -> Result<(), FilterError>,
-) -> Result<(), FilterError> {
-    let cache = registry.get_or_open(root, open).map_err(|e| {
-        FilterError::new(
-            FilterErrorKind::Io,
-            format!(
-                "could not open the shared slice cache for {}: {e}",
-                root.display()
-            ),
-        )
-    })?;
-    let handle = cache.attach(ReusePlan::new(grid, owned));
-    pump_chunks(&*cache, handle, grid, emit)
 }
 
 /// A disk-resident dataset format the reader filter can serve pieces from.
@@ -240,7 +199,7 @@ pub struct ReaderFilter<D: PieceSource> {
     root: PathBuf,
     node: usize,
     io: Arc<IoStats>,
-    slices: Option<Arc<SliceCacheRegistry>>,
+    caching: SliceCaching,
 }
 
 /// RAWFileReader: the reader over raw distributed slices.
@@ -251,8 +210,7 @@ pub type DfrFilter = ReaderFilter<DicomDataset>;
 
 impl<D: PieceSource> ReaderFilter<D> {
     /// Opens the dataset for copy `node`, recording into `rt`'s I/O
-    /// counters and, when `rt` carries a daemon-scoped registry, reading
-    /// through the dataset's shared cache instead of a per-copy one.
+    /// counters and reading the way `rt.caching` says.
     ///
     /// # Errors
     /// `Io`-kind when the dataset cannot be opened, `App`-kind when its
@@ -285,7 +243,7 @@ impl<D: PieceSource> ReaderFilter<D> {
             root: root.to_path_buf(),
             node,
             io: Arc::clone(&rt.io),
-            slices: rt.slices.clone(),
+            caching: rt.caching.clone(),
         })
     }
 }
@@ -294,7 +252,9 @@ impl<D: PieceSource> Filter for ReaderFilter<D> {
     fn start(&mut self, ctx: &mut FilterContext) -> Result<(), FilterError> {
         let grid = ChunkGrid::new(self.cfg.dims, self.cfg.roi, self.cfg.chunk_dims);
         let (dataset, node) = (&self.dataset, self.node);
-        let owned = |key: SliceKey| dataset.node_of(key) == Some(node);
+        // The emission order of every read path: chunks in grid order, a
+        // chunk's slices `t` outer / `z` inner, this node's slices only.
+        let plan = ReusePlan::new(&grid, |key| dataset.node_of(key) == Some(node));
         let mut emit = |chunk: mri::chunks::Chunk, key: SliceKey, data: Vec<u16>| {
             let piece = Piece {
                 chunk,
@@ -304,16 +264,12 @@ impl<D: PieceSource> Filter for ReaderFilter<D> {
             let size = piece.wire_size();
             ctx.emit(0, DataBuffer::new(piece, size, chunk.id as u64))
         };
-        if self.cfg.io_cache_bytes == 0 {
-            // Cache disabled: one disk read per piece, nothing retained.
-            for chunk in grid.chunks() {
-                let r = chunk.input;
-                for t in r.origin.t..r.end().t {
-                    for z in r.origin.z..r.end().z {
-                        let key = SliceKey { t, z };
-                        if !owned(key) {
-                            continue;
-                        }
+        match &self.caching {
+            // One disk read per piece, nothing retained.
+            SliceCaching::Off => {
+                for (seq, chunk) in grid.chunks().enumerate() {
+                    let r = chunk.input;
+                    for &key in plan.keys_for(seq) {
                         let (data, bytes) =
                             dataset.read_piece(key, r.origin.x, r.origin.y, r.size.x, r.size.y)?;
                         self.io.record_miss();
@@ -321,22 +277,25 @@ impl<D: PieceSource> Filter for ReaderFilter<D> {
                         emit(chunk, key, data)?;
                     }
                 }
+                Ok(())
             }
-            return Ok(());
-        }
-        match &self.slices {
-            Some(registry) => {
-                let root = self.root.clone();
-                emit_chunks_shared(
-                    &grid,
-                    registry,
-                    &self.root,
-                    move || D::open(&root).map(|d| Box::new(d) as SharedSliceSource),
-                    owned,
-                    emit,
-                )
+            // A private lifetime-exact cache around this copy's dataset.
+            SliceCaching::PerCopy(budget) => {
+                let cache = SliceCache::new(dataset, plan, *budget, Arc::clone(&self.io));
+                pump_chunks(&cache, cache.primary_handle(), &grid, emit)
             }
-            None => emit_chunks_cached(&self.cfg, &grid, dataset, owned, &self.io, emit),
+            // The dataset's daemon-scoped cache (opened on first use), which
+            // this walk's plan attaches to: concurrent jobs over the dataset
+            // read each slice from disk exactly once, total.
+            SliceCaching::Shared(registry) => {
+                let open = || D::open(&self.root).map(|d| Box::new(d) as SharedSliceSource);
+                let cache = registry.get_or_open(&self.root, open).map_err(|e| {
+                    let root = self.root.display();
+                    let message = format!("could not open the shared slice cache for {root}: {e}");
+                    FilterError::new(FilterErrorKind::Io, message)
+                })?;
+                pump_chunks(&*cache, cache.attach(plan), &grid, emit)
+            }
         }
     }
 
@@ -746,8 +705,9 @@ pub struct UsoFilter {
     cfg: Arc<AppConfig>,
     dir: PathBuf,
     copy: usize,
+    canonical: bool,
     writers: HashMap<haralick::features::Feature, ParameterWriter>,
-    /// Canonical mode only ([`AppConfig::canonical_output`]): values are
+    /// Canonical mode only ([`IoRuntime::canonical_output`]): values are
     /// buffered here and written sorted by output position at finish, so
     /// the file bytes do not depend on packet arrival order — the property
     /// the distributed conformance suite compares across process counts.
@@ -755,12 +715,14 @@ pub struct UsoFilter {
 }
 
 impl UsoFilter {
-    /// Creates the filter writing into `dir` (created on demand).
-    pub fn new(cfg: Arc<AppConfig>, dir: PathBuf, copy: usize) -> Self {
+    /// Creates the filter writing into `dir` (created on demand), in
+    /// arrival order or — `canonical` — sorted by output position.
+    pub fn new(cfg: Arc<AppConfig>, dir: PathBuf, copy: usize, canonical: bool) -> Self {
         Self {
             cfg,
             dir,
             copy,
+            canonical,
             writers: HashMap::new(),
             pending: HashMap::new(),
         }
@@ -781,7 +743,7 @@ impl Filter for UsoFilter {
         _: &mut FilterContext,
     ) -> Result<(), FilterError> {
         let packet = buf.payload::<ParamPacket>()?;
-        if self.cfg.canonical_output {
+        if self.canonical {
             self.pending.entry(packet.feature).or_default().extend(
                 packet
                     .points

@@ -143,9 +143,23 @@ impl VisualGraph {
     }
 }
 
+/// The 4:1 HCC-to-HPC node split of §5.2: `n` texture nodes become
+/// `(hcc, hpc)` counts ("a 4-to-1 ratio was maintained ... when possible";
+/// 16 → 13 + 3 as in the paper). For `n = 1`, both run co-located on the
+/// one node. The one law both the simulated figures and
+/// [`standard_graph`]'s split variant divide their texture copies by.
+pub fn split_counts(n: usize) -> (usize, usize) {
+    if n <= 1 {
+        return (1, 1);
+    }
+    let hpc = (n as f64 / 5.0).round().max(1.0) as usize;
+    (n - hpc, hpc)
+}
+
 /// Builds one of the three standard variants by name — `"hmp"` (combined
 /// texture filter), `"split"` (HCC + HPC), or `"visual"` (HIC + JIW) —
-/// with `texture` worker copies split the way the CLI splits them. Returns
+/// with `texture` worker copies ([`split_counts`] divides them between HCC
+/// and HPC). Returns
 /// `None` for an unknown variant. Shared by the `h4d` CLI and the analysis
 /// service so both build the identical network for a given request.
 pub fn standard_graph(variant: &str, storage_nodes: usize, texture: usize) -> Option<GraphSpec> {
@@ -159,8 +173,7 @@ pub fn standard_graph(variant: &str, storage_nodes: usize, texture: usize) -> Op
         }
         .build(),
         "split" => {
-            let hpc = (texture / 5).max(1);
-            let hcc = (texture - hpc).max(1);
+            let (hcc, hpc) = split_counts(texture);
             SplitGraph {
                 rfr: Copies::Count(storage_nodes),
                 iic: Copies::Count(1),
@@ -237,6 +250,28 @@ mod tests {
         .build();
         g.validate().expect("valid split graph");
         assert_eq!(g.filter_decl("HCC").unwrap().placement, vec![6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn four_to_one_split_matches_paper() {
+        assert_eq!(split_counts(16), (13, 3));
+        assert_eq!(split_counts(1), (1, 1));
+        assert_eq!(split_counts(2), (1, 1));
+        assert_eq!(split_counts(8), (6, 2));
+        for n in 2..=24 {
+            let (hcc, hpc) = split_counts(n);
+            assert_eq!(hcc + hpc, n);
+            assert!(hcc >= 1 && hpc >= 1);
+        }
+    }
+
+    #[test]
+    fn standard_split_graph_divides_texture_copies_by_split_counts() {
+        for n in 1..=16 {
+            let g = standard_graph("split", 4, n).expect("split variant");
+            let copies = |name| g.filter_decl(name).expect("declared").copies;
+            assert_eq!((copies("HCC"), copies("HPC")), split_counts(n), "n={n}");
+        }
     }
 
     #[test]

@@ -49,7 +49,9 @@ pub mod workload;
 
 pub use codecs::payload_codec;
 pub use config::AppConfig;
-pub use run::{merge_uso_outputs, run_node_threaded, run_threaded, threaded_factories, IoRuntime};
+pub use run::{
+    merge_uso_outputs, run_node_threaded, run_threaded, threaded_factories, IoRuntime, SliceCaching,
+};
 pub use service::{
     AnalysisService, JobManager, JobSpec, JobState, JobStatus, MgmtClient, ServiceConfig,
     ServiceStatus, SubmitError,

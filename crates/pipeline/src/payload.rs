@@ -27,9 +27,12 @@ pub struct Piece {
 }
 
 impl Piece {
+    /// Bytes of the positional header a piece carries on the wire.
+    pub const HEADER_BYTES: usize = 32;
+
     /// Wire size: raw pixels plus a small positional header.
     pub fn wire_size(&self) -> usize {
-        self.data.len() * 2 + 32
+        self.data.len() * 2 + Self::HEADER_BYTES
     }
 }
 
@@ -43,9 +46,12 @@ pub struct ChunkData {
 }
 
 impl ChunkData {
+    /// Bytes of the geometry header an assembled chunk carries on the wire.
+    pub const HEADER_BYTES: usize = 48;
+
     /// Wire size: raw voxels plus a header.
     pub fn wire_size(&self) -> usize {
-        self.raw.byte_len() + 48
+        self.raw.byte_len() + Self::HEADER_BYTES
     }
 }
 
@@ -95,6 +101,10 @@ pub struct MatrixPacket {
 }
 
 impl MatrixPacket {
+    /// Bytes of the chunk-and-index header a matrix packet carries on the
+    /// wire.
+    pub const HEADER_BYTES: usize = 48;
+
     /// Global ROI origin of the `k`-th matrix in this packet.
     pub fn origin_of(&self, k: usize) -> Point4 {
         linear_point(&self.chunk, self.first + k)
@@ -102,7 +112,7 @@ impl MatrixPacket {
 
     /// Wire size.
     pub fn wire_size(&self, levels: u16) -> usize {
-        self.batch.wire_size(levels) + 48
+        self.batch.wire_size(levels) + Self::HEADER_BYTES
     }
 }
 
@@ -135,9 +145,13 @@ pub struct ParamPacket {
 }
 
 impl ParamPacket {
+    /// Bytes of the feature-and-count header a parameter packet carries on
+    /// the wire.
+    pub const HEADER_BYTES: usize = 16;
+
     /// Wire size at `value_bytes` per (value + positional info).
     pub fn wire_size(&self, value_bytes: usize) -> usize {
-        self.values.len() * value_bytes + 16
+        self.values.len() * value_bytes + Self::HEADER_BYTES
     }
 }
 

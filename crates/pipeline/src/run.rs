@@ -11,7 +11,7 @@ use crate::filters::{
     HccFilter, HicFilter, HmpFilter, HpcFilter, IicFilter, JiwFilter, PieceSource, ReaderFilter,
     UsoFilter,
 };
-use crate::store::{ResultStore, StoreSession};
+use crate::store::StoreSession;
 use datacutter::engine::FilterFactory;
 use datacutter::{
     run_graph, run_node, EngineConfig, FilterError, GraphSpec, IoReport, NodeConfig, RunFailure,
@@ -27,47 +27,67 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// The shared I/O-plane state of one run: the I/O counters every
-/// reading-filter copy records into. Create one per run and pass it to the
-/// drivers; the report they return carries its counters.
+/// How a run's reader filters keep decoded slices around.
+#[derive(Clone)]
+pub enum SliceCaching {
+    /// No cache: one sub-rectangle disk read per piece, nothing retained
+    /// (`--io-cache-bytes 0`).
+    Off,
+    /// A private [`mri::cache::SliceCache`] per reader copy retaining at
+    /// most this many bytes: within the budget every slice is read from disk
+    /// exactly once, beyond it a slice is re-read later instead.
+    PerCopy(usize),
+    /// One daemon-scoped cache per dataset from this registry (which holds
+    /// the budget), so concurrent jobs over a dataset read each slice from
+    /// disk exactly once, total.
+    Shared(Arc<SliceCacheRegistry>),
+}
+
+impl SliceCaching {
+    /// The mode a per-copy byte budget spells: `0` is [`SliceCaching::Off`].
+    pub fn per_copy(budget_bytes: usize) -> Self {
+        match budget_bytes {
+            0 => Self::Off,
+            n => Self::PerCopy(n),
+        }
+    }
+}
+
+impl Default for SliceCaching {
+    fn default() -> Self {
+        // 64 MiB holds the retained set of every geometry in the
+        // experiments (the paper-scale run peaks well below:
+        // ~chunk_z*chunk_t slices of 256x256 u16 = 8 MiB).
+        Self::PerCopy(64 << 20)
+    }
+}
+
+/// How one run is hosted — what about a run cannot change an output value.
+/// Create one per run and pass it to the drivers; the report they return
+/// carries its counters.
 #[derive(Clone, Default)]
 pub struct IoRuntime {
     /// Reader-side I/O counters shared by all reading-filter copies.
     pub io: Arc<IoStats>,
-    /// Daemon-scoped slice-cache registry. `None` (the default) keeps the
-    /// per-run caches of the one-shot CLI; a service sets this so every
-    /// job's readers share one cache per dataset and each slice is read
-    /// from disk exactly once across concurrent jobs.
-    pub slices: Option<Arc<SliceCacheRegistry>>,
-    /// This run's result-store session (see [`crate::store`]). `None` (the
-    /// default) recomputes every chunk unless [`AppConfig::result_store`] is
-    /// set, in which case the drivers open a session of their own; either
-    /// way they commit or abandon it when the run finishes.
+    /// The reader filters' caching mode (default: per-copy, 64 MiB).
+    pub caching: SliceCaching,
+    /// Make USO output byte-order-deterministic: each copy buffers its
+    /// parameter values and writes them sorted by output position at
+    /// finish, instead of in arrival order. Costs memory proportional to
+    /// the copy's share of the output; in-process and multi-process runs
+    /// then produce byte-identical `.h4dp` files.
+    pub canonical_output: bool,
+    /// This run's result-store session (see [`crate::store`]) — the one way
+    /// a run gets a store. The texture filters consult it before computing
+    /// a chunk and stage fresh results; the drivers commit or abandon it
+    /// when the run finishes. `None` (the default) recomputes every chunk.
     pub store: Option<Arc<StoreSession>>,
 }
 
 impl IoRuntime {
-    /// Fresh counters.
+    /// Fresh counters, default caching, arrival-order output, no store.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// This runtime with a result-store session attached: its own, else one
-    /// opened on `cfg.result_store` when that names a directory. An unusable
-    /// store degrades to recompute-everything with a warning rather than
-    /// failing the run — the store is a cache, not a correctness dependency.
-    fn with_result_store(&self, cfg: &AppConfig) -> Self {
-        let mut rt = self.clone();
-        if let (None, Some(dir)) = (&rt.store, &cfg.result_store) {
-            match ResultStore::open_fs(dir) {
-                Ok(store) => rt.store = Some(Arc::new(StoreSession::new(&store, cfg))),
-                Err(e) => eprintln!(
-                    "warning: result store at {} unavailable, recomputing everything: {e}",
-                    dir.display()
-                ),
-            }
-        }
-        rt
     }
 
     /// Closes the run: commits the store session when the engine reported
@@ -122,8 +142,8 @@ fn reader_factory<D: PieceSource>(
 /// `dataset_root` must hold a distributed dataset matching `cfg`
 /// (see [`mri::store::write_distributed`]); `out_dir` receives USO
 /// parameter files and JIW image series. The reading filters record
-/// cache/disk activity into `rt.io` (and read through `rt.slices` when it is
-/// set); the texture filters consult `rt.store` when a session is attached.
+/// cache/disk activity into `rt.io` and read the way `rt.caching` says; the
+/// texture filters consult `rt.store` when a session is attached.
 ///
 /// Spin-up is fallible: a reader that cannot open its dataset returns a
 /// typed [`FilterError`] (`Io`-kind, naming the filter and the dataset
@@ -150,9 +170,15 @@ pub fn threaded_factories(
             "HMP" => Box::new(move |_| Ok(Box::new(HmpFilter::new(cfg.clone(), rt.store.clone())))),
             "HCC" => Box::new(move |_| Ok(Box::new(HccFilter::new(cfg.clone(), rt.store.clone())))),
             "HPC" => Box::new(move |_| Ok(Box::new(HpcFilter::new(cfg.clone())))),
-            "USO" => {
-                Box::new(move |copy| Ok(Box::new(UsoFilter::new(cfg.clone(), dir.clone(), copy))))
-            }
+            "USO" => Box::new(move |copy| {
+                let (cfg, dir) = (cfg.clone(), dir.clone());
+                Ok(Box::new(UsoFilter::new(
+                    cfg,
+                    dir,
+                    copy,
+                    rt.canonical_output,
+                )))
+            }),
             "HIC" => Box::new(move |_| Ok(Box::new(HicFilter::new(cfg.clone())))),
             "JIW" => Box::new(move |_| Ok(Box::new(JiwFilter::new(dir.clone())))),
             other => {
@@ -180,9 +206,8 @@ pub fn threaded_factories(
 /// [`datacutter::FilterError`] — typed by kind and naming the failing
 /// filter copy — plus the row of every copy that ran.
 ///
-/// When `cfg.result_store` is set (and `rt` carries no session already) a
-/// store session is opened for the run; it is committed after a successful
-/// run and abandoned after a failure.
+/// A store session in `rt` is committed after a successful run and abandoned
+/// after a failure.
 pub fn run_threaded(
     spec: &GraphSpec,
     cfg: &Arc<AppConfig>,
@@ -191,8 +216,7 @@ pub fn run_threaded(
     rt: &IoRuntime,
     engine: &EngineConfig,
 ) -> Result<RunReport, RunFailure> {
-    let rt = rt.with_result_store(cfg);
-    let mut factories = threaded_factories(spec, cfg, dataset_root, out_dir, &rt);
+    let mut factories = threaded_factories(spec, cfg, dataset_root, out_dir, rt);
     rt.finish(run_graph(spec, &mut factories, engine))
 }
 
@@ -206,9 +230,9 @@ pub fn run_threaded(
 /// an identical `spec` and address list. The returned report covers only the
 /// local copies and adds one `transport` entry per peer connection.
 ///
-/// Each node process runs its own store session (its own token and staging
-/// area) against the shared store directory, committing only the blobs its
-/// local texture copies produced.
+/// Each node process brings its own store session (its own token and
+/// staging area) against the shared store directory, committing only the
+/// blobs its local texture copies produced.
 pub fn run_node_threaded(
     spec: &GraphSpec,
     cfg: &Arc<AppConfig>,
@@ -217,8 +241,7 @@ pub fn run_node_threaded(
     node_cfg: &NodeConfig,
     rt: &IoRuntime,
 ) -> Result<RunReport, RunFailure> {
-    let rt = rt.with_result_store(cfg);
-    let mut factories = threaded_factories(spec, cfg, dataset_root, out_dir, &rt);
+    let mut factories = threaded_factories(spec, cfg, dataset_root, out_dir, rt);
     rt.finish(run_node(
         spec,
         &mut factories,

@@ -24,9 +24,9 @@
 //! interrupted daemon never leaves a partial `.h4dp` behind — and the
 //! manager sweeps `.h4dp.tmp` residue of failed or cancelled jobs itself.
 
-use crate::config::{parse_engine, parse_repr, AppConfig, RunOptions};
+use crate::config::{parse_engine, parse_repr, AppConfig};
 use crate::graphs::standard_graph;
-use crate::run::{io_report, run_threaded, IoRuntime};
+use crate::run::{io_report, run_threaded, IoRuntime, SliceCaching};
 use crate::store::{ResultStore, StoreSession};
 use datacutter::{EngineConfig, IoReport, RunReport, StoreReport};
 use mri::cache::SliceCacheRegistry;
@@ -50,7 +50,8 @@ pub struct ServiceConfig {
     /// refused (HTTP 429) instead of buffered without limit.
     pub queue_limit: usize,
     /// Daemon-wide slice-cache retention budget in bytes, shared by every
-    /// dataset cache in the registry.
+    /// dataset cache in the registry. `0` turns the cache off: every job
+    /// reads with [`SliceCaching::Off`], one sub-rectangle read per piece.
     pub io_cache_bytes: usize,
     /// Root of the content-addressed result store shared by every job
     /// (see [`crate::store`]); `None` disables the store. Like the slice
@@ -254,16 +255,10 @@ impl JobManager {
         ));
         // An unusable store degrades the daemon to recompute-everything
         // rather than refusing to start — the store is a cache.
-        let store = cfg.result_store.as_ref().and_then(|dir| {
-            ResultStore::open_fs(dir)
-                .map_err(|e| {
-                    eprintln!(
-                        "warning: result store at {} unavailable, daemon runs without it: {e}",
-                        dir.display()
-                    );
-                })
-                .ok()
-        });
+        let store = cfg
+            .result_store
+            .as_deref()
+            .and_then(ResultStore::open_fs_or_warn);
         let inner = Arc::new(ManagerInner {
             slices,
             store,
@@ -535,27 +530,26 @@ fn execute_job(
     let ds = DistributedDataset::open(&spec.dataset)
         .map_err(|e| format!("could not open dataset {}: {e}", spec.dataset.display()))?;
     let desc = ds.descriptor();
-    let opts = RunOptions {
-        representation: parse_repr(&spec.repr)?,
-        engine: spec.engine.as_deref().map(parse_engine).transpose()?,
-        canonical_output: spec.canonical,
-        io_cache_bytes: None,
-        transport_checksum: false,
-        transport_compress: false,
-    };
-    let cfg = Arc::new(AppConfig::for_run(desc, &opts)?);
+    let engine = spec.engine.as_deref().map(parse_engine).transpose()?;
+    let cfg = Arc::new(AppConfig::for_run(desc, parse_repr(&spec.repr)?, engine)?);
     let graph = standard_graph(&spec.variant, desc.num_nodes, spec.texture.max(1))
         .ok_or_else(|| format!("unknown variant {:?}", spec.variant))?;
     std::fs::create_dir_all(&spec.out_dir)
         .map_err(|e| format!("could not create {}: {e}", spec.out_dir.display()))?;
-    // Daemon-scoped I/O plane: the shared registry, with the registry's
-    // counters as this job's `io` so report and /status agree.
+    // Daemon-scoped I/O plane: the shared registry (unless the daemon's
+    // budget is 0 — a zero-budget registry would retain nothing and read a
+    // whole slice per piece), with the registry's counters as this job's
+    // `io` so report and /status agree.
     // The store session is per-job (own staging area, committed only on
     // this job's success) but shares the daemon store's counters, so the
     // per-job report's `store` section aggregates like `io` does.
     let rt = IoRuntime {
         io: Arc::clone(inner.slices.stats()),
-        slices: Some(Arc::clone(&inner.slices)),
+        caching: match inner.cfg.io_cache_bytes {
+            0 => SliceCaching::Off,
+            _ => SliceCaching::Shared(Arc::clone(&inner.slices)),
+        },
+        canonical_output: spec.canonical,
         store: inner
             .store
             .as_ref()
@@ -1022,30 +1016,34 @@ mod tests {
         assert!(spec.engine.is_none());
     }
 
-    #[test]
-    fn submit_past_queue_limit_is_refused_not_buffered() {
-        // No dataset needs to exist: jobs fail fast, but admission control
-        // is exercised before any worker touches the spec. Use zero workers
-        // guarded by max(1)... instead, use a full queue with 1 worker and
-        // jobs that block on a nonexistent dataset long enough? Simpler:
-        // queue_limit 2, workers 1, and submit jobs against a missing
-        // dataset — the first may start executing, but the queue bound
-        // still applies to what remains queued.
-        let manager = JobManager::start(ServiceConfig {
-            workers: 1,
-            queue_limit: 2,
-            io_cache_bytes: 1 << 20,
-            result_store: None,
-        });
-        let spec = JobSpec {
+    /// A job over a dataset that does not exist: it fails fast once a worker
+    /// picks it up, which is all the admission tests need.
+    fn doomed_spec(tag: &str) -> JobSpec {
+        JobSpec {
             dataset: PathBuf::from("/nonexistent/dataset"),
-            out_dir: std::env::temp_dir().join("h4d_svc_queue_test"),
+            out_dir: std::env::temp_dir().join(format!("h4d_svc_{tag}_test")),
             variant: "hmp".into(),
             repr: "full".into(),
             texture: 1,
             canonical: false,
             engine: None,
-        };
+        }
+    }
+
+    fn start_manager(workers: usize, queue_limit: usize) -> JobManager {
+        JobManager::start(ServiceConfig {
+            workers,
+            queue_limit,
+            ..ServiceConfig::default()
+        })
+    }
+
+    #[test]
+    fn submit_past_queue_limit_is_refused_not_buffered() {
+        // One worker, queue bound 2: the first job may start executing, but
+        // the bound still applies to what remains queued.
+        let manager = start_manager(1, 2);
+        let spec = doomed_spec("queue");
         let mut refused = false;
         for _ in 0..16 {
             if let Err(SubmitError::QueueFull { limit }) = manager.submit(spec.clone()) {
@@ -1062,41 +1060,18 @@ mod tests {
     fn drain_refuses_new_submissions() {
         let manager = JobManager::start(ServiceConfig::default());
         manager.drain();
-        let spec = JobSpec {
-            dataset: PathBuf::from("/nonexistent"),
-            out_dir: PathBuf::from("/tmp/h4d_svc_drain_test"),
-            variant: "hmp".into(),
-            repr: "full".into(),
-            texture: 1,
-            canonical: false,
-            engine: None,
-        };
-        assert_eq!(manager.submit(spec), Err(SubmitError::Draining));
+        let refused = manager.submit(doomed_spec("drain"));
+        assert_eq!(refused, Err(SubmitError::Draining));
         manager.shutdown();
     }
 
     #[test]
     fn cancel_queued_job_withdraws_it() {
-        // Zero-worker pools are clamped to one worker, so stall the single
-        // worker with a job against a missing dataset is racy; instead
-        // drain admission ordering: submit while holding no workers is not
-        // possible, so cancel immediately after submit and accept either
-        // Queued->Cancelled or the (fast-failing) Running path.
-        let manager = JobManager::start(ServiceConfig {
-            workers: 1,
-            queue_limit: 8,
-            io_cache_bytes: 1 << 20,
-            result_store: None,
-        });
-        let spec = JobSpec {
-            dataset: PathBuf::from("/nonexistent/dataset"),
-            out_dir: std::env::temp_dir().join("h4d_svc_cancel_test"),
-            variant: "hmp".into(),
-            repr: "full".into(),
-            texture: 1,
-            canonical: false,
-            engine: None,
-        };
+        // A pool cannot be stalled without a dataset, so cancel right after
+        // submit and accept either Queued->Cancelled or the (fast-failing)
+        // Running path.
+        let manager = start_manager(1, 8);
+        let spec = doomed_spec("cancel");
         // Fill the worker with one job, then cancel a second while queued.
         let _first = manager.submit(spec.clone()).expect("first admitted");
         let second = manager.submit(spec).expect("second admitted");
@@ -1132,12 +1107,7 @@ mod tests {
 
     #[test]
     fn route_rejects_unknown_paths_and_bad_ids() {
-        let manager = JobManager::start(ServiceConfig {
-            workers: 1,
-            queue_limit: 1,
-            io_cache_bytes: 1 << 20,
-            result_store: None,
-        });
+        let manager = start_manager(1, 1);
         let stop = Arc::new(AtomicBool::new(false));
         let (status, _) = route(&manager, &stop, "GET", "/nope", b"");
         assert_eq!(status, 404);

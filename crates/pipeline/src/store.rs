@@ -17,10 +17,11 @@
 //!    matrix packets from HCC) — the two payload formats never collide;
 //! 3. the config fingerprint: the JSON encoding of (levels, quantizer,
 //!    ROI, directions, selection, representation, packet_split).
-//!    Value-neutral knobs (the scan engine — both are byte-identical by
-//!    hard invariant — threads, caching, canonical output, transport, the
-//!    store path itself) are deliberately excluded — they cannot change a
-//!    chunk's bytes, so they must not fault the cache;
+//!    The scan engine (both are byte-identical by hard invariant) and the
+//!    storage-node count are deliberately excluded — they cannot change a
+//!    chunk's bytes, so they must not fault the cache — and how a run is
+//!    hosted (caching, canonical output, transport, the store path itself)
+//!    is not in [`AppConfig`] to begin with;
 //! 4. the chunk geometry: id, grid position, owned-output and input
 //!    regions (this pins the ROI/chunk grid — a geometry change changes
 //!    every key);
@@ -548,6 +549,19 @@ impl ResultStore {
         })
     }
 
+    /// [`ResultStore::open_fs`] for a caller that can run without: the store
+    /// is a cache, not a correctness dependency, so an unusable one degrades
+    /// to recompute-everything with a warning on stderr instead of failing
+    /// the run (`h4d --result-store`) or the daemon's start.
+    pub fn open_fs_or_warn(dir: &Path) -> Option<Self> {
+        Self::open_fs(dir)
+            .map_err(|e| {
+                let at = dir.display();
+                eprintln!("warning: result store at {at} unavailable, recomputing everything: {e}");
+            })
+            .ok()
+    }
+
     /// The store's counters.
     pub fn stats(&self) -> &Arc<StoreStats> {
         &self.stats
@@ -734,7 +748,6 @@ impl StoreSession {
 mod tests {
     use super::*;
     use haralick::raster::Representation;
-    use haralick::volume::Dims4;
 
     fn temp_root(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -787,12 +800,12 @@ mod tests {
         let mut roi = base.clone();
         roi.roi = haralick::roi::RoiShape::from_lengths(5, 5, 2, 2);
         assert_ne!(config_digest(&roi), d0);
-        // Value-neutral knobs leave the digest alone.
+        // The two fields that cannot change a chunk's bytes leave the
+        // digest alone.
         let mut neutral = base.clone();
-        neutral.canonical_output = !neutral.canonical_output;
-        neutral.io_cache_bytes = 0;
         neutral.engine = haralick::raster::ScanEngine::Reference;
         assert_ne!(neutral.engine, base.engine);
+        neutral.storage_nodes += 1;
         assert_eq!(config_digest(&neutral), d0);
     }
 

@@ -7,8 +7,10 @@
 //! against the threaded engine's actual buffer statistics.
 
 use crate::config::AppConfig;
+use crate::payload::{ChunkData, MatrixPacket, ParamPacket, Piece};
 use cluster::cost::CostModel;
 use haralick::raster::Representation;
+use mri::cache::ReusePlan;
 use mri::chunks::{Chunk, ChunkGrid};
 use mri::store::SliceKey;
 
@@ -39,19 +41,14 @@ impl Workload {
     }
 
     /// `(chunk id, piece wire bytes)` for every piece storage node `node`
-    /// contributes, in chunk-id order — the RFR source schedule.
+    /// contributes, in the reader's emission order ([`ReusePlan`]'s) — the
+    /// RFR source schedule.
     pub fn pieces_for_node(&self, node: usize) -> Vec<(usize, u64)> {
-        let mut out = Vec::new();
-        for chunk in self.grid.chunks() {
-            let r = chunk.input;
-            let bytes = (r.size.x * r.size.y * 2 + 32) as u64;
-            for t in r.origin.t..r.end().t {
-                for z in r.origin.z..r.end().z {
-                    if self.node_of(SliceKey { t, z }) == node {
-                        out.push((chunk.id, bytes));
-                    }
-                }
-            }
+        let plan = ReusePlan::new(&self.grid, |key| self.node_of(key) == node);
+        let mut out = Vec::with_capacity(plan.total_requests());
+        for (seq, chunk) in self.grid.chunks().enumerate() {
+            let piece = (chunk.id, self.piece_bytes(&chunk));
+            out.extend(std::iter::repeat_n(piece, plan.keys_for(seq).len()));
         }
         out
     }
@@ -63,12 +60,12 @@ impl Workload {
 
     /// Wire size of one piece of `chunk`.
     pub fn piece_bytes(&self, chunk: &Chunk) -> u64 {
-        (chunk.input.size.x * chunk.input.size.y * 2 + 32) as u64
+        (chunk.input.size.x * chunk.input.size.y * 2 + Piece::HEADER_BYTES) as u64
     }
 
     /// Wire size of an assembled chunk.
     pub fn chunk_bytes(&self, chunk: &Chunk) -> u64 {
-        (chunk.input.len() * 2 + 48) as u64
+        (chunk.input.len() * 2 + ChunkData::HEADER_BYTES) as u64
     }
 
     /// Matrix-packet sizes `(matrix count, wire bytes)` for one chunk under
@@ -78,11 +75,12 @@ impl Workload {
         let n = chunk.rois();
         let per = n.div_ceil(self.cfg.packet_split.max(1)).max(1);
         let wire = model.matrix_wire_bytes(self.cfg.levels, self.cfg.representation);
+        let header = MatrixPacket::HEADER_BYTES as u64;
         let mut out = Vec::new();
         let mut first = 0;
         while first < n {
             let count = per.min(n - first);
-            out.push((count, count as u64 * wire + 48));
+            out.push((count, count as u64 * wire + header));
             first += count;
         }
         out
@@ -90,14 +88,14 @@ impl Workload {
 
     /// Wire size of a parameter packet carrying `count` values.
     pub fn param_packet_bytes(&self, count: usize) -> u64 {
-        (count * self.cfg.param_value_bytes + 16) as u64
+        (count * self.cfg.param_value_bytes + ParamPacket::HEADER_BYTES) as u64
     }
 
     /// Number of matrices a packet of `bytes` carries (inverse of
     /// [`Workload::matrix_packets`] sizing; used by the HPC behaviour).
     pub fn matrices_in_packet(&self, bytes: u64, model: &CostModel) -> usize {
         let wire = model.matrix_wire_bytes(self.cfg.levels, self.cfg.representation);
-        ((bytes - 48) / wire) as usize
+        ((bytes - MatrixPacket::HEADER_BYTES as u64) / wire) as usize
     }
 
     /// Total number of ROIs (output voxels) in the run.

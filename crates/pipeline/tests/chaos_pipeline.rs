@@ -253,12 +253,13 @@ fn placed_hmp_spec() -> GraphSpec {
 }
 
 /// Runs both partitions of [`placed_hmp_spec`] concurrently (threads in
-/// this process, real TCP over loopback) under a watchdog. Returns each
-/// node's result, indexed by node id.
+/// this process, real TCP over loopback) under a watchdog, each hosted by
+/// its own copy of `rt`. Returns each node's result, indexed by node id.
 fn run_two_node_pipeline(
     cfg: &Arc<AppConfig>,
     data: &Path,
     out: &Path,
+    rt: &IoRuntime,
     faults: [Option<TransportFault>; 2],
 ) -> Vec<Result<RunReport, RunFailure>> {
     // Pre-bound listeners close the port-reservation race under parallel CI.
@@ -272,9 +273,9 @@ fn run_two_node_pipeline(
         let mut node_cfg = NodeConfig::new(node, addrs.clone());
         node_cfg.listener = Some(listeners[node].clone());
         node_cfg.fault = faults[node];
-        let tx = tx.clone();
+        let (tx, rt) = (tx.clone(), rt.clone());
         handles.push(std::thread::spawn(move || {
-            let r = run_node_threaded(&spec, &cfg, &data, &out, &node_cfg, &IoRuntime::new());
+            let r = run_node_threaded(&spec, &cfg, &data, &out, &node_cfg, &rt);
             let _ = tx.send((node, r));
         }));
     }
@@ -299,17 +300,26 @@ fn distributed_clean_run_is_byte_identical_to_in_process() {
     // graph in one process. Canonical output mode pins the write order, so
     // any surviving difference is a real transport defect (lost, altered,
     // duplicated or misrouted buffers).
-    let mut cfg = AppConfig::test_scale(Representation::Full);
-    cfg.canonical_output = true;
-    let cfg = Arc::new(cfg);
+    let cfg = Arc::new(AppConfig::test_scale(Representation::Full));
     let (data, out_local) = setup("dist_equiv", &cfg, 230);
     let spec = placed_hmp_spec();
-    let (rt, engine) = (IoRuntime::new(), EngineConfig::default());
-    run_threaded(&spec, &cfg, &data, &out_local, &rt, &engine).expect("in-process run failed");
+    let rt = IoRuntime {
+        canonical_output: true,
+        ..IoRuntime::new()
+    };
+    run_threaded(
+        &spec,
+        &cfg,
+        &data,
+        &out_local,
+        &rt,
+        &EngineConfig::default(),
+    )
+    .expect("in-process run failed");
 
     let out_dist = out_local.parent().unwrap().join("out_dist");
     std::fs::create_dir_all(&out_dist).unwrap();
-    let results = run_two_node_pipeline(&cfg, &data, &out_dist, [None, None]);
+    let results = run_two_node_pipeline(&cfg, &data, &out_dist, &rt, [None, None]);
     for (node, r) in results.iter().enumerate() {
         assert!(r.is_ok(), "node {node} failed: {}", r.as_ref().unwrap_err());
     }
@@ -348,7 +358,8 @@ fn transport_drop_aborts_both_nodes_without_committed_outputs() {
         after_frames: 1,
         kind: TransportFaultKind::Drop,
     };
-    let results = run_two_node_pipeline(&cfg, &data, &out, [None, Some(fault)]);
+    let rt = IoRuntime::new();
+    let results = run_two_node_pipeline(&cfg, &data, &out, &rt, [None, Some(fault)]);
     let err0 = results[0].as_ref().expect_err("node 0 must fail");
     let err1 = results[1].as_ref().expect_err("node 1 must fail");
     assert_eq!(err0.error.kind(), FilterErrorKind::Io, "node 0: {err0}");
@@ -469,12 +480,18 @@ fn committed_blob_count(store_dir: &Path) -> usize {
     n
 }
 
-/// An `IoRuntime` carrying its own store session, as a caller that wraps
-/// the factories itself (instead of calling `run_threaded`) sets one up.
-fn runtime_with_session(store_dir: &Path, cfg: &AppConfig) -> (IoRuntime, Arc<StoreSession>) {
+/// An `IoRuntime` carrying a fresh session on the store at `store_dir`, as
+/// `h4d --result-store` (or a caller that wraps the factories itself) sets
+/// one up.
+fn runtime_with_session(
+    store_dir: &Path,
+    cfg: &AppConfig,
+    canonical_output: bool,
+) -> (IoRuntime, Arc<StoreSession>) {
     let store = ResultStore::open_fs(store_dir).expect("store opens");
     let session = Arc::new(StoreSession::new(&store, cfg));
     let rt = IoRuntime {
+        canonical_output,
         store: Some(Arc::clone(&session)),
         ..IoRuntime::new()
     };
@@ -488,15 +505,13 @@ fn failed_run_commits_nothing_to_the_result_store() {
     // the committed objects tree, and the run must have no manifest.
     let store_dir = std::env::temp_dir().join(format!("h4d_chaos_sfail_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
-    let mut cfg = AppConfig::test_scale(Representation::Full);
-    cfg.result_store = Some(store_dir.clone());
-    let cfg = Arc::new(cfg);
+    let cfg = Arc::new(AppConfig::test_scale(Representation::Full));
     let (data, out) = setup("store_fail", &cfg, 250);
     let spec = hmp_spec();
 
     // The driver's exact sequence (`run_threaded`),
     // opened up so the fault plan can wrap the factories.
-    let (rt, session) = runtime_with_session(&store_dir, &cfg);
+    let (rt, session) = runtime_with_session(&store_dir, &cfg, false);
     let mut factories = threaded_factories(&spec, &cfg, &data, &out, &rt);
     FaultPlan::new()
         .with(FaultSpec {
@@ -541,13 +556,10 @@ fn store_surviving_a_crashed_run_is_safe_to_reuse() {
     let store_dir = std::env::temp_dir().join(format!("h4d_chaos_scrash_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
     let seed = 251;
-    let mut cfg = AppConfig::test_scale(Representation::Full);
-    cfg.canonical_output = true;
-    cfg.result_store = Some(store_dir.clone());
-    let cfg = Arc::new(cfg);
+    let cfg = Arc::new(AppConfig::test_scale(Representation::Full));
     let (data, out) = setup("store_crash", &cfg, seed);
 
-    let (rt, session) = runtime_with_session(&store_dir, &cfg);
+    let (rt, session) = runtime_with_session(&store_dir, &cfg, true);
     let mut factories = threaded_factories(&hmp_spec(), &cfg, &data, &out, &rt);
     FaultPlan::new()
         .with(FaultSpec {
@@ -575,7 +587,8 @@ fn store_surviving_a_crashed_run_is_safe_to_reuse() {
     let chunks = pipeline::Workload::new((*cfg).clone()).grid.len() as u64;
     let out_clean = out.parent().unwrap().join("out_clean");
     std::fs::create_dir_all(&out_clean).unwrap();
-    let (rt, engine) = (IoRuntime::new(), EngineConfig::default());
+    let engine = EngineConfig::default();
+    let (rt, _) = runtime_with_session(&store_dir, &cfg, true);
     let clean = run_threaded(&hmp_spec(), &cfg, &data, &out_clean, &rt, &engine)
         .expect("clean run over a crashed store");
     let s = clean.store.expect("store section");
@@ -605,6 +618,7 @@ fn store_surviving_a_crashed_run_is_safe_to_reuse() {
     // reproduces the files byte for byte.
     let out_warm = out.parent().unwrap().join("out_warm");
     std::fs::create_dir_all(&out_warm).unwrap();
+    let (rt, _) = runtime_with_session(&store_dir, &cfg, true);
     let warm = run_threaded(&hmp_spec(), &cfg, &data, &out_warm, &rt, &engine).expect("warm run");
     let s = warm.store.expect("store section");
     assert_eq!((s.hits, s.misses), (chunks, 0), "warm-run counters");

@@ -13,7 +13,7 @@ use mri::synth::{generate, SynthConfig};
 use pipeline::config::AppConfig;
 use pipeline::filters::UsoFilter;
 use pipeline::graphs::{with_dicom_reader, Copies, HmpGraph};
-use pipeline::run::{merge_uso_outputs, run_threaded, IoRuntime};
+use pipeline::run::{merge_uso_outputs, run_threaded, IoRuntime, SliceCaching};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -44,16 +44,24 @@ fn hmp_spec(hmp: usize) -> GraphSpec {
     .build()
 }
 
-/// Runs `spec` into `out` and returns the run's I/O report.
+/// Runs `spec` into `out` under the reader `caching` mode (fresh counters
+/// per run) and returns the run's I/O report.
 fn run_into(
     spec: &GraphSpec,
     cfg: &Arc<AppConfig>,
     data: &Path,
     out: &Path,
+    caching: SliceCaching,
+    canonical_output: bool,
 ) -> datacutter::IoReport {
     std::fs::create_dir_all(out).unwrap();
-    let (rt, engine) = (IoRuntime::new(), EngineConfig::default());
-    let report = run_threaded(spec, cfg, data, out, &rt, &engine).expect("pipeline run");
+    let rt = IoRuntime {
+        caching,
+        canonical_output,
+        ..IoRuntime::new()
+    };
+    let report =
+        run_threaded(spec, cfg, data, out, &rt, &EngineConfig::default()).expect("pipeline run");
     report.io.expect("run_threaded always reports io")
 }
 
@@ -78,22 +86,17 @@ fn h4dp_outputs_are_byte_identical_cache_on_and_off() {
         .into_iter()
         .enumerate()
     {
-        let mut base_cfg = AppConfig::test_scale(Representation::Full);
-        base_cfg.engine = engine;
-        base_cfg.canonical_output = true;
-        let (raw_data, base) = setup(&format!("ident{i}"), &base_cfg, 201);
+        let mut cfg = AppConfig::test_scale(Representation::Full);
+        cfg.engine = engine;
+        let cfg = Arc::new(cfg);
+        let (raw_data, base) = setup(&format!("ident{i}"), &cfg, 201);
         // The same study again as DICOM files, for the DFR graph.
         let dicom_data = base.join("dicom");
         let study = generate(&SynthConfig {
-            dims: base_cfg.dims,
+            dims: cfg.dims,
             ..SynthConfig::test_scale(201)
         });
-        write_distributed_dicom(&study, &dicom_data, "io", base_cfg.storage_nodes).unwrap();
-
-        let cached = Arc::new(base_cfg.clone());
-        let mut uncached = base_cfg.clone();
-        uncached.io_cache_bytes = 0;
-        let uncached = Arc::new(uncached);
+        write_distributed_dicom(&study, &dicom_data, "io", cfg.storage_nodes).unwrap();
 
         let mut outputs = Vec::new();
         for (reader, spec, data) in [
@@ -102,8 +105,8 @@ fn h4dp_outputs_are_byte_identical_cache_on_and_off() {
         ] {
             let on_dir = base.join(format!("{reader}_on"));
             let off_dir = base.join(format!("{reader}_off"));
-            let on = run_into(&spec, &cached, data, &on_dir);
-            let off = run_into(&spec, &uncached, data, &off_dir);
+            let on = run_into(&spec, &cfg, data, &on_dir, SliceCaching::default(), true);
+            let off = run_into(&spec, &cfg, data, &off_dir, SliceCaching::Off, true);
 
             assert!(on.cache_hits > 0, "overlapped grid must produce hits");
             assert_eq!(off.cache_hits, 0, "disabled cache cannot hit");
@@ -113,10 +116,10 @@ fn h4dp_outputs_are_byte_identical_cache_on_and_off() {
                 on.bytes_read,
                 off.bytes_read
             );
-            let files = output_files(&cached, &on_dir);
+            let files = output_files(&cfg, &on_dir);
             assert_eq!(
                 files,
-                output_files(&uncached, &off_dir),
+                output_files(&cfg, &off_dir),
                 "{engine:?}/{reader}: .h4dp outputs diverge between cache on and off"
             );
             outputs.push(files);
@@ -132,11 +135,17 @@ fn h4dp_outputs_are_byte_identical_cache_on_and_off() {
 fn cached_pipeline_reads_each_slice_exactly_once() {
     // With an unlimited budget the two RFR copies together read exactly the
     // dataset: every slice decoded once, by the node that owns it.
-    let mut cfg = AppConfig::test_scale(Representation::Full);
-    cfg.io_cache_bytes = usize::MAX;
-    let cfg = Arc::new(cfg);
+    let cfg = Arc::new(AppConfig::test_scale(Representation::Full));
     let (data, base) = setup("once", &cfg, 202);
-    let report = run_into(&hmp_spec(2), &cfg, &data, &base.join("out"));
+    let unlimited = SliceCaching::PerCopy(usize::MAX);
+    let report = run_into(
+        &hmp_spec(2),
+        &cfg,
+        &data,
+        &base.join("out"),
+        unlimited,
+        false,
+    );
     let dataset_bytes = (cfg.dims.len() * 2) as u64;
     assert_eq!(
         report.bytes_read, dataset_bytes,
@@ -152,12 +161,11 @@ fn cached_pipeline_reads_each_slice_exactly_once() {
 fn tiny_budget_still_matches_the_reference() {
     // A budget of two slices forces constant eviction and budget rejects;
     // results must still be exact to the sequential reference.
-    let mut cfg = AppConfig::test_scale(Representation::Full);
-    cfg.io_cache_bytes = cfg.dims.x * cfg.dims.y * 2 * 2;
-    let cfg = Arc::new(cfg);
+    let cfg = Arc::new(AppConfig::test_scale(Representation::Full));
+    let two_slices = SliceCaching::PerCopy(cfg.dims.x * cfg.dims.y * 2 * 2);
     let (data, base) = setup("tiny", &cfg, 203);
     let out = base.join("out");
-    let report = run_into(&hmp_spec(2), &cfg, &data, &out);
+    let report = run_into(&hmp_spec(2), &cfg, &data, &out, two_slices, false);
     assert!(report.budget_rejects > 0, "tiny budget must reject");
 
     let raw = generate(&SynthConfig {

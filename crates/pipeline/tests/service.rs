@@ -3,8 +3,8 @@
 //! daemon-scoped cache reads each slice from disk exactly once in total;
 //! cancellation must commit nothing; drain must finish what it admitted.
 //!
-//! Every test drives the daemon through the real HTTP management API via
-//! [`MgmtClient`] — the same path CI's curl/jq checks use.
+//! Every test but the last drives the daemon through the real HTTP
+//! management API via [`MgmtClient`] — the same path CI's curl/jq checks use.
 
 use datacutter::EngineConfig;
 use haralick::raster::Representation;
@@ -13,8 +13,10 @@ use mri::synth::{generate, SynthConfig};
 use pipeline::config::AppConfig;
 use pipeline::filters::UsoFilter;
 use pipeline::graphs::standard_graph;
-use pipeline::run::{run_threaded, IoRuntime};
-use pipeline::service::{AnalysisService, JobSpec, JobState, MgmtClient, ServiceConfig};
+use pipeline::run::{run_threaded, IoRuntime, SliceCaching};
+use pipeline::service::{
+    AnalysisService, JobManager, JobSpec, JobState, MgmtClient, ServiceConfig,
+};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -101,14 +103,24 @@ fn concurrent_jobs_match_one_shot_and_share_disk_reads() {
     // The one-shot reference: the same config path the daemon's executor
     // uses (`AppConfig::for_dataset` beneath `for_run`, + `standard_graph`),
     // per-run cache.
-    let mut cfg = AppConfig::for_dataset(dims, 2, Representation::Full).expect("dataset fits");
-    cfg.canonical_output = true;
+    let cfg = AppConfig::for_dataset(dims, 2, Representation::Full).expect("dataset fits");
     let cfg = Arc::new(cfg);
     let spec = standard_graph("hmp", 2, 3).expect("hmp variant");
     let reference = base.join("reference");
     std::fs::create_dir_all(&reference).unwrap();
-    let (rt, engine) = (IoRuntime::new(), EngineConfig::default());
-    run_threaded(&spec, &cfg, &data, &reference, &rt, &engine).expect("reference run");
+    let rt = IoRuntime {
+        canonical_output: true,
+        ..IoRuntime::new()
+    };
+    run_threaded(
+        &spec,
+        &cfg,
+        &data,
+        &reference,
+        &rt,
+        &EngineConfig::default(),
+    )
+    .expect("reference run");
     let expected = committed_outputs(&cfg, &reference);
 
     let (service, client) = start_daemon(2);
@@ -249,4 +261,51 @@ fn drain_finishes_in_flight_jobs_then_refuses_admission() {
 
     client.shutdown().expect("shutdown");
     service.join();
+}
+
+#[test]
+fn zero_budget_daemon_reads_with_the_cache_off() {
+    let dims = haralick::volume::Dims4::new(32, 32, 4, 4);
+    let (data, base) = setup("nocache", dims, 313);
+
+    // The one-shot `--io-cache-bytes 0` run of the same job.
+    let cfg = AppConfig::for_dataset(dims, 2, Representation::Full).expect("dataset fits");
+    let spec = standard_graph("hmp", 2, 3).expect("hmp variant");
+    let rt = IoRuntime {
+        caching: SliceCaching::Off,
+        ..IoRuntime::new()
+    };
+    let out = base.join("one_shot");
+    let one_shot = run_threaded(
+        &spec,
+        &Arc::new(cfg),
+        &data,
+        &out,
+        &rt,
+        &EngineConfig::default(),
+    )
+    .expect("one-shot run")
+    .io
+    .expect("io section");
+
+    // Straight on the manager: its counters need no JSON to read.
+    let manager = JobManager::start(ServiceConfig {
+        io_cache_bytes: 0,
+        ..ServiceConfig::default()
+    });
+    let id = manager
+        .submit(job_spec(&data, &base.join("job")))
+        .expect("admitted");
+    manager.drain();
+    let job = manager.status(id).expect("job known");
+    assert_eq!(job.state, JobState::Completed, "{:?}", job.error);
+    // One job ran, so the daemon-wide counters are that job's: its report's
+    // `io` section is read off the same `IoStats`.
+    let status = manager.service_status();
+    assert_eq!(status.open_caches, 0, "no shared cache was opened");
+    assert_eq!(status.io.cache_hits, 0);
+    assert_eq!(status.io.budget_rejects, 0, "a zero-budget registry ran");
+    assert_eq!(status.io.bytes_read, one_shot.bytes_read);
+    assert_eq!(status.io.disk_reads, one_shot.disk_reads);
+    manager.shutdown();
 }

@@ -27,19 +27,26 @@ use haralick4d::mri::ChunkGrid;
 use haralick4d::pipeline::config::AppConfig;
 use haralick4d::pipeline::graphs::standard_graph;
 use haralick4d::pipeline::run::{merge_uso_outputs, run_threaded, IoRuntime};
+use haralick4d::pipeline::store::{ResultStore, StoreSession};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Runs the HMP pipeline on one visit's dataset with the shared result
-/// store attached, returning the run's (hits, misses) store counters.
-fn analyze_visit(cfg: &AppConfig, dataset: &Path, out: &Path) -> (u64, u64) {
+/// Runs the HMP pipeline on one visit's dataset with a session on the shared
+/// result `store`, returning the run's (hits, misses) store counters.
+/// Canonical output keeps the `.h4dp` files byte-stable regardless of packet
+/// arrival order.
+fn analyze_visit(cfg: &AppConfig, store: &ResultStore, dataset: &Path, out: &Path) -> (u64, u64) {
     let spec = standard_graph("hmp", cfg.storage_nodes, 3).expect("hmp variant exists");
     std::fs::create_dir_all(out).expect("create output dir");
     let cfg = Arc::new(cfg.clone());
-    let (rt, engine) = (IoRuntime::new(), EngineConfig::default());
-    let report =
-        run_threaded(&spec, &cfg, dataset, out, &rt, &engine).expect("pipeline run succeeds");
-    let store = report.store.expect("cfg.result_store is set");
+    let rt = IoRuntime {
+        canonical_output: true,
+        store: Some(Arc::new(StoreSession::new(store, &cfg))),
+        ..IoRuntime::new()
+    };
+    let report = run_threaded(&spec, &cfg, dataset, out, &rt, &EngineConfig::default())
+        .expect("pipeline run succeeds");
+    let store = report.store.expect("the run had a store session");
     (store.hits, store.misses)
 }
 
@@ -108,13 +115,10 @@ fn main() {
         study.visits.len()
     );
 
-    // One analysis configuration for both visits, with the shared result
-    // store attached. Canonical output keeps the `.h4dp` files byte-stable
-    // regardless of packet arrival order.
-    let mut cfg = AppConfig::for_dataset(baseline.dims(), 2, Representation::Full)
+    // One analysis configuration and one result store for both visits.
+    let cfg = AppConfig::for_dataset(baseline.dims(), 2, Representation::Full)
         .expect("dataset fits the analysis window");
-    cfg.canonical_output = true;
-    cfg.result_store = Some(root.join("store"));
+    let store = ResultStore::open_fs(&root.join("store")).expect("result store opens");
     let out_dims = cfg.out_dims();
 
     // Predict which chunks the follow-up must recompute, without running
@@ -138,7 +142,8 @@ fn main() {
     // Baseline: cold store — every chunk computes and is published.
     let out0 = root.join("out_baseline");
     let t = std::time::Instant::now();
-    let (hits0, misses0) = analyze_visit(&cfg, &study.visit_path(&root, &study.visits[0]), &out0);
+    let visit0 = study.visit_path(&root, &study.visits[0]);
+    let (hits0, misses0) = analyze_visit(&cfg, &store, &visit0, &out0);
     println!(
         "baseline run: {} hits, {} misses (cold) in {:.2?}",
         hits0,
@@ -152,7 +157,8 @@ fn main() {
     // exactly the predicted set recomputes.
     let out1 = root.join("out_week6");
     let t = std::time::Instant::now();
-    let (hits1, misses1) = analyze_visit(&cfg, &study.visit_path(&root, &study.visits[1]), &out1);
+    let visit1 = study.visit_path(&root, &study.visits[1]);
+    let (hits1, misses1) = analyze_visit(&cfg, &store, &visit1, &out1);
     println!(
         "follow-up run: {} hits, {} misses (incremental) in {:.2?}",
         hits1,

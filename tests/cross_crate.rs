@@ -150,13 +150,11 @@ fn simulator_byte_model_tracks_real_engine() {
 #[test]
 fn result_store_round_trips_through_the_facade() {
     use haralick4d::pipeline::filters::UsoFilter;
+    use haralick4d::pipeline::store::{ResultStore, StoreSession};
 
     let base = std::env::temp_dir().join(format!("h4d_xc_store_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
-    let mut cfg = AppConfig::test_scale(Representation::Full);
-    cfg.canonical_output = true;
-    cfg.result_store = Some(base.join("store"));
-    let cfg = Arc::new(cfg);
+    let cfg = Arc::new(AppConfig::test_scale(Representation::Full));
     let (data, _) = setup("store", &cfg, 24);
     let spec = SplitGraph {
         rfr: Copies::Count(2),
@@ -173,8 +171,13 @@ fn result_store_round_trips_through_the_facade() {
     let mut reports = Vec::new();
     for out in [base.join("cold"), base.join("warm")] {
         std::fs::create_dir_all(&out).unwrap();
-        let (rt, engine) = (IoRuntime::new(), EngineConfig::default());
-        let report = run_threaded(&spec, &cfg, &data, &out, &rt, &engine).unwrap();
+        let store = ResultStore::open_fs(&base.join("store")).expect("store opens");
+        let rt = IoRuntime {
+            canonical_output: true,
+            store: Some(Arc::new(StoreSession::new(&store, &cfg))),
+            ..IoRuntime::new()
+        };
+        let report = run_threaded(&spec, &cfg, &data, &out, &rt, &EngineConfig::default()).unwrap();
         report.check().expect("report invariants");
         reports.push(report.store.expect("store counters reported"));
     }

@@ -235,23 +235,15 @@ fn every_semantic_config_field_moves_the_fingerprint() {
         );
     }
 
-    // Value-neutral knobs (where or how fast to run, not what to compute)
-    // must NOT move the fingerprint — otherwise moving a store directory or
-    // switching engines would discard every cached result.
+    // The two `AppConfig` fields that say where or how fast to run, not
+    // what to compute, must NOT move the fingerprint — otherwise switching
+    // engines or re-distributing a dataset would discard every cached
+    // result. (Caching, canonical output, transport and the store path are
+    // not in `AppConfig` at all: they live in `IoRuntime` / `NodeConfig`.)
     let neutral: Vec<(&str, Box<dyn Fn(&mut AppConfig)>)> = vec![
         // Both engines are byte-identical by hard invariant.
         ("engine", Box::new(|c| c.engine = ScanEngine::Reference)),
-        ("canonical_output", Box::new(|c| c.canonical_output = true)),
-        ("io_cache_bytes", Box::new(|c| c.io_cache_bytes = 0)),
         ("storage_nodes", Box::new(|c| c.storage_nodes = 7)),
-        (
-            "transport_checksum",
-            Box::new(|c| c.transport_checksum = true),
-        ),
-        (
-            "result_store",
-            Box::new(|c| c.result_store = Some(PathBuf::from("/elsewhere"))),
-        ),
     ];
     for (name, mutate) in &neutral {
         let mut c = base.clone();
