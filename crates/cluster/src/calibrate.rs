@@ -19,7 +19,7 @@
 //! [`crate::calibrated_defaults`] keeps tests and figure harnesses
 //! deterministic; the `claims` binary re-measures live.
 
-use crate::cost::CostModel;
+use crate::cost::{CostModel, TextureWork};
 use haralick::coocc::CoMatrix;
 use haralick::direction::DirectionSet;
 use haralick::features::{compute_features, Feature, FeatureSelection, MatrixStats};
@@ -121,7 +121,8 @@ pub fn calibrate(seed: u64, samples: usize) -> Calibration {
     // --- dirty-cell stats maintenance ---
     // Drive a support bitmap at the fused engine's granularity
     // (read a count, test non-zero, set/clear one bit) — the per-cell
-    // bookkeeping each window slide pays before the sparse feature sweep.
+    // bookkeeping each applied column entry pays before the sparse feature
+    // sweep.
     let host_stats_dirty_per_cell = {
         let counts = matrices[0].as_slice();
         let mut words = vec![0u64; counts.len().div_ceil(64)];
@@ -144,16 +145,16 @@ pub fn calibrate(seed: u64, samples: usize) -> Calibration {
         t.elapsed().as_secs_f64() / (reps as f64 * idxs.len() as f64)
     };
 
-    // --- fused sub-histogram kernel ---
-    // Timed directly: a block of rows through the fused engine, charged per
-    // pair visit of the row shape the model prices (one window build per
-    // row, two planes per slide). The selection is gated down to one
-    // accumulator so the statistics pass, which the model charges
-    // separately, stays out of the constant; the once-per-placement merge
-    // is amortized into it.
+    // --- fused sheet kernel ---
+    // Timed directly: one whole (z, t) sheet through the fused engine,
+    // charged per pair visit of the shape the model prices
+    // (`TextureWork::fused_pair_visits`). The selection is gated down to
+    // one accumulator so the statistics pass, which the model charges
+    // separately, stays out of the constant; the column folds are
+    // amortized into it.
     let (host_fused_per_voxel_dir, host_fused_sparse_ratio) = {
         let out = roi.output_dims(vol.dims());
-        let extent = Dims4::new(out.x, out.y.min(4).max(1), 1, 1);
+        let extent = Dims4::new(out.x, out.y, 1, 1);
         let mk = |representation| ScanConfig {
             roi,
             directions: dirs.clone(),
@@ -172,13 +173,22 @@ pub fn calibrate(seed: u64, samples: usize) -> Calibration {
         };
         let fused = time_of(&mk(Representation::Full));
         // The sparse-aware fused path re-runs the same kernel with the
-        // unmirrored merge and the sparse-order sweep; its constant is the
+        // unmirrored apply and the sparse-order sweep; its constant is the
         // dense fused constant scaled by the measured end-to-end ratio.
         let fused_sparse = time_of(&mk(Representation::Sparse));
-        let plane = roi_voxels / roi.size().x;
-        let pair_visits = extent.y * (roi_voxels + (extent.x - 1) * 2 * plane) * ndirs;
+        let work = TextureWork {
+            rois: extent.len(),
+            roi_voxels,
+            roi_x: roi.size().x,
+            roi_y: roi.size().y,
+            row_len: extent.x,
+            sheet_rows: extent.y,
+            ndirs,
+            ng,
+            repr: Representation::Full,
+        };
         (
-            fused / pair_visits as f64,
+            fused / work.fused_pair_visits(),
             (fused_sparse / fused.max(1e-12)).clamp(0.8, 2.0),
         )
     };

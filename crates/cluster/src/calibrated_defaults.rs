@@ -67,14 +67,16 @@ mod tests {
         let m = default_model();
         assert!(m.feat_naive_s_per_entry > m.feat_full_s_per_entry);
         assert!(m.mean_nnz < 100.0);
-        // The dirty-cell replay must be cheap enough that sliding wins on
-        // the paper window (2·plane·|D| replays vs an Ng² zero-skip sweep).
+        // The dirty-cell bookkeeping must be cheap enough that applying
+        // columns wins on the paper window (at most 2·plane·|D| entries per
+        // placement vs an Ng² zero-skip sweep).
         assert!(m.stats_dirty_s_per_cell * 180.0 < m.feat_full_s_per_entry * 1024.0);
-        // The fused per-pair constant must undercut the per-pair slide
-        // constant of `SlidingWindow` (five read-modify-writes per pair).
+        // The fused per-pair-visit constant (delta store, touched push,
+        // amortized fold) must undercut the per-pair slide constant of
+        // `SlidingWindow` (five read-modify-writes per pair).
         assert!(m.coocc_fused_s_per_voxel_dir < m.coocc_slide_s_per_voxel_dir);
-        // The sparse-fused merge pays a small unmirrored-bookkeeping premium
-        // over the dense path but stays well under the sparse rebuild.
+        // The sparse-fused apply pays at most a small bookkeeping premium
+        // over the dense path and stays well under the sparse rebuild.
         assert!(m.coocc_fused_sparse_s_per_voxel_dir >= m.coocc_fused_s_per_voxel_dir);
         assert!(m.coocc_fused_sparse_s_per_voxel_dir < m.coocc_sparse_s_per_voxel_dir);
     }

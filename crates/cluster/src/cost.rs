@@ -38,23 +38,23 @@ pub struct CostModel {
     pub feat_base_s: f64,
     /// Dense → sparse conversion, per `Ng²` entry scanned.
     pub sparse_convert_s_per_entry: f64,
-    /// Dirty-cell statistics maintenance, per matrix cell touched by a
-    /// window slide (the fused engine settles the support bitmap at each
-    /// merge; a slide touches at most
-    /// `2 · W/W_x · |D|` cells).
+    /// Dirty-cell statistics maintenance, per matrix cell a column apply
+    /// writes (the fused engine settles the count and the support bitmap
+    /// entry by entry; a placement applies the column entries of the plane
+    /// that left and of the one that entered).
     pub stats_dirty_s_per_cell: f64,
-    /// Fused-kernel pair accumulation, per (plane voxel × direction) — the
-    /// per-lane sub-histogram kernel of `haralick::fused`. Each pair is one
-    /// lane store plus a touched-cell push; the once-per-placement merge
-    /// that settles the dense matrix, support bitmap and total is
-    /// amortized into it.
+    /// Fused-kernel pair accumulation, per pair visit
+    /// ([`TextureWork::fused_pair_visits`]) — the sheet kernel of
+    /// `haralick::fused`. Each visit is one delta store plus a
+    /// touched-cell push; the fold into the column histogram is amortized
+    /// into it.
     pub coocc_fused_s_per_voxel_dir: f64,
     /// Fused-kernel pair accumulation under a **sparse** representation,
-    /// per (plane voxel × direction). The lane stores are identical to the
-    /// dense fused constant; the difference is the unmirrored merge and
-    /// the sparse-order support sweep feeding it, so this sits slightly
-    /// above the dense fused constant but far under the sparse-storage
-    /// binary-search accumulation the reference engine pays.
+    /// per pair visit. The line walk and the fold are identical to the
+    /// dense fused constant; the difference is the unmirrored apply and
+    /// the sparse-order support sweep, so this sits close to the dense
+    /// fused constant and far under the sparse-storage binary-search
+    /// accumulation the reference engine pays.
     pub coocc_fused_sparse_s_per_voxel_dir: f64,
     /// Stitch (IIC) copy/reorganize cost per byte.
     pub stitch_s_per_byte: f64,
@@ -74,16 +74,36 @@ pub struct TextureWork {
     pub rois: usize,
     /// Voxels per ROI window.
     pub roi_voxels: usize,
-    /// Window extent along `x` (the slide axis).
+    /// Window extent along `x`.
     pub roi_x: usize,
-    /// Placements per output row (a full rebuild starts each row).
+    /// Window extent along `y`.
+    pub roi_y: usize,
+    /// Placements per output row.
     pub row_len: usize,
+    /// Output rows per `(z, t)` sheet of the chunk's placement block.
+    pub sheet_rows: usize,
     /// Co-occurrence displacement directions.
     pub ndirs: usize,
     /// Gray levels `Ng`.
     pub ng: u16,
     /// Co-occurrence representation.
     pub repr: Representation,
+}
+
+impl TextureWork {
+    /// Voxel pairs the fused sheet kernel visits over the chunk. Every
+    /// plane of a sheet's x-span (`roi_x + row_len − 1` of them) enters all
+    /// `roi_y` voxel lines on the sheet's first output row and swaps one
+    /// line out and one in on every later row; a line is `roi_z · roi_t`
+    /// voxels, each paired once per direction.
+    pub fn fused_pair_visits(&self) -> f64 {
+        let line = (self.roi_voxels / (self.roi_x * self.roi_y).max(1)) as f64;
+        let planes = (self.roi_x + self.row_len).saturating_sub(1) as f64;
+        let sheet_rows = self.sheet_rows.max(1);
+        let sheets = self.rois.div_ceil(self.row_len.max(1) * sheet_rows) as f64;
+        let lines = (self.roi_y + 2 * (sheet_rows - 1)) as f64;
+        sheets * planes * lines * line * self.ndirs as f64
+    }
 }
 
 impl CostModel {
@@ -110,23 +130,17 @@ impl CostModel {
         rebuilds + slides
     }
 
-    /// Cost of producing the chunk's matrices with the fused sub-histogram
-    /// kernel: the same row-rebuild/x-slide shape as
-    /// [`coocc_incremental_cost`](Self::coocc_incremental_cost), with the
-    /// cheaper fused per-pair constant (the sparse-aware constant under a
-    /// sparse representation) on both the row-start build and the
-    /// two-plane slides.
+    /// Cost of producing the chunk's matrices with the fused sheet kernel:
+    /// the fused per-pair constant (the sparse-aware one under a sparse
+    /// representation) on every pair visit of
+    /// [`TextureWork::fused_pair_visits`].
     pub fn coocc_fused_cost(&self, w: &TextureWork) -> f64 {
         let per = if w.repr.is_sparse() {
             self.coocc_fused_sparse_s_per_voxel_dir
         } else {
             self.coocc_fused_s_per_voxel_dir
         };
-        let rows = w.rois.div_ceil(w.row_len.max(1));
-        let rebuilds = rows as f64 * per * w.roi_voxels as f64 * w.ndirs as f64;
-        let plane = (w.roi_voxels / w.roi_x.max(1)) as f64;
-        let x_slid = (w.rois.saturating_sub(rows)) as f64 * per * 2.0 * plane * w.ndirs as f64;
-        rebuilds + x_slid
+        per * w.fused_pair_visits()
     }
 
     /// Cost of building co-occurrence matrices for `rois` windows of
@@ -201,52 +215,31 @@ impl CostModel {
         self.hcc_cost(rois, roi_voxels, ndirs, ng, repr) + self.features_cost(rois, ng, repr)
     }
 
-    /// Cost of the dirty-cell feature passes for `w.rois` placements: the
-    /// row-start placements pay a full zero-skip sweep (building the support
-    /// mask), every slid placement pays the bitmap maintenance over the
-    /// touched cells plus a sparse-style push per non-zero cell.
-    pub fn features_incremental_cost(&self, w: &TextureWork) -> f64 {
-        let ng2 = f64::from(w.ng) * f64::from(w.ng);
-        let rows = w.rois.div_ceil(w.row_len.max(1));
-        let row_starts = rows as f64 * (self.feat_full_s_per_entry * ng2 + self.feat_base_s);
-        let plane = (w.roi_voxels / w.roi_x.max(1)) as f64;
-        let touched = 2.0 * plane * w.ndirs as f64;
-        let slides = w.rois.saturating_sub(rows) as f64
-            * (self.stats_dirty_s_per_cell * touched
+    /// Cost of the fused kernel's feature passes for `w.rois` placements,
+    /// the same under every representation: each placement settles the
+    /// matrix and the support bitmap over the column entries it applies —
+    /// the plane that left and the one that entered, neither holding more
+    /// distinct cells than the window (`mean_nnz`) nor than the plane has
+    /// pairs — then sweeps the support-ordered non-zero cells (`mean_nnz`
+    /// sparse-style pushes plus the per-matrix base). No `Ng²` sweep exists
+    /// on this path.
+    pub fn features_fused_cost(&self, w: &TextureWork) -> f64 {
+        let plane_pairs = (w.roi_voxels / w.roi_x.max(1) * w.ndirs) as f64;
+        let applied = 2.0 * self.mean_nnz.min(plane_pairs);
+        w.rois as f64
+            * (self.stats_dirty_s_per_cell * applied
                 + self.feat_sparse_s_per_entry * self.mean_nnz
-                + self.feat_base_s);
-        row_starts + slides
-    }
-
-    /// Cost of the feature passes when the fused kernel runs a **sparse**
-    /// representation: every placement sweeps the support-ordered non-zero
-    /// entries (`mean_nnz` sparse pushes plus the per-matrix base), and
-    /// slid placements additionally pay the bitmap maintenance over the
-    /// cells their merge touched. No `Ng²` row-start sweep exists on this
-    /// path — the support mask is maintained incrementally from the start.
-    pub fn features_sparse_fused_cost(&self, w: &TextureWork) -> f64 {
-        let rows = w.rois.div_ceil(w.row_len.max(1));
-        let plane = (w.roi_voxels / w.roi_x.max(1)) as f64;
-        let touched = 2.0 * plane * w.ndirs as f64;
-        w.rois as f64 * (self.feat_sparse_s_per_entry * self.mean_nnz + self.feat_base_s)
-            + w.rois.saturating_sub(rows) as f64 * self.stats_dirty_s_per_cell * touched
+                + self.feat_base_s)
     }
 
     /// Full texture (matrices + parameters) service cost of one chunk under
     /// a scan engine: the classic HMP rebuild cost for `Reference`, the
-    /// fused kernel's build/slide and dirty-cell feature costs for `Fused`
-    /// — one core either way, like the paper's PIII nodes.
+    /// fused kernel's pair-visit and dirty-cell feature costs for `Fused` —
+    /// one core either way, like the paper's PIII nodes.
     pub fn texture_cost(&self, engine: ScanEngine, w: &TextureWork) -> f64 {
         match engine {
             ScanEngine::Reference => self.hmp_cost(w.rois, w.roi_voxels, w.ndirs, w.ng, w.repr),
-            ScanEngine::Fused => {
-                let feats = if w.repr.is_sparse() {
-                    self.features_sparse_fused_cost(w)
-                } else {
-                    self.features_incremental_cost(w)
-                };
-                self.coocc_fused_cost(w) + feats
-            }
+            ScanEngine::Fused => self.coocc_fused_cost(w) + self.features_fused_cost(w),
         }
     }
 
@@ -324,7 +317,9 @@ mod tests {
             rois: 550,
             roi_voxels: 900,
             roi_x: 10,
+            roi_y: 10,
             row_len: 55,
+            sheet_rows: 10,
             ndirs: 1,
             ng: 32,
             repr,
@@ -354,6 +349,21 @@ mod tests {
             sparse_fused < sparse_rebuild,
             "sparse fused {sparse_fused} should undercut the rebuild {sparse_rebuild}"
         );
+    }
+
+    #[test]
+    fn fused_pair_visits_follow_the_sheet_kernel() {
+        // One sheet of 10 rows x 55 placements: 64 planes, 10 lines on the
+        // first row and 2 on each of the other 9, 9 voxels per line.
+        let w = paper_work(Representation::Full);
+        assert_eq!(w.fused_pair_visits(), 64.0 * (10.0 + 18.0) * 9.0);
+        // A second sheet and 40 directions scale it linearly.
+        let two = TextureWork {
+            rois: 1100,
+            ndirs: 40,
+            ..w
+        };
+        assert_eq!(two.fused_pair_visits(), 80.0 * w.fused_pair_visits());
     }
 
     #[test]

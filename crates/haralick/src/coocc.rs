@@ -242,8 +242,8 @@ impl CoMatrix {
 
     /// Applies a signed net count delta to the symmetric cell pair
     /// `(lo, hi)` / `(hi, lo)`, keeping `support` and the total exact —
-    /// the once-per-placement merge step of the fused scan engine's lane
-    /// sub-histograms.
+    /// how the fused scan engine applies one column-histogram entry to the
+    /// window matrix.
     ///
     /// `net` is the net number of unordered pair observations gained (or
     /// lost, if negative) on the upper-triangle cell: an off-diagonal pair
@@ -286,7 +286,7 @@ impl CoMatrix {
     /// counts a [`crate::sparse::SparseCoMatrix`] entry list would (a
     /// diagonal pair contributes 2 to its cell, an off-diagonal pair 1).
     /// The total still moves by `2·net` — the symmetric normalization `R`
-    /// is representation-independent. This is the sparse-mode merge of the
+    /// is representation-independent. This is the sparse-mode apply of the
     /// fused scan engine: sweeping the support afterwards enumerates the
     /// sparse entries in sorted row-major upper-triangle order without
     /// ever materializing the dense symmetric matrix.
@@ -314,7 +314,7 @@ impl CoMatrix {
     /// Zeroes exactly the cells flagged in `support` (and the total),
     /// restoring the all-zero invariant in `O(nnz)` instead of an `Ng²`
     /// fill. The caller clears the mask afterwards; used by the fused
-    /// engine to recycle one matrix allocation across output rows.
+    /// engine to start every output row from the empty matrix.
     pub(crate) fn clear_cells_from_support(&mut self, support: &SupportMask) {
         support.for_each_set(|idx| self.counts[idx] = 0);
         self.total = 0;
@@ -370,6 +370,16 @@ impl CoMatrix {
     pub fn stats_naive(&self) -> MatrixStats {
         MatrixStats::from_dense(self, false)
     }
+}
+
+/// The most one window can put in a single cell: every voxel pair of every
+/// direction, in both orientations, on one diagonal cell (a constant
+/// region) — `2 · roi_len · directions`. `None` when that does not fit the
+/// matrix's `u32` cells, where increments would wrap silently in release
+/// builds.
+pub(crate) fn max_cell_count(roi_len: usize, directions: usize) -> Option<u32> {
+    let pairs = (roi_len as u64).checked_mul(directions as u64)?;
+    u32::try_from(pairs.checked_mul(2)?).ok()
 }
 
 #[cfg(test)]
@@ -548,5 +558,18 @@ mod tests {
         let vol = tiny();
         let big = Region4::new(Point4::ZERO, Dims4::new(5, 1, 1, 1));
         let _ = CoMatrix::from_region(&vol, big, &DirectionSet::all_unique_2d(1));
+    }
+
+    #[test]
+    fn max_cell_count_stops_at_u32_max() {
+        // 2 · len · |D| is even, so the boundary is u32::MAX ∓ 1.
+        let half = 1usize << 31;
+        assert_eq!(max_cell_count(half - 1, 1), Some(u32::MAX - 1));
+        assert_eq!(max_cell_count(half, 1), None, "u32::MAX + 1");
+        assert_eq!(max_cell_count(10 * 10 * 3 * 3, 40), Some(72_000));
+        // A ROI spanning the paper's whole 256x256x32x32 volume, 40 directions.
+        assert_eq!(max_cell_count(256 * 256 * 32 * 32, 40), None);
+        assert_eq!(max_cell_count(usize::MAX, usize::MAX), None, "u64 overflow");
+        assert_eq!(max_cell_count(0, 40), Some(0));
     }
 }

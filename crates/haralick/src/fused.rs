@@ -1,53 +1,60 @@
-//! The fused co-occurrence row kernel behind
+//! The fused co-occurrence sheet kernel behind
 //! [`crate::raster::ScanEngine::Fused`].
 //!
-//! Consecutive placements along `x` share all but one voxel plane, so the
-//! kernel builds each output row's first window once and then slides
-//! (`O(plane · |D|)` per placement), rebuilding statistics from the
-//! dirty-cell support bitmap (`O(nnz)`). To keep the pair stream from
-//! serializing on read-modify-writes spread over a 256 KiB matrix, it
-//! applies the sub-histogram decomposition of GPU GLCM kernels (independent
-//! per-thread histograms merged once at the end):
+//! One **sheet** is every placement of one `(z, t)` of the block: `extent.y`
+//! output rows of `extent.x` placements. Neighbouring placements share almost
+//! all their voxel pairs in both axes, so the kernel slides in both (column
+//! histograms, as in Perreault & Hébert's constant-time median filter,
+//! applied to co-occurrence pairs):
+//!
+//! * **Columns.** Directions are oriented so a voxel's partner lies `k = |dx|`
+//!   planes to its left. For every voxel plane `P` of the sheet's x-span and
+//!   every distinct `k < roi.x`, the column `C_k(P)` is the histogram of the
+//!   pairs between plane `P` and plane `P − k` over the current row's
+//!   `(y, z, t)` window extent — a short unsorted list of
+//!   `(lo << 8 | hi, pairs)`. The window at `x₀` is the sum of `C_k(P)` over
+//!   `x₀ + k ≤ P < x₀ + roi.x`.
+//!
+//! * **Line, fold.** Moving one output row down changes a column by one
+//!   voxel line per direction: the line that left the window counts `−1`,
+//!   the one that entered `+1` (the sheet's first row enters every line) —
+//!   at most `roi.z · roi.t` pairs each, accumulated into one signed delta
+//!   array with a touched-cell list. The fold walks the column, then the
+//!   touched list, reading each delta and zeroing it, so duplicates fall out
+//!   and a count that reaches zero leaves the column.
+//!
+//! * **Apply.** A row's window matrix starts empty. Walking the planes in
+//!   `x` order, the columns of the plane that left the window (`C₀(Q)` and
+//!   `C_k(Q + k)` for `Q = P − roi.x`) are subtracted and the freshly
+//!   advanced `C_k(P)` added, through
+//!   `CoMatrix::apply_upper_delta_tracked` (`_unmirrored` for the sparse
+//!   representations), which keep the support bitmap and the total exact.
+//!   The matrix and support are therefore equal to the reference's at every
+//!   placement, and the statistics sweep exactly the non-zero cells in
+//!   row-major order (`MatrixStats::refill_from_support`): the kernel is
+//!   **bit-identical** to [`crate::raster::raster_scan`].
 //!
 //! * **Fused quantization.** [`RawLutSource`] walks raw `u16` voxels
 //!   through a 65,536-entry level lookup table built once per scan from
 //!   [`Quantizer::level_of`], so no intermediate quantized volume is ever
-//!   materialized — one pass over the data instead of two, bit-identical
-//!   levels. Pre-quantized volumes run through [`QuantizedSource`]; the
+//!   materialized. Pre-quantized volumes run through [`QuantizedSource`]; the
 //!   kernel is monomorphized over the [`LevelSource`] trait.
 //!
-//! * **Per-lane sub-histograms.** Each voxel pair folds into one of
-//!   [`LANES`] independent signed 32-bit delta histograms, indexed by the
-//!   unordered pair's upper-triangle cell (`min·Ng + max`, branch-free
-//!   `min`/`max`). The inner loops are unrolled [`LANES`]-wide — one lane
-//!   per leg — so consecutive pairs hitting the same cell (the common case
-//!   on smooth images) never serialize on one memory location, and the
-//!   address arithmetic is plain strided indexing a vectorizer can chew
-//!   on. Departing-plane pairs accumulate `−1`, arriving-plane pairs `+1`;
-//!   the row-start window build is just a delta against the empty matrix.
-//!
-//! * **One merge per placement.** Touched cells are recorded in a list
-//!   (duplicates and all) and deduplicated at merge time against an
-//!   epoch-stamp array; each distinct cell's net delta is folded into the
-//!   dense [`CoMatrix`], the support bitmap and the total by
-//!   `CoMatrix::apply_upper_delta_tracked`. The per-placement statistics
-//!   then sweep exactly the non-zero cells in row-major order
-//!   (`MatrixStats::refill_from_support`) — the same cells in the same
-//!   order as the reference's zero-skip pass, so the kernel is
-//!   **bit-identical** to [`crate::raster::raster_scan`].
+//! Per placement that is about `2 · roi.z · roi.t · |D|` pair visits plus
+//! `O(nnz)` list work, instead of two whole voxel planes per direction.
+//! Sheets are the unit of parallel dispatch, so a block with a single
+//! `(z, t)` scans on one thread. Counts cannot overflow: `scan_placements`
+//! refuses a configuration whose `2 · roi.len() · |D|` exceeds the matrix's
+//! `u32` cells (`coocc::max_cell_count`), and the same bound covers a
+//! fold's `i32` deltas (`≤ roi.y · roi.z · roi.t · |D|`) and the `u32`
+//! column counts.
 
 use crate::coocc::CoMatrix;
-use crate::direction::DirectionSet;
-use crate::features::{compute_features, MatrixStats};
+use crate::features::{compute_features, FeatureSelection, MatrixStats};
 use crate::quantize::Quantizer;
 use crate::raster::ScanConfig;
 use crate::sparse::SupportMask;
 use crate::volume::{Dims4, LevelVolume, Point4, Region4};
-
-/// Number of independent sub-histogram lanes (and the inner-loop unroll
-/// width). Four keeps the hot lane slabs within L2 at `Ng = 256` while
-/// giving the common same-cell pair runs four independent accumulators.
-pub const LANES: usize = 4;
 
 /// A source of quantized gray levels in x-fastest linear order. The fused
 /// kernel is monomorphized over this, so pre-quantized volumes pay no LUT
@@ -132,337 +139,290 @@ impl LevelSource for RawLutSource<'_> {
     }
 }
 
-/// Upper-triangle cell index of the unordered level pair `(a, b)`.
-/// `min`/`max` lower to conditional moves, keeping the unrolled inner
-/// loops free of data-dependent branches.
+/// Packed upper-triangle cell `lo << 8 | hi` of the unordered level pair
+/// `(a, b)` — the index into the delta array and the key of a column entry.
+/// `min`/`max` lower to conditional moves, keeping the line walk free of
+/// data-dependent branches.
 #[inline(always)]
-fn cell(ng: usize, a: u8, b: u8) -> u32 {
-    let lo = a.min(b) as usize;
-    let hi = a.max(b) as usize;
-    (lo * ng + hi) as u32
+fn cell(a: u8, b: u8) -> u16 {
+    u16::from(a.min(b)) << 8 | u16::from(a.max(b))
 }
 
-/// Reusable per-worker scratch of the fused kernel: the tracked dense
-/// matrix, the lane sub-histograms, the touched-cell list with its epoch
-/// stamps, and the reusable statistics accumulator. One instance serves
-/// every row a worker processes — nothing in the per-placement loop
-/// allocates.
+/// Number of packed cells (`Ng ≤ 256`).
+const CELLS: usize = 1 << 16;
+
+/// Along one axis of length `len`, the voxels that have a partner at offset
+/// `o` inside the window: `(first, count)`, relative to the window origin.
+fn partnered(o: i32, len: usize) -> (usize, usize) {
+    let first = o.min(0).unsigned_abs() as usize;
+    (first, len.saturating_sub(o.unsigned_abs() as usize))
+}
+
+/// One direction, oriented so the partner lies in plane `P − k`, with its
+/// clamps and linear stride worked out once per scan.
+struct DirPlan {
+    /// Linear-index offset from a voxel to its partner.
+    stride: isize,
+    /// Voxel lines with a partner in the window: first `y` offset and count.
+    y: (usize, usize),
+    /// Linear offsets of the partnered voxels of one line.
+    voxels: Vec<usize>,
+}
+
+/// A column histogram: `(packed cell, unordered pairs)`, unsorted, no zeros.
+type Column = Vec<(u16, u32)>;
+
+/// Reusable per-worker state of the fused kernel: the tracked dense matrix
+/// and statistics accumulator, the direction plans grouped by `k`, the
+/// columns of one sheet and the delta array they are advanced through. One
+/// instance serves every sheet a worker processes — after the first sheet
+/// nothing in the per-placement loop allocates.
 pub(crate) struct FusedScratch {
     matrix: CoMatrix,
     support: SupportMask,
     stats: MatrixStats,
-    /// [`LANES`] concatenated `Ng²` signed delta sub-histograms.
-    lanes: Vec<i32>,
-    /// Upper-triangle cells touched since the last merge, duplicates kept;
-    /// the merge deduplicates against `stamp`.
-    touched: Vec<u32>,
-    /// Merge epoch that last visited each cell.
-    stamp: Vec<u32>,
-    epoch: u32,
+    roi: Dims4,
+    /// Placements per output row.
+    width: usize,
+    /// Whether the matrix is the upper-triangle-only sparse store.
+    sparse: bool,
+    selection: FeatureSelection,
+    /// The distinct `k = |dx| < roi.x` with the directions of each.
+    groups: Vec<(usize, Vec<DirPlan>)>,
+    /// `C_k(P)` at `cols[P · groups.len() + group]`, `P` counted from the
+    /// sheet's first plane.
+    cols: Vec<Column>,
+    /// Pending signed pair counts of the column being advanced, by packed
+    /// cell; all zero between folds.
+    delta: Vec<i32>,
+    /// Cells written since the last fold, duplicates kept.
+    touched: Vec<u16>,
 }
 
 impl FusedScratch {
-    /// Scratch for `levels` gray levels.
-    pub(crate) fn new(levels: u16) -> Self {
-        let cells = levels as usize * levels as usize;
+    /// Scratch for sheets of `width` placements per row over `src` under
+    /// `cfg`. Directions that can pair no two voxels of a window
+    /// (a component at least as long as the ROI's extent) are dropped here.
+    pub(crate) fn new<S: LevelSource>(src: &S, cfg: &ScanConfig, width: usize) -> Self {
+        let (dims, roi) = (src.dims(), cfg.roi.size());
+        let slice = dims.x * dims.y;
+        let mut groups: Vec<(usize, Vec<DirPlan>)> = Vec::new();
+        for d in &cfg.directions {
+            let o = if d.dx > 0 { d.negate() } else { *d };
+            let k = o.dx.unsigned_abs() as usize;
+            let (z, t) = (partnered(o.dz, roi.z), partnered(o.dt, roi.t));
+            let plan = DirPlan {
+                stride: o.dx as isize
+                    + o.dy as isize * dims.x as isize
+                    + (o.dt as isize * dims.z as isize + o.dz as isize) * slice as isize,
+                y: partnered(o.dy, roi.y),
+                voxels: (t.0..t.0 + t.1)
+                    .flat_map(|t| (z.0..z.0 + z.1).map(move |z| (t * dims.z + z) * slice))
+                    .collect(),
+            };
+            if k >= roi.x || plan.y.1 == 0 || plan.voxels.is_empty() {
+                continue;
+            }
+            match groups.iter_mut().find(|g| g.0 == k) {
+                Some(g) => g.1.push(plan),
+                None => groups.push((k, vec![plan])),
+            }
+        }
+        let levels = src.levels();
         Self {
             matrix: CoMatrix::zeros(levels),
-            support: SupportMask::empty(cells),
+            support: SupportMask::empty(levels as usize * levels as usize),
             stats: MatrixStats::reusable(),
-            lanes: vec![0; LANES * cells],
+            roi,
+            width,
+            sparse: cfg.representation.is_sparse(),
+            selection: cfg.selection,
+            cols: vec![Column::new(); (roi.x + width - 1) * groups.len()],
+            groups,
+            delta: vec![0; CELLS],
             touched: Vec::with_capacity(4096),
-            stamp: vec![0; cells],
-            epoch: 0,
         }
     }
 
     /// Restores the all-zero matrix/support invariant in `O(nnz)` ahead of
-    /// the next row's window build.
+    /// the next row.
     fn reset_window(&mut self) {
         self.matrix.clear_cells_from_support(&self.support);
         self.support.clear_all();
     }
 
-    /// Folds every pending lane delta into the matrix, support bitmap and
-    /// total — the once-per-placement merge. Net-zero cells (a pair both
-    /// departed and arrived) change no count, so skipping them leaves the
-    /// support, and therefore the statistics sweep order, untouched. In
-    /// `sparse` mode the mirror cell is never written: the matrix holds
-    /// upper-triangle sparse-entry counts (see
-    /// [`CoMatrix::apply_upper_delta_unmirrored`]) and the downstream
-    /// sweep is [`MatrixStats::refill_from_sparse_support`].
-    fn merge(&mut self, sparse: bool) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // A u32 wrap could resurrect stale stamps; restart the epoch
-            // space instead.
-            self.stamp.fill(0);
-            self.epoch = 1;
+    /// Accumulates `by` for every pair of `plan` on the voxel line whose
+    /// voxel at the window's first `(z, t)` is `first` into the delta array.
+    fn accumulate_line<S: LevelSource>(&mut self, src: &S, plan: &DirPlan, first: usize, by: i32) {
+        for &v in &plan.voxels {
+            let idx = first + v;
+            let c = cell(
+                src.level(idx),
+                src.level(idx.wrapping_add_signed(plan.stride)),
+            );
+            self.delta[c as usize] += by;
+            self.touched.push(c);
         }
-        let epoch = self.epoch;
-        let ng = self.matrix.levels() as usize;
-        let cells = ng * ng;
-        for &cell_u in &self.touched {
-            let cell = cell_u as usize;
-            if self.stamp[cell] == epoch {
-                continue;
-            }
-            self.stamp[cell] = epoch;
-            let mut net = 0i64;
-            let mut lane = cell;
-            for _ in 0..LANES {
-                net += i64::from(self.lanes[lane]);
-                self.lanes[lane] = 0;
-                lane += cells;
-            }
-            if net != 0 {
-                let lo = (cell / ng) as u8;
-                let hi = (cell % ng) as u8;
-                if sparse {
-                    self.matrix
-                        .apply_upper_delta_unmirrored(lo, hi, net, &mut self.support);
-                } else {
-                    self.matrix
-                        .apply_upper_delta_tracked(lo, hi, net, &mut self.support);
-                }
-            }
-        }
-        self.touched.clear();
     }
 
-    /// Accumulates the pair deltas of the plane `x = plane_x` of window
-    /// `win` into the lanes with the given `sign` (`+1` arriving, `-1`
-    /// departing). Pair coverage mirrors the `apply_plane` of
-    /// [`crate::window::SlidingWindow`] exactly: per-direction
-    /// forward/backward passes with pre-clamped loop bounds, in-plane pairs
-    /// counted by the forward pass alone, partners addressed by a linear
-    /// stride. The y-walk is unrolled [`LANES`]-wide, one independent lane
-    /// per leg.
-    fn accumulate_plane<S: LevelSource>(
+    /// Folds the pending deltas into column `col` and leaves the delta array
+    /// zero: entries the column already holds first (a count reaching zero
+    /// leaves it), then the touched cells still pending, which are new.
+    /// Reading a delta zeroes it, so a cell touched twice is folded once.
+    fn fold(&mut self, col: usize) {
+        let column = &mut self.cols[col];
+        let mut i = 0;
+        while i < column.len() {
+            let (c, n) = column[i];
+            let d = std::mem::take(&mut self.delta[c as usize]);
+            debug_assert!(i64::from(n) + i64::from(d) >= 0, "column count negative");
+            column[i].1 = n.wrapping_add_signed(d);
+            if column[i].1 == 0 {
+                column.swap_remove(i);
+            } else {
+                i += 1;
+            }
+        }
+        for c in self.touched.drain(..) {
+            let d = std::mem::take(&mut self.delta[c as usize]);
+            debug_assert!(d >= 0, "pair left a column that never held it");
+            if d != 0 {
+                column.push((c, d as u32));
+            }
+        }
+    }
+
+    /// Adds column `col` to the window matrix, or subtracts it if `leaving`.
+    /// In sparse mode the mirror cell is never written: the matrix holds
+    /// upper-triangle sparse-entry counts (see
+    /// [`CoMatrix::apply_upper_delta_unmirrored`]) and the downstream sweep
+    /// is [`MatrixStats::refill_from_sparse_support`].
+    fn apply(&mut self, col: usize, leaving: bool) {
+        for &(c, n) in &self.cols[col] {
+            let net = if leaving { -i64::from(n) } else { i64::from(n) };
+            let (lo, hi) = ((c >> 8) as u8, c as u8);
+            if self.sparse {
+                self.matrix
+                    .apply_upper_delta_unmirrored(lo, hi, net, &mut self.support);
+            } else {
+                self.matrix
+                    .apply_upper_delta_tracked(lo, hi, net, &mut self.support);
+            }
+        }
+    }
+
+    /// Walks the sheet whose first window sits at `origin` over `rows`
+    /// output rows, calling `emit(self, row, x)` with the matrix, support
+    /// and total of placement `(x, row)` in place.
+    ///
+    /// # Panics
+    /// If any window of the sheet exceeds the volume, or the scratch was
+    /// built for a different level count.
+    fn sweep<S: LevelSource>(
         &mut self,
         src: &S,
-        dirs: &DirectionSet,
-        win: Region4,
-        plane_x: usize,
-        sign: i32,
+        origin: Point4,
+        rows: usize,
+        mut emit: impl FnMut(&mut Self, usize, usize),
     ) {
-        let dims = src.dims();
-        let end = win.end();
-        let ng = self.matrix.levels() as usize;
-        let cells = ng * ng;
-        for d in dirs {
-            let fwd = (d.dx as i64, d.dy as i64, d.dz as i64, d.dt as i64);
-            let bwd = (-fwd.0, -fwd.1, -fwd.2, -fwd.3);
-            for (pass, (dx, dy, dz, dt)) in [fwd, bwd].into_iter().enumerate() {
-                let qx = plane_x as i64 + dx;
-                if (pass == 1 && dx == 0) || qx < win.origin.x as i64 || qx >= end.x as i64 {
-                    continue;
-                }
-                let y_lo = win.origin.y as i64 + (-dy).max(0);
-                let y_hi = end.y as i64 - dy.max(0);
-                let z_lo = win.origin.z as i64 + (-dz).max(0);
-                let z_hi = end.z as i64 - dz.max(0);
-                let t_lo = win.origin.t as i64 + (-dt).max(0);
-                let t_hi = end.t as i64 - dt.max(0);
-                if y_lo >= y_hi || z_lo >= z_hi || t_lo >= t_hi {
-                    continue;
-                }
-                let stride = dx
-                    + dy * dims.x as i64
-                    + dz * (dims.x * dims.y) as i64
-                    + dt * (dims.x * dims.y * dims.z) as i64;
-                let step = dims.x;
-                for t in t_lo..t_hi {
-                    for z in z_lo..z_hi {
-                        let mut base =
-                            ((t as usize * dims.z + z as usize) * dims.y + y_lo as usize) * dims.x
-                                + plane_x;
-                        let mut y = y_lo;
-                        while y + LANES as i64 <= y_hi {
-                            let i1 = base + step;
-                            let i2 = base + 2 * step;
-                            let i3 = base + 3 * step;
-                            let c0 = cell(
-                                ng,
-                                src.level(base),
-                                src.level((base as i64 + stride) as usize),
-                            );
-                            let c1 =
-                                cell(ng, src.level(i1), src.level((i1 as i64 + stride) as usize));
-                            let c2 =
-                                cell(ng, src.level(i2), src.level((i2 as i64 + stride) as usize));
-                            let c3 =
-                                cell(ng, src.level(i3), src.level((i3 as i64 + stride) as usize));
-                            self.lanes[c0 as usize] += sign;
-                            self.lanes[cells + c1 as usize] += sign;
-                            self.lanes[2 * cells + c2 as usize] += sign;
-                            self.lanes[3 * cells + c3 as usize] += sign;
-                            self.touched.extend_from_slice(&[c0, c1, c2, c3]);
-                            base += LANES * step;
-                            y += LANES as i64;
-                        }
-                        while y < y_hi {
-                            let c0 = cell(
-                                ng,
-                                src.level(base),
-                                src.level((base as i64 + stride) as usize),
-                            );
-                            self.lanes[c0 as usize] += sign;
-                            self.touched.push(c0);
-                            base += step;
-                            y += 1;
+        assert_eq!(
+            self.matrix.levels(),
+            src.levels(),
+            "fused scratch level count does not match source"
+        );
+        let (dims, roi) = (src.dims(), self.roi);
+        let planes = roi.x + self.width - 1;
+        // Validate the whole sheet up front — the wall every window of it
+        // must stay inside.
+        let span = Region4::new(origin, Dims4::new(planes, roi.y + rows - 1, roi.z, roi.t));
+        assert!(
+            dims.region().contains_region(&span),
+            "fused scan sheet {span:?} exceeds volume {dims:?}"
+        );
+        let groups = std::mem::take(&mut self.groups);
+        self.cols.iter_mut().for_each(Vec::clear);
+        for row in 0..rows {
+            self.reset_window();
+            for p in 0..planes {
+                for (g, (k, plans)) in groups.iter().enumerate() {
+                    if p < *k {
+                        // The partner plane is left of the sheet's span.
+                        continue;
+                    }
+                    let col = p * groups.len() + g;
+                    for plan in plans {
+                        let line = |y: usize| {
+                            dims.index(Point4::new(
+                                origin.x + p,
+                                origin.y + row + plan.y.0 + y,
+                                origin.z,
+                                origin.t,
+                            ))
+                        };
+                        if row == 0 {
+                            for y in 0..plan.y.1 {
+                                self.accumulate_line(src, plan, line(y), 1);
+                            }
+                        } else {
+                            self.accumulate_line(src, plan, line(0) - dims.x, -1);
+                            self.accumulate_line(src, plan, line(plan.y.1 - 1), 1);
                         }
                     }
+                    self.fold(col);
+                    if p >= roi.x {
+                        self.apply((p - roi.x + k) * groups.len() + g, true);
+                    }
+                    self.apply(col, false);
+                }
+                if p + 1 >= roi.x {
+                    emit(self, row, p + 1 - roi.x);
                 }
             }
         }
+        self.groups = groups;
     }
 
-    /// Accumulates every pair of the full window `win` into the lanes (all
-    /// deltas `+1` against the empty matrix) — the row-start build. The
-    /// window is walked one (t, z) plane at a time with the direction loop
-    /// *inside* the plane, so a plane's source rows are revisited `|D|`
-    /// times while cache-resident. Pair coverage is exactly
-    /// [`CoMatrix::accumulate`]'s clamped region, partitioned by (t, z);
-    /// the x inner loop is unrolled [`LANES`]-wide into independent lanes.
-    fn accumulate_window<S: LevelSource>(&mut self, src: &S, dirs: &DirectionSet, win: Region4) {
-        let dims = src.dims();
-        let end = win.end();
-        let ng = self.matrix.levels() as usize;
-        let cells = ng * ng;
-        for t in win.origin.t..end.t {
-            for z in win.origin.z..end.z {
-                for d in dirs {
-                    let (dx, dy, dz, dt) = (d.dx as i64, d.dy as i64, d.dz as i64, d.dt as i64);
-                    let t_lo = win.origin.t as i64 + (-dt).max(0);
-                    let t_hi = end.t as i64 - dt.max(0);
-                    let z_lo = win.origin.z as i64 + (-dz).max(0);
-                    let z_hi = end.z as i64 - dz.max(0);
-                    if (t as i64) < t_lo
-                        || t as i64 >= t_hi
-                        || (z as i64) < z_lo
-                        || z as i64 >= z_hi
-                    {
-                        continue;
-                    }
-                    let x_lo = win.origin.x as i64 + (-dx).max(0);
-                    let x_hi = end.x as i64 - dx.max(0);
-                    let y_lo = win.origin.y as i64 + (-dy).max(0);
-                    let y_hi = end.y as i64 - dy.max(0);
-                    if x_lo >= x_hi || y_lo >= y_hi {
-                        continue;
-                    }
-                    let stride = dx
-                        + dy * dims.x as i64
-                        + dz * (dims.x * dims.y) as i64
-                        + dt * (dims.x * dims.y * dims.z) as i64;
-                    for y in y_lo..y_hi {
-                        let row = ((t * dims.z + z) * dims.y + y as usize) * dims.x;
-                        let mut x = x_lo;
-                        while x + LANES as i64 <= x_hi {
-                            let i0 = (row as i64 + x) as usize;
-                            let p0 = (i0 as i64 + stride) as usize;
-                            let c0 = cell(ng, src.level(i0), src.level(p0));
-                            let c1 = cell(ng, src.level(i0 + 1), src.level(p0 + 1));
-                            let c2 = cell(ng, src.level(i0 + 2), src.level(p0 + 2));
-                            let c3 = cell(ng, src.level(i0 + 3), src.level(p0 + 3));
-                            self.lanes[c0 as usize] += 1;
-                            self.lanes[cells + c1 as usize] += 1;
-                            self.lanes[2 * cells + c2 as usize] += 1;
-                            self.lanes[3 * cells + c3 as usize] += 1;
-                            self.touched.extend_from_slice(&[c0, c1, c2, c3]);
-                            x += LANES as i64;
-                        }
-                        while x < x_hi {
-                            let i0 = (row as i64 + x) as usize;
-                            let c0 =
-                                cell(ng, src.level(i0), src.level((i0 as i64 + stride) as usize));
-                            self.lanes[c0 as usize] += 1;
-                            self.touched.push(c0);
-                            x += 1;
-                        }
-                    }
-                }
+    /// Computes one sheet — `rows` output rows of this scratch's width, the
+    /// first window at `origin` — writing `selection.len()` values per
+    /// placement into `out` (row-major), bit-identical to the reference
+    /// scan for every representation.
+    ///
+    /// # Panics
+    /// If any window of the sheet exceeds the volume, or the scratch was
+    /// built for a different level count.
+    pub(crate) fn scan_sheet<S: LevelSource>(
+        &mut self,
+        src: &S,
+        origin: Point4,
+        rows: usize,
+        out: &mut [f64],
+    ) {
+        let (sel, width) = (self.selection, self.width);
+        let n = sel.len();
+        debug_assert_eq!(out.len(), rows * width * n);
+        self.sweep(src, origin, rows, |s, row, x| {
+            if s.sparse {
+                s.stats
+                    .refill_from_sparse_support(&s.matrix, &s.support, &sel);
+            } else {
+                s.stats.refill_from_support(&s.matrix, &s.support, &sel);
             }
-        }
-    }
-}
-
-/// Computes one output row of `width` placements starting at `row_origin`
-/// through the fused kernel, writing `selection.len()` values per
-/// placement into `out_row`, bit-identical to the reference scan. Sparse
-/// representations run through the unmirrored merge and the sparse-order
-/// statistics sweep, bit-identical to the sparse reference.
-///
-/// # Panics
-/// If any window of the row exceeds the volume, or `scratch` was built
-/// for a different level count.
-pub(crate) fn scan_row_fused<S: LevelSource>(
-    src: &S,
-    cfg: &ScanConfig,
-    row_origin: Point4,
-    width: usize,
-    out_row: &mut [f64],
-    scratch: &mut FusedScratch,
-) {
-    assert_eq!(
-        scratch.matrix.levels(),
-        src.levels(),
-        "fused scratch level count does not match source"
-    );
-    let n = cfg.selection.len();
-    debug_assert_eq!(out_row.len(), width * n);
-    let roi = cfg.roi.size();
-    let dims = src.dims();
-    // Validate the whole row up front — the same wall the sliding window's
-    // per-slide assertion enforces.
-    let span = Region4::new(
-        row_origin,
-        Dims4::new(roi.x + width - 1, roi.y, roi.z, roi.t),
-    );
-    assert!(
-        dims.region().contains_region(&span),
-        "fused scan row {span:?} exceeds volume {dims:?}"
-    );
-    let sparse = cfg.representation.is_sparse();
-    scratch.reset_window();
-    scratch.accumulate_window(src, &cfg.directions, Region4::new(row_origin, roi));
-    scratch.merge(sparse);
-    let mut origin = row_origin;
-    for x in 0..width {
-        if x > 0 {
-            let old = Region4::new(origin, roi);
-            scratch.accumulate_plane(src, &cfg.directions, old, origin.x, -1);
-            origin.x += 1;
-            let new = Region4::new(origin, roi);
-            scratch.accumulate_plane(src, &cfg.directions, new, origin.x + roi.x - 1, 1);
-            scratch.merge(sparse);
-        }
-        if sparse {
-            scratch.stats.refill_from_sparse_support(
-                &scratch.matrix,
-                &scratch.support,
-                &cfg.selection,
-            );
-        } else {
-            scratch
-                .stats
-                .refill_from_support(&scratch.matrix, &scratch.support, &cfg.selection);
-        }
-        let values = compute_features(&scratch.stats, &cfg.selection);
-        for (slot, feature) in cfg.selection.iter().enumerate() {
-            out_row[x * n + slot] = values.get(feature).expect("selected feature computed");
-        }
+            let values = compute_features(&s.stats, &sel);
+            let at = (row * width + x) * n;
+            for (slot, feature) in sel.iter().enumerate() {
+                out[at + slot] = values.get(feature).expect("selected feature computed");
+            }
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::direction::Direction;
-    use crate::features::FeatureSelection;
+    use crate::direction::{Direction, DirectionSet};
     use crate::raster::{Representation, ScanEngine, TSlidePolicy};
     use crate::roi::RoiShape;
+    use crate::sparse::{SparseCoMatrix, SparseEntry};
 
     fn volume(dims: Dims4, ng: u16, seed: usize) -> LevelVolume {
         let data: Vec<u8> = dims
@@ -475,91 +435,128 @@ mod tests {
         LevelVolume::from_raw(dims, data, ng).unwrap()
     }
 
-    fn check_state(scratch: &FusedScratch, vol: &LevelVolume, win: Region4, dirs: &DirectionSet) {
-        let expect = CoMatrix::from_region(vol, win, dirs);
-        assert_eq!(&scratch.matrix, &expect, "matrix drifted at {win:?}");
-        let fresh = SupportMask::from_matrix(&expect);
-        let mut a = Vec::new();
-        scratch.support.for_each_set(|i| a.push(i));
-        let mut b = Vec::new();
-        fresh.for_each_set(|i| b.push(i));
-        assert_eq!(a, b, "support drifted at {win:?}");
+    fn config(roi: Dims4, directions: DirectionSet, representation: Representation) -> ScanConfig {
+        ScanConfig {
+            roi: RoiShape::new(roi),
+            directions,
+            selection: FeatureSelection::all(),
+            representation,
+            engine: ScanEngine::Fused,
+            t_slide: TSlidePolicy::Auto,
+        }
     }
 
-    #[test]
-    fn build_and_slides_match_rebuild() {
-        let vol = volume(Dims4::new(12, 9, 4, 4), 8, 1);
-        let roi = Dims4::new(5, 4, 2, 2);
-        for dirs in [
-            DirectionSet::single(Direction::new(1, 1, 1, 1)),
+    /// Distance 1 (one, the paper's, all 40), distance 2, and mixed `|dx|`
+    /// with a displacement longer than the ROI.
+    fn direction_sets() -> [DirectionSet; 5] {
+        let d = Direction::new;
+        [
+            DirectionSet::single(d(1, 1, 1, 1)),
             DirectionSet::paper_4d(1),
             DirectionSet::all_unique_4d(1),
-        ] {
+            DirectionSet::all_unique_4d(2),
+            DirectionSet::new([d(2, 0, 0, 0), d(-2, 1, 1, 0), d(3, 0, 0, 1), d(0, 4, 0, 0)]),
+        ]
+    }
+
+    fn support_cells(mask: &SupportMask) -> Vec<usize> {
+        let mut cells = Vec::new();
+        mask.for_each_set(|i| cells.push(i));
+        cells
+    }
+
+    #[test]
+    fn matrix_and_support_match_rebuild_at_every_placement() {
+        let vol = volume(Dims4::new(12, 9, 4, 4), 8, 1);
+        let roi = Dims4::new(5, 4, 2, 2);
+        let origin = Point4::new(1, 1, 1, 2);
+        for dirs in direction_sets() {
             let src = QuantizedSource::new(&vol);
-            let mut scratch = FusedScratch::new(vol.levels());
-            let mut origin = Point4::new(0, 1, 1, 1);
-            scratch.reset_window();
-            scratch.accumulate_window(&src, &dirs, Region4::new(origin, roi));
-            scratch.merge(false);
-            check_state(&scratch, &vol, Region4::new(origin, roi), &dirs);
-            for _ in 0..7 {
-                let old = Region4::new(origin, roi);
-                scratch.accumulate_plane(&src, &dirs, old, origin.x, -1);
-                origin.x += 1;
-                let new = Region4::new(origin, roi);
-                scratch.accumulate_plane(&src, &dirs, new, origin.x + roi.x - 1, 1);
-                scratch.merge(false);
-                check_state(&scratch, &vol, new, &dirs);
-            }
+            let cfg = config(roi, dirs, Representation::Full);
+            let mut scratch = FusedScratch::new(&src, &cfg, 7);
+            let mut seen = 0;
+            scratch.sweep(&src, origin, 5, |s, row, x| {
+                let win = Region4::new(Point4::new(origin.x + x, origin.y + row, 1, 2), roi);
+                let expect = CoMatrix::from_region(&vol, win, &cfg.directions);
+                assert_eq!(&s.matrix, &expect, "matrix drifted at {win:?}");
+                assert_eq!(
+                    support_cells(&s.support),
+                    support_cells(&SupportMask::from_matrix(&expect)),
+                    "support drifted at {win:?}"
+                );
+                seen += 1;
+            });
+            assert_eq!(seen, 7 * 5);
         }
     }
 
     #[test]
-    fn sparse_merge_emits_sparse_entries_directly() {
-        // The sparse-mode merge keeps an upper-triangle-only store whose
+    fn sparse_store_emits_sparse_entries_directly() {
+        // The sparse-mode matrix is an upper-triangle-only store whose
         // support-ordered cells are exactly the SparseCoMatrix entry list —
-        // no densify-then-sparsify sweep — including after x slides.
-        use crate::sparse::{SparseCoMatrix, SparseEntry};
-        fn emitted(scratch: &FusedScratch) -> (Vec<SparseEntry>, u64) {
-            let ng = scratch.matrix.levels() as usize;
-            let mut entries = Vec::new();
-            scratch.support.for_each_set(|idx| {
-                entries.push(SparseEntry {
-                    i: (idx / ng) as u8,
-                    j: (idx % ng) as u8,
-                    count: scratch.matrix.as_slice()[idx],
-                });
-            });
-            (entries, scratch.matrix.total())
-        }
-        let vol = volume(Dims4::new(9, 6, 3, 6), 8, 6);
+        // no densify-then-sparsify sweep — at every placement.
+        let vol = volume(Dims4::new(9, 8, 3, 6), 8, 6);
         let roi = Dims4::new(5, 4, 2, 2);
-        let dirs = DirectionSet::paper_4d(1);
-        let src = QuantizedSource::new(&vol);
-        let mut scratch = FusedScratch::new(vol.levels());
-        let mut origin = Point4::new(0, 1, 0, 1);
-        scratch.reset_window();
-        scratch.accumulate_window(&src, &dirs, Region4::new(origin, roi));
-        scratch.merge(true);
-        let check = |scratch: &FusedScratch, origin: Point4| {
-            let expect = SparseCoMatrix::from_dense(&CoMatrix::from_region(
-                &vol,
-                Region4::new(origin, roi),
-                &dirs,
-            ));
-            let (entries, total) = emitted(scratch);
-            assert_eq!(entries, expect.entries(), "sparse entries drifted");
-            assert_eq!(total, expect.total(), "symmetric total drifted");
-        };
-        check(&scratch, origin);
-        for _ in 0..4 {
-            let old = Region4::new(origin, roi);
-            scratch.accumulate_plane(&src, &dirs, old, origin.x, -1);
-            origin.x += 1;
-            let new = Region4::new(origin, roi);
-            scratch.accumulate_plane(&src, &dirs, new, origin.x + roi.x - 1, 1);
-            scratch.merge(true);
-            check(&scratch, origin);
+        let origin = Point4::new(0, 1, 0, 1);
+        for dirs in direction_sets() {
+            let src = QuantizedSource::new(&vol);
+            let cfg = config(roi, dirs, Representation::Sparse);
+            let mut scratch = FusedScratch::new(&src, &cfg, 5);
+            scratch.sweep(&src, origin, 4, |s, row, x| {
+                let win = Region4::new(Point4::new(x, origin.y + row, 0, 1), roi);
+                let expect =
+                    SparseCoMatrix::from_dense(&CoMatrix::from_region(&vol, win, &cfg.directions));
+                let entries: Vec<SparseEntry> = support_cells(&s.support)
+                    .into_iter()
+                    .map(|idx| SparseEntry {
+                        i: (idx / 8) as u8,
+                        j: (idx % 8) as u8,
+                        count: s.matrix.as_slice()[idx],
+                    })
+                    .collect();
+                assert_eq!(entries, expect.entries(), "sparse entries drifted");
+                assert_eq!(s.matrix.total(), expect.total(), "symmetric total drifted");
+            });
+        }
+    }
+
+    #[test]
+    fn columns_equal_their_slab_histograms_after_the_last_row() {
+        let vol = volume(Dims4::new(11, 9, 3, 4), 8, 4);
+        let roi = Dims4::new(4, 3, 2, 3);
+        let origin = Point4::new(1, 0, 1, 0);
+        let (width, rows) = (6, 6);
+        for dirs in direction_sets() {
+            let src = QuantizedSource::new(&vol);
+            let cfg = config(roi, dirs, Representation::Full);
+            let mut scratch = FusedScratch::new(&src, &cfg, width);
+            scratch.sweep(&src, origin, rows, |_, _, _| {});
+            for (g, (k, _)) in scratch.groups.iter().enumerate() {
+                // Pairs spanning all k + 1 planes of a slab are the column's.
+                let of_k = DirectionSet::new(
+                    cfg.directions
+                        .iter()
+                        .copied()
+                        .filter(|d| d.dx.unsigned_abs() as usize == *k),
+                );
+                for p in *k..roi.x + width - 1 {
+                    let slab = Region4::new(
+                        Point4::new(origin.x + p - k, origin.y + rows - 1, origin.z, origin.t),
+                        Dims4::new(k + 1, roi.y, roi.z, roi.t),
+                    );
+                    let expect = CoMatrix::from_region(&vol, slab, &of_k);
+                    let mut column = scratch.cols[p * scratch.groups.len() + g].clone();
+                    column.sort_unstable();
+                    let mut rebuilt = Vec::new();
+                    for (lo, hi) in (0..8).flat_map(|lo| (lo..8).map(move |hi| (lo, hi))) {
+                        let pairs = expect.count(lo, hi) / if lo == hi { 2 } else { 1 };
+                        if pairs != 0 {
+                            rebuilt.push((cell(lo as u8, hi as u8), pairs));
+                        }
+                    }
+                    assert_eq!(column, rebuilt, "column k = {k}, plane {p} drifted");
+                }
+            }
         }
     }
 
@@ -579,31 +576,23 @@ mod tests {
     }
 
     #[test]
-    fn fused_row_matches_reference_row() {
+    fn fused_sheet_matches_reference_block() {
         let vol = volume(Dims4::new(12, 8, 3, 3), 8, 3);
-        let cfg = ScanConfig {
-            roi: RoiShape::from_lengths(4, 3, 2, 2),
-            directions: DirectionSet::paper_4d(1),
-            selection: FeatureSelection::all(),
-            representation: Representation::Full,
-            engine: ScanEngine::Fused,
-            t_slide: TSlidePolicy::Auto,
-        };
+        let cfg = config(
+            Dims4::new(4, 3, 2, 2),
+            DirectionSet::paper_4d(1),
+            Representation::Full,
+        );
         let reference = crate::raster::raster_scan(&vol, &cfg);
-        let width = reference.dims().x;
+        let (width, rows) = (reference.dims().x, reference.dims().y);
         let n = cfg.selection.len();
         let src = QuantizedSource::new(&vol);
-        let mut scratch = FusedScratch::new(vol.levels());
-        let mut out = vec![0.0; width * n];
-        let row_origin = Point4::new(0, 2, 1, 0);
-        scan_row_fused(&src, &cfg, row_origin, width, &mut out, &mut scratch);
-        for x in 0..width {
-            let p = Point4::new(x, 2, 1, 0);
-            assert_eq!(
-                &out[x * n..(x + 1) * n],
-                reference.values_at(p),
-                "fused row diverged at x = {x}"
-            );
+        let mut scratch = FusedScratch::new(&src, &cfg, width);
+        let mut out = vec![0.0; rows * width * n];
+        scratch.scan_sheet(&src, Point4::new(0, 0, 1, 0), rows, &mut out);
+        for (i, got) in out.chunks(n).enumerate() {
+            let p = Point4::new(i % width, i / width, 1, 0);
+            assert_eq!(got, reference.values_at(p), "fused sheet diverged at {p:?}");
         }
     }
 }

@@ -59,7 +59,7 @@
 //! | [`roi`] | ROI shape and output-geometry helpers |
 //! | [`raster`] | the raster scan producing feature maps: [`raster::ScanEngine::Reference`] (the oracle, [`raster::raster_scan`]) and [`raster::ScanEngine::Fused`] (the production kernel) |
 //! | [`window`] | incremental sliding-window matrix maintenance for stages that emit matrices, not features (beyond-the-paper optimization) |
-//! | [`fused`] | the fused row kernel: x-slide, per-lane sub-histograms, once-per-placement merge, optional on-the-fly quantization |
+//! | [`fused`] | the fused sheet kernel: per-plane column histograms slid along x and y, one voxel line per output row, optional on-the-fly quantization |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,18 +7,19 @@
 //! * `Reference` — the sequential per-placement rebuild, a direct
 //!   transcription of the paper's Figure 2 pseudo-code and the permanent
 //!   oracle ([`raster_scan`] forces it; every test compares against it);
-//! * `Fused` (default) — the per-lane sub-histogram row kernel of
-//!   [`crate::fused`]: each output row builds its first window once, slides
-//!   along `x`, merges pair deltas once per placement, and optionally
-//!   quantizes raw voxels on the fly ([`scan_placements_raw`]). Output rows
-//!   are dispatched over the ambient `rayon` pool, so the thread count is
-//!   the pool's (`RAYON_NUM_THREADS=1` is sequential).
+//! * `Fused` (default) — the sheet kernel of [`crate::fused`]: per-plane
+//!   column histograms advanced by one voxel line per output row, so the
+//!   window slides along `x` and `y`, and raw voxels are optionally
+//!   quantized on the fly ([`scan_placements_raw`]). The `(z, t)` sheets of
+//!   a block are dispatched over the ambient `rayon` pool, so the thread
+//!   count is the pool's (`RAYON_NUM_THREADS=1` is sequential) and a
+//!   single-sheet block scans on one thread.
 //!
 //! Both engines produce bit-identical [`FeatureMaps`] for all four
 //! [`Representation`]s; the distributed implementation in the `pipeline`
 //! crate routes its per-chunk work through [`scan_placements`].
 
-use crate::coocc::CoMatrix;
+use crate::coocc::{max_cell_count, CoMatrix};
 use crate::direction::DirectionSet;
 use crate::features::{compute_features, FeatureSelection, MatrixStats};
 use crate::fused::{FusedScratch, LevelSource, QuantizedSource, RawLutSource};
@@ -76,11 +77,11 @@ pub enum ScanEngine {
     /// Sequential, per-placement matrix rebuild (paper Figure 2) — the
     /// readable definition and the oracle.
     Reference,
-    /// The fused row kernel of [`crate::fused`], one output row per
-    /// `rayon` task: the window slides along `x`, pair deltas accumulate in
-    /// lane sub-histograms merged once per placement, and the statistics
-    /// sweep only the non-zero cells. Sparse representations are
-    /// accumulated natively.
+    /// The fused sheet kernel of [`crate::fused`], one `(z, t)` sheet per
+    /// `rayon` task: the window slides along `x` and `y` over per-plane
+    /// column histograms, each advanced by one voxel line per output row,
+    /// and the statistics sweep only the non-zero cells. Sparse
+    /// representations are accumulated natively.
     #[default]
     Fused,
 }
@@ -372,13 +373,15 @@ pub fn scan(vol: &LevelVolume, cfg: &ScanConfig) -> FeatureMaps {
 /// stitched chunk volume.
 ///
 /// # Panics
-/// If any requested window exceeds the volume.
+/// If any requested window exceeds the volume, or a window could put more
+/// than `u32::MAX` counts in one matrix cell (`2 · roi.len() · |D|`).
 pub fn scan_placements(
     vol: &LevelVolume,
     cfg: &ScanConfig,
     base: Point4,
     extent: Dims4,
 ) -> FeatureMaps {
+    assert_counts_fit(cfg);
     match cfg.engine {
         ScanEngine::Reference => {
             let mut maps = FeatureMaps::zeros(extent, cfg.selection);
@@ -402,8 +405,8 @@ pub fn scan_placements(
 /// is bit-identical to quantizing first in either case.
 ///
 /// # Panics
-/// If `raw.len() != dims.len()` or any requested window exceeds the
-/// volume.
+/// If `raw.len() != dims.len()`, any requested window exceeds the volume,
+/// or a window could put more than `u32::MAX` counts in one matrix cell.
 pub fn scan_placements_raw(
     dims: Dims4,
     raw: &[u16],
@@ -414,12 +417,30 @@ pub fn scan_placements_raw(
 ) -> FeatureMaps {
     match cfg.engine {
         ScanEngine::Reference => scan_placements(&quantizer.quantize(dims, raw), cfg, base, extent),
-        ScanEngine::Fused => run_fused(&RawLutSource::new(dims, raw, quantizer), cfg, base, extent),
+        ScanEngine::Fused => {
+            assert_counts_fit(cfg);
+            run_fused(&RawLutSource::new(dims, raw, quantizer), cfg, base, extent)
+        }
     }
 }
 
-/// Runs the fused row kernel over every output row of the block, one row
-/// per `rayon` task with one [`FusedScratch`] per worker.
+/// Refuses a configuration under which one window could overflow a `u32`
+/// matrix cell — and with it the fused kernel's `i32` deltas and `u32`
+/// column counts, which the same bound covers. Kept out of line: inlined
+/// into [`scan_placements`] it changed the code generated for the reference
+/// loop beside it (`rebuild_sparse` +4 % on the benchmark host).
+#[inline(never)]
+fn assert_counts_fit(cfg: &ScanConfig) {
+    assert!(
+        max_cell_count(cfg.roi.len(), cfg.directions.len()).is_some(),
+        "ROI {} with {} directions can put more than u32::MAX counts in one co-occurrence cell",
+        cfg.roi.size(),
+        cfg.directions.len()
+    );
+}
+
+/// Runs the fused sheet kernel over every `(z, t)` sheet of the block, one
+/// sheet per `rayon` task with one [`FusedScratch`] per worker.
 fn run_fused<S: LevelSource>(
     src: &S,
     cfg: &ScanConfig,
@@ -432,17 +453,15 @@ fn run_fused<S: LevelSource>(
         return maps;
     }
     maps.data
-        .par_chunks_mut(extent.x * n)
+        .par_chunks_mut(extent.x * extent.y * n)
         .enumerate()
         .for_each_init(
-            || FusedScratch::new(src.levels()),
-            |scratch, (r, out_row)| {
-                // Row r = y + extent.y · (z + extent.z · t).
-                let y = r % extent.y;
-                let z = (r / extent.y) % extent.z;
-                let t = r / (extent.y * extent.z);
-                let row_origin = Point4::new(base.x, base.y + y, base.z + z, base.t + t);
-                crate::fused::scan_row_fused(src, cfg, row_origin, extent.x, out_row, scratch);
+            || FusedScratch::new(src, cfg, extent.x),
+            |scratch, (r, out_sheet)| {
+                // Sheet r = z + extent.z · t.
+                let origin =
+                    Point4::new(base.x, base.y, base.z + r % extent.z, base.t + r / extent.z);
+                scratch.scan_sheet(src, origin, extent.y, out_sheet);
             },
         );
     maps
@@ -636,5 +655,28 @@ mod tests {
                 "sub-block placement {p:?} diverged"
             );
         }
+    }
+
+    #[test]
+    fn both_engines_refuse_a_cell_count_overflow() {
+        // A ROI spanning the paper's whole volume with all 40 directions:
+        // 2 · 2²⁶ · 40 > u32::MAX. Refused before any geometry is looked at.
+        let vol = gradient_volume(Dims4::new(2, 2, 1, 1), 4);
+        let mut cfg = small_cfg();
+        cfg.roi = RoiShape::from_lengths(256, 256, 32, 32);
+        for engine in [ScanEngine::Reference, ScanEngine::Fused] {
+            cfg.engine = engine;
+            let refused = std::panic::catch_unwind(|| {
+                scan_placements(&vol, &cfg, Point4::ZERO, Dims4::new(0, 0, 0, 0))
+            })
+            .expect_err("overflowing configuration was accepted");
+            let message = refused.downcast_ref::<String>().expect("formatted panic");
+            assert!(
+                message.contains("256x256x32x32") && message.contains("40 directions"),
+                "{engine:?}: {message}"
+            );
+        }
+        cfg.roi = RoiShape::from_lengths(256, 256, 32, 16);
+        assert!(scan(&vol, &cfg).dims().is_empty(), "2 · 2²⁵ · 40 fits");
     }
 }

@@ -7,8 +7,8 @@
 //! replays the reference's exact floating-point operation sequence: the
 //! support-mask sweep visits the same non-zero cells in the same order as
 //! the reference's pass (row-major zero-skip for the dense representations,
-//! sorted sparse-entry order for the sparse ones) and integer sub-histogram
-//! accumulation is exact.
+//! sorted sparse-entry order for the sparse ones) and the integer column
+//! histograms keep the matrix exact.
 //!
 //! Identity is asserted both as a max-abs-diff of zero and as an FNV-1a
 //! checksum over the raw output bits.
@@ -34,13 +34,38 @@ const REPRESENTATIONS: [Representation; 4] = [
     Representation::SparseAccum,
 ];
 
+const DIRECTION_KINDS: usize = 8;
+
+/// Kinds 0–4 are distance 1; 5 is distance 2; 6 mixes `|dx|` from 0 to 3;
+/// 7 holds displacements at least as long as every ROI extent the seeded
+/// loop draws (x, y ≤ 4, z ≤ 2, t ≤ 3), which pair nothing and must not
+/// index outside the volume.
 fn direction_set(kind: usize) -> DirectionSet {
+    let d = Direction::new;
     match kind {
-        0 => DirectionSet::single(Direction::new(1, 0, 0, 0)),
-        1 => DirectionSet::single(Direction::new(1, 1, 1, 1)),
+        0 => DirectionSet::single(d(1, 0, 0, 0)),
+        1 => DirectionSet::single(d(1, 1, 1, 1)),
         2 => DirectionSet::all_unique_2d(1),
         3 => DirectionSet::paper_4d(1),
-        _ => DirectionSet::all_unique_4d(1),
+        4 => DirectionSet::all_unique_4d(1),
+        5 => DirectionSet::all_unique_4d(2),
+        6 => DirectionSet::new([
+            d(2, 0, 0, 0),
+            d(1, -1, 0, 0),
+            d(0, 1, 0, 0),
+            d(-2, 1, 1, 0),
+            d(3, 0, 0, 1),
+            d(0, 0, 0, 1),
+            d(-1, 2, -1, 1),
+        ]),
+        _ => DirectionSet::new([
+            d(4, 0, 0, 0),
+            d(1, 1, 0, 0),
+            d(1, -4, 0, 0),
+            d(0, 1, 2, 0),
+            d(-1, 0, 0, 3),
+            d(0, 0, 1, 0),
+        ]),
     }
 }
 
@@ -132,15 +157,18 @@ fn fused_bit_identical_to_reference_on_seeded_random_cases() {
             rng.in_range(1, 3),
         );
         let ng = [2u16, 6, 16][rng.in_range(0, 2)];
-        let directions = direction_set(rng.in_range(0, 4));
-        let repr = REPRESENTATIONS[rng.in_range(0, 3)];
+        let kind = case as usize % DIRECTION_KINDS;
         let vol = lcg_volume(dims, ng, rng.next() << 16 | rng.next());
-        let cfg = config(roi, directions, repr);
-        assert_bit_identical(
-            &scan(&vol, &cfg),
-            &raster_scan(&vol, &cfg),
-            &format!("case seed {seed:#010x} ({dims:?}, {roi:?}, Ng {ng}, {repr:?})"),
-        );
+        for repr in REPRESENTATIONS {
+            let cfg = config(roi, direction_set(kind), repr);
+            assert_bit_identical(
+                &scan(&vol, &cfg),
+                &raster_scan(&vol, &cfg),
+                &format!(
+                    "case seed {seed:#010x} ({dims:?}, {roi:?}, Ng {ng}, kind {kind}, {repr:?})"
+                ),
+            );
+        }
     }
 }
 
@@ -229,6 +257,22 @@ fn every_representation_matches_through_the_raw_path() {
     }
 }
 
+#[test]
+fn offset_sub_block_with_mixed_dx_matches_through_the_raw_path() {
+    // base != 0 and the block ends short of the output in every axis, so the
+    // sheet's span starts and stops inside the volume; |dx| runs from 0 to 3.
+    for repr in REPRESENTATIONS {
+        assert_raw_block_matches(
+            Dims4::new(12, 10, 5, 6),
+            16,
+            &config(RoiShape::from_lengths(4, 3, 2, 2), direction_set(6), repr),
+            Point4::new(2, 1, 1, 1),
+            Dims4::new(5, 4, 2, 3),
+            &format!("offset sub-block, mixed |dx|, {repr:?}"),
+        );
+    }
+}
+
 /// All four representations on one degenerate geometry.
 fn assert_fused_matches(vol: &LevelVolume, roi: RoiShape, directions: DirectionSet) {
     for repr in REPRESENTATIONS {
@@ -244,7 +288,7 @@ fn assert_fused_matches(vol: &LevelVolume, roi: RoiShape, directions: DirectionS
 #[test]
 fn degenerate_two_level_volume_matches() {
     // ng = 2 exercises the smallest possible matrix (4 cells, 3 in the
-    // upper triangle) — the fused lane layout must not over-run it.
+    // upper triangle).
     let vol = lcg_volume(Dims4::new(8, 7, 2, 2), 2, 7);
     assert_fused_matches(
         &vol,
@@ -278,8 +322,8 @@ fn degenerate_one_voxel_t_extent_matches() {
 
 #[test]
 fn degenerate_window_spanning_the_volume_in_x_and_t_matches() {
-    // roi.x == dims.x leaves one placement per output row (a build and no
-    // slide); roi.t == dims.t leaves a single t-placement.
+    // roi.x == dims.x leaves one placement per output row (no plane ever
+    // leaves the window); roi.t == dims.t leaves a single sheet per z.
     let vol = lcg_volume(Dims4::new(6, 7, 3, 3), 8, 29);
     assert_fused_matches(
         &vol,
@@ -291,8 +335,9 @@ fn degenerate_window_spanning_the_volume_in_x_and_t_matches() {
 #[test]
 fn degenerate_constant_volume_matches() {
     // An all-equal volume concentrates the whole matrix on one diagonal
-    // cell — the maximal-duplicate case for the fused touched-cell list
-    // and a single-entry list for the sparse representations.
+    // cell — the maximal-duplicate case for the fused touched-cell list,
+    // single-entry columns, and a single-entry list for the sparse
+    // representations.
     let dims = Dims4::new(9, 6, 2, 5);
     let data = vec![3u8; dims.len()];
     let vol = LevelVolume::from_raw(dims, data, 16).unwrap();

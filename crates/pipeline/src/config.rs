@@ -43,7 +43,7 @@ pub struct AppConfig {
     /// Scan engine used by the texture filters (see
     /// [`haralick::raster::ScanEngine`]). `Reference` is the paper's
     /// single-core per-placement rebuild; `Fused` (the library default) is
-    /// the beyond-the-paper sliding sub-histogram kernel. Outputs are
+    /// the beyond-the-paper sliding column-histogram kernel. Outputs are
     /// byte-identical.
     pub engine: ScanEngine,
 }

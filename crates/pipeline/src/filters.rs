@@ -417,12 +417,12 @@ enum MatrixEither {
 ///
 /// The per-chunk raster scan is routed through [`haralick::raster`] via its
 /// raw-voxel entry point: `cfg.engine` selects the paper's per-placement
-/// rebuild (`Reference`) or the fused sub-histogram kernel (`Fused`), and
+/// rebuild (`Reference`) or the fused sheet kernel (`Fused`), and
 /// both produce bit-identical values. Under `Fused`, quantization folds
 /// into the window walk — the chunk's raw `u16` voxels are binned on the
 /// fly and no intermediate quantized volume is materialized — and sparse
 /// representations run natively (the kernel emits sparse-entry state from
-/// its unmirrored merge, with no densify-then-sparsify round trip).
+/// its unmirrored apply, with no densify-then-sparsify round trip).
 pub fn analyze_chunk(cfg: &AppConfig, data: &ChunkData) -> Result<Vec<ParamPacket>, FilterError> {
     let chunk = &data.chunk;
     let owned = chunk.owned_output;

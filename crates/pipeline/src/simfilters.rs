@@ -123,7 +123,9 @@ fn texture_work(w: &Workload, chunk: &Chunk) -> TextureWork {
         rois: chunk.rois(),
         roi_voxels: w.roi_voxels(),
         roi_x: w.cfg.roi.size().x,
+        roi_y: w.cfg.roi.size().y,
         row_len: chunk.owned_output.size.x,
+        sheet_rows: chunk.owned_output.size.y,
         ndirs: w.ndirs(),
         ng: w.cfg.levels,
         repr: w.repr(),
