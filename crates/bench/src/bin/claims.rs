@@ -14,6 +14,7 @@
 //! Run with `cargo run --release -p bench --bin claims`.
 
 use cluster::calibrate::{calibrate, PIII_SLOWDOWN};
+use cluster::cost::CostModel;
 use haralick::raster::Representation;
 use haralick::sparse::SparseCoMatrix;
 
@@ -23,38 +24,37 @@ fn main() {
     let c = calibrate(42, samples);
     let m = &c.model;
     println!("(all model constants at PIII reference speed = host x {PIII_SLOWDOWN})");
-    println!(
-        "coocc_s_per_voxel_dir      = {:.3e}",
-        m.coocc_s_per_voxel_dir
-    );
-    println!(
-        "coocc_sparse_s_per_vox_dir = {:.3e}",
-        m.coocc_sparse_s_per_voxel_dir
-    );
-    println!(
-        "coocc_slide_s_per_vox_dir  = {:.3e}",
-        m.coocc_slide_s_per_voxel_dir
-    );
-    println!(
-        "feat_full_s_per_entry      = {:.3e}",
-        m.feat_full_s_per_entry
-    );
-    println!(
-        "feat_naive_s_per_entry     = {:.3e}",
-        m.feat_naive_s_per_entry
-    );
-    println!(
-        "feat_sparse_s_per_entry    = {:.3e}",
-        m.feat_sparse_s_per_entry
-    );
-    println!("feat_base_s                = {:.3e}", m.feat_base_s);
-    println!(
-        "sparse_convert_s_per_entry = {:.3e}",
-        m.sparse_convert_s_per_entry
-    );
-    println!("stitch_s_per_byte          = {:.3e}", m.stitch_s_per_byte);
-    println!("write_s_per_byte           = {:.3e}", m.write_s_per_byte);
-    println!("mean_nnz                   = {:.2}", m.mean_nnz);
+    // Every field, in the order and form of the `default_model()` literal in
+    // `cluster::calibrated_defaults`; the pattern stops compiling when
+    // `CostModel` gains a field this does not print.
+    let &CostModel {
+        coocc_s_per_voxel_dir,
+        coocc_sparse_s_per_voxel_dir,
+        feat_full_s_per_entry,
+        feat_naive_s_per_entry,
+        feat_sparse_s_per_entry,
+        feat_base_s,
+        sparse_convert_s_per_entry,
+        fused_s_per_placement,
+        stitch_s_per_byte,
+        write_s_per_byte,
+        mean_nnz,
+    } = m;
+    for (name, v) in [
+        ("coocc_s_per_voxel_dir", coocc_s_per_voxel_dir),
+        ("coocc_sparse_s_per_voxel_dir", coocc_sparse_s_per_voxel_dir),
+        ("feat_full_s_per_entry", feat_full_s_per_entry),
+        ("feat_naive_s_per_entry", feat_naive_s_per_entry),
+        ("feat_sparse_s_per_entry", feat_sparse_s_per_entry),
+        ("feat_base_s", feat_base_s),
+        ("sparse_convert_s_per_entry", sparse_convert_s_per_entry),
+        ("fused_s_per_placement", fused_s_per_placement),
+        ("stitch_s_per_byte", stitch_s_per_byte),
+        ("write_s_per_byte", write_s_per_byte),
+    ] {
+        println!("{name}: {v:.1e},");
+    }
+    println!("mean_nnz: {mean_nnz:.1},");
     println!();
 
     println!("== paper claim: sparsity ==");

@@ -9,6 +9,8 @@
 //! * the zero-skip and naive dense feature passes (per `Ng²` entry),
 //! * the sparse feature pass (per stored entry) and the dense→sparse
 //!   conversion,
+//! * one sheet of placements through the fused scan, whole kernel (per
+//!   placement),
 //! * bulk buffer copying (the IIC stitch, per byte),
 //!
 //! and records the observed mean matrix sparsity.
@@ -19,10 +21,10 @@
 //! [`crate::calibrated_defaults`] keeps tests and figure harnesses
 //! deterministic; the `claims` binary re-measures live.
 
-use crate::cost::{CostModel, TextureWork};
+use crate::cost::CostModel;
 use haralick::coocc::CoMatrix;
 use haralick::direction::DirectionSet;
-use haralick::features::{compute_features, Feature, FeatureSelection, MatrixStats};
+use haralick::features::{compute_features, FeatureSelection, MatrixStats};
 use haralick::raster::{scan_placements, Representation, ScanConfig, ScanEngine, TSlidePolicy};
 use haralick::roi::RoiShape;
 use haralick::sparse::{SparseAccumulator, SparseCoMatrix};
@@ -92,105 +94,29 @@ pub fn calibrate(seed: u64, samples: usize) -> Calibration {
     let coocc_total = t.elapsed().as_secs_f64();
     let host_coocc_per_roi = coocc_total / n as f64;
 
-    // --- incremental sliding-window updates ---
-    // Measure a row of slides and charge the per-(plane voxel x direction)
-    // constant; the '2' accounts for remove + add planes.
-    let host_slide_per_voxel_dir = {
-        let out = roi.output_dims(vol.dims());
-        let slides_per_row = (out.x - 1).max(1);
-        let plane = roi.len() / roi.size().x;
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for y in (0..out.y).step_by((out.y / 8).max(1)) {
-            let mut win = haralick::window::SlidingWindow::new(
-                &vol,
-                &dirs,
-                roi.size(),
-                haralick::volume::Point4::new(0, y, 0, 0),
-            );
-            let t = Instant::now();
-            for _ in 0..slides_per_row {
-                win.slide_x();
-            }
-            total += t.elapsed().as_secs_f64();
-            count += slides_per_row;
-        }
-        total / (count as f64 * 2.0 * plane as f64 * ndirs as f64)
-    };
-
-    // --- dirty-cell stats maintenance ---
-    // Drive a support bitmap at the fused engine's granularity
-    // (read a count, test non-zero, set/clear one bit) — the per-cell
-    // bookkeeping each applied column entry pays before the sparse feature
-    // sweep.
-    let host_stats_dirty_per_cell = {
-        let counts = matrices[0].as_slice();
-        let mut words = vec![0u64; counts.len().div_ceil(64)];
-        let idxs: Vec<usize> = (0..counts.len()).map(|i| (i * 97) % counts.len()).collect();
-        let reps = 2000usize;
-        let t = Instant::now();
-        for r in 0..reps {
-            for &i in &idxs {
-                let nz = counts[(i + r) % counts.len()] != 0;
-                let w = i / 64;
-                let bit = 1u64 << (i % 64);
-                if nz {
-                    words[w] |= bit;
-                } else {
-                    words[w] &= !bit;
-                }
-            }
-            std::hint::black_box(&mut words);
-        }
-        t.elapsed().as_secs_f64() / (reps as f64 * idxs.len() as f64)
-    };
-
-    // --- fused sheet kernel ---
-    // Timed directly: one whole (z, t) sheet through the fused engine,
-    // charged per pair visit of the shape the model prices
-    // (`TextureWork::fused_pair_visits`). The selection is gated down to
-    // one accumulator so the statistics pass, which the model charges
-    // separately, stays out of the constant; the column folds are
-    // amortized into it.
-    let (host_fused_per_voxel_dir, host_fused_sparse_ratio) = {
-        let out = roi.output_dims(vol.dims());
+    // --- fused scan ---
+    // The kernel itself, as HMP runs it: one whole (z, t) sheet of
+    // placements through `scan_placements`, charged per placement. One
+    // sheet is one `rayon` task, so this is one core's time. The sheet is
+    // a few milliseconds of work, so an untimed pass goes first: a cold
+    // cache would dominate the timed one.
+    let host_fused_per_placement = {
         let extent = Dims4::new(out.x, out.y, 1, 1);
-        let mk = |representation| ScanConfig {
+        let cfg = ScanConfig {
             roi,
             directions: dirs.clone(),
-            selection: FeatureSelection::of(&[Feature::AngularSecondMoment]),
-            representation,
+            selection: sel,
+            representation: Representation::Full,
             engine: ScanEngine::Fused,
             t_slide: TSlidePolicy::Auto,
         };
-        let time_of = |cfg: &ScanConfig| {
-            // One untimed pass first: the block is a few hundred
-            // placements, so a cold cache would dominate the timed one.
-            std::hint::black_box(scan_placements(&vol, cfg, Point4::ZERO, extent));
-            let t = Instant::now();
-            std::hint::black_box(scan_placements(&vol, cfg, Point4::ZERO, extent));
-            t.elapsed().as_secs_f64()
-        };
-        let fused = time_of(&mk(Representation::Full));
-        // The sparse-aware fused path re-runs the same kernel with the
-        // unmirrored apply and the sparse-order sweep; its constant is the
-        // dense fused constant scaled by the measured end-to-end ratio.
-        let fused_sparse = time_of(&mk(Representation::Sparse));
-        let work = TextureWork {
-            rois: extent.len(),
-            roi_voxels,
-            roi_x: roi.size().x,
-            roi_y: roi.size().y,
-            row_len: extent.x,
-            sheet_rows: extent.y,
-            ndirs,
-            ng,
-            repr: Representation::Full,
-        };
-        (
-            fused / work.fused_pair_visits(),
-            (fused_sparse / fused.max(1e-12)).clamp(0.8, 2.0),
-        )
+        std::hint::black_box(scan_placements(&vol, &cfg, Point4::ZERO, extent));
+        let reps = 8;
+        let t = Instant::now();
+        for _ in 0..reps {
+            std::hint::black_box(scan_placements(&vol, &cfg, Point4::ZERO, extent));
+        }
+        t.elapsed().as_secs_f64() / (reps * extent.len()) as f64
     };
 
     // --- sparse-storage accumulation (binary-search increments) ---
@@ -256,18 +182,13 @@ pub fn calibrate(seed: u64, samples: usize) -> Calibration {
         coocc_sparse_s_per_voxel_dir: host_coocc_sparse_per_roi
             / (roi_voxels as f64 * ndirs as f64)
             * PIII_SLOWDOWN,
-        coocc_slide_s_per_voxel_dir: host_slide_per_voxel_dir * PIII_SLOWDOWN,
         feat_full_s_per_entry: (host_feat_full_per_matrix / entries) * PIII_SLOWDOWN,
         feat_naive_s_per_entry: (host_feat_naive_per_matrix / entries) * PIII_SLOWDOWN,
         feat_sparse_s_per_entry: (host_feat_sparse_per_matrix * 0.7 / mean_nnz.max(1.0))
             * PIII_SLOWDOWN,
         feat_base_s,
         sparse_convert_s_per_entry: (convert_per_matrix / entries) * PIII_SLOWDOWN,
-        stats_dirty_s_per_cell: host_stats_dirty_per_cell.max(1e-11) * PIII_SLOWDOWN,
-        coocc_fused_s_per_voxel_dir: host_fused_per_voxel_dir * PIII_SLOWDOWN,
-        coocc_fused_sparse_s_per_voxel_dir: host_fused_per_voxel_dir
-            * host_fused_sparse_ratio
-            * PIII_SLOWDOWN,
+        fused_s_per_placement: host_fused_per_placement * PIII_SLOWDOWN,
         stitch_s_per_byte: stitch_per_byte * PIII_SLOWDOWN,
         write_s_per_byte: stitch_per_byte * 2.0 * PIII_SLOWDOWN,
         mean_nnz,
@@ -295,15 +216,12 @@ mod tests {
         for (name, v) in [
             ("coocc", m.coocc_s_per_voxel_dir),
             ("coocc_sparse", m.coocc_sparse_s_per_voxel_dir),
-            ("coocc_slide", m.coocc_slide_s_per_voxel_dir),
             ("full", m.feat_full_s_per_entry),
             ("naive", m.feat_naive_s_per_entry),
             ("sparse", m.feat_sparse_s_per_entry),
             ("base", m.feat_base_s),
             ("convert", m.sparse_convert_s_per_entry),
-            ("stats_dirty", m.stats_dirty_s_per_cell),
-            ("coocc_fused", m.coocc_fused_s_per_voxel_dir),
-            ("coocc_fused_sparse", m.coocc_fused_sparse_s_per_voxel_dir),
+            ("fused", m.fused_s_per_placement),
             ("stitch", m.stitch_s_per_byte),
             ("write", m.write_s_per_byte),
         ] {

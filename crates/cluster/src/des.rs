@@ -394,7 +394,7 @@ impl Engine<'_> {
 
     /// Attempts to push queued sends downstream. Returns whether at least
     /// one send was admitted. Blocks (registers as a slot waiter) on the
-    /// first send whose target queue(s) are full. Completes the copy when
+    /// first send whose target queue is full. Completes the copy when
     /// the final flush has run and the outbox drains.
     fn drain_outbox(&mut self, id: usize, now: f64) -> bool {
         let mut progressed = false;
@@ -406,27 +406,19 @@ impl Engine<'_> {
             let dest_port = self.streams[si].dest_port;
             let from_node = self.copies[id].node;
             let seq = self.copies[id].rr_seq[out_idx];
-            let targets: Vec<usize> = match policy.route(seq, buf.tag, ncons) {
+            let target = match policy.route(seq, buf.tag, ncons) {
                 Route::One(i) => {
                     let t = self.streams[si].consumer_copies[i];
                     if !self.admissible(t) {
-                        self.park(id, &[t]);
+                        self.park(id, t);
                         return progressed;
                     }
-                    vec![t]
-                }
-                Route::All => {
-                    let ts = self.streams[si].consumer_copies.clone();
-                    if let Some(&full) = ts.iter().find(|&&t| !self.admissible(t)) {
-                        self.park(id, &[full]);
-                        return progressed;
-                    }
-                    ts
+                    t
                 }
                 Route::Shared => match self.dd_pick(&self.streams[si], from_node, &buf, now) {
-                    DdChoice::Send(t) => vec![t],
+                    DdChoice::Send(t) => t,
                     DdChoice::WaitFor(t) => {
-                        self.park(id, &[t]);
+                        self.park(id, t);
                         return progressed;
                     }
                 },
@@ -436,9 +428,7 @@ impl Engine<'_> {
             self.copies[id].outbox.pop_front();
             self.copies[id].stats.buffers_out += 1;
             self.copies[id].stats.bytes_out += buf.bytes;
-            for t in targets {
-                self.deliver(now, id, t, dest_port, buf);
-            }
+            self.deliver(now, id, target, dest_port, buf);
             progressed = true;
         }
         if self.copies[id].finishing && !self.copies[id].done {
@@ -447,12 +437,10 @@ impl Engine<'_> {
         progressed
     }
 
-    /// Parks `id` on the slot-waiter lists of `consumers`.
-    fn park(&mut self, id: usize, consumers: &[usize]) {
+    /// Parks `id` on the slot-waiter list of `consumer`.
+    fn park(&mut self, id: usize, consumer: usize) {
         self.copies[id].waiting_for_slot = true;
-        for &c in consumers {
-            self.copies[c].slot_waiters.push_back(id);
-        }
+        self.copies[consumer].slot_waiters.push_back(id);
     }
 
     /// Wakes parked producers while `consumer` has free queue slots. A

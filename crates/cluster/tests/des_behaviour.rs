@@ -305,22 +305,6 @@ fn shared_trunk_serializes_intercluster_transfers() {
 }
 
 #[test]
-fn broadcast_reaches_all_copies() {
-    let mut c = ClusterSpec::new();
-    c.add_nodes("T", "t", 4, 1, 1.0, 1e12, 0.0);
-    c.set_intra("T", NetClass::switched(1e9, 0.0));
-    let spec = GraphSpec::new()
-        .filter_placed("src", vec![0])
-        .filter_placed("w", vec![1, 2, 3])
-        .stream("s", "src", "w", SchedulePolicy::Broadcast);
-    let mut f: HashMap<String, SimFilterFactory> = HashMap::new();
-    f.insert("src".into(), src_factory(7, 0.0, 1, 1));
-    f.insert("w".into(), work_factory(0.0, false));
-    let rep = simulate(&spec, &c, &mut f);
-    assert_eq!(rep.per_copy.buffers_into("w"), 21);
-}
-
-#[test]
 fn conservation_and_busy_accounting() {
     let (n, b_cost) = (30u64, 0.002);
     let spec = GraphSpec::new()

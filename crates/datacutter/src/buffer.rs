@@ -8,7 +8,7 @@
 //!
 //! Payloads are reference-counted (`Arc`), so handing a buffer from a
 //! producer to a co-located consumer is literally "copying the pointer to
-//! the data buffer" as in DataCutter; broadcast streams clone the `Arc`,
+//! the data buffer" as in DataCutter; cloning a buffer clones the `Arc`,
 //! never the data.
 
 use std::any::Any;

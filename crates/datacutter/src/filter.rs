@@ -296,10 +296,6 @@ impl FilterContext {
     /// error naming the consumer if the downstream filter has terminated
     /// (e.g. after an error elsewhere in the graph) — producers then unwind
     /// instead of deadlocking.
-    ///
-    /// A broadcast that fails part-way still accounts the emission if at
-    /// least one consumer copy received the buffer (those copies hold live
-    /// references), and the error reports how many copies were delivered.
     pub fn emit(&mut self, port: usize, buf: DataBuffer) -> Result<(), FilterError> {
         let out = self
             .outputs
@@ -308,67 +304,28 @@ impl FilterContext {
         let size = buf.size_bytes() as u64;
         let route = out.policy.route(out.seq, buf.tag(), out.consumer_copies);
         out.seq += 1;
-        let dest_port = out.dest_port;
-        let dest = out.dest_filter.as_str();
-        let meter = &out.meter;
-        // Each send is timed (backpressure shows up here as blocked-send
+        let sender = match route {
+            Route::One(i) => &out.senders[i],
+            Route::Shared => &out.senders[0],
+        };
+        // The send is timed (backpressure shows up here as blocked-send
         // time) and, on success, metered with the queue depth it produced.
-        let mut blocked = Duration::ZERO;
-        let mut send = |s: &Sender<Msg>, buf: DataBuffer| {
-            let t = Instant::now();
-            let r = s.send(Msg {
-                port: dest_port,
-                buf,
-            });
-            blocked += t.elapsed();
-            match r {
-                Ok(()) => {
-                    meter.record(size, s.len());
-                    Ok(())
-                }
-                Err(_) => Err(FilterError::downstream_closed(format!(
-                    "downstream filter {dest:?} terminated"
-                ))),
-            }
-        };
-        // `account` is true whenever the buffer reached at least one
-        // consumer copy — data that actually left this filter is counted
-        // even when the emission ultimately fails part-way.
-        let (account, result) = match route {
-            Route::One(i) => match send(&out.senders[i], buf) {
-                Ok(()) => (true, Ok(())),
-                Err(e) => (false, Err(e)),
-            },
-            Route::Shared => match send(&out.senders[0], buf) {
-                Ok(()) => (true, Ok(())),
-                Err(e) => (false, Err(e)),
-            },
-            Route::All => {
-                let total = out.senders.len();
-                let mut outcome = (true, Ok(()));
-                for (delivered, s) in out.senders.iter().enumerate() {
-                    if let Err(e) = send(s, buf.clone()) {
-                        // Consumers 0..delivered already hold the buffer;
-                        // report the partial delivery in the error.
-                        outcome = (
-                            delivered > 0,
-                            Err(FilterError::downstream_closed(format!(
-                                "{} after broadcasting to {delivered} of {total} copies",
-                                e.message()
-                            ))),
-                        );
-                        break;
-                    }
-                }
-                outcome
-            }
-        };
-        self.blocked_send += blocked;
-        if account {
-            self.buffers_out += 1;
-            self.bytes_out += size;
-        }
-        result
+        let t = Instant::now();
+        let sent = sender.send(Msg {
+            port: out.dest_port,
+            buf,
+        });
+        self.blocked_send += t.elapsed();
+        sent.map_err(|_| {
+            FilterError::downstream_closed(format!(
+                "downstream filter {:?} terminated",
+                out.dest_filter
+            ))
+        })?;
+        out.meter.record(size, sender.len());
+        self.buffers_out += 1;
+        self.bytes_out += size;
+        Ok(())
     }
 }
 
@@ -422,6 +379,10 @@ mod tests {
         }
         assert_eq!(ctx.buffers_out, 6);
         assert_eq!(ctx.bytes_out, 24);
+        // Metered once per send, depth sampled after it.
+        let meter = &ctx.outputs[0].meter;
+        assert_eq!((meter.buffers(), meter.bytes()), (6, 24));
+        assert_eq!(meter.depth_high_water(), 2);
     }
 
     #[test]
@@ -435,32 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_clones_to_all() {
-        let (mut ctx, rx) = ctx_with(SchedulePolicy::Broadcast, 3);
-        ctx.emit(0, DataBuffer::new(7u8, 1, 0)).unwrap();
-        for r in &rx {
-            let msg = r.try_recv().unwrap();
-            assert_eq!(*msg.buf.expect::<u8>(), 7);
-        }
-        // One logical emission even though three queues were written.
-        assert_eq!(ctx.buffers_out, 1);
-    }
-
-    #[test]
-    fn emit_meters_deliveries_per_queue_write() {
-        let (mut ctx, rx) = ctx_with(SchedulePolicy::Broadcast, 3);
-        ctx.emit(0, DataBuffer::new(7u8, 5, 0)).unwrap();
-        ctx.emit(0, DataBuffer::new(8u8, 5, 1)).unwrap();
-        let meter = ctx.outputs[0].meter.clone();
-        // A broadcast counts once per consumer queue, unlike buffers_out.
-        assert_eq!(meter.buffers(), 6);
-        assert_eq!(meter.bytes(), 30);
-        assert_eq!(meter.depth_high_water(), 2, "sampled after each send");
-        assert_eq!(ctx.buffers_out, 2);
-        drop(rx);
-    }
-
-    #[test]
     fn emit_to_dead_consumer_errors() {
         let (mut ctx, rx) = ctx_with(SchedulePolicy::RoundRobin, 1);
         drop(rx);
@@ -471,35 +406,6 @@ mod tests {
             e.message().contains("\"consumer\""),
             "destination filter missing from {e}"
         );
-    }
-
-    #[test]
-    fn partial_broadcast_accounts_delivered_copies() {
-        let (mut ctx, mut rx) = ctx_with(SchedulePolicy::Broadcast, 3);
-        // Kill the last consumer copy: copies 0 and 1 still receive.
-        drop(rx.pop());
-        let e = ctx.emit(0, DataBuffer::new(9u8, 5, 0)).unwrap_err();
-        assert_eq!(e.kind(), FilterErrorKind::DownstreamClosed);
-        assert!(
-            e.message().contains("2 of 3"),
-            "partial delivery not reported: {e}"
-        );
-        // The buffer did leave this filter — stats must say so.
-        assert_eq!(ctx.buffers_out, 1);
-        assert_eq!(ctx.bytes_out, 5);
-        for r in &rx {
-            assert_eq!(r.len(), 1, "live copies must have received the buffer");
-        }
-    }
-
-    #[test]
-    fn failed_broadcast_to_first_copy_accounts_nothing() {
-        let (mut ctx, mut rx) = ctx_with(SchedulePolicy::Broadcast, 2);
-        rx.remove(0);
-        let e = ctx.emit(0, DataBuffer::new(1u8, 4, 0)).unwrap_err();
-        assert!(e.message().contains("0 of 2"), "got: {e}");
-        assert_eq!(ctx.buffers_out, 0);
-        assert_eq!(ctx.bytes_out, 0);
     }
 
     #[test]

@@ -369,5 +369,11 @@ mod tests {
         let s = serde_json::to_string(&g).unwrap();
         let back: GraphSpec = serde_json::from_str(&s).unwrap();
         assert_eq!(g, back);
+        // A policy name this crate does not route is refused by name.
+        let retired = "Broadcast";
+        let s = s.replacen("RoundRobin", retired, 1);
+        let e = serde_json::from_str::<GraphSpec>(&s).unwrap_err();
+        assert!(e.to_string().contains("unknown variant"), "{e}");
+        assert!(e.to_string().contains(retired), "{e}");
     }
 }

@@ -19,10 +19,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Shared per-stream meter, updated lock-free by every producer copy.
 ///
-/// `emit` records one delivery per queue write (a broadcast to *n* consumer
-/// copies counts *n* deliveries) and samples the written queue's depth right
-/// after the send — a cheap high-water signal that exposes which stream the
-/// backpressure lives on without per-buffer timestamps.
+/// `emit` records one delivery per queue write and samples the written
+/// queue's depth right after the send — a cheap high-water signal that
+/// exposes which stream the backpressure lives on without per-buffer
+/// timestamps.
 #[derive(Debug, Default)]
 pub struct StreamMeter {
     buffers: AtomicU64,
@@ -80,8 +80,7 @@ pub struct StreamStats {
     /// Number of queues realizing the stream (consumer copies for
     /// private-queue policies, one for the shared demand-driven queue).
     pub queues: usize,
-    /// Buffers delivered, counted per queue write (a broadcast counts once
-    /// per consumer copy).
+    /// Buffers delivered, counted per queue write.
     pub buffers: u64,
     /// Bytes delivered, counted per queue write.
     pub bytes: u64,
@@ -103,7 +102,7 @@ pub struct CopyReport {
     pub copy: usize,
     /// Buffers consumed.
     pub buffers_in: u64,
-    /// Buffers emitted (a broadcast counts once).
+    /// Buffers emitted.
     pub buffers_out: u64,
     /// Bytes consumed.
     pub bytes_in: u64,

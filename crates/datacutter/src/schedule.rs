@@ -21,8 +21,6 @@ pub enum SchedulePolicy {
     /// copies in a user-defined way is required" — e.g. pieces of the same
     /// RFR-to-IIC chunk must all reach the same IIC copy.
     ByTagModulo,
-    /// Every consumer copy receives (a pointer to) every buffer.
-    Broadcast,
 }
 
 impl SchedulePolicy {
@@ -36,14 +34,12 @@ impl SchedulePolicy {
         !matches!(self, SchedulePolicy::DemandDriven)
     }
 
-    /// For private-queue policies: which consumer copies receive a buffer
-    /// with tag `tag`, given the producer's running sequence number `seq`
-    /// on this stream.
+    /// Where a buffer with tag `tag` goes, given the producer's running
+    /// sequence number `seq` on this stream.
     pub fn route(self, seq: u64, tag: u64, n_copies: usize) -> Route {
         match self {
             SchedulePolicy::RoundRobin => Route::One((seq % n_copies as u64) as usize),
             SchedulePolicy::ByTagModulo => Route::One((tag % n_copies as u64) as usize),
-            SchedulePolicy::Broadcast => Route::All,
             SchedulePolicy::DemandDriven => Route::Shared,
         }
     }
@@ -54,8 +50,6 @@ impl SchedulePolicy {
 pub enum Route {
     /// Deliver to the given consumer copy.
     One(usize),
-    /// Deliver to every consumer copy.
-    All,
     /// Push onto the shared demand-driven queue.
     Shared,
 }
@@ -90,8 +84,7 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_and_demand() {
-        assert_eq!(SchedulePolicy::Broadcast.route(0, 0, 2), Route::All);
+    fn demand_driven_shares_one_queue() {
         assert_eq!(SchedulePolicy::DemandDriven.route(0, 0, 2), Route::Shared);
         assert!(!SchedulePolicy::DemandDriven.uses_private_queues());
         assert!(SchedulePolicy::RoundRobin.uses_private_queues());

@@ -240,32 +240,6 @@ fn tag_modulo_routes_deterministically() {
 }
 
 #[test]
-fn broadcast_reaches_every_copy() {
-    let spec = GraphSpec::new()
-        .filter("src", 1)
-        .filter("w", 3)
-        .filter("sink", 1)
-        .stream("a", "src", "w", SchedulePolicy::Broadcast)
-        .stream("b", "w", "sink", SchedulePolicy::RoundRobin);
-    let mut f = factories();
-    add_source(&mut f, "src", 50);
-    let log = add_worker(&mut f, "w", Duration::ZERO, 0);
-    let out = add_sink(&mut f, "sink");
-    run(&spec, &mut f);
-    assert_eq!(log.lock().unwrap().len(), 150, "3 copies x 50 buffers");
-    assert_eq!(out.lock().unwrap().len(), 150);
-    for copy in 0..3 {
-        let n = log
-            .lock()
-            .unwrap()
-            .iter()
-            .filter(|(c, _)| *c == copy)
-            .count();
-        assert_eq!(n, 50, "copy {copy} missed broadcasts");
-    }
-}
-
-#[test]
 fn three_stage_pipeline_transforms_values() {
     let spec = GraphSpec::new()
         .filter("src", 1)

@@ -12,7 +12,7 @@ use crate::graphs::{split_counts, Copies, HmpGraph, SplitGraph};
 use crate::simfilters::sim_factories;
 use crate::workload::Workload;
 use cluster::cost::CostModel;
-use cluster::des::{simulate, simulate_with, SimOptions, SimReport};
+use cluster::des::{simulate_with, SimOptions, SimReport};
 use cluster::presets;
 use cluster::spec::{ClusterSpec, NetClass};
 use datacutter::graph::GraphSpec;
@@ -105,45 +105,80 @@ impl PiiiLayout {
             texture_base: 6,
         }
     }
+
+    /// The texture nodes at `offsets` past the first one.
+    fn texture(&self, offsets: std::ops::Range<usize>) -> Vec<usize> {
+        offsets.map(|i| self.texture_base + i).collect()
+    }
+
+    /// `n` texture nodes as dedicated `(HCC, HPC)` placements, 4:1.
+    fn split(&self, n: usize) -> (Vec<usize>, Vec<usize>) {
+        let (n_hcc, n_hpc) = split_counts(n);
+        (self.texture(0..n_hcc), self.texture(n_hcc..n_hcc + n_hpc))
+    }
 }
 
-fn run(
-    spec: &GraphSpec,
-    cluster: &ClusterSpec,
-    w: &Arc<Workload>,
-    model: &Arc<CostModel>,
-) -> SimReport {
-    let mut factories = sim_factories(spec, cluster, w, model);
-    simulate(spec, cluster, &mut factories)
+/// The placed HMP graph: every filter on the listed nodes, chunks
+/// demand-driven.
+fn hmp_spec(rfr: &[usize], iic: &[usize], hmp: Vec<usize>, uso: &[usize]) -> GraphSpec {
+    HmpGraph {
+        rfr: Copies::Placed(rfr.to_vec()),
+        iic: Copies::Placed(iic.to_vec()),
+        hmp: Copies::Placed(hmp),
+        uso: Copies::Placed(uso.to_vec()),
+        texture_policy: SchedulePolicy::DemandDriven,
+    }
+    .build()
 }
 
+/// The placed split graph, still a builder so Figure 11 can set its chunk
+/// policy: every filter on the listed nodes, both texture streams
+/// demand-driven.
+fn split_graph(
+    rfr: &[usize],
+    iic: &[usize],
+    hcc: &[usize],
+    hpc: &[usize],
+    uso: &[usize],
+) -> SplitGraph {
+    SplitGraph {
+        rfr: Copies::Placed(rfr.to_vec()),
+        iic: Copies::Placed(iic.to_vec()),
+        hcc: Copies::Placed(hcc.to_vec()),
+        hpc: Copies::Placed(hpc.to_vec()),
+        uso: Copies::Placed(uso.to_vec()),
+        texture_policy: SchedulePolicy::DemandDriven,
+        matrix_policy: SchedulePolicy::DemandDriven,
+    }
+}
+
+/// Simulates the run `cfg` describes through `spec` on `cluster`.
 fn run_with(
     spec: &GraphSpec,
     cluster: &ClusterSpec,
-    w: &Arc<Workload>,
-    model: &Arc<CostModel>,
+    cfg: AppConfig,
+    model: &CostModel,
     options: &SimOptions,
 ) -> SimReport {
-    let mut factories = sim_factories(spec, cluster, w, model);
+    let w = Arc::new(Workload::new(cfg));
+    let mut factories = sim_factories(spec, cluster, &w, &Arc::new(model.clone()));
     simulate_with(spec, cluster, &mut factories, options)
+}
+
+fn run(spec: &GraphSpec, cluster: &ClusterSpec, cfg: AppConfig, model: &CostModel) -> SimReport {
+    run_with(spec, cluster, cfg, model, &SimOptions::default())
 }
 
 /// Runs the HMP implementation with `n` transparent HMP copies on the PIII
 /// cluster (Figure 7a points).
 pub fn run_hmp_piii(model: &CostModel, repr: Representation, n: usize) -> SimReport {
-    let layout = PiiiLayout::paper();
-    let w = Arc::new(Workload::new(AppConfig::paper(repr)));
-    let model = Arc::new(model.clone());
-    let hmp: Vec<usize> = (0..n).map(|i| layout.texture_base + i).collect();
-    let spec = HmpGraph {
-        rfr: Copies::Placed(layout.rfr.clone()),
-        iic: Copies::Placed(layout.iic.clone()),
-        hmp: Copies::Placed(hmp),
-        uso: Copies::Placed(layout.uso.clone()),
-        texture_policy: SchedulePolicy::DemandDriven,
-    }
-    .build();
-    run(&spec, &layout.cluster, &w, &model)
+    run_hmp_piii_cfg(model, AppConfig::paper(repr), n)
+}
+
+fn run_hmp_piii_cfg(model: &CostModel, cfg: AppConfig, n: usize) -> SimReport {
+    let l = PiiiLayout::paper();
+    let spec = hmp_spec(&l.rfr, &l.iic, l.texture(0..n), &l.uso);
+    run(&spec, &l.cluster, cfg, model)
 }
 
 /// Runs the split implementation with `n` texture nodes on the PIII cluster
@@ -167,34 +202,15 @@ pub fn run_split_piii_with(
     overlap: bool,
     options: &SimOptions,
 ) -> SimReport {
-    let layout = PiiiLayout::paper();
-    let w = Arc::new(Workload::new(AppConfig::paper(repr)));
-    let model = Arc::new(model.clone());
-    let (hcc, hpc) = if overlap {
-        let nodes: Vec<usize> = (0..n).map(|i| layout.texture_base + i).collect();
-        (nodes.clone(), nodes)
-    } else if n == 1 {
-        // One node: both filters share it (paper's one-node configuration).
-        (vec![layout.texture_base], vec![layout.texture_base])
+    let l = PiiiLayout::paper();
+    // One node: both filters share it (paper's one-node configuration).
+    let (hcc, hpc) = if overlap || n == 1 {
+        (l.texture(0..n), l.texture(0..n))
     } else {
-        let (n_hcc, n_hpc) = split_counts(n);
-        let hcc: Vec<usize> = (0..n_hcc).map(|i| layout.texture_base + i).collect();
-        let hpc: Vec<usize> = (0..n_hpc)
-            .map(|i| layout.texture_base + n_hcc + i)
-            .collect();
-        (hcc, hpc)
+        l.split(n)
     };
-    let spec = SplitGraph {
-        rfr: Copies::Placed(layout.rfr.clone()),
-        iic: Copies::Placed(layout.iic.clone()),
-        hcc: Copies::Placed(hcc),
-        hpc: Copies::Placed(hpc),
-        uso: Copies::Placed(layout.uso.clone()),
-        texture_policy: SchedulePolicy::DemandDriven,
-        matrix_policy: SchedulePolicy::DemandDriven,
-    }
-    .build();
-    run_with(&spec, &layout.cluster, &w, &model, options)
+    let spec = split_graph(&l.rfr, &l.iic, &hcc, &hpc, &l.uso).build();
+    run_with(&spec, &l.cluster, AppConfig::paper(repr), model, options)
 }
 
 /// Figure 7(a): HMP implementation, full vs sparse representation,
@@ -278,64 +294,48 @@ pub fn fig9(model: &CostModel) -> Series {
     s
 }
 
-/// Figure 10: heterogeneous PIII + XEON comparison. 4 RFR, 4 IIC and 2 USO
-/// run on the PIII cluster; texture filters span 13 PIII nodes and all
-/// 5 XEON nodes. The HMP variant places one copy per *processor*
-/// (13 + 10 = 23); the split variant co-locates one HCC and one HPC copy
-/// per *node* (18 + 18). HMP uses the full representation, split the
-/// sparse one (each variant's §5.2 best).
-pub fn fig10(model: &CostModel) -> Series {
-    let cluster = presets::piii_xeon();
+/// The Figure 10 layouts on a PIII+XEON-shaped cluster, as `(HMP, split)`
+/// graphs. 4 RFR, 4 IIC and 2 USO run on the PIII cluster; texture filters
+/// span 13 PIII nodes and all 5 XEON nodes. The HMP variant places one copy
+/// per *processor* (13 + 10 = 23); the split variant co-locates one HCC and
+/// one HPC copy per *node* (18 + 18).
+fn fig10_specs(cluster: &ClusterSpec) -> (GraphSpec, GraphSpec) {
     let piii = cluster.nodes_in(presets::PIII);
     let xeon = cluster.nodes_in(presets::XEON);
-    let model_arc = Arc::new(model.clone());
+    let (rfr, iic, uso) = (&piii[0..4], &piii[4..8], &piii[8..10]);
+    let texture_piii = &piii[10..23];
+    let per_node = [texture_piii, &xeon[..]].concat();
+    // XEON nodes are dual-processor: two HMP copies each.
+    let per_processor = texture_piii
+        .iter()
+        .copied()
+        .chain(xeon.iter().flat_map(|&x| [x, x]))
+        .collect();
+    (
+        hmp_spec(rfr, iic, per_processor, uso),
+        split_graph(rfr, iic, &per_node, &per_node, uso).build(),
+    )
+}
 
-    let rfr = piii[0..4].to_vec();
-    let iic = piii[4..8].to_vec();
-    let uso = piii[8..10].to_vec();
-    let texture_piii = &piii[10..23]; // 13 nodes
+/// Makespans of the Figure 10 pair on `cluster`. HMP uses the full
+/// representation, split the sparse one (each variant's §5.2 best).
+fn fig10_pair(model: &CostModel, cluster: &ClusterSpec) -> (f64, f64) {
+    let (hmp, split) = fig10_specs(cluster);
+    let full = AppConfig::paper(Representation::Full);
+    let sparse = AppConfig::paper(Representation::Sparse);
+    (
+        run(&hmp, cluster, full, model).makespan,
+        run(&split, cluster, sparse, model).makespan,
+    )
+}
+
+/// Figure 10: heterogeneous PIII + XEON comparison of the HMP (23 copies)
+/// and split (18 nodes) implementations.
+pub fn fig10(model: &CostModel) -> Series {
+    let (hmp, split) = fig10_pair(model, &presets::piii_xeon());
     let mut s = Series::default();
-
-    // HMP: one copy per processor.
-    let mut hmp_nodes: Vec<usize> = texture_piii.to_vec();
-    for &x in &xeon {
-        hmp_nodes.push(x);
-        hmp_nodes.push(x); // dual processors
-    }
-    let w_full = Arc::new(Workload::new(AppConfig::paper(Representation::Full)));
-    let spec = HmpGraph {
-        rfr: Copies::Placed(rfr.clone()),
-        iic: Copies::Placed(iic.clone()),
-        hmp: Copies::Placed(hmp_nodes),
-        uso: Copies::Placed(uso.clone()),
-        texture_policy: SchedulePolicy::DemandDriven,
-    }
-    .build();
-    s.push(
-        "HMP Implementation",
-        23,
-        run(&spec, &cluster, &w_full, &model_arc).makespan,
-    );
-
-    // Split: HCC and HPC co-located on each of the 18 texture nodes.
-    let mut texture_nodes: Vec<usize> = texture_piii.to_vec();
-    texture_nodes.extend_from_slice(&xeon);
-    let w_sparse = Arc::new(Workload::new(AppConfig::paper(Representation::Sparse)));
-    let spec = SplitGraph {
-        rfr: Copies::Placed(rfr),
-        iic: Copies::Placed(iic),
-        hcc: Copies::Placed(texture_nodes.clone()),
-        hpc: Copies::Placed(texture_nodes),
-        uso: Copies::Placed(uso),
-        texture_policy: SchedulePolicy::DemandDriven,
-        matrix_policy: SchedulePolicy::DemandDriven,
-    }
-    .build();
-    s.push(
-        "HCC+HPC",
-        18,
-        run(&spec, &cluster, &w_sparse, &model_arc).makespan,
-    );
+    s.push("HMP Implementation", 23, hmp);
+    s.push("HCC+HPC", 18, split);
     s
 }
 
@@ -358,23 +358,14 @@ pub fn run_fig11(model: &CostModel, policy: SchedulePolicy) -> Fig11Run {
     let cluster = presets::xeon_opteron();
     let xeon = cluster.nodes_in(presets::XEON);
     let opt = cluster.nodes_in(presets::OPTERON);
-    let w = Arc::new(Workload::new(AppConfig::paper(Representation::Sparse)));
-    let model_arc = Arc::new(model.clone());
     // OPTERON service filters: RFR on nodes 0-3 (first CPU), IIC on node 4,
     // HPC on nodes 4 and 5, USO on node 5; HCC uses the second CPUs of
     // nodes 0-3. XEON hosts 4 HCC copies.
-    let hcc: Vec<usize> = xeon[0..4].iter().chain(opt[0..4].iter()).copied().collect();
-    let spec = SplitGraph {
-        rfr: Copies::Placed(opt[0..4].to_vec()),
-        iic: Copies::Placed(vec![opt[4]]),
-        hcc: Copies::Placed(hcc.clone()),
-        hpc: Copies::Placed(vec![opt[4], opt[5]]),
-        uso: Copies::Placed(vec![opt[5]]),
-        texture_policy: policy,
-        matrix_policy: SchedulePolicy::DemandDriven,
-    }
-    .build();
-    let report = run(&spec, &cluster, &w, &model_arc);
+    let hcc = [&xeon[0..4], &opt[0..4]].concat();
+    let mut graph = split_graph(&opt[0..4], &[opt[4]], &hcc, &[opt[4], opt[5]], &[opt[5]]);
+    graph.texture_policy = policy;
+    let sparse = AppConfig::paper(Representation::Sparse);
+    let report = run(&graph.build(), &cluster, sparse, model);
     let mut xeon_buffers = 0;
     let mut opteron_buffers = 0;
     for c in report.per_copy.copies_of("HCC") {
@@ -414,33 +405,16 @@ pub fn fig11(model: &CostModel) -> Series {
 /// layout; returns per-x the maximum per-copy IIC busy time ("processing
 /// time of each IIC filter decreases almost linearly") and the makespan.
 pub fn fig_iic(model: &CostModel) -> Series {
-    let layout = PiiiLayout::paper();
-    let w = Arc::new(Workload::new(AppConfig::paper(Representation::Sparse)));
-    let model_arc = Arc::new(model.clone());
+    let l = PiiiLayout::paper();
+    let (hcc, hpc) = l.split(12);
     let mut s = Series::default();
     for &n_iic in &[1usize, 2, 4, 6] {
-        // IIC copies occupy node 4 and (for n > 1) nodes 18..23 — the
+        // IIC copies occupy node 4 and (for n > 1) nodes 19–23 — the
         // 24-node cluster's headroom above the 12 texture nodes.
-        let (n_hcc, n_hpc) = split_counts(12);
-        let hcc: Vec<usize> = (0..n_hcc).map(|i| layout.texture_base + i).collect();
-        let hpc: Vec<usize> = (0..n_hpc)
-            .map(|i| layout.texture_base + n_hcc + i)
-            .collect();
-        let mut iic = vec![4usize];
-        for k in 1..n_iic {
-            iic.push(layout.texture_base + 12 + k);
-        }
-        let spec = SplitGraph {
-            rfr: Copies::Placed(layout.rfr.clone()),
-            iic: Copies::Placed(iic),
-            hcc: Copies::Placed(hcc),
-            hpc: Copies::Placed(hpc),
-            uso: Copies::Placed(layout.uso.clone()),
-            texture_policy: SchedulePolicy::DemandDriven,
-            matrix_policy: SchedulePolicy::DemandDriven,
-        }
-        .build();
-        let rep = run(&spec, &layout.cluster, &w, &model_arc);
+        let iic = [l.iic.clone(), l.texture(13..12 + n_iic)].concat();
+        let spec = split_graph(&l.rfr, &iic, &hcc, &hpc, &l.uso).build();
+        let sparse = AppConfig::paper(Representation::Sparse);
+        let rep = run(&spec, &l.cluster, sparse, model);
         s.push(
             "IIC busy (max copy)",
             n_iic,
@@ -455,35 +429,17 @@ pub fn fig_iic(model: &CostModel) -> Series {
 /// edge at the 16-node split layout. Small chunks blow up overlap volume;
 /// large chunks starve the texture filters (coarse distribution).
 pub fn fig_chunksize(model: &CostModel) -> Series {
-    let layout = PiiiLayout::paper();
-    let model_arc = Arc::new(model.clone());
+    let l = PiiiLayout::paper();
+    let (hcc, hpc) = l.split(16);
+    let spec = split_graph(&l.rfr, &l.iic, &hcc, &hpc, &l.uso).build();
     let mut s = Series::default();
     for &edge in &[16usize, 32, 64, 128] {
         let mut cfg = AppConfig::paper(Representation::Sparse);
         cfg.chunk_dims = haralick::volume::Dims4::new(edge, edge, 8, 8);
-        let w = Arc::new(Workload::new(cfg));
-        let (n_hcc, n_hpc) = split_counts(16);
-        let hcc: Vec<usize> = (0..n_hcc).map(|i| layout.texture_base + i).collect();
-        let hpc: Vec<usize> = (0..n_hpc)
-            .map(|i| layout.texture_base + n_hcc + i)
-            .collect();
-        let spec = SplitGraph {
-            rfr: Copies::Placed(layout.rfr.clone()),
-            iic: Copies::Placed(layout.iic.clone()),
-            hcc: Copies::Placed(hcc),
-            hpc: Copies::Placed(hpc),
-            uso: Copies::Placed(layout.uso.clone()),
-            texture_policy: SchedulePolicy::DemandDriven,
-            matrix_policy: SchedulePolicy::DemandDriven,
-        }
-        .build();
-        let rep = run(&spec, &layout.cluster, &w.clone(), &model_arc);
+        let retrieval = Workload::new(cfg.clone()).grid.retrieval_volume_by_chunk();
+        let rep = run(&spec, &l.cluster, cfg, model);
         s.push("Execution time", edge, rep.makespan);
-        s.push(
-            "Retrieval volume (Mvoxels)",
-            edge,
-            w.grid.retrieval_volume_by_chunk() as f64 / 1e6,
-        );
+        s.push("Retrieval volume (Mvoxels)", edge, retrieval as f64 / 1e6);
     }
     s
 }
@@ -503,24 +459,12 @@ pub fn fig_incremental(model: &CostModel) -> Series {
             run_hmp_piii(model, Representation::Full, n).makespan,
         );
         // Same layout on the fused scan engine.
-        let layout = PiiiLayout::paper();
         let mut cfg = AppConfig::paper(Representation::Full);
         cfg.engine = ScanEngine::Fused;
-        let w = Arc::new(Workload::new(cfg));
-        let model_arc = Arc::new(model.clone());
-        let hmp: Vec<usize> = (0..n).map(|i| layout.texture_base + i).collect();
-        let spec = HmpGraph {
-            rfr: Copies::Placed(layout.rfr.clone()),
-            iic: Copies::Placed(layout.iic.clone()),
-            hmp: Copies::Placed(hmp),
-            uso: Copies::Placed(layout.uso.clone()),
-            texture_policy: SchedulePolicy::DemandDriven,
-        }
-        .build();
         s.push(
             "HMP Incremental",
             n,
-            run(&spec, &layout.cluster, &w, &model_arc).makespan,
+            run_hmp_piii_cfg(model, cfg, n).makespan,
         );
     }
     s
@@ -566,69 +510,19 @@ pub fn ablate_mechanisms(model: &CostModel) -> Series {
 pub fn scaling_limits(model: &CostModel) -> Series {
     let mut s = Series::default();
     for &n in &[2usize, 4, 8, 16, 32, 64] {
-        let cluster = presets::uniform(n + 6);
-        let w = Arc::new(Workload::new(AppConfig::paper(Representation::Sparse)));
-        let model_arc = Arc::new(model.clone());
-        let nodes: Vec<usize> = (6..6 + n).collect();
-        let spec = SplitGraph {
-            rfr: Copies::Placed(vec![0, 1, 2, 3]),
-            iic: Copies::Placed(vec![4]),
-            hcc: Copies::Placed(nodes.clone()),
-            hpc: Copies::Placed(nodes),
-            uso: Copies::Placed(vec![5]),
-            texture_policy: SchedulePolicy::DemandDriven,
-            matrix_policy: SchedulePolicy::DemandDriven,
-        }
-        .build();
-        let rep = run(&spec, &cluster, &w, &model_arc);
+        // The paper's service layout (nodes 0-5) on a uniform cluster.
+        let l = PiiiLayout {
+            cluster: presets::uniform(n + 6),
+            ..PiiiLayout::paper()
+        };
+        let nodes = l.texture(0..n);
+        let spec = split_graph(&l.rfr, &l.iic, &nodes, &nodes, &l.uso).build();
+        let sparse = AppConfig::paper(Representation::Sparse);
+        let rep = run(&spec, &l.cluster, sparse, model);
         s.push("Execution time", n, rep.makespan);
         s.push("HCC busy (max copy)", n, rep.per_copy.max_busy_of("HCC"));
     }
     s
-}
-
-/// The Figure 10 layouts (HMP per processor vs co-located split) as a
-/// reusable pair, on an arbitrary PIII+XEON-shaped cluster.
-fn fig10_pair(model: &CostModel, cluster: &ClusterSpec) -> (f64, f64) {
-    let piii = cluster.nodes_in(presets::PIII);
-    let xeon = cluster.nodes_in(presets::XEON);
-    let model_arc = Arc::new(model.clone());
-    let rfr = piii[0..4].to_vec();
-    let iic = piii[4..8].to_vec();
-    let uso = piii[8..10].to_vec();
-    let texture_piii = &piii[10..23];
-
-    let mut hmp_nodes: Vec<usize> = texture_piii.to_vec();
-    for &x in &xeon {
-        hmp_nodes.push(x);
-        hmp_nodes.push(x);
-    }
-    let w_full = Arc::new(Workload::new(AppConfig::paper(Representation::Full)));
-    let hmp_spec = HmpGraph {
-        rfr: Copies::Placed(rfr.clone()),
-        iic: Copies::Placed(iic.clone()),
-        hmp: Copies::Placed(hmp_nodes),
-        uso: Copies::Placed(uso.clone()),
-        texture_policy: SchedulePolicy::DemandDriven,
-    }
-    .build();
-    let hmp = run(&hmp_spec, cluster, &w_full, &model_arc).makespan;
-
-    let mut texture_nodes: Vec<usize> = texture_piii.to_vec();
-    texture_nodes.extend_from_slice(&xeon);
-    let w_sparse = Arc::new(Workload::new(AppConfig::paper(Representation::Sparse)));
-    let split_spec = SplitGraph {
-        rfr: Copies::Placed(rfr),
-        iic: Copies::Placed(iic),
-        hcc: Copies::Placed(texture_nodes.clone()),
-        hpc: Copies::Placed(texture_nodes),
-        uso: Copies::Placed(uso),
-        texture_policy: SchedulePolicy::DemandDriven,
-        matrix_policy: SchedulePolicy::DemandDriven,
-    }
-    .build();
-    let split = run(&split_spec, cluster, &w_sparse, &model_arc).makespan;
-    (hmp, split)
 }
 
 /// §5.3's closing future work: "a more extensive investigation of the
@@ -659,28 +553,14 @@ pub fn architecture_sweep(model: &CostModel) -> Series {
 /// split configuration.
 pub fn buffer_depth_sweep(model: &CostModel) -> Series {
     let cluster = presets::piii_xeon();
-    let piii = cluster.nodes_in(presets::PIII);
-    let xeon = cluster.nodes_in(presets::XEON);
-    let model_arc = Arc::new(model.clone());
+    let (_, mut spec) = fig10_specs(&cluster);
     let mut s = Series::default();
     for &cap in &[1usize, 2, 4, 8, 16] {
-        let mut texture: Vec<usize> = piii[10..23].to_vec();
-        texture.extend_from_slice(&xeon);
-        let w = Arc::new(Workload::new(AppConfig::paper(Representation::Sparse)));
-        let mut spec = SplitGraph {
-            rfr: Copies::Placed(piii[0..4].to_vec()),
-            iic: Copies::Placed(piii[4..8].to_vec()),
-            hcc: Copies::Placed(texture.clone()),
-            hpc: Copies::Placed(texture),
-            uso: Copies::Placed(piii[8..10].to_vec()),
-            texture_policy: SchedulePolicy::DemandDriven,
-            matrix_policy: SchedulePolicy::DemandDriven,
-        }
-        .build();
         for stream in &mut spec.streams {
             stream.capacity = cap;
         }
-        let rep = run(&spec, &cluster, &w, &model_arc);
+        let sparse = AppConfig::paper(Representation::Sparse);
+        let rep = run(&spec, &cluster, sparse, model);
         s.push("Execution time", cap, rep.makespan);
     }
     s

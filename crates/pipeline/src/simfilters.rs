@@ -5,13 +5,12 @@
 //! the shared [`Workload`] model), with service costs from the calibrated
 //! [`CostModel`] instead of real computation.
 
+use crate::payload::Piece;
 use crate::workload::Workload;
-use cluster::cost::{CostModel, TextureWork};
+use cluster::cost::CostModel;
 use cluster::des::{SimAction, SimBuf, SimFilter, SimFilterFactory, SourceItem};
 use cluster::spec::ClusterSpec;
 use datacutter::graph::GraphSpec;
-use haralick::raster::{Representation, ScanEngine};
-use mri::chunks::Chunk;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -28,7 +27,8 @@ impl RfrSim {
             .pieces_for_node(node)
             .into_iter()
             .map(|(chunk_id, bytes)| {
-                let raw_bytes = bytes - 32; // header does not hit the disk
+                // The piece header does not hit the disk.
+                let raw_bytes = bytes - Piece::HEADER_BYTES as u64;
                 SourceItem {
                     cost: disk_seek + raw_bytes as f64 / disk_bandwidth,
                     emits: vec![(
@@ -117,41 +117,28 @@ impl HmpSim {
     }
 }
 
-/// The texture workload quantities of one chunk, for the cost model.
-fn texture_work(w: &Workload, chunk: &Chunk) -> TextureWork {
-    TextureWork {
-        rois: chunk.rois(),
-        roi_voxels: w.roi_voxels(),
-        roi_x: w.cfg.roi.size().x,
-        roi_y: w.cfg.roi.size().y,
-        row_len: chunk.owned_output.size.x,
-        sheet_rows: chunk.owned_output.size.y,
-        ndirs: w.ndirs(),
-        ng: w.cfg.levels,
-        repr: w.repr(),
-    }
+/// One parameter packet of `count` values per selected feature.
+fn param_packets(w: &Workload, tag: u64, count: usize) -> Vec<(usize, SimBuf)> {
+    let bytes = w.param_packet_bytes(count);
+    vec![(0, SimBuf { tag, bytes }); w.cfg.selection.len()]
 }
 
 impl SimFilter for HmpSim {
     fn on_buffer(&mut self, _: usize, buf: &SimBuf) -> SimAction {
         let chunk = self.w.chunk_by_id(buf.tag as usize);
         let rois = chunk.rois();
-        let cost = self
-            .model
-            .texture_cost(self.w.cfg.engine, &texture_work(&self.w, &chunk));
-        let bytes = self.w.param_packet_bytes(rois);
-        let emits = (0..self.w.cfg.selection.len())
-            .map(|_| {
-                (
-                    0,
-                    SimBuf {
-                        tag: buf.tag,
-                        bytes,
-                    },
-                )
-            })
-            .collect();
-        SimAction { cost, emits }
+        let cost = self.model.texture_cost(
+            self.w.cfg.engine,
+            rois,
+            self.w.roi_voxels(),
+            self.w.ndirs(),
+            self.w.cfg.levels,
+            self.w.repr(),
+        );
+        SimAction {
+            cost,
+            emits: param_packets(&self.w, buf.tag, rois),
+        }
     }
 }
 
@@ -172,34 +159,15 @@ impl HccSim {
 impl SimFilter for HccSim {
     fn on_buffer(&mut self, _: usize, buf: &SimBuf) -> SimAction {
         let chunk = self.w.chunk_by_id(buf.tag as usize);
-        // Mirrors the real HCC filter: under the fused engine the dense
-        // matrix is maintained by the sliding cursor (SparseAccum keeps its
-        // per-ROI accumulation, and the sparse wire form still pays the
-        // conversion).
-        let repr = self.w.repr();
-        let cost = if self.w.cfg.engine == ScanEngine::Fused && repr != Representation::SparseAccum
-        {
-            let w = texture_work(&self.w, &chunk);
-            let mut c = self.model.coocc_incremental_cost(
-                w.rois,
-                w.roi_voxels,
-                w.roi_x,
-                w.row_len,
-                w.ndirs,
-            );
-            if repr == Representation::Sparse {
-                c += self.model.sparse_convert_cost(w.rois, w.ng);
-            }
-            c
-        } else {
-            self.model.hcc_cost(
-                chunk.rois(),
-                self.w.roi_voxels(),
-                self.w.ndirs(),
-                self.w.cfg.levels,
-                repr,
-            )
-        };
+        // The paper's per-placement rebuild under either engine: no figure
+        // or CLI path simulates the split variant on the fused kernel.
+        let cost = self.model.hcc_cost(
+            chunk.rois(),
+            self.w.roi_voxels(),
+            self.w.ndirs(),
+            self.w.cfg.levels,
+            self.w.repr(),
+        );
         let emits = self
             .w
             .matrix_packets(&chunk, &self.model)
@@ -238,19 +206,10 @@ impl SimFilter for HpcSim {
         let cost = self
             .model
             .features_cost(n, self.w.cfg.levels, self.w.repr());
-        let bytes = self.w.param_packet_bytes(n);
-        let emits = (0..self.w.cfg.selection.len())
-            .map(|_| {
-                (
-                    0,
-                    SimBuf {
-                        tag: buf.tag,
-                        bytes,
-                    },
-                )
-            })
-            .collect();
-        SimAction { cost, emits }
+        SimAction {
+            cost,
+            emits: param_packets(&self.w, buf.tag, n),
+        }
     }
 }
 
@@ -373,15 +332,55 @@ mod tests {
         let model = Arc::new(cluster::calibrated_defaults::default_model());
         let mut hcc = HccSim::new(w.clone(), model.clone());
         let chunk = w.chunk_by_id(0);
-        let a = hcc.on_buffer(
-            0,
-            &SimBuf {
-                tag: 0,
-                bytes: w.chunk_bytes(&chunk),
-            },
-        );
+        let a = hcc.on_buffer(0, &chunk_buf(&w, 0));
         assert_eq!(a.emits.len(), w.matrix_packets(&chunk, &model).len());
         assert!(a.cost > 0.0);
+    }
+
+    /// The chunk buffer IIC would hand a texture filter for chunk `id`.
+    fn chunk_buf(w: &Workload, id: usize) -> SimBuf {
+        SimBuf {
+            tag: id as u64,
+            bytes: w.chunk_bytes(&w.chunk_by_id(id)),
+        }
+    }
+
+    fn workload_on(engine: ScanEngine) -> Arc<Workload> {
+        let mut cfg = AppConfig::test_scale(Representation::Full);
+        cfg.engine = engine;
+        Arc::new(Workload::new(cfg))
+    }
+
+    #[test]
+    fn fused_hmp_charges_the_measured_price_per_placement() {
+        let w = workload_on(ScanEngine::Fused);
+        let model = Arc::new(cluster::calibrated_defaults::default_model());
+        let mut hmp = HmpSim::new(w.clone(), model.clone());
+        // An interior chunk and the last one, which the volume edge clips.
+        let last = w.grid.chunks().count() - 1;
+        assert!(w.chunk_by_id(last).rois() < w.chunk_by_id(0).rois());
+        for id in [0, last] {
+            let a = hmp.on_buffer(0, &chunk_buf(&w, id));
+            assert_eq!(
+                a.cost,
+                w.chunk_by_id(id).rois() as f64 * model.fused_s_per_placement
+            );
+        }
+    }
+
+    #[test]
+    fn hcc_charges_the_rebuild_under_both_engines() {
+        let model = Arc::new(cluster::calibrated_defaults::default_model());
+        for engine in [ScanEngine::Reference, ScanEngine::Fused] {
+            let w = workload_on(engine);
+            let mut hcc = HccSim::new(w.clone(), model.clone());
+            let a = hcc.on_buffer(0, &chunk_buf(&w, 0));
+            let rois = w.chunk_by_id(0).rois();
+            assert_eq!(
+                a.cost,
+                model.hcc_cost(rois, w.roi_voxels(), w.ndirs(), w.cfg.levels, w.repr())
+            );
+        }
     }
 
     #[test]
@@ -390,14 +389,7 @@ mod tests {
         let bytes_of = |repr| {
             let w = Arc::new(Workload::new(AppConfig::test_scale(repr)));
             let mut hcc = HccSim::new(w.clone(), model.clone());
-            let chunk = w.chunk_by_id(0);
-            let a = hcc.on_buffer(
-                0,
-                &SimBuf {
-                    tag: 0,
-                    bytes: w.chunk_bytes(&chunk),
-                },
-            );
+            let a = hcc.on_buffer(0, &chunk_buf(&w, 0));
             a.emits.iter().map(|(_, b)| b.bytes).sum::<u64>()
         };
         let full = bytes_of(Representation::Full);
