@@ -111,7 +111,7 @@ pub(crate) struct Partition {
     /// streams that have local consumer queues and at least one remote
     /// producer copy). TCP readers hold these clones and drop them per
     /// route as end-of-stream frames arrive.
-    pub handoff: Option<Box<dyn FnOnce(Vec<Option<StreamInjector>>) + Send>>,
+    pub handoff: Option<Handoff>,
     /// Run-level failure flag shared with the transport threads: readers
     /// raise it before dropping injectors, writers consult it to choose
     /// between EOS and error propagation at channel disconnect.
@@ -137,6 +137,9 @@ impl Partition {
         }
     }
 }
+
+/// Hands the TCP readers one injector per stream (see [`Partition::handoff`]).
+pub(crate) type Handoff = Box<dyn FnOnce(Vec<Option<StreamInjector>>) + Send>;
 
 /// Handles a TCP reader needs to feed remotely produced buffers into this
 /// process's consumer queues for one stream.
@@ -219,10 +222,10 @@ pub(crate) fn run_graph_partition(
         if s.policy.uses_private_queues() {
             let mut receivers: Vec<Option<Receiver<Msg>>> = vec![None; cdecl.copies];
             let mut local_txs = Vec::new();
-            for copy in 0..cdecl.copies {
+            for (copy, receiver) in receivers.iter_mut().enumerate() {
                 if partition.is_local(cdecl, copy) {
                     let (tx, rx) = bounded(s.capacity);
-                    receivers[copy] = Some(rx);
+                    *receiver = Some(rx);
                     local_txs.push((Some(copy), tx));
                 }
             }

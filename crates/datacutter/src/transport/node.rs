@@ -1411,7 +1411,7 @@ pub fn run_node(
     for si in 0..spec.streams.len() {
         let s = &spec.streams[si];
         let pdecl = spec.filter_decl(&s.from).expect("validated");
-        let local_producer = pdecl.placement.iter().any(|&n| n == me);
+        let local_producer = pdecl.placement.contains(&me);
         for (wire_dest, dnode) in dest_keys(spec, si) {
             if dnode != me && local_producer {
                 let (tx, rx) = bounded::<Msg>(s.capacity);

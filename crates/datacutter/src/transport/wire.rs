@@ -341,8 +341,7 @@ pub fn lz_compress(input: &[u8]) -> Vec<u8> {
         if cand > 0 {
             let c = cand - 1;
             let off = i - c;
-            if off >= 1
-                && off <= LZ_MAX_OFFSET
+            if (1..=LZ_MAX_OFFSET).contains(&off)
                 && input[c..c + LZ_MIN_MATCH] == input[i..i + LZ_MIN_MATCH]
             {
                 let mut len = LZ_MIN_MATCH;

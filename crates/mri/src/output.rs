@@ -268,7 +268,7 @@ impl ParameterWriter {
         self.records += 1;
         // The cadence check comes after the copy, away from the record's
         // stores, and the sync point itself is out of line.
-        if self.records % RECORDS_PER_SYNC == 0 {
+        if self.records.is_multiple_of(RECORDS_PER_SYNC) {
             self.sync_point()?;
         }
         Ok(())
@@ -505,7 +505,7 @@ mod tests {
         // read back as an empty 2^32 × 2^32 image.
         let p = tmp("overflow.pgm");
         fs::write(&p, b"P5 4294967296 4294967296 255\n").unwrap();
-        let e = read_pgm(&p).err().expect("must be rejected");
+        let e = read_pgm(&p).expect_err("must be rejected");
         assert_eq!(e.kind(), io::ErrorKind::InvalidData);
         assert!(e.to_string().contains("overflow"), "{e}");
     }
@@ -513,7 +513,7 @@ mod tests {
     /// Asserts `result` is the `InvalidInput` error naming `what`, and that
     /// the writer left no file at `p`.
     fn assert_refused(result: io::Result<()>, p: &Path, what: &str) {
-        let e = result.err().expect("must be refused");
+        let e = result.expect_err("must be refused");
         assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
         assert!(e.to_string().contains(what), "{e}");
         assert!(!p.exists(), "a refused image must write nothing");
@@ -691,7 +691,7 @@ mod tests {
             w.push(Point4::ZERO, 1.0).unwrap();
             let tmp_path = w.tmp_path().to_path_buf();
             w.sync = Some(failing);
-            let e = w.finish().err().expect("the sync's failure must surface");
+            let e = w.finish().expect_err("the sync's failure must surface");
             assert!(e.to_string().contains(what), "{e}");
             assert!(!p.exists(), "a failed sync must not commit the file");
             assert!(tmp_path.exists());

@@ -35,20 +35,28 @@
 //!
 //! SplitMix64's `n`-th state is `seed + n·γ`, so step 3 starts any row at its
 //! own draws without making the ones before them. Only the contrast kinetics
-//! depend on `t`. The time steps are split into slabs, one per thread of
-//! `available_parallelism()`; a thread evaluates both value-noise fields and
-//! every lesion membership once per `(x, y, z)` and applies them to every
-//! time step of its slab, and the tissue and lesion enhancement curves are
-//! evaluated once per time step. Every voxel is computed by the same
-//! operations in the same order whatever the split, so the bytes do not
-//! depend on the thread count.
+//! depend on `t`. The `(y, z)` rows are split into consecutive shares, one per
+//! thread of `available_parallelism()`, and a thread fills its share in every
+//! time step: it evaluates a row's tissue texture, perfusion and lesion
+//! memberships once, then fills that row in each time step. So each spatial
+//! term is evaluated once per render, and a render of any range of time
+//! steps, down to one, uses every thread. The terms come from per-axis
+//! tables, built once per render: each `x`'s lattice cell in both value-noise
+//! fields and each lesion's `x` term; a row adds its `y` and `z` cells, its
+//! four lattice lines and each lesion's `y` and `z` terms. These perform the
+//! operations of the per-point evaluators in their order (the trilinear
+//! interpolation along `x`, then `y`, then `z`; a membership's sum as
+//! `(x + y) + z`), and the tissue and lesion enhancement curves are evaluated
+//! once per time step. Every voxel is computed by the same operations in the
+//! same order whatever the split, so the bytes depend neither on the thread
+//! count nor on which time steps a render covers.
 //!
 //! # Noise
 //!
 //! A voxel's noise is `noise_sigma · g` with `g = √(−2 ln u1) · cos 2πu2`
 //! from its two draws (`u1` clamped to `≥ 1e-12`). `gaussian` evaluates `g`
 //! through libm and defines every byte. Per row and time step,
-//! `render_slab` draws the row into two buffers, fills it with a fast `g`
+//! `render_rows` draws the row into two buffers, fills it with a fast `g`
 //! in a branch-free loop the compiler vectorizes, adds each voxel's tissue
 //! and lesion terms, and keeps the fast `u16` only where Ziv's rounding test
 //! (Ziv 1991) shows it is the exact one: with `w` the voxel's sum over the
@@ -92,7 +100,8 @@
 //! The fallback rate is about `2·margin` per voxel: 0 voxels in each
 //! benchmark workload's study at seeds 7 and 11 (69.5 M voxels in all), and
 //! 4 in 1.34 G voxels over 20 more paper-scale seeds. On a 2-vCPU Xeon the
-//! paper-scale study generates in about 0.9 s instead of 2.0 s.
+//! paper-scale study generates in about 0.6–0.7 s; through libm alone it
+//! took 2.0 s.
 
 use crate::raw::RawVolume;
 use haralick::volume::Dims4;
@@ -199,15 +208,32 @@ impl Lesion {
 
     /// Soft spatial membership in `[0, 1]` at voxel `(x, y, z)`.
     pub fn membership(&self, x: f64, y: f64, z: f64) -> f64 {
-        let r2 = ((x - self.center[0]) / self.radii[0]).powi(2)
-            + ((y - self.center[1]) / self.radii[1]).powi(2)
-            + ((z - self.center[2]) / self.radii[2]).powi(2);
-        // Smooth edge: full inside, quadratic falloff over the rim.
-        if r2 >= 1.0 {
-            0.0
-        } else {
-            (1.0 - r2).powi(2)
+        falloff(self.axis_term(0, x) + self.axis_term(1, y) + self.axis_term(2, z))
+    }
+
+    /// `((c − center) / radius)²` on `axis`: one term of the membership's sum.
+    fn axis_term(&self, axis: usize, c: f64) -> f64 {
+        ((c - self.center[axis]) / self.radii[axis]).powi(2)
+    }
+
+    /// Sets `out[x]` to the membership at `(x, y, z)` for each of `x_terms`,
+    /// this lesion's `x` terms: the `y` and `z` terms are evaluated once, and
+    /// the sum keeps [`Self::membership`]'s order.
+    fn row(&self, x_terms: &[f64], y: usize, z: usize, out: &mut [f64]) {
+        let (ty, tz) = (self.axis_term(1, y as f64), self.axis_term(2, z as f64));
+        for (m, &tx) in out.iter_mut().zip(x_terms) {
+            *m = falloff(tx + ty + tz);
         }
+    }
+}
+
+/// The membership at squared normalized radius `r2`: a smooth edge, full
+/// inside and with a quadratic falloff over the rim.
+fn falloff(r2: f64) -> f64 {
+    if r2 >= 1.0 {
+        0.0
+    } else {
+        (1.0 - r2).powi(2)
     }
 }
 
@@ -237,6 +263,33 @@ impl ValueNoise {
         }
     }
 
+    /// The lattice cells of the `x` coordinates `0..len`.
+    fn x_cells(&self, len: usize) -> Vec<Cell> {
+        (0..len)
+            .map(|x| Cell::new(x, self.scale, self.gx))
+            .collect()
+    }
+
+    /// Sets `out[x]` to the field at `(x, y, z)` for each of `x_cells`: the
+    /// operations of [`Self::at`] in its order, with the `y` and `z` cells and
+    /// the four lattice lines they select found once.
+    fn row(&self, x_cells: &[Cell], y: usize, z: usize, out: &mut [f64]) {
+        let cy = Cell::new(y, self.scale, self.gy);
+        let cz = Cell::new(z, self.scale, self.gz);
+        let line = |j: usize, k: usize| &self.grid[(k * self.gy + j) * self.gx..][..self.gx];
+        let (l00, l10) = (line(cy.lo, cz.lo), line(cy.hi, cz.lo));
+        let (l01, l11) = (line(cy.lo, cz.hi), line(cy.hi, cz.hi));
+        for (v, c) in out.iter_mut().zip(x_cells) {
+            let c00 = lerp(l00[c.lo], l00[c.hi], c.t);
+            let c10 = lerp(l10[c.lo], l10[c.hi], c.t);
+            let c01 = lerp(l01[c.lo], l01[c.hi], c.t);
+            let c11 = lerp(l11[c.lo], l11[c.hi], c.t);
+            *v = lerp(lerp(c00, c10, cy.t), lerp(c01, c11, cy.t), cz.t);
+        }
+    }
+
+    /// The field at one point: the oracle of [`Self::row`].
+    #[cfg(test)]
     fn at(&self, x: f64, y: f64, z: f64) -> f64 {
         let (fx, fy, fz) = (x / self.scale, y / self.scale, z / self.scale);
         let (ix, iy, iz) = (fx as usize, fy as usize, fz as usize);
@@ -254,6 +307,32 @@ impl ValueNoise {
         let c11 = lerp(g(ix, iy + 1, iz + 1), g(ix + 1, iy + 1, iz + 1), tx);
         lerp(lerp(c00, c10, ty), lerp(c01, c11, ty), tz)
     }
+}
+
+/// Where a coordinate falls on one axis of a value-noise lattice: `c / scale`
+/// split into a whole part and a fraction as [`ValueNoise::at`] splits it, and
+/// the lattice points on either side, clamped to the axis's `n` points.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    lo: usize,
+    hi: usize,
+    t: f64,
+}
+
+impl Cell {
+    fn new(c: usize, scale: f64, n: usize) -> Self {
+        let f = c as f64 / scale;
+        let i = f as usize;
+        Self {
+            lo: i.min(n - 1),
+            hi: (i + 1).min(n - 1),
+            t: f - i as f64,
+        }
+    }
+}
+
+fn lerp(a: f64, b: f64, t: f64) -> f64 {
+    a + (b - a) * t
 }
 
 /// SplitMix64 (Steele, Lea & Flood, with Vigna's constants): `gen::<f64>()`
@@ -427,7 +506,8 @@ pub fn generate_followup(cfg: &SynthConfig, growth: f64) -> (RawVolume, Vec<Lesi
 fn generate_grown(cfg: &SynthConfig, growth: f64) -> (RawVolume, Vec<Lesion>) {
     let study = Study::draw(cfg, growth);
     let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    let data = render(cfg, &study, threads);
+    let mut data = vec![0; cfg.dims.len()];
+    render(cfg, &study, 0..cfg.dims.t, threads, &mut data);
     (RawVolume::new(cfg.dims, data), study.lesions)
 }
 
@@ -480,18 +560,22 @@ impl Study {
     }
 }
 
-/// The voxels of `study`, its time steps split into at most `threads`
-/// slabs, each filled on a thread of its own.
-fn render(cfg: &SynthConfig, study: &Study, threads: usize) -> Vec<u16> {
+/// Fills `out` with the time steps `steps` of `study`. The `(y, z)` rows are
+/// split into at most `threads` shares of consecutive rows, and each thread
+/// fills its share in every time step.
+fn render(cfg: &SynthConfig, study: &Study, steps: Range<usize>, threads: usize, out: &mut [u16]) {
     let dims = cfg.dims;
-    let mut data = vec![0; dims.len()];
-    if data.is_empty() {
-        // A zero extent: there is nothing to fill, and `chunks_mut(0)` panics.
-        return data;
+    let sheet = dims.x * dims.y * dims.z;
+    assert_eq!(out.len(), steps.len() * sheet, "one sheet per time step");
+    if out.is_empty() {
+        // A zero extent or no time step: there is nothing to fill, and
+        // `chunks_mut(0)` panics.
+        return;
     }
     // Per time step: `base_intensity · tissue_enh`, then each lesion's
     // enhancement — the only terms that depend on `t`.
-    let kinetics: Vec<f64> = (0..dims.t)
+    let kinetics: Vec<f64> = steps
+        .clone()
         .flat_map(|t| {
             let tau = if dims.t > 1 {
                 t as f64 / (dims.t - 1) as f64
@@ -504,83 +588,117 @@ fn render(cfg: &SynthConfig, study: &Study, threads: usize) -> Vec<u16> {
             std::iter::once(cfg.base_intensity * tissue_enh).chain(lesions)
         })
         .collect();
-    let sheet = dims.x * dims.y * dims.z;
-    let slab_steps = dims.t.div_ceil(threads.max(1));
-    let kinetics = &kinetics;
+    let tables = XTables {
+        texture: study.texture.x_cells(dims.x),
+        perfusion: study.perfusion.x_cells(dims.x),
+        lesions: study
+            .lesions
+            .iter()
+            .flat_map(|l| (0..dims.x).map(|x| l.axis_term(0, x as f64)))
+            .collect(),
+    };
+    let rows = dims.y * dims.z;
+    let share = rows.div_ceil(threads.max(1));
+    // Share `i`: rows `i·share..` of every time step, one slice per step.
+    let mut shares: Vec<Vec<&mut [u16]>> = (0..rows.div_ceil(share))
+        .map(|_| Vec::with_capacity(steps.len()))
+        .collect();
+    for step in out.chunks_mut(sheet) {
+        for (slices, rows) in shares.iter_mut().zip(step.chunks_mut(share * dims.x)) {
+            slices.push(rows);
+        }
+    }
+    let (kinetics, tables) = (&kinetics, &tables);
     std::thread::scope(|s| {
-        for (i, slab) in data.chunks_mut(slab_steps * sheet).enumerate() {
-            s.spawn(move || render_slab(cfg, study, kinetics, i * slab_steps, slab));
+        for (i, slices) in shares.into_iter().enumerate() {
+            let row0 = i * share;
+            s.spawn(move || render_rows(cfg, study, tables, kinetics, steps.start, row0, slices));
         }
     });
-    data
 }
 
-/// Fills `slab`, the time steps from `t0` on. Each `(y, z)` row's terms are
-/// evaluated once into row buffers and applied to every time step of the
-/// slab. A row of a time step is filled in passes: its Box–Muller draws, the
-/// fast `g`, then each voxel's sum in the order of the per-voxel formula
-/// `base + amplitude · texture + (base · tissue_enh) · perf`, then each
-/// lesion's `(intensity · m) · enhancement` where `m > 0`, then the noise;
-/// a voxel the fast `g` leaves undecided is summed again with [`gaussian`]
-/// (module doc, "Noise").
-fn render_slab(cfg: &SynthConfig, study: &Study, kinetics: &[f64], t0: usize, slab: &mut [u16]) {
+/// What a render evaluates once along `x`: each `x`'s lattice cell in both
+/// value-noise fields, and each lesion's `x` term (lesion-major: lesion `l`'s
+/// term at `x` is `lesions[l · dims.x + x]`).
+struct XTables {
+    texture: Vec<Cell>,
+    perfusion: Vec<Cell>,
+    lesions: Vec<f64>,
+}
+
+/// Fills `steps`, the rows from `row0` on (row `z · dims.y + y`) of
+/// consecutive time steps from `t0` on. Each row's terms are evaluated once
+/// into row buffers and applied to every time step. A row of a time step is
+/// filled in passes: its Box–Muller draws, the fast `g`, then each voxel's
+/// sum in the order of the per-voxel formula `base + amplitude · texture +
+/// (base · tissue_enh) · perf`, then each lesion's `(intensity · m) ·
+/// enhancement` where `m > 0`, then the noise; a voxel the fast `g` leaves
+/// undecided is summed again with [`gaussian`] (module doc, "Noise").
+fn render_rows(
+    cfg: &SynthConfig,
+    study: &Study,
+    tables: &XTables,
+    kinetics: &[f64],
+    t0: usize,
+    row0: usize,
+    mut steps: Vec<&mut [u16]>,
+) {
     let dims = cfg.dims;
     let sheet = dims.x * dims.y * dims.z;
     let per_step = 1 + study.lesions.len();
     let mut tissue = vec![0.0; dims.x];
     let mut perf = vec![0.0; dims.x];
-    // Lesion-major: lesion `l`'s membership at `x` is `member[l · dims.x + x]`.
+    // Lesion-major, as `tables.lesions`.
     let mut member = vec![0.0; dims.x * study.lesions.len()];
     // Per time step: the draws `u1` (overwritten by the fast `g`) and `u2`,
     // and the voxels' sums before the noise.
     let mut g = vec![0.0; dims.x];
     let mut u2 = vec![0.0; dims.x];
     let mut sum = vec![0.0; dims.x];
-    for z in 0..dims.z {
-        for y in 0..dims.y {
-            let (yf, zf) = (y as f64, z as f64);
-            for x in 0..dims.x {
-                let xf = x as f64;
-                tissue[x] =
-                    cfg.base_intensity + cfg.texture_amplitude * study.texture.at(xf, yf, zf);
-                perf[x] = 0.5 * (study.perfusion.at(xf, yf, zf) + 1.0);
+    for r in 0..steps[0].len() / dims.x {
+        let row = row0 + r;
+        let (y, z) = (row % dims.y, row / dims.y);
+        study.texture.row(&tables.texture, y, z, &mut tissue);
+        for v in &mut tissue {
+            *v = cfg.base_intensity + cfg.texture_amplitude * *v;
+        }
+        study.perfusion.row(&tables.perfusion, y, z, &mut perf);
+        for v in &mut perf {
+            *v = 0.5 * (*v + 1.0);
+        }
+        let lesions = study.lesions.iter().zip(tables.lesions.chunks(dims.x));
+        for ((lesion, x_terms), m) in lesions.zip(member.chunks_mut(dims.x)) {
+            lesion.row(x_terms, y, z, m);
+        }
+        for (dt, step) in steps.iter_mut().enumerate() {
+            let (base_enh, lesion_enh) = kinetics[dt * per_step..][..per_step]
+                .split_first()
+                .expect("a time step has its tissue term");
+            let first_draw = 2 * ((t0 + dt) * sheet + row * dims.x) as u64;
+            let mut rng = study.noise.skip(first_draw);
+            for (u1, u2) in g.iter_mut().zip(&mut u2) {
+                *u1 = rng.unit().max(1e-12);
+                *u2 = rng.unit();
             }
-            for (lesion, row) in study.lesions.iter().zip(member.chunks_mut(dims.x)) {
-                for (x, m) in row.iter_mut().enumerate() {
-                    *m = lesion.membership(x as f64, yf, zf);
-                }
+            for (g, &u2) in g.iter_mut().zip(&u2) {
+                *g = fast_box_muller(*g, u2);
             }
-            let row = (z * dims.y + y) * dims.x;
-            for (dt, step) in slab.chunks_mut(sheet).enumerate() {
-                let t = t0 + dt;
-                let (base_enh, lesion_enh) = kinetics[t * per_step..][..per_step]
-                    .split_first()
-                    .expect("a time step has its tissue term");
-                let first_draw = 2 * (t * sheet + row) as u64;
-                let mut rng = study.noise.skip(first_draw);
-                for (u1, u2) in g.iter_mut().zip(&mut u2) {
-                    *u1 = rng.unit().max(1e-12);
-                    *u2 = rng.unit();
-                }
-                for (g, &u2) in g.iter_mut().zip(&u2) {
-                    *g = fast_box_muller(*g, u2);
-                }
-                for ((v, &tissue), &perf) in sum.iter_mut().zip(&tissue).zip(&perf) {
-                    *v = tissue + base_enh * perf;
-                }
-                for (enh, member) in lesion_enh.iter().zip(member.chunks(dims.x)) {
-                    for (v, &m) in sum.iter_mut().zip(member) {
-                        if m > 0.0 {
-                            *v += cfg.lesion_intensity * m * enh;
-                        }
+            for ((v, &tissue), &perf) in sum.iter_mut().zip(&tissue).zip(&perf) {
+                *v = tissue + base_enh * perf;
+            }
+            for (enh, member) in lesion_enh.iter().zip(member.chunks(dims.x)) {
+                for (v, &m) in sum.iter_mut().zip(member) {
+                    if m > 0.0 {
+                        *v += cfg.lesion_intensity * m * enh;
                     }
                 }
-                for (x, (out, &v)) in step[row..][..dims.x].iter_mut().zip(&sum).enumerate() {
-                    *out = decided(v + cfg.noise_sigma * g[x], study.margin).unwrap_or_else(|| {
-                        let mut rng = study.noise.skip(first_draw + 2 * x as u64);
-                        to_u16(v + cfg.noise_sigma * gaussian(&mut rng))
-                    });
-                }
+            }
+            let out = &mut step[r * dims.x..][..dims.x];
+            for (x, (out, &v)) in out.iter_mut().zip(&sum).enumerate() {
+                *out = decided(v + cfg.noise_sigma * g[x], study.margin).unwrap_or_else(|| {
+                    let mut rng = study.noise.skip(first_draw + 2 * x as u64);
+                    to_u16(v + cfg.noise_sigma * gaussian(&mut rng))
+                });
             }
         }
     }
@@ -657,39 +775,65 @@ mod tests {
         assert_eq!(crate::digest::volume_digest(&v), 0x7069_fcc2_44b4_9055);
     }
 
-    #[test]
-    fn every_split_equals_the_sequential_loop() {
-        let base = SynthConfig::test_scale(7);
+    /// `study`'s time steps `steps`, rendered on `threads` threads.
+    fn rendered(cfg: &SynthConfig, study: &Study, steps: Range<usize>, threads: usize) -> Vec<u16> {
+        let dims = cfg.dims;
+        let mut out = vec![0; steps.len() * dims.x * dims.y * dims.z];
+        render(cfg, study, steps, threads, &mut out);
+        out
+    }
+
+    /// Shapes whose row counts (`y · z`: 512, 120, 45, 3 and 1) leave a
+    /// remainder at most thread counts from 1 to 7, and fall below them.
+    fn split_cases() -> Vec<SynthConfig> {
         let shaped = |x, y, z, t, lesions| SynthConfig {
             dims: Dims4::new(x, y, z, t),
             lesions,
             ..SynthConfig::test_scale(11)
         };
-        let cases = [
-            base.clone(),
+        vec![
+            SynthConfig::test_scale(7),
             // τ = 0 throughout.
             shaped(24, 20, 6, 1, 2),
-            // Step counts no thread count below divides evenly.
             shaped(24, 20, 6, 3, 2),
             shaped(24, 20, 6, 5, 2),
             shaped(24, 20, 6, 7, 2),
             // Odd extents, and lesion counts at both ends.
             shaped(13, 9, 5, 4, 0),
             shaped(13, 9, 5, 4, 4),
-        ];
-        for cfg in &cases {
-            let (expect, _) = sequential(cfg, 1.0);
-            assert!(generate(cfg) == expect, "{:?}", cfg.dims);
-            let study = Study::draw(cfg, 1.0);
-            for threads in 1..=4 {
-                let got = render(cfg, &study, threads);
+            // Fewer rows than threads.
+            shaped(13, 3, 1, 4, 2),
+            shaped(13, 1, 1, 4, 2),
+        ]
+    }
+
+    /// Renders every time step of `study` on 1 to 7 threads, at once and one
+    /// time step at a time, and compares each with `expect`.
+    fn assert_every_split(cfg: &SynthConfig, study: &Study, expect: &[u16]) {
+        let dims = cfg.dims;
+        let sheet = dims.x * dims.y * dims.z;
+        for threads in 1..=7 {
+            let got = rendered(cfg, study, 0..dims.t, threads);
+            assert!(got == expect, "{:?}, {threads} threads", dims);
+            for t in 0..dims.t {
+                let got = rendered(cfg, study, t..t + 1, threads);
                 assert!(
-                    got == expect.as_slice(),
-                    "{:?}, {threads} threads",
-                    cfg.dims
+                    got == expect[t * sheet..][..sheet],
+                    "{:?}, {threads} threads, time step {t} alone",
+                    dims
                 );
             }
         }
+    }
+
+    #[test]
+    fn every_split_equals_the_sequential_loop() {
+        for cfg in &split_cases() {
+            let (expect, _) = sequential(cfg, 1.0);
+            assert!(generate(cfg) == expect, "{:?}", cfg.dims);
+            assert_every_split(cfg, &Study::draw(cfg, 1.0), expect.as_slice());
+        }
+        let base = SynthConfig::test_scale(7);
         assert!(generate_followup(&base, 1.3) == sequential(&base, 1.3));
     }
 
@@ -698,33 +842,78 @@ mod tests {
         // The cases of `every_split_equals_the_sequential_loop`, with a
         // margin no fast sum meets: every voxel is summed again by
         // `gaussian` from its own two draws.
-        let shaped = |x, y, z, t, lesions| SynthConfig {
-            dims: Dims4::new(x, y, z, t),
-            lesions,
-            ..SynthConfig::test_scale(11)
-        };
-        let cases = [
-            SynthConfig::test_scale(7),
-            shaped(24, 20, 6, 1, 2),
-            shaped(24, 20, 6, 3, 2),
-            shaped(24, 20, 6, 5, 2),
-            shaped(24, 20, 6, 7, 2),
-            shaped(13, 9, 5, 4, 0),
-            shaped(13, 9, 5, 4, 4),
-        ];
-        for cfg in &cases {
+        for cfg in &split_cases() {
             let (expect, _) = sequential(cfg, 1.0);
             let mut study = Study::draw(cfg, 1.0);
             study.margin = f64::INFINITY;
-            for threads in 1..=4 {
-                let got = render(cfg, &study, threads);
-                assert!(
-                    got == expect.as_slice(),
-                    "{:?}, {threads} threads",
-                    cfg.dims
-                );
+            assert_every_split(cfg, &study, expect.as_slice());
+        }
+    }
+
+    #[test]
+    fn row_evaluators_equal_the_point_evaluators() {
+        // Value noise: lattice periods below the clamp to 2, at it, and longer
+        // than the volume, at coordinates that run past the volume until both
+        // lattice indices of every axis are clamped.
+        let mut rng = SplitMix64::new(0x7AB1E);
+        for (dims, scale) in [
+            (Dims4::new(13, 9, 5, 1), 1),
+            (Dims4::new(24, 20, 6, 1), 2),
+            (Dims4::new(20, 7, 3, 1), 16),
+        ] {
+            let field = ValueNoise::new(dims, scale, &mut rng);
+            let past = |n: usize| (n / scale.max(2) + 3) * scale.max(2);
+            let cells = field.x_cells(past(dims.x));
+            assert!(cells.iter().any(|c| c.lo == c.hi), "no x reaches the clamp");
+            let mut row = vec![0.0; cells.len()];
+            for z in 0..past(dims.z) {
+                for y in 0..past(dims.y) {
+                    field.row(&cells, y, z, &mut row);
+                    for (x, v) in row.iter().enumerate() {
+                        let expect = field.at(x as f64, y as f64, z as f64);
+                        assert_eq!(
+                            v.to_bits(),
+                            expect.to_bits(),
+                            "{dims:?}/{scale} at ({x}, {y}, {z})"
+                        );
+                    }
+                }
             }
         }
+        // Lesions: every voxel of a few studies and a margin around it.
+        let mut inside = 0;
+        for (cfg, growth) in [
+            (SynthConfig::test_scale(7), 1.0),
+            (
+                SynthConfig {
+                    dims: Dims4::new(13, 9, 5, 1),
+                    lesions: 4,
+                    ..SynthConfig::test_scale(11)
+                },
+                1.3,
+            ),
+        ] {
+            let (ex, ey, ez) = (cfg.dims.x + 4, cfg.dims.y + 4, cfg.dims.z + 4);
+            for lesion in Study::draw(&cfg, growth).lesions {
+                let x_terms: Vec<f64> = (0..ex).map(|x| lesion.axis_term(0, x as f64)).collect();
+                let mut row = vec![0.0; ex];
+                for z in 0..ez {
+                    for y in 0..ey {
+                        lesion.row(&x_terms, y, z, &mut row);
+                        for (x, m) in row.iter().enumerate() {
+                            let expect = lesion.membership(x as f64, y as f64, z as f64);
+                            assert_eq!(
+                                m.to_bits(),
+                                expect.to_bits(),
+                                "{lesion:?} at ({x}, {y}, {z})"
+                            );
+                            inside += usize::from(expect > 0.0);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(inside > 0, "no voxel inside a lesion");
     }
 
     #[test]

@@ -173,13 +173,20 @@ impl Flags {
     }
 }
 
+/// `--dims X,Y,Z,T`: exactly four extents, each a `usize`, whose 2-byte
+/// voxels' size is one too; otherwise usage, before any volume is allocated.
 fn parse_dims(s: &str) -> Dims4 {
-    let parts: Vec<usize> = s.split(',').filter_map(|p| p.parse().ok()).collect();
-    if parts.len() != 4 {
-        eprintln!("--dims wants X,Y,Z,T (e.g. 64,64,8,8)");
-        usage();
+    let parts: Result<Vec<usize>, _> = s.split(',').map(str::parse).collect();
+    let Ok(&[x, y, z, t]) = parts.as_deref() else {
+        eprintln!("--dims wants X,Y,Z,T (e.g. 64,64,8,8), not {s:?}");
+        usage()
+    };
+    let bytes = [y, z, t, 2].into_iter().try_fold(x, usize::checked_mul);
+    if bytes.is_none() {
+        eprintln!("--dims {s}: the volume's size overflows");
+        exit(2);
     }
-    Dims4::new(parts[0], parts[1], parts[2], parts[3])
+    Dims4::new(x, y, z, t)
 }
 
 /// A flag value through one of `pipeline::config`'s parsers, or usage.

@@ -142,7 +142,7 @@ impl<'a> Cur<'a> {
         let n = self.usize_(what)?;
         let remaining = self.bytes.len() - self.off;
         if n.checked_mul(min_elem_bytes.max(1))
-            .map_or(true, |need| need > remaining)
+            .is_none_or(|need| need > remaining)
         {
             return Err(format!(
                 "implausible {what} {n}: only {remaining} payload bytes remain"

@@ -780,7 +780,7 @@ impl StoreSession {
 
     /// Looks up one matrix packet (HCC stage).
     pub fn lookup_matrices(&self, key: &ChunkKey) -> Option<MatrixPacket> {
-        self.lookup_with(key, |payload| crate::codecs::decode_matrix_packet(payload))
+        self.lookup_with(key, crate::codecs::decode_matrix_packet)
     }
 
     /// Stages one matrix packet for publication on commit.

@@ -92,6 +92,36 @@ fn zero_storage_nodes_is_a_usage_error() {
 }
 
 #[test]
+fn malformed_dims_are_a_usage_error() {
+    let base = std::env::temp_dir().join(format!("h4d_cli_dims_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).unwrap();
+    // A component that is not a number, a negative one, and extents whose
+    // bytes (2^63 voxels of 2 bytes) overflow a usize: each is refused
+    // before the study is generated.
+    for (i, dims) in ["16,x,16,2,2", "16,16,-2,2,2", "4294967296,2147483648,1,1"]
+        .into_iter()
+        .enumerate()
+    {
+        let dir = base.join(format!("ds_{i}"));
+        let output = h4d()
+            .arg("generate")
+            .arg(&dir)
+            .args(["--dims", dims])
+            .output()
+            .expect("spawn h4d generate");
+        assert_eq!(output.status.code(), Some(2), "generate --dims {dims}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("--dims"),
+            "generate --dims {dims}: {stderr}"
+        );
+        assert!(!dir.exists(), "generate --dims {dims} created {dir:?}");
+    }
+    std::fs::remove_dir_all(&base).ok();
+}
+
+#[test]
 fn run_graph_accepts_the_graph_h4d_graph_wrote() {
     let base = std::env::temp_dir().join(format!("h4d_cli_graph_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);

@@ -196,12 +196,15 @@ fn packet_index_and_stage_separate_keys() {
     });
 }
 
+/// An edit of one `AppConfig` field.
+type Mutation = Box<dyn Fn(&mut AppConfig)>;
+
 #[test]
 fn every_semantic_config_field_moves_the_fingerprint() {
     let base = AppConfig::test_scale(Representation::Full);
     let d0 = config_digest(&base);
 
-    let mutations: Vec<(&str, Box<dyn Fn(&mut AppConfig)>)> = vec![
+    let mutations: Vec<(&str, Mutation)> = vec![
         ("levels", Box::new(|c| c.levels = 16)),
         (
             "quantizer",
@@ -240,7 +243,7 @@ fn every_semantic_config_field_moves_the_fingerprint() {
     // engines or re-distributing a dataset would discard every cached
     // result. (Caching, canonical output, transport and the store path are
     // not in `AppConfig` at all: they live in `IoRuntime` / `NodeConfig`.)
-    let neutral: Vec<(&str, Box<dyn Fn(&mut AppConfig)>)> = vec![
+    let neutral: Vec<(&str, Mutation)> = vec![
         // Both engines are byte-identical by hard invariant.
         ("engine", Box::new(|c| c.engine = ScanEngine::Reference)),
         ("storage_nodes", Box::new(|c| c.storage_nodes = 7)),
