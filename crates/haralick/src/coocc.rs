@@ -94,7 +94,8 @@ impl CoMatrix {
     /// only: each pair once, into cell `(min, max)`, so a diagonal pair adds
     /// 2 and an off-diagonal pair 1 — the counts a
     /// [`crate::sparse::SparseCoMatrix`] entry list holds. The total still
-    /// moves by 2 per pair. This is the reference engine's sparse rebuild:
+    /// moves by 2 per pair. This is the reference engine's `Sparse` and
+    /// `Full` rebuild:
     /// it starts from the all-zero matrix that
     /// [`drain_upper`](Self::drain_upper) leaves behind, and, as for
     /// [`reaccumulate`](Self::reaccumulate), the count bound is the
@@ -259,30 +260,22 @@ impl CoMatrix {
         self.total += other.total;
     }
 
-    /// Adds one symmetric pair observation (both orientations). Used by
-    /// [`crate::window::SlidingWindow`].
-    #[inline]
-    pub(crate) fn increment_pair(&mut self, a: u8, b: u8) {
-        let ng = self.levels as usize;
-        self.counts[a as usize * ng + b as usize] += 1;
-        self.counts[b as usize * ng + a as usize] += 1;
-        self.total += 2;
-    }
-
-    /// Removes one symmetric pair observation.
+    /// The matrix whose statistics `stats` are: every entry placed at both
+    /// orientations. Accepts the entry list in any of the orders the
+    /// statistics constructors and
+    /// [`scan_placements_with`](crate::raster::scan_placements_with) keep.
     ///
     /// # Panics
-    /// In debug builds, if the pair was never recorded (underflow).
-    #[inline]
-    pub(crate) fn decrement_pair(&mut self, a: u8, b: u8) {
-        let ng = self.levels as usize;
-        debug_assert!(
-            self.counts[a as usize * ng + b as usize] > 0,
-            "decrement of absent pair ({a}, {b})"
-        );
-        self.counts[a as usize * ng + b as usize] -= 1;
-        self.counts[b as usize * ng + a as usize] -= 1;
-        self.total -= 2;
+    /// If `stats` has no level count in `1..=256` (an empty reuse target).
+    pub fn from_stats(stats: &MatrixStats) -> Self {
+        let mut m = Self::zeros(stats.levels() as u16);
+        let ng = stats.levels();
+        for &(i, j, c) in stats.entries() {
+            m.counts[i as usize * ng + j as usize] = c;
+            m.counts[j as usize * ng + i as usize] = c;
+        }
+        m.total = stats.total();
+        m
     }
 
     /// Applies a signed net count delta to the symmetric cell pair

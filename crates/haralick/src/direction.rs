@@ -279,6 +279,36 @@ mod tests {
     }
 
     #[test]
+    fn the_40_unique_4d_directions_are_the_80_neighbours_up_to_sign() {
+        // Every non-zero vector of {−1, 0, 1}⁴, by brute force over the 81
+        // base-3 numbers, folded into its unordered ± pair.
+        type Vector = (i32, i32, i32, i32);
+        let pair = |v: Vector| {
+            let w = (-v.0, -v.1, -v.2, -v.3);
+            (v.min(w), v.max(w))
+        };
+        let digit = |n: i32, k: u32| n / 3i32.pow(k) % 3 - 1;
+        let neighbours: Vec<Vector> = (0..81)
+            .map(|n| (digit(n, 0), digit(n, 1), digit(n, 2), digit(n, 3)))
+            .filter(|&v| v != (0, 0, 0, 0))
+            .collect();
+        assert_eq!(neighbours.len(), 80);
+        let enumerated: HashSet<(Vector, Vector)> = neighbours.into_iter().map(pair).collect();
+        assert_eq!(enumerated.len(), 40);
+
+        let set = DirectionSet::all_unique_4d(1);
+        let generated: Vec<(Vector, Vector)> =
+            set.iter().map(|d| pair((d.dx, d.dy, d.dz, d.dt))).collect();
+        let distinct: HashSet<(Vector, Vector)> = generated.iter().copied().collect();
+        assert_eq!(
+            distinct.len(),
+            generated.len(),
+            "a ± pair is generated twice"
+        );
+        assert_eq!(distinct, enumerated);
+    }
+
+    #[test]
     fn two_d_set_matches_classic_angles() {
         // 0, 45, 90, 135 degrees as (dx, dy) pairs (y grows downward in
         // images, but the unordered pair structure is what matters).

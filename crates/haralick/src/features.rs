@@ -475,27 +475,6 @@ impl MatrixStats {
         }
     }
 
-    /// Accumulates sparse-representation statistics directly from a dense
-    /// matrix: what `from_sparse(&SparseCoMatrix::from_dense(m))` computes —
-    /// the upper triangle in row-major order, each off-diagonal entry
-    /// mirrored at once — without materializing the intermediate entry
-    /// list.
-    pub(crate) fn from_dense_sparse_order(m: &CoMatrix) -> Self {
-        debug_assert!(m.is_symmetric(), "co-occurrence matrix must be symmetric");
-        let ng = m.levels() as usize;
-        let mut s = Self::reusable();
-        s.reset(ng);
-        for i in 0..ng {
-            for j in i..ng {
-                let c = m.count(i, j);
-                if c != 0 {
-                    s.push_upper(i as u8, j as u8, c);
-                }
-            }
-        }
-        s
-    }
-
     /// Sparse-representation statistics of an upper-only store built by
     /// [`CoMatrix::add_region_upper`], drained through
     /// [`CoMatrix::drain_upper`]: the entries `from_sparse` would visit, in
@@ -503,6 +482,14 @@ impl MatrixStats {
     pub(crate) fn refill_draining_upper(&mut self, m: &mut CoMatrix) {
         self.reset(m.levels() as usize);
         m.drain_upper(|i, j, c| self.push_upper(i, j, c));
+    }
+
+    /// [`refill_draining_upper`](Self::refill_draining_upper) with the
+    /// entries sorted row-major: the statistics, and the entry order, of
+    /// the mirrored matrix's zero-skip pass.
+    pub(crate) fn refill_draining_upper_row_major(&mut self, m: &mut CoMatrix) {
+        self.refill_draining_upper(m);
+        self.entries.sort_unstable();
     }
 
     /// Records the upper-triangle cell `(i, j)` holding `c` and, off the
@@ -572,6 +559,11 @@ impl MatrixStats {
     /// Total count `R` of the underlying matrix.
     pub fn total(&self) -> u64 {
         self.moments.r
+    }
+
+    /// The non-zero ordered cells `(i, j, C(i, j))`, both orientations.
+    pub(crate) fn entries(&self) -> &[(u8, u8, u32)] {
+        &self.entries
     }
 }
 
@@ -1042,25 +1034,6 @@ mod tests {
         let names: std::collections::HashSet<&str> =
             Feature::ALL.iter().map(|f| f.short_name()).collect();
         assert_eq!(names.len(), 14);
-    }
-
-    #[test]
-    fn dense_sparse_order_sweep_matches_sparse_roundtrip_bitwise() {
-        // The direct dense→sparse-order sweep must reproduce the exact bits
-        // of the densify-then-sparsify round trip it replaces.
-        let img: Vec<u8> = (0..64).map(|i| ((i * 31 + 7) % 8) as u8).collect();
-        let m = matrix_of(img, 8, 8, 8, Direction::new(1, 1, 0, 0));
-        let via_sparse = MatrixStats::from_sparse(&SparseCoMatrix::from_dense(&m));
-        let direct = MatrixStats::from_dense_sparse_order(&m);
-        let a = compute_features(&via_sparse, &FeatureSelection::all());
-        let b = compute_features(&direct, &FeatureSelection::all());
-        for feat in Feature::ALL {
-            assert_eq!(
-                a.get(feat).unwrap().to_bits(),
-                b.get(feat).unwrap().to_bits(),
-                "{feat:?} not bit-identical"
-            );
-        }
     }
 
     #[test]

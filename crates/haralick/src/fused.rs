@@ -443,6 +443,28 @@ impl FusedScratch {
             finalize_into(&s.stats, &sel, &mut out[at..at + n]);
         });
     }
+
+    /// Walks one sheet as [`scan_sheet`](Self::scan_sheet) does, calling
+    /// `visit(x, row, stats)` with each placement's statistics, entry list
+    /// included. A placement whose window matrix did not move keeps its
+    /// left neighbour's entry list, which is its own.
+    ///
+    /// # Panics
+    /// As [`scan_sheet`](Self::scan_sheet).
+    pub(crate) fn visit_sheet(
+        &mut self,
+        vol: &LevelVolume,
+        origin: Point4,
+        rows: usize,
+        mut visit: impl FnMut(usize, usize, &MatrixStats),
+    ) {
+        self.sweep(vol, origin, rows, |s, row, x, moved| {
+            if moved {
+                s.stats.collect_entries(&s.matrix, &s.support, s.sparse);
+            }
+            visit(x, row, &s.stats);
+        });
+    }
 }
 
 #[cfg(test)]

@@ -57,9 +57,8 @@
 //! | [`features`] | the fourteen Haralick features, computed from full or sparse matrices |
 //! | [`linalg`] | small dense symmetric eigensolver used by feature 14 |
 //! | [`roi`] | ROI shape and output-geometry helpers |
-//! | [`raster`] | the raster scan producing feature maps: [`raster::ScanEngine::Reference`] (the oracle, [`raster::raster_scan`]) and [`raster::ScanEngine::Fused`] (the production kernel) |
-//! | [`window`] | incremental sliding-window matrix maintenance for stages that emit matrices, not features (beyond-the-paper optimization) |
-//! | [`fused`] | the fused sheet kernel: per-plane column histograms slid along x and y, one flat pair list per output row step, finalized straight into the output sheet |
+//! | [`raster`] | the raster scan producing feature maps, or visiting each placement's statistics ([`raster::scan_placements_with`], for stages that emit matrices): [`raster::ScanEngine::Reference`] (the oracle, [`raster::raster_scan`]) and [`raster::ScanEngine::Fused`] (the production kernel) |
+//! | [`fused`] | the fused sheet kernel: per-plane column histograms slid along x and y, one flat pair list per output row step, finalized straight into the output sheet or visited placement by placement |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -74,7 +73,6 @@ pub mod raster;
 pub mod roi;
 pub mod sparse;
 pub mod volume;
-pub mod window;
 
 pub use coocc::CoMatrix;
 pub use direction::{Direction, DirectionSet};

@@ -2,7 +2,9 @@
 //! feature vector per placement (paper §3, Figures 1–2).
 //!
 //! All scans run through [`scan`] / [`scan_placements`] /
-//! [`scan_placements_raw`] on one of two [`ScanEngine`]s:
+//! [`scan_placements_raw`], which finalize features into maps, or
+//! [`scan_placements_with`], which visits each placement's statistics, on
+//! one of two [`ScanEngine`]s:
 //!
 //! * `Reference` — the sequential per-placement rebuild, a direct
 //!   transcription of the paper's Figure 2 pseudo-code and the permanent
@@ -15,8 +17,11 @@
 //!   call.
 //!
 //! Both engines produce bit-identical [`FeatureMaps`] for all four
-//! [`Representation`]s; the distributed implementation in the `pipeline`
-//! crate routes its per-chunk work through [`scan_placements`].
+//! [`Representation`]s. The distributed implementation in the `pipeline`
+//! crate scans each chunk once: its HMP filter through
+//! [`scan_placements_raw`], and its HCC filter through
+//! [`scan_placements_with`], which packs every visited window's matrix
+//! for the HPC filter.
 
 use crate::coocc::{assert_counts_fit, CoMatrix};
 use crate::direction::DirectionSet;
@@ -33,6 +38,9 @@ pub enum Representation {
     /// Dense `Ng x Ng` array, evaluating every entry (no optimization).
     FullNaive,
     /// Dense array with the zero-skip optimization (the paper's ~4x win).
+    /// The reference engine counts and drains as for `Sparse`, then lists
+    /// the entries row-major over the mirrored matrix: the zero-skip pass's
+    /// statistics in its order, without an `Ng²` fill or sweep.
     Full,
     /// Sparse entry list; the matrix is accumulated in a dense array,
     /// converted to sparse form (as the split HCC filter does before
@@ -53,21 +61,6 @@ impl Representation {
     /// Whether this is one of the sparse-entry-list representations.
     pub const fn is_sparse(self) -> bool {
         matches!(self, Representation::Sparse | Representation::SparseAccum)
-    }
-
-    /// Computes feature-ready statistics from a freshly built dense matrix
-    /// according to the representation policy.
-    pub fn stats_of(self, m: &CoMatrix) -> MatrixStats {
-        match self {
-            Representation::FullNaive => m.stats_naive(),
-            Representation::Full => m.stats_checked(),
-            // Sparse statistics sweep the dense matrix in sparse entry
-            // order directly — bit-identical to densify-then-sparsify
-            // without materializing the intermediate entry list.
-            Representation::Sparse | Representation::SparseAccum => {
-                MatrixStats::from_dense_sparse_order(m)
-            }
-        }
     }
 }
 
@@ -279,9 +272,10 @@ impl FeatureMaps {
 /// accumulates into and the statistics accumulator, both recycled across
 /// every placement so the hot loop never allocates.
 ///
-/// `matrix` is all-zero between placements of the `Sparse` arm: its
-/// upper-triangle count starts from zero, and the drain that reads it out
-/// zeroes every row it touched. The `Full` arms fill it with zeros first.
+/// `matrix` is all-zero between placements of the `Full` and `Sparse` arms:
+/// both count each pair once into its upper triangle, and the drain that
+/// reads it out zeroes every row it touched. The `FullNaive` arm fills it
+/// with zeros first.
 struct ScanScratch {
     matrix: CoMatrix,
     /// Sparse-storage accumulator recycled by the `SparseAccum` rebuild
@@ -301,16 +295,11 @@ impl ScanScratch {
     }
 }
 
-/// Computes the feature values for the single window at `origin` into
-/// `out` (selection order), reusing `scratch` — the allocation-free
-/// per-ROI unit of work of the reference engine.
-fn scan_one_into(
-    vol: &LevelVolume,
-    cfg: &ScanConfig,
-    origin: Point4,
-    scratch: &mut ScanScratch,
-    out: &mut [f64],
-) {
+/// Rebuilds `scratch.stats`, entry list included, for the single window at
+/// `origin` through `cfg.representation`'s storage — the allocation-free
+/// per-ROI unit of work of the reference engine, which
+/// [`scan_one_into`] finalizes and [`scan_placements_with`] visits.
+fn rebuild_stats(vol: &LevelVolume, cfg: &ScanConfig, origin: Point4, scratch: &mut ScanScratch) {
     match cfg.representation {
         Representation::SparseAccum => {
             let ScanScratch {
@@ -328,8 +317,10 @@ fn scan_one_into(
         Representation::Full => {
             scratch
                 .matrix
-                .reaccumulate(vol, cfg.roi.region_at(origin), &cfg.directions);
-            scratch.stats.refill_from_dense(&scratch.matrix, true);
+                .add_region_upper(vol, cfg.roi.region_at(origin), &cfg.directions);
+            scratch
+                .stats
+                .refill_draining_upper_row_major(&mut scratch.matrix);
         }
         Representation::FullNaive => {
             scratch
@@ -338,6 +329,18 @@ fn scan_one_into(
             scratch.stats.refill_from_dense(&scratch.matrix, false);
         }
     }
+}
+
+/// Computes the feature values for the single window at `origin` into
+/// `out` (selection order), reusing `scratch`.
+fn scan_one_into(
+    vol: &LevelVolume,
+    cfg: &ScanConfig,
+    origin: Point4,
+    scratch: &mut ScanScratch,
+    out: &mut [f64],
+) {
+    rebuild_stats(vol, cfg, origin, scratch);
     finalize_into(&scratch.stats, &cfg.selection, out);
 }
 
@@ -394,6 +397,62 @@ pub fn scan_placements(
             maps
         }
         ScanEngine::Fused => run_fused(vol, cfg, base, extent),
+    }
+}
+
+/// Visits the `extent`-shaped block of placements based at `base` with the
+/// engine configured in `cfg`, calling `visit(p, stats)` with the
+/// statistics of the window at `base + p`: `x` fastest, then `y`, `z` and
+/// `t`. Every `stats` carries its full entry list, so it converts back to
+/// the window's matrix ([`CoMatrix::from_stats`],
+/// [`SparseCoMatrix::from_stats`](crate::sparse::SparseCoMatrix::from_stats))
+/// in either engine; `cfg.selection` is not read.
+///
+/// [`scan_placements`] finalizes each placement into feature maps; this is
+/// the entry for consumers of the matrices themselves, such as the split
+/// pipeline's matrix stage. Under `Fused` both drive one sheet slide.
+///
+/// # Panics
+/// As [`scan_placements`].
+pub fn scan_placements_with(
+    vol: &LevelVolume,
+    cfg: &ScanConfig,
+    base: Point4,
+    extent: Dims4,
+    mut visit: impl FnMut(Point4, &MatrixStats),
+) {
+    assert_counts_fit(cfg.roi.size(), cfg.directions.len());
+    match cfg.engine {
+        ScanEngine::Reference => {
+            // `FullNaive` stands for a finalization without the zero-skip,
+            // which a visit's consumer pays where it finalizes. Its
+            // statistics are the zero-skip arm's, so a visit rebuilds them
+            // through that arm.
+            let mut cfg = cfg.clone();
+            if cfg.representation == Representation::FullNaive {
+                cfg.representation = Representation::Full;
+            }
+            let mut scratch = ScanScratch::new(vol.levels());
+            for p in extent.region().points() {
+                let origin = Point4::new(base.x + p.x, base.y + p.y, base.z + p.z, base.t + p.t);
+                rebuild_stats(vol, &cfg, origin, &mut scratch);
+                visit(p, &scratch.stats);
+            }
+        }
+        ScanEngine::Fused => {
+            if extent.is_empty() {
+                return;
+            }
+            let mut scratch = FusedScratch::new(vol, cfg, extent.x);
+            for t in 0..extent.t {
+                for z in 0..extent.z {
+                    let origin = Point4::new(base.x, base.y, base.z + z, base.t + t);
+                    scratch.visit_sheet(vol, origin, extent.y, |x, y, stats| {
+                        visit(Point4::new(x, y, z, t), stats)
+                    });
+                }
+            }
+        }
     }
 }
 
@@ -726,6 +785,72 @@ mod tests {
     }
 
     #[test]
+    fn visited_statistics_finalize_to_the_scanned_values() {
+        // One scan, two consumers: the statistics `scan_placements_with`
+        // visits, x fastest, finalize to the bits `scan_placements` writes,
+        // and convert back to the rebuilt matrix, under both engines.
+        let vol = gradient_volume(Dims4::new(10, 9, 4, 4), 8);
+        let (base, extent) = (Point4::new(1, 2, 0, 1), Dims4::new(5, 3, 2, 2));
+        for engine in [ScanEngine::Reference, ScanEngine::Fused] {
+            for representation in [
+                Representation::FullNaive,
+                Representation::Full,
+                Representation::Sparse,
+                Representation::SparseAccum,
+            ] {
+                let cfg = ScanConfig {
+                    selection: FeatureSelection::all(),
+                    representation,
+                    engine,
+                    ..small_cfg()
+                };
+                let maps = scan_placements(&vol, &cfg, base, extent);
+                let mut visited = 0;
+                scan_placements_with(&vol, &cfg, base, extent, |p, stats| {
+                    assert_eq!(p, extent.point_of(visited), "{engine:?} visiting order");
+                    visited += 1;
+                    let origin =
+                        Point4::new(base.x + p.x, base.y + p.y, base.z + p.z, base.t + p.t);
+                    let rebuilt =
+                        CoMatrix::from_region(&vol, cfg.roi.region_at(origin), &cfg.directions);
+                    assert_eq!(
+                        CoMatrix::from_stats(stats),
+                        rebuilt,
+                        "{engine:?} {representation:?} at {p:?}"
+                    );
+                    let values = crate::features::compute_features(stats, &cfg.selection);
+                    for (slot, f) in cfg.selection.iter().enumerate() {
+                        let (a, b) = (values.get(f).unwrap(), maps.values_at(p)[slot]);
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{engine:?} {representation:?} {f:?} at {p:?}"
+                        );
+                    }
+                });
+                assert_eq!(visited, extent.len());
+            }
+        }
+    }
+
+    #[test]
+    fn visiting_a_block_past_the_volume_edge_is_refused() {
+        let vol = gradient_volume(Dims4::new(8, 8, 3, 3), 8);
+        let extent = small_cfg().roi.output_dims(vol.dims());
+        for engine in [ScanEngine::Reference, ScanEngine::Fused] {
+            let cfg = ScanConfig {
+                engine,
+                ..small_cfg()
+            };
+            let past = Point4::new(1, 0, 0, 0);
+            let refused = std::panic::catch_unwind(|| {
+                scan_placements_with(&vol, &cfg, past, extent, |_, _| {});
+            });
+            assert!(refused.is_err(), "{engine:?} visited windows past the edge");
+        }
+    }
+
+    #[test]
     fn both_engines_refuse_a_cell_count_overflow() {
         // A ROI spanning the paper's whole volume with all 40 directions:
         // 2 · 2²⁶ · 40 > u32::MAX. Refused before any geometry is looked at.
@@ -734,15 +859,20 @@ mod tests {
         cfg.roi = RoiShape::from_lengths(256, 256, 32, 32);
         for engine in [ScanEngine::Reference, ScanEngine::Fused] {
             cfg.engine = engine;
-            let refused = std::panic::catch_unwind(|| {
-                scan_placements(&vol, &cfg, Point4::ZERO, Dims4::new(0, 0, 0, 0))
-            })
-            .expect_err("overflowing configuration was accepted");
-            let message = refused.downcast_ref::<String>().expect("formatted panic");
-            assert!(
-                message.contains("256x256x32x32") && message.contains("40 directions"),
-                "{engine:?}: {message}"
-            );
+            let none = Dims4::new(0, 0, 0, 0);
+            let scans: [&dyn Fn(); 2] = [
+                &|| drop(scan_placements(&vol, &cfg, Point4::ZERO, none)),
+                &|| scan_placements_with(&vol, &cfg, Point4::ZERO, none, |_, _| {}),
+            ];
+            for scan in scans {
+                let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(scan))
+                    .expect_err("overflowing configuration was accepted");
+                let message = refused.downcast_ref::<String>().expect("formatted panic");
+                assert!(
+                    message.contains("256x256x32x32") && message.contains("40 directions"),
+                    "{engine:?}: {message}"
+                );
+            }
         }
         cfg.roi = RoiShape::from_lengths(256, 256, 32, 16);
         assert!(scan(&vol, &cfg).dims().is_empty(), "2 · 2²⁵ · 40 fits");

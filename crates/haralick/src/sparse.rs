@@ -13,6 +13,7 @@
 //!   **greatly reduces the network traffic** between them.
 
 use crate::coocc::CoMatrix;
+use crate::features::MatrixStats;
 
 /// One non-zero upper-triangle entry: gray-level pair `(i, j)` with
 /// `i <= j`, and its count. The symmetric `(j, i)` entry is implied.
@@ -59,6 +60,32 @@ impl SparseCoMatrix {
         Self {
             levels: m.levels(),
             total: m.total(),
+            entries,
+        }
+    }
+
+    /// The sparse matrix whose statistics `stats` are: their upper-triangle
+    /// entries (`i <= j`), ascending — [`from_dense`](Self::from_dense) of
+    /// [`CoMatrix::from_stats`] without the dense array. Every entry order
+    /// the statistics constructors and
+    /// [`scan_placements_with`](crate::raster::scan_placements_with) keep
+    /// lists the upper cells ascending.
+    pub fn from_stats(stats: &MatrixStats) -> Self {
+        let entries: Vec<SparseEntry> = stats
+            .entries()
+            .iter()
+            .filter(|&&(i, j, _)| i <= j)
+            .map(|&(i, j, count)| SparseEntry { i, j, count })
+            .collect();
+        debug_assert!(
+            entries
+                .windows(2)
+                .all(|w| (w[0].i, w[0].j) < (w[1].i, w[1].j)),
+            "statistics list their upper entries out of order"
+        );
+        Self {
+            levels: stats.levels() as u16,
+            total: stats.total(),
             entries,
         }
     }

@@ -9,7 +9,9 @@
 
 use haralick::features::MatrixStats;
 use haralick::quantize::Quantizer;
-use haralick::window::SlidingWindow;
+use haralick::raster::{
+    scan_placements_with, Representation, ScanConfig, ScanEngine, TSlidePolicy,
+};
 use haralick::{
     compute_features, CoMatrix, Dims4, Direction, DirectionSet, Feature, FeatureSelection,
     LevelVolume, Point4, Region4, RoiShape, SparseAccumulator, SparseCoMatrix,
@@ -267,23 +269,65 @@ fn quantizer_is_monotone_and_in_range() {
 
 #[test]
 fn sliding_window_equals_rebuild_everywhere() {
+    // Every placement `scan_placements_with` visits, in either engine and
+    // representation, carries its window's statistics: converted back, the
+    // dense and sparse matrices equal a rebuild of the window. Random
+    // blocks cross row, sheet and volume breaks.
     for_each_case(0x4b50_000a, |rng| {
-        let (vol, d) = (level_volume(rng, 6), direction(rng));
+        let vol = level_volume(rng, 6);
         let dims = vol.dims();
         let roi = Dims4::new(
-            (dims.x / 2).max(1),
-            (dims.y / 2).max(1),
-            dims.z.min(2),
-            dims.t.min(2),
+            rng.in_range(1, dims.x),
+            rng.in_range(1, dims.y),
+            rng.in_range(1, dims.z),
+            rng.in_range(1, dims.t),
         );
-        let dirs = DirectionSet::single(d);
-        let slides = dims.x - roi.x;
-        let mut win = SlidingWindow::new(&vol, &dirs, roi, Point4::ZERO);
-        for step in 1..=slides {
-            win.slide_x();
-            let expect =
-                CoMatrix::from_region(&vol, Region4::new(Point4::new(step, 0, 0, 0), roi), &dirs);
-            assert_eq!(win.matrix(), &expect, "divergence at slide {step}");
+        let dirs = DirectionSet::new((0..rng.in_range(1, 3)).map(|_| direction(rng)));
+        let out = RoiShape::new(roi).output_dims(dims);
+        let base = Point4::new(
+            rng.in_range(0, out.x - 1),
+            rng.in_range(0, out.y - 1),
+            rng.in_range(0, out.z - 1),
+            rng.in_range(0, out.t - 1),
+        );
+        let extent = Dims4::new(
+            out.x - base.x,
+            out.y - base.y,
+            out.z - base.z,
+            out.t - base.t,
+        );
+        for engine in [ScanEngine::Reference, ScanEngine::Fused] {
+            for representation in [
+                Representation::FullNaive,
+                Representation::Full,
+                Representation::Sparse,
+                Representation::SparseAccum,
+            ] {
+                let cfg = ScanConfig {
+                    roi: RoiShape::new(roi),
+                    directions: dirs.clone(),
+                    selection: FeatureSelection::all(),
+                    representation,
+                    engine,
+                    t_slide: TSlidePolicy::Auto,
+                };
+                let mut visited = 0;
+                scan_placements_with(&vol, &cfg, base, extent, |p, stats| {
+                    assert_eq!(p, extent.point_of(visited), "visiting order");
+                    visited += 1;
+                    let origin =
+                        Point4::new(base.x + p.x, base.y + p.y, base.z + p.z, base.t + p.t);
+                    let expect = CoMatrix::from_region(&vol, Region4::new(origin, roi), &dirs);
+                    let what = format!("{engine:?} {representation:?} at {origin:?}");
+                    assert_eq!(CoMatrix::from_stats(stats), expect, "{what}");
+                    assert_eq!(
+                        SparseCoMatrix::from_stats(stats),
+                        SparseCoMatrix::from_dense(&expect),
+                        "{what}"
+                    );
+                });
+                assert_eq!(visited, extent.len());
+            }
         }
     });
 }

@@ -10,16 +10,15 @@ use crate::payload::{
     linear_point, ChunkData, FeatureVolume, MatrixBatch, MatrixPacket, ParamPacket, Piece,
 };
 use crate::run::IoRuntime;
-use crate::store::{KeyRecipe, StoreSession, StoreStage};
+use crate::store::{ChunkKey, KeyRecipe, StoreSession, StoreStage};
 use datacutter::{DataBuffer, Filter, FilterContext, FilterError, FilterErrorKind};
 use haralick::coocc::CoMatrix;
 use haralick::features::{compute_features, FeatureSelection, MatrixStats};
-use haralick::raster::{Representation, ScanEngine};
-use haralick::sparse::{SparseAccumulator, SparseCoMatrix};
-use haralick::volume::{LevelVolume, Point4, Region4};
-use haralick::window::MatrixCursor;
+use haralick::raster::{scan_placements_with, Representation};
+use haralick::sparse::SparseCoMatrix;
+use haralick::volume::Point4;
 use mri::cache::{crop_subrect, CacheError, IoStats, ReusePlan, SliceCache, SliceSource};
-use mri::chunks::ChunkGrid;
+use mri::chunks::{Chunk, ChunkGrid};
 use mri::dicom::{DicomDataset, DicomError};
 use mri::output::{normalize_to_gray, write_pgm, ParameterWriter};
 use mri::raw::RawVolume;
@@ -49,7 +48,7 @@ fn cache_error(e: CacheError) -> FilterError {
 fn pump_chunks<S: SliceSource>(
     cache: &SliceCache<S>,
     grid: &ChunkGrid,
-    mut emit: impl FnMut(mri::chunks::Chunk, SliceKey, Vec<u16>) -> Result<(), FilterError>,
+    mut emit: impl FnMut(Chunk, SliceKey, Vec<u16>) -> Result<(), FilterError>,
 ) -> Result<(), FilterError> {
     let (plan, (slice_x, _)) = (cache.plan(), cache.slice_dims());
     for (seq, chunk) in grid.chunks().enumerate() {
@@ -235,7 +234,7 @@ impl<D: PieceSource> Filter for ReaderFilter<D> {
         // The emission order of every read path: chunks in grid order, a
         // chunk's slices `t` outer / `z` inner, this node's slices only.
         let plan = ReusePlan::new(&grid, |key| dataset.node_of(key) == Some(node));
-        let mut emit = |chunk: mri::chunks::Chunk, key: SliceKey, data: Vec<u16>| {
+        let mut emit = |chunk: Chunk, key: SliceKey, data: Vec<u16>| {
             let piece = Piece {
                 chunk,
                 slice: key,
@@ -278,8 +277,9 @@ impl<D: PieceSource> Filter for ReaderFilter<D> {
 /// filters. Pieces of one chunk are routed to one IIC copy by the
 /// tag-modulo stream (the chunk id is the tag).
 pub struct IicFilter {
-    /// chunk id → (assembly buffer, received pieces, expected pieces).
-    pending: HashMap<usize, (ChunkData, usize, usize)>,
+    /// chunk id → (assembly buffer, which of its `z · t` slices arrived,
+    /// how many are still missing).
+    pending: HashMap<usize, (ChunkData, Vec<bool>, usize)>,
 }
 
 impl IicFilter {
@@ -307,31 +307,52 @@ impl Filter for IicFilter {
         // Take the piece by value: on the tag-modulo stream exactly one IIC
         // copy holds each piece, so this moves (no pixel copy).
         let piece: Piece = buf.into_payload()?;
-        let chunk = piece.chunk;
+        let (chunk, key) = (piece.chunk, piece.slice);
+        let size = chunk.input.size;
+        // Pieces may come from a peer process: one that does not fit its
+        // chunk, or arrives twice, is refused rather than pasted.
+        let refuse = |what: String| {
+            let (id, (t, z)) = (chunk.id, (key.t, key.z));
+            let message =
+                format!("IIC refused the piece of slice (t {t}, z {z}) for chunk {id}: {what}");
+            Err(FilterError::new(FilterErrorKind::App, message))
+        };
+        let (Some(z), Some(t)) = (
+            key.z
+                .checked_sub(chunk.input.origin.z)
+                .filter(|&z| z < size.z),
+            key.t
+                .checked_sub(chunk.input.origin.t)
+                .filter(|&t| t < size.t),
+        ) else {
+            return refuse(format!(
+                "the slice lies outside the input {:?}",
+                chunk.input
+            ));
+        };
+        if piece.data.len() != size.x * size.y {
+            let (len, want) = (piece.data.len(), size.x * size.y);
+            return refuse(format!("{len} voxels, want {want}"));
+        }
         let entry = self.pending.entry(chunk.id).or_insert_with(|| {
-            let expected = chunk.input.size.z * chunk.input.size.t;
-            let store = vec![0u16; chunk.input.size.len()];
-            (
-                ChunkData {
-                    chunk,
-                    raw: RawVolume::new(chunk.input.size, store),
-                },
-                0,
-                expected,
-            )
+            let slices = size.z * size.t;
+            let raw = RawVolume::new(size, vec![0u16; size.len()]);
+            (ChunkData { chunk, raw }, vec![false; slices], slices)
         });
-        let at = Point4::new(
-            0,
-            0,
-            piece.slice.z - chunk.input.origin.z,
-            piece.slice.t - chunk.input.origin.t,
-        );
-        entry
-            .0
-            .raw
-            .paste_plane(chunk.input.size.x, chunk.input.size.y, &piece.data, at);
-        entry.1 += 1;
-        if entry.1 == entry.2 {
+        let (data, received, missing) = entry;
+        if data.chunk != chunk {
+            return refuse(format!(
+                "its chunk differs from the first piece's {:?}",
+                data.chunk
+            ));
+        }
+        if std::mem::replace(&mut received[t * size.z + z], true) {
+            return refuse("the slice was already received".to_string());
+        }
+        let at = Point4::new(0, 0, z, t);
+        data.raw.paste_plane(size.x, size.y, &piece.data, at);
+        *missing -= 1;
+        if *missing == 0 {
             let (data, _, _) = self.pending.remove(&chunk.id).expect("entry exists");
             let size = data.wire_size();
             ctx.emit(0, DataBuffer::new(data, size, chunk.id as u64))?;
@@ -350,29 +371,16 @@ impl Filter for IicFilter {
     }
 }
 
-/// Builds the co-occurrence matrix for one ROI of a quantized chunk,
-/// returning it in the configured transmission representation.
-fn matrix_for(
-    vol: &LevelVolume,
-    cfg: &AppConfig,
-    local_origin: Point4,
-) -> Result<MatrixEither, FilterError> {
-    let region = Region4::new(local_origin, cfg.roi.size());
-    Ok(match cfg.representation {
-        Representation::SparseAccum => {
-            MatrixEither::Sparse(SparseAccumulator::from_region(vol, region, &cfg.directions))
-        }
-        Representation::Sparse => {
-            let m = CoMatrix::from_region(vol, region, &cfg.directions);
-            MatrixEither::Sparse(SparseCoMatrix::from_dense(&m))
-        }
-        _ => MatrixEither::Dense(CoMatrix::from_region(vol, region, &cfg.directions)),
-    })
-}
-
-enum MatrixEither {
-    Dense(CoMatrix),
-    Sparse(SparseCoMatrix),
+/// The placement base of a chunk's scan: its owned-output block's origin
+/// in chunk-local coordinates.
+fn owned_base(chunk: &Chunk) -> Point4 {
+    let (owned, input) = (chunk.owned_output.origin, chunk.input.origin);
+    Point4::new(
+        owned.x - input.x,
+        owned.y - input.y,
+        owned.z - input.z,
+        owned.t - input.t,
+    )
 }
 
 /// Computes feature values for every owned ROI of a chunk and groups them
@@ -388,21 +396,13 @@ enum MatrixEither {
 /// with no densify-then-sparsify round trip).
 pub fn analyze_chunk(cfg: &AppConfig, data: &ChunkData) -> Result<Vec<ParamPacket>, FilterError> {
     let chunk = &data.chunk;
-    let owned = chunk.owned_output;
-    // The owned-output block's placement base in chunk-local coordinates.
-    let base = Point4::new(
-        owned.origin.x - chunk.input.origin.x,
-        owned.origin.y - chunk.input.origin.y,
-        owned.origin.z - chunk.input.origin.z,
-        owned.origin.t - chunk.input.origin.t,
-    );
     let maps = haralick::raster::scan_placements_raw(
         data.raw.dims(),
         data.raw.as_slice(),
         &cfg.quantizer,
         &cfg.scan_config(),
-        base,
-        owned.size,
+        owned_base(chunk),
+        chunk.owned_output.size,
     );
     let n = chunk.rois();
     let sel = cfg.selection;
@@ -508,97 +508,94 @@ impl Filter for HccFilter {
         let data: ChunkData = buf.into_payload()?;
         let cfg = &self.cfg;
         let chunk = data.chunk;
-        // The content digest covers the raw input region, so it must be
-        // folded before the raw buffer is dropped.
-        let store = self
-            .store
-            .as_ref()
-            .map(|(recipe, session)| (*recipe, session, recipe.content_digest(&chunk, &data.raw)));
-        let vol = data.raw.quantize(&cfg.quantizer);
-        // The raw chunk is only needed for quantization; free it before
-        // the per-ROI scan.
-        drop(data);
         let n = chunk.rois();
         let per_packet = n.div_ceil(cfg.packet_split.max(1)).max(1);
-        // Under the fused engine, maintain the dense matrix with the
-        // sliding window across the chunk's raster order (`linear_point`
-        // advances +x within a row, so almost every placement slides). The
-        // `Sparse` wire form rides the cursor too: its dense state converts
-        // per emitted matrix instead of rebuilding each window.
-        // `SparseAccum` keeps its per-ROI accumulation semantics — its
-        // whole point is never materializing the dense matrix.
-        let mut cursor = (cfg.engine == ScanEngine::Fused
-            && cfg.representation != Representation::SparseAccum)
-            .then(|| MatrixCursor::new(&vol, &cfg.directions, cfg.roi.size()));
-        // Exactly one of the two batch vectors is used per representation;
-        // reserve the packet's matrix count up front instead of growing
-        // from empty.
-        let sparse_repr = matches!(
-            cfg.representation,
-            Representation::Sparse | Representation::SparseAccum
-        );
-        let mut first = 0usize;
-        while first < n {
-            let count = per_packet.min(n - first);
-            // One store key per matrix packet, folding the packet's first
-            // ROI index on top of the chunk's content digest. A served
-            // packet skips its ROIs entirely; the cursor reseeds itself at
-            // the next computed placement (`matrix_at` rebuilds on any
-            // non-`+x` jump), so hits and misses can interleave freely.
-            let key = store
-                .as_ref()
-                .map(|(recipe, session, content)| (recipe.key(&chunk, *content, first), session));
-            if let Some((key, session)) = &key {
-                if let Some(packet) = session.lookup_matrices(key) {
-                    let size = packet.wire_size(cfg.levels);
-                    ctx.emit(0, DataBuffer::new(packet, size, tag))?;
-                    first += count;
-                    continue;
-                }
+        let packets = n.div_ceil(per_packet);
+        let mut emit = |packet: MatrixPacket| {
+            let size = packet.wire_size(cfg.levels);
+            ctx.emit(0, DataBuffer::new(packet, size, tag))
+        };
+        // One store key per matrix packet, folding the packet's first ROI
+        // index on top of the chunk's content digest, which covers the raw
+        // input region. Every key is looked up before the scan: stored
+        // packets stream out while they hit, and if all hit the chunk is
+        // not scanned. Otherwise the scan covers the whole chunk once, and
+        // only the packets whose keys missed are published.
+        let store = self.store.as_ref().map(|(recipe, session)| {
+            let content = recipe.content_digest(&chunk, &data.raw);
+            let keys: Vec<ChunkKey> = (0..packets)
+                .map(|j| recipe.key(&chunk, content, j * per_packet))
+                .collect();
+            (keys, session)
+        });
+        let (mut served, mut missed) = (0, vec![false; packets]);
+        if let Some((keys, session)) = &store {
+            for key in keys {
+                let Some(packet) = session.lookup_matrices(key) else {
+                    break;
+                };
+                emit(packet)?;
+                served += 1;
             }
-            let mut dense = Vec::with_capacity(if sparse_repr { 0 } else { count });
-            let mut sparse = Vec::with_capacity(if sparse_repr { count } else { 0 });
-            for k in first..first + count {
-                let global = linear_point(&chunk, k);
-                let local = Point4::new(
-                    global.x - chunk.input.origin.x,
-                    global.y - chunk.input.origin.y,
-                    global.z - chunk.input.origin.z,
-                    global.t - chunk.input.origin.t,
-                );
-                match &mut cursor {
-                    Some(cursor) => {
-                        let m = cursor.matrix_at(local);
-                        if cfg.representation == Representation::Sparse {
-                            sparse.push(SparseCoMatrix::from_dense(m));
-                        } else {
-                            dense.push(m.clone());
-                        }
-                    }
-                    None => match matrix_for(&vol, cfg, local)? {
-                        MatrixEither::Dense(m) => dense.push(m),
-                        MatrixEither::Sparse(s) => sparse.push(s),
-                    },
-                }
+            if served == packets {
+                return Ok(());
             }
-            let batch = if sparse.is_empty() {
-                MatrixBatch::Dense(dense)
+            for (j, key) in keys.iter().enumerate().skip(served) {
+                missed[j] = j == served || session.lookup_matrices(key).is_none();
+            }
+        }
+        let vol = data.raw.quantize(&cfg.quantizer);
+        // The raw chunk is only needed for quantization; free it before
+        // the scan.
+        drop(data);
+        // The scan visits the owned ROIs x-fastest, the order of
+        // `linear_point`: after `k` visits, ROIs `0..k` are packed.
+        let sparse = cfg.representation.is_sparse();
+        let batch = |len: usize| {
+            if sparse {
+                MatrixBatch::Sparse(Vec::with_capacity(len))
             } else {
-                MatrixBatch::Sparse(sparse)
+                MatrixBatch::Dense(Vec::with_capacity(len))
+            }
+        };
+        // Packets already served from the store cover the first `skip`
+        // ROIs.
+        let skip = served * per_packet;
+        let (mut k, mut pending, mut failed) = (0, batch(per_packet), None);
+        let (base, extent) = (owned_base(&chunk), chunk.owned_output.size);
+        scan_placements_with(&vol, &cfg.scan_config(), base, extent, |_, stats| {
+            k += 1;
+            if k <= skip || failed.is_some() {
+                return;
+            }
+            let len = match &mut pending {
+                MatrixBatch::Dense(v) => {
+                    v.push(CoMatrix::from_stats(stats));
+                    v.len()
+                }
+                MatrixBatch::Sparse(v) => {
+                    v.push(SparseCoMatrix::from_stats(stats));
+                    v.len()
+                }
             };
+            if len < per_packet && k < n {
+                return;
+            }
+            let first = k - len;
+            let j = first / per_packet;
             let packet = MatrixPacket {
                 chunk,
                 first,
-                batch,
+                batch: std::mem::replace(&mut pending, batch(per_packet.min(n - k))),
             };
-            if let Some((key, session)) = &key {
-                session.publish_matrices(key, &packet);
+            if let Some((keys, session)) = store.as_ref().filter(|_| missed[j]) {
+                session.publish_matrices(&keys[j], &packet);
             }
-            let size = packet.wire_size(cfg.levels);
-            ctx.emit(0, DataBuffer::new(packet, size, tag))?;
-            first += count;
-        }
-        Ok(())
+            if let Err(e) = emit(packet) {
+                failed = Some(e);
+            }
+        });
+        failed.map_or(Ok(()), Err)
     }
 }
 
@@ -636,8 +633,9 @@ impl Filter for HpcFilter {
         };
         match &packet.batch {
             MatrixBatch::Dense(ms) => {
+                let zero_skip = cfg.representation != Representation::FullNaive;
                 for (k, m) in ms.iter().enumerate() {
-                    push(k, &cfg.representation.stats_of(m), &mut points);
+                    push(k, &MatrixStats::from_dense(m, zero_skip), &mut points);
                 }
             }
             MatrixBatch::Sparse(ms) => {
@@ -889,5 +887,239 @@ impl Filter for JiwFilter {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use datacutter::{run_graph, FilterFactory, GraphSpec, RunFailure, SchedulePolicy};
+    use haralick::raster::{Representation, ScanEngine};
+    use haralick::volume::{Dims4, Region4};
+    use haralick::RoiShape;
+    use std::sync::Mutex;
+
+    /// Emits its payloads on port 0, each tagged with the given tag.
+    struct Source<T>(Vec<(T, u64)>);
+
+    impl<T: std::any::Any + Send + Sync> Filter for Source<T> {
+        fn start(&mut self, ctx: &mut FilterContext) -> Result<(), FilterError> {
+            for (payload, tag) in self.0.drain(..) {
+                ctx.emit(0, DataBuffer::new(payload, 0, tag))?;
+            }
+            Ok(())
+        }
+
+        fn process(
+            &mut self,
+            _: usize,
+            _: DataBuffer,
+            _: &mut FilterContext,
+        ) -> Result<(), FilterError> {
+            unreachable!("a source has no inputs")
+        }
+    }
+
+    /// Collects the payloads it receives.
+    struct Sink<T>(Arc<Mutex<Vec<T>>>);
+
+    impl<T: std::any::Any + Send + Sync + Clone> Filter for Sink<T> {
+        fn process(
+            &mut self,
+            _: usize,
+            buf: DataBuffer,
+            _: &mut FilterContext,
+        ) -> Result<(), FilterError> {
+            self.0.lock().unwrap().push(buf.into_payload()?);
+            Ok(())
+        }
+    }
+
+    /// Runs `inputs` through one copy of `stage` and returns what it emitted.
+    fn through<I, O>(inputs: Vec<(I, u64)>, stage: Box<dyn Filter>) -> Result<Vec<O>, RunFailure>
+    where
+        I: std::any::Any + Send + Sync,
+        O: std::any::Any + Send + Sync + Clone,
+    {
+        let spec = GraphSpec::new()
+            .filter("src", 1)
+            .filter("stage", 1)
+            .filter("sink", 1)
+            .stream("in", "src", "stage", SchedulePolicy::RoundRobin)
+            .stream("out", "stage", "sink", SchedulePolicy::RoundRobin);
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let (mut source, mut stage) = (Some(Source(inputs)), Some(stage));
+        let sink = Arc::clone(&got);
+        let mut factories: HashMap<String, FilterFactory> = HashMap::new();
+        factories.insert(
+            "src".into(),
+            Box::new(move |_| Ok(Box::new(source.take().unwrap()))),
+        );
+        factories.insert("stage".into(), Box::new(move |_| Ok(stage.take().unwrap())));
+        factories.insert(
+            "sink".into(),
+            Box::new(move |_| Ok(Box::new(Sink::<O>(Arc::clone(&sink))))),
+        );
+        run_graph(&spec, &mut factories)?;
+        let got = std::mem::take(&mut *got.lock().unwrap());
+        Ok(got)
+    }
+
+    /// A small analysis of 2 x 2 x 2 x 2 chunks of 6 x 5 x 2 x 2 ROIs each.
+    fn small_cfg(representation: Representation, engine: ScanEngine) -> AppConfig {
+        AppConfig {
+            dims: Dims4::new(15, 12, 5, 5),
+            roi: RoiShape::from_lengths(4, 3, 2, 2),
+            chunk_dims: Dims4::new(9, 7, 3, 3),
+            engine,
+            ..AppConfig::test_scale(representation)
+        }
+    }
+
+    /// The last chunk of `cfg`'s grid (non-zero input origin) and its raw
+    /// input voxels.
+    fn last_chunk(cfg: &AppConfig) -> ChunkData {
+        let grid = ChunkGrid::new(cfg.dims, cfg.roi, cfg.chunk_dims);
+        let chunk = grid.chunks().last().expect("a chunk");
+        let voxels = (0..chunk.input.size.len() as u64)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 52) as u16)
+            .collect();
+        ChunkData {
+            chunk,
+            raw: RawVolume::new(chunk.input.size, voxels),
+        }
+    }
+
+    /// The pieces RFR would send for `data`, `t` outer / `z` inner.
+    fn pieces(data: &ChunkData) -> Vec<(Piece, u64)> {
+        let (chunk, size) = (data.chunk, data.chunk.input.size);
+        let plane = size.x * size.y;
+        let mut out = Vec::new();
+        for t in 0..size.t {
+            for z in 0..size.z {
+                let at = (t * size.z + z) * plane;
+                let slice = SliceKey {
+                    t: chunk.input.origin.t + t,
+                    z: chunk.input.origin.z + z,
+                };
+                let data = data.raw.as_slice()[at..at + plane].to_vec();
+                out.push((Piece { chunk, slice, data }, chunk.id as u64));
+            }
+        }
+        out
+    }
+
+    fn stitch(pieces: Vec<(Piece, u64)>) -> Result<Vec<ChunkData>, RunFailure> {
+        through(pieces, Box::new(IicFilter::new()))
+    }
+
+    /// Asserts the run failed with an `App`-kind IIC error naming the chunk
+    /// and saying `why`.
+    fn assert_refused(run: Result<Vec<ChunkData>, RunFailure>, chunk: &Chunk, why: &str) {
+        let failure = run.expect_err("IIC accepted a bad piece");
+        let (kind, message) = (failure.error.kind(), failure.error.message());
+        assert_eq!(kind, FilterErrorKind::App, "{message}");
+        assert!(
+            message.contains(&format!("chunk {}", chunk.id)),
+            "{message}"
+        );
+        assert!(message.contains(why), "{message}");
+    }
+
+    #[test]
+    fn iic_stitches_pieces_in_any_order() {
+        let data = last_chunk(&small_cfg(Representation::Full, ScanEngine::Fused));
+        let mut shuffled = pieces(&data);
+        shuffled.reverse();
+        assert_eq!(stitch(shuffled).expect("stitched"), vec![data]);
+    }
+
+    #[test]
+    fn iic_refuses_a_slice_it_already_received() {
+        // A second copy of the first slice in place of the last one would
+        // complete the count with the last plane still zero.
+        let data = last_chunk(&small_cfg(Representation::Full, ScanEngine::Fused));
+        let mut sent = pieces(&data);
+        let first = sent[0].clone();
+        *sent.last_mut().unwrap() = first;
+        assert_refused(stitch(sent), &data.chunk, "already received");
+    }
+
+    #[test]
+    fn iic_refuses_a_piece_outside_the_chunk_input() {
+        let data = last_chunk(&small_cfg(Representation::Full, ScanEngine::Fused));
+        let input = data.chunk.input;
+        assert!(input.origin.z > 0 && input.origin.t > 0);
+        let past = (input.origin.t, input.origin.z + input.size.z);
+        let before = (input.origin.t - 1, input.origin.z);
+        for (t, z) in [past, before] {
+            let mut sent = pieces(&data);
+            sent[0].0.slice = SliceKey { t, z };
+            assert_refused(stitch(sent), &data.chunk, "outside the input");
+        }
+    }
+
+    #[test]
+    fn iic_refuses_a_piece_of_the_wrong_length() {
+        let data = last_chunk(&small_cfg(Representation::Full, ScanEngine::Fused));
+        let mut sent = pieces(&data);
+        sent[1].0.data.pop();
+        assert_refused(stitch(sent), &data.chunk, "voxels, want");
+    }
+
+    #[test]
+    fn hcc_packets_equal_a_rebuild_of_every_window() {
+        // The matrices HCC sends equal the per-window rebuild, densely or
+        // through `SparseCoMatrix::from_dense`, whatever the engine.
+        for engine in [ScanEngine::Reference, ScanEngine::Fused] {
+            for representation in [
+                Representation::FullNaive,
+                Representation::Full,
+                Representation::Sparse,
+                Representation::SparseAccum,
+            ] {
+                let cfg = Arc::new(small_cfg(representation, engine));
+                let data = last_chunk(&cfg);
+                let (chunk, vol) = (data.chunk, data.raw.quantize(&cfg.quantizer));
+                let hcc = Box::new(HccFilter::new(Arc::clone(&cfg), None));
+                let mut packets: Vec<MatrixPacket> =
+                    through(vec![(data, chunk.id as u64)], hcc).expect("HCC run");
+                packets.sort_by_key(|p| p.first);
+                assert_eq!(
+                    packets.len(),
+                    cfg.packet_split,
+                    "{engine:?} {representation:?}"
+                );
+                let mut k = 0;
+                for packet in &packets {
+                    assert_eq!(packet.first, k, "{engine:?} {representation:?}");
+                    for i in 0..packet.batch.len() {
+                        let global = packet.origin_of(i);
+                        let local = Point4::new(
+                            global.x - chunk.input.origin.x,
+                            global.y - chunk.input.origin.y,
+                            global.z - chunk.input.origin.z,
+                            global.t - chunk.input.origin.t,
+                        );
+                        let region = Region4::new(local, cfg.roi.size());
+                        let expect = CoMatrix::from_region(&vol, region, &cfg.directions);
+                        let what = format!("{engine:?} {representation:?} at {global:?}");
+                        match &packet.batch {
+                            MatrixBatch::Dense(ms) => assert_eq!(ms[i], expect, "{what}"),
+                            MatrixBatch::Sparse(ms) => {
+                                assert_eq!(ms[i], SparseCoMatrix::from_dense(&expect), "{what}")
+                            }
+                        }
+                        assert_eq!(
+                            matches!(packet.batch, MatrixBatch::Sparse(_)),
+                            representation.is_sparse(),
+                            "{what}"
+                        );
+                    }
+                    k += packet.batch.len();
+                }
+                assert_eq!(k, chunk.rois(), "{engine:?} {representation:?}");
+            }
+        }
     }
 }

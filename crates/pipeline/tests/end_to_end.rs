@@ -3,8 +3,9 @@
 //! implementation — for every graph variant and representation.
 
 use datacutter::{GraphSpec, RunFailure, RunReport, SchedulePolicy};
+use haralick::features::FeatureSelection;
 use haralick::raster::{raster_scan, Representation, ScanEngine};
-use haralick::volume::Point4;
+use haralick::volume::{Dims4, Point4};
 use mri::output::read_pgm;
 use mri::store::write_distributed;
 use mri::synth::{generate, SynthConfig};
@@ -147,6 +148,56 @@ fn representations_agree_end_to_end() {
         let b = merge_uso_outputs(&out_b, feature, 1, dims).unwrap();
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-9, "{feature:?}: {x} vs {y}");
+        }
+    }
+}
+
+#[test]
+fn split_equals_hmp_bit_for_bit_for_every_representation_and_engine() {
+    // HCC and HMP drive one scan; HPC rebuilds the statistics from the
+    // matrices HCC sends, whose moments are exact integers and whose entry
+    // list keeps the scan's order. So every feature, entropy and f12–f14
+    // included, leaves both variants with the same bits.
+    let small = |representation, engine| AppConfig {
+        dims: Dims4::new(30, 26, 6, 5),
+        chunk_dims: Dims4::new(16, 14, 4, 4),
+        selection: FeatureSelection::all(),
+        engine,
+        ..AppConfig::test_scale(representation)
+    };
+    let (data, _) = setup(
+        "split_vs_hmp",
+        &small(Representation::Full, ScanEngine::Fused),
+        112,
+    );
+    let root = data.parent().expect("dataset under the work dir");
+    for engine in [ScanEngine::Reference, ScanEngine::Fused] {
+        for representation in [
+            Representation::FullNaive,
+            Representation::Full,
+            Representation::Sparse,
+            Representation::SparseAccum,
+        ] {
+            let cfg = Arc::new(small(representation, engine));
+            let what = format!("{engine:?} {representation:?}");
+            let (hmp, split) = (
+                root.join(format!("hmp_{what}")),
+                root.join(format!("split_{what}")),
+            );
+            run(&hmp_spec(2), &cfg, &data, &hmp).expect("HMP run");
+            run(&split_spec(2, 2, 1), &cfg, &data, &split).expect("split run");
+            for feature in cfg.selection.iter() {
+                let a = merge_uso_outputs(&hmp, feature, 1, cfg.out_dims()).unwrap();
+                let b = merge_uso_outputs(&split, feature, 1, cfg.out_dims()).unwrap();
+                assert_eq!(a.len(), cfg.out_dims().len());
+                for (k, (x, y)) in a.iter().zip(&b).enumerate() {
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "{what} {feature:?} at {k}: {x} vs {y}"
+                    );
+                }
+            }
         }
     }
 }
