@@ -261,7 +261,7 @@ pub struct StoreReport {
 
 /// Per-peer transport counters of one node process in a distributed run:
 /// how well the writer coalesced frames into flushes, how often credit
-/// windows stalled a route with data ready, and what compression saved.
+/// windows stalled a route with data ready.
 /// `frames_sent / flushes` is the measured batching factor.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConnectionReport {
@@ -269,18 +269,15 @@ pub struct ConnectionReport {
     pub peer: usize,
     /// Whether payload checksums were negotiated on this connection.
     pub checksum: bool,
-    /// Whether payload compression was negotiated on this connection.
-    pub compression: bool,
     /// Data frames sent toward the peer.
     pub frames_sent: u64,
-    /// Wire bytes written (headers + possibly-compressed payloads + control
-    /// frames).
+    /// Wire bytes written (headers + payloads + control frames).
     pub bytes_sent: u64,
     /// Vectored flushes issued; every frame rides exactly one flush.
     pub flushes: u64,
     /// Data frames received from the peer.
     pub frames_recv: u64,
-    /// Logical (decompressed) payload bytes received.
+    /// Payload bytes received.
     pub bytes_recv: u64,
     /// `Credit` frames sent to the peer.
     pub credits_sent: u64,
@@ -288,10 +285,6 @@ pub struct ConnectionReport {
     /// credit window was empty — the flow-control analogue of
     /// `blocked_send`.
     pub credit_stalls: u64,
-    /// Data frames whose payload shipped compressed.
-    pub compressed_frames: u64,
-    /// Payload bytes saved by compression across those frames.
-    pub compression_saved_bytes: u64,
 }
 
 /// The serializable run report: graph shape, schedule policies, run phases,
@@ -505,7 +498,6 @@ impl ToJson for ConnectionReport {
         Value::object([
             ("peer", self.peer.to_json()),
             ("checksum", self.checksum.to_json()),
-            ("compression", self.compression.to_json()),
             ("frames_sent", self.frames_sent.to_json()),
             ("bytes_sent", self.bytes_sent.to_json()),
             ("flushes", self.flushes.to_json()),
@@ -513,11 +505,6 @@ impl ToJson for ConnectionReport {
             ("bytes_recv", self.bytes_recv.to_json()),
             ("credits_sent", self.credits_sent.to_json()),
             ("credit_stalls", self.credit_stalls.to_json()),
-            ("compressed_frames", self.compressed_frames.to_json()),
-            (
-                "compression_saved_bytes",
-                self.compression_saved_bytes.to_json(),
-            ),
         ])
     }
 }
@@ -528,7 +515,6 @@ impl FromJson for ConnectionReport {
         Ok(Self {
             peer: o.field("peer")?,
             checksum: o.field("checksum")?,
-            compression: o.field("compression")?,
             frames_sent: o.field("frames_sent")?,
             bytes_sent: o.field("bytes_sent")?,
             flushes: o.field("flushes")?,
@@ -536,8 +522,6 @@ impl FromJson for ConnectionReport {
             bytes_recv: o.field("bytes_recv")?,
             credits_sent: o.field("credits_sent")?,
             credit_stalls: o.field("credit_stalls")?,
-            compressed_frames: o.field("compressed_frames")?,
-            compression_saved_bytes: o.field("compression_saved_bytes")?,
         })
     }
 }

@@ -8,8 +8,8 @@
 //!
 //! * [`wire`] — the frame codec: `Hello` / `Data` / `Eos` / `Error` /
 //!   `Credit` frames, typed decode errors, optional per-frame payload
-//!   checksums and LZ compression (negotiated in the handshake), and the
-//!   spec digest both ends must agree on.
+//!   checksums (negotiated in the handshake), and the spec digest both
+//!   ends must agree on.
 //! * [`codec`] — the [`PayloadCodec`] registry translating opaque
 //!   [`crate::DataBuffer`] payloads to and from bytes.
 //! * [`node`] — mesh handshake with feature negotiation, per-peer
@@ -27,6 +27,6 @@ pub use node::{
     TransportFaultKind,
 };
 pub use wire::{
-    spec_digest, Frame, WireConfig, WireError, FEATURE_CHECKSUM, FEATURE_COMPRESS,
-    MAX_CREDIT_GRANT, MAX_PAYLOAD_LEN, SHARED_QUEUE, SUPPORTED_FEATURES, WIRE_VERSION,
+    spec_digest, Frame, WireConfig, WireError, FEATURE_CHECKSUM, MAX_CREDIT_GRANT, MAX_PAYLOAD_LEN,
+    SHARED_QUEUE, WIRE_VERSION,
 };

@@ -16,7 +16,7 @@
 //! peer *j > i*: one TCP connection per unordered pair, full mesh. Both
 //! sides exchange a `Hello` frame carrying the protocol version, the
 //! sender's node id, a digest of the graph spec plus node count, and the
-//! feature bits (checksums, compression) this build was configured to use;
+//! feature bits (payload checksums) this build was configured to use;
 //! a version or digest mismatch aborts the run with a typed error before
 //! any filter spawns, and the connection settles on the feature
 //! intersection. The accept side polls with a deadline, so a peer that
@@ -108,9 +108,6 @@ pub struct NodeConfig {
     /// Stamp outgoing `Data` frames with a payload checksum (effective only
     /// when the peer also advertises it; see [`WireConfig::negotiate`]).
     pub checksum: bool,
-    /// Compress outgoing `Data` payloads when it wins (effective only when
-    /// the peer also advertises it).
-    pub compress: bool,
     /// Optional injected fault, for chaos tests.
     pub fault: Option<TransportFault>,
     /// A pre-bound listener for this node's own address. When set,
@@ -122,7 +119,7 @@ pub struct NodeConfig {
 
 impl NodeConfig {
     /// A loopback configuration for `node` among `addrs`, with a 10 s
-    /// connect timeout, checksums and compression off, and no injected
+    /// connect timeout, checksums off, and no injected
     /// fault.
     pub fn new(node: usize, addrs: Vec<SocketAddr>) -> Self {
         Self {
@@ -130,7 +127,6 @@ impl NodeConfig {
             addrs,
             connect_timeout: Duration::from_secs(10),
             checksum: false,
-            compress: false,
             fault: None,
             listener: None,
         }
@@ -285,8 +281,6 @@ struct ConnStats {
     bytes_recv: AtomicU64,
     credits_sent: AtomicU64,
     credit_stalls: AtomicU64,
-    compressed_frames: AtomicU64,
-    compression_saved: AtomicU64,
 }
 
 impl ConnStats {
@@ -301,8 +295,6 @@ impl ConnStats {
             bytes_recv: AtomicU64::new(0),
             credits_sent: AtomicU64::new(0),
             credit_stalls: AtomicU64::new(0),
-            compressed_frames: AtomicU64::new(0),
-            compression_saved: AtomicU64::new(0),
         }
     }
 
@@ -310,7 +302,6 @@ impl ConnStats {
         ConnectionReport {
             peer: self.peer,
             checksum: self.wire.checksum,
-            compression: self.wire.compress,
             frames_sent: self.frames_sent.load(Ordering::Relaxed),
             bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
             flushes: self.flushes.load(Ordering::Relaxed),
@@ -318,8 +309,6 @@ impl ConnStats {
             bytes_recv: self.bytes_recv.load(Ordering::Relaxed),
             credits_sent: self.credits_sent.load(Ordering::Relaxed),
             credit_stalls: self.credit_stalls.load(Ordering::Relaxed),
-            compressed_frames: self.compressed_frames.load(Ordering::Relaxed),
-            compression_saved_bytes: self.compression_saved.load(Ordering::Relaxed),
         }
     }
 }
@@ -408,7 +397,6 @@ fn connect_mesh(
     let me = cfg.node;
     let want = WireConfig {
         checksum: cfg.checksum,
-        compress: cfg.compress,
     };
     let hello = Frame::Hello {
         version: WIRE_VERSION,
@@ -846,7 +834,6 @@ fn writer_thread(side: WriterSide) {
                                     return;
                                 }
                             };
-                            let raw_len = payload.len();
                             let encoded = encode_data_frame(
                                 keys[i].0,
                                 keys[i].1,
@@ -871,12 +858,6 @@ fn writer_thread(side: WriterSide) {
                                     return;
                                 }
                             };
-                            if body.len() < raw_len {
-                                stats.compressed_frames.fetch_add(1, Ordering::Relaxed);
-                                stats
-                                    .compression_saved
-                                    .fetch_add((raw_len - body.len()) as u64, Ordering::Relaxed);
-                            }
                             batch.push_data(header, body);
                             frames_sent += 1;
                             stats.frames_sent.fetch_add(1, Ordering::Relaxed);
@@ -1006,8 +987,8 @@ fn reader_thread(
                 payload,
             })) => {
                 stats.frames_recv.fetch_add(1, Ordering::Relaxed);
-                // Logical (verified, decompressed) bytes — the app-level
-                // view; `bytes_sent` on the peer counts wire bytes.
+                // Payload bytes — the app-level view; `bytes_sent` on the
+                // peer counts wire bytes, headers and control frames too.
                 stats
                     .bytes_recv
                     .fetch_add(payload.len() as u64, Ordering::Relaxed);
@@ -1381,8 +1362,8 @@ fn dest_keys(spec: &GraphSpec, si: usize) -> Vec<(u32, usize)> {
 /// the call. The returned [`RunReport`] / [`RunFailure`] covers this
 /// node's copies only — `filters` counts the copies placed here, so
 /// [`RunReport::check`] holds per process, and `transport` carries one
-/// [`ConnectionReport`] per peer connection (frames, flushes, credits,
-/// compression) — and root-cause selection extends the engine's kind
+/// [`ConnectionReport`] per peer connection (frames, flushes, credits)
+/// — and root-cause selection extends the engine's kind
 /// ordering with transport classes: a locally detected peer loss beats a
 /// peer-reported failure (with the reporting echo of this node's own
 /// failure demoted), and both beat the local engine error they caused.

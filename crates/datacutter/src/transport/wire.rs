@@ -14,7 +14,6 @@
 //! Data  : magic u32 | 0x02 | stream u32 | dest u32 | tag u64 | size u64
 //!                           | ptype u16 | flags u8
 //!                           | crc u32                 (flags bit 1 only)
-//!                           | raw u32                 (flags bit 0 only)
 //!                           | plen u32 | payload [plen]
 //! Eos   : magic u32 | 0x03 | stream u32 | dest u32
 //! Error : magic u32 | 0x04 | origin u32 | mlen u32 | message [mlen]
@@ -29,21 +28,23 @@
 //! (see [`super::PayloadCodec`]).
 //!
 //! **Version-2 data path.** The `flags` byte makes each `Data` frame
-//! self-describing: bit 0 ([`FLAG_COMPRESSED`]) means the wire payload is
-//! an [`lz_compress`] block and `raw` carries the decompressed length; bit
-//! 1 ([`FLAG_CHECKSUM`]) means `crc` carries the FNV-1a-32 digest of the
-//! wire payload bytes (post-compression), verified before decompression.
-//! Which flags a writer *uses* is negotiated in the handshake: `Hello`
-//! carries a `features` bitmask ([`FEATURE_CHECKSUM`] | [`FEATURE_COMPRESS`])
-//! and each side enables only the intersection. `Credit` frames implement
+//! self-describing: bit 1 ([`FLAG_CHECKSUM`]) means `crc` carries the
+//! FNV-1a-32 digest of the payload bytes, verified on receipt. Bit 0 is
+//! reserved: older builds set it on compressed payloads, which this build
+//! never negotiates, so like every other unknown bit it is refused.
+//! Whether a writer stamps checksums is
+//! negotiated in the handshake: `Hello` carries a `features` bitmask
+//! ([`FEATURE_CHECKSUM`]) and each side enables only the intersection, so
+//! an older build that also advertises feature bit 1 (compression) settles
+//! on checksums alone. `Credit` frames implement
 //! per-route flow control: the receiver grants the sender permission for
 //! `credits` more `Data` frames on one `(stream, dest)` route (see
 //! [`super::node`]); a grant that lifts the window to [`MAX_CREDIT_GRANT`]
 //! marks the route unthrottled.
 //!
 //! Decoding is hardened like `read_parameter_file`: truncation, bad magic,
-//! unknown kinds or flags, absurd lengths, checksum mismatches and corrupt
-//! compression blocks all yield a typed [`WireError`], never a panic.
+//! unknown kinds or flags, absurd lengths and checksum mismatches all yield
+//! a typed [`WireError`], never a panic.
 
 use std::fmt;
 use std::io::{Read, Write};
@@ -52,7 +53,7 @@ use std::io::{Read, Write};
 pub const WIRE_MAGIC: u32 = 0x4834_4457;
 
 /// Wire protocol version carried in the handshake. Version 2 added the
-/// `Data` flags byte (checksums, compression), the `features` word in
+/// `Data` flags byte (checksums), the `features` word in
 /// `Hello`, and the `Credit` frame; mixed-version meshes are rejected at
 /// handshake time.
 pub const WIRE_VERSION: u16 = 2;
@@ -60,19 +61,8 @@ pub const WIRE_VERSION: u16 = 2;
 /// `Hello` feature bit: the sender can verify per-frame payload checksums.
 pub const FEATURE_CHECKSUM: u32 = 1 << 0;
 
-/// `Hello` feature bit: the sender can decode compressed payloads.
-pub const FEATURE_COMPRESS: u32 = 1 << 1;
-
-/// Every feature bit this build understands.
-pub const SUPPORTED_FEATURES: u32 = FEATURE_CHECKSUM | FEATURE_COMPRESS;
-
-/// `Data` flag bit: the wire payload is an [`lz_compress`] block.
-pub const FLAG_COMPRESSED: u8 = 1 << 0;
-
 /// `Data` flag bit: the frame carries an FNV-1a-32 payload checksum.
 pub const FLAG_CHECKSUM: u8 = 1 << 1;
-
-const KNOWN_FLAGS: u8 = FLAG_COMPRESSED | FLAG_CHECKSUM;
 
 /// `dest` value meaning "the shared demand-driven queue" rather than a
 /// specific consumer copy.
@@ -90,10 +80,6 @@ pub const MAX_MESSAGE_LEN: u32 = 1024 * 1024;
 /// receiver granted it when abandoning the route, see [`super::node`]).
 pub const MAX_CREDIT_GRANT: u32 = 1 << 20;
 
-/// Payloads below this many bytes are never compressed — the token
-/// overhead cannot win and the attempt wastes cycles on `ParamPacket`s.
-pub const COMPRESS_MIN_LEN: usize = 64;
-
 /// Per-connection frame options negotiated in the handshake: the
 /// intersection of what this node was configured to send and what the
 /// peer's `Hello` advertised.
@@ -101,15 +87,16 @@ pub const COMPRESS_MIN_LEN: usize = 64;
 pub struct WireConfig {
     /// Stamp outgoing `Data` frames with an FNV-1a-32 payload checksum.
     pub checksum: bool,
-    /// Compress outgoing `Data` payloads when it wins.
-    pub compress: bool,
 }
 
 impl WireConfig {
     /// The `Hello` feature bits this configuration advertises.
     pub fn features(self) -> u32 {
-        (if self.checksum { FEATURE_CHECKSUM } else { 0 })
-            | (if self.compress { FEATURE_COMPRESS } else { 0 })
+        if self.checksum {
+            FEATURE_CHECKSUM
+        } else {
+            0
+        }
     }
 
     /// The configuration actually usable against a peer that advertised
@@ -117,7 +104,6 @@ impl WireConfig {
     pub fn negotiate(self, peer_features: u32) -> Self {
         Self {
             checksum: self.checksum && peer_features & FEATURE_CHECKSUM != 0,
-            compress: self.compress && peer_features & FEATURE_COMPRESS != 0,
         }
     }
 }
@@ -140,9 +126,8 @@ pub enum Frame {
         /// (decoded as `0` from a version-1 hello).
         features: u32,
     },
-    /// One routed data buffer. The payload here is always the *logical*
-    /// (decompressed, verified) bytes — compression and checksums live
-    /// only on the wire.
+    /// One routed data buffer. The payload here is always the verified
+    /// bytes — checksums live only on the wire.
     Data {
         /// Stream index in the graph spec.
         stream: u32,
@@ -228,8 +213,6 @@ pub enum WireError {
         /// The checksum computed over the received payload.
         computed: u32,
     },
-    /// A compressed payload failed to decompress cleanly.
-    BadCompression(String),
     /// A `Credit` frame granted zero or more than [`MAX_CREDIT_GRANT`].
     BadCredit(u32),
 }
@@ -260,7 +243,6 @@ impl fmt::Display for WireError {
                 "payload checksum mismatch: frame says {expected:#010x}, \
                  received bytes hash to {computed:#010x}"
             ),
-            WireError::BadCompression(m) => write!(f, "corrupt compressed payload: {m}"),
             WireError::BadCredit(c) => write!(f, "credit grant {c} outside 1..={MAX_CREDIT_GRANT}"),
         }
     }
@@ -289,139 +271,6 @@ pub fn fnv1a32(bytes: &[u8]) -> u32 {
         h = h.wrapping_mul(0x0100_0193);
     }
     h
-}
-
-// ---- LZ-style payload compression -----------------------------------------
-//
-// A from-scratch byte-oriented LZ format in the LZ4-block spirit, kept
-// deliberately tiny so the decoder can be exhaustively hardened:
-//
-//   token t < 0x80 : literal run of (t + 1) bytes follows         (1..=128)
-//   token t >= 0x80: match of ((t & 0x7f) + 4) bytes              (4..=131)
-//                    at back-offset u16 LE (1..=65535), overlap allowed
-//
-// The compressor is greedy with a 8192-entry hash of 4-byte prefixes; the
-// decoder verifies every offset and never writes past the declared raw
-// length, so corrupt input yields a typed error, never UB or unbounded
-// allocation.
-
-const LZ_HASH_BITS: u32 = 13;
-const LZ_MIN_MATCH: usize = 4;
-const LZ_MAX_MATCH: usize = 131;
-const LZ_MAX_OFFSET: usize = 65535;
-
-#[inline]
-fn lz_hash(w: u32) -> usize {
-    ((w.wrapping_mul(0x9e37_79b1)) >> (32 - LZ_HASH_BITS)) as usize
-}
-
-fn lz_push_literals(out: &mut Vec<u8>, mut lits: &[u8]) {
-    while !lits.is_empty() {
-        let n = lits.len().min(128);
-        out.push((n - 1) as u8);
-        out.extend_from_slice(&lits[..n]);
-        lits = &lits[n..];
-    }
-}
-
-/// Compresses `input` into the transport's LZ block format. Always
-/// succeeds; the caller compares lengths and keeps the raw bytes when
-/// compression does not win.
-pub fn lz_compress(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    // Positions are stored +1 so 0 means "empty slot".
-    let mut table = vec![0u32; 1 << LZ_HASH_BITS];
-    let mut lit_start = 0usize;
-    let mut i = 0usize;
-    while i + LZ_MIN_MATCH <= input.len() {
-        let w = u32::from_le_bytes([input[i], input[i + 1], input[i + 2], input[i + 3]]);
-        let h = lz_hash(w);
-        let cand = table[h] as usize;
-        table[h] = (i + 1) as u32;
-        if cand > 0 {
-            let c = cand - 1;
-            let off = i - c;
-            if (1..=LZ_MAX_OFFSET).contains(&off)
-                && input[c..c + LZ_MIN_MATCH] == input[i..i + LZ_MIN_MATCH]
-            {
-                let mut len = LZ_MIN_MATCH;
-                while len < LZ_MAX_MATCH
-                    && i + len < input.len()
-                    && input[c + len] == input[i + len]
-                {
-                    len += 1;
-                }
-                lz_push_literals(&mut out, &input[lit_start..i]);
-                out.push(0x80 | (len - LZ_MIN_MATCH) as u8);
-                out.extend_from_slice(&(off as u16).to_le_bytes());
-                i += len;
-                lit_start = i;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    lz_push_literals(&mut out, &input[lit_start..]);
-    out
-}
-
-/// Decompresses an [`lz_compress`] block into exactly `raw_len` bytes.
-///
-/// # Errors
-/// A human-readable description of the first structural violation: a run
-/// past the end of input, an offset outside the produced output, or a
-/// length disagreement with `raw_len`. The output allocation is bounded by
-/// `raw_len`, which callers bound by [`MAX_PAYLOAD_LEN`].
-pub fn lz_decompress(input: &[u8], raw_len: usize) -> Result<Vec<u8>, String> {
-    let mut out = Vec::with_capacity(raw_len);
-    let mut i = 0usize;
-    while i < input.len() {
-        let t = input[i];
-        i += 1;
-        if t < 0x80 {
-            let n = t as usize + 1;
-            if i + n > input.len() {
-                return Err(format!("literal run of {n} past end of block"));
-            }
-            if out.len() + n > raw_len {
-                return Err(format!(
-                    "literal run overflows declared raw length {raw_len}"
-                ));
-            }
-            out.extend_from_slice(&input[i..i + n]);
-            i += n;
-        } else {
-            let len = (t & 0x7f) as usize + LZ_MIN_MATCH;
-            if i + 2 > input.len() {
-                return Err("match token truncated before its offset".into());
-            }
-            let off = u16::from_le_bytes([input[i], input[i + 1]]) as usize;
-            i += 2;
-            if off == 0 || off > out.len() {
-                return Err(format!(
-                    "match offset {off} outside the {} bytes produced",
-                    out.len()
-                ));
-            }
-            if out.len() + len > raw_len {
-                return Err(format!("match overflows declared raw length {raw_len}"));
-            }
-            // Byte-at-a-time copy: offsets smaller than the match length
-            // are legal (RLE-style overlap) and must see their own output.
-            let start = out.len() - off;
-            for k in 0..len {
-                let b = out[start + k];
-                out.push(b);
-            }
-        }
-    }
-    if out.len() != raw_len {
-        return Err(format!(
-            "block decompressed to {} bytes, header declared {raw_len}",
-            out.len()
-        ));
-    }
-    Ok(out)
 }
 
 fn read_exact_or(
@@ -458,22 +307,10 @@ fn read_u8(r: &mut impl Read, context: &'static str) -> Result<u8, WireError> {
     Ok(b[0])
 }
 
-fn payload_len(len: usize, field: &'static str) -> Result<u32, WireError> {
-    u32::try_from(len)
-        .ok()
-        .filter(|&l| l <= MAX_PAYLOAD_LEN)
-        .ok_or(WireError::Oversized {
-            field,
-            len: u32::try_from(len).unwrap_or(u32::MAX),
-            max: MAX_PAYLOAD_LEN,
-        })
-}
-
-/// Encodes a `Data` frame as a `(header, wire payload)` pair under `cfg`,
-/// applying compression (when it wins and the payload is at least
-/// [`COMPRESS_MIN_LEN`]) and the payload checksum. The split lets a
-/// batching writer queue the header bytes and the (possibly large) payload
-/// as separate vectored-write segments without copying the payload again.
+/// Encodes a `Data` frame as a `(header, payload)` pair under `cfg`,
+/// stamping the payload checksum when it is on. The split lets a batching
+/// writer queue the header bytes and the (possibly large) payload as
+/// separate vectored-write segments without copying the payload again.
 ///
 /// # Errors
 /// [`WireError::Oversized`] when the payload exceeds [`MAX_PAYLOAD_LEN`].
@@ -487,21 +324,16 @@ pub fn encode_data_frame(
     payload: Vec<u8>,
     cfg: &WireConfig,
 ) -> Result<(Vec<u8>, Vec<u8>), WireError> {
-    let raw_len = payload_len(payload.len(), "payload")?;
-    let (body, mut flags) = if cfg.compress && payload.len() >= COMPRESS_MIN_LEN {
-        let packed = lz_compress(&payload);
-        if packed.len() < payload.len() {
-            (packed, FLAG_COMPRESSED)
-        } else {
-            (payload, 0)
-        }
-    } else {
-        (payload, 0)
-    };
-    if cfg.checksum {
-        flags |= FLAG_CHECKSUM;
-    }
-    let mut header = Vec::with_capacity(44);
+    let len = u32::try_from(payload.len())
+        .ok()
+        .filter(|&l| l <= MAX_PAYLOAD_LEN)
+        .ok_or(WireError::Oversized {
+            field: "payload",
+            len: u32::try_from(payload.len()).unwrap_or(u32::MAX),
+            max: MAX_PAYLOAD_LEN,
+        })?;
+    let flags = if cfg.checksum { FLAG_CHECKSUM } else { 0 };
+    let mut header = Vec::with_capacity(40);
     header.extend_from_slice(&WIRE_MAGIC.to_le_bytes());
     header.push(KIND_DATA);
     header.extend_from_slice(&stream.to_le_bytes());
@@ -510,18 +342,15 @@ pub fn encode_data_frame(
     header.extend_from_slice(&size.to_le_bytes());
     header.extend_from_slice(&ptype.to_le_bytes());
     header.push(flags);
-    if flags & FLAG_CHECKSUM != 0 {
-        header.extend_from_slice(&fnv1a32(&body).to_le_bytes());
+    if cfg.checksum {
+        header.extend_from_slice(&fnv1a32(&payload).to_le_bytes());
     }
-    if flags & FLAG_COMPRESSED != 0 {
-        header.extend_from_slice(&raw_len.to_le_bytes());
-    }
-    header.extend_from_slice(&payload_len(body.len(), "payload")?.to_le_bytes());
-    Ok((header, body))
+    header.extend_from_slice(&len.to_le_bytes());
+    Ok((header, payload))
 }
 
-/// Writes one frame under `cfg` (checksums/compression apply to `Data`
-/// frames only). The caller flushes — frames are batched by the writer.
+/// Writes one frame under `cfg` (checksums apply to `Data` frames only).
+/// The caller flushes — frames are batched by the writer.
 pub fn write_frame_cfg(
     w: &mut impl Write,
     frame: &Frame,
@@ -598,7 +427,7 @@ pub fn write_frame_cfg(
     Ok(())
 }
 
-/// Writes one frame with checksums and compression off (the
+/// Writes one frame with checksums off (the
 /// pre-negotiation default; handshake frames always go this way).
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), WireError> {
     write_frame_cfg(w, frame, &WireConfig::default())
@@ -607,8 +436,8 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), WireError> {
 /// Reads one frame. Returns `Ok(None)` on a clean end of stream (EOF
 /// exactly at a frame boundary); EOF anywhere inside a frame is a
 /// [`WireError::Truncated`]. `Data` frames are self-describing — the flags
-/// byte says whether to verify a checksum and/or decompress — so no
-/// negotiated state is needed to decode.
+/// byte says whether to verify a checksum — so no negotiated state is
+/// needed to decode.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, WireError> {
     // The first magic byte doubles as the EOF probe: zero bytes here is a
     // clean close, anything less than four afterwards is truncation.
@@ -650,24 +479,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, WireError> {
             let size = read_u64(r, "data size")?;
             let ptype = read_u16(r, "data ptype")?;
             let flags = read_u8(r, "data flags")?;
-            if flags & !KNOWN_FLAGS != 0 {
+            if flags & !FLAG_CHECKSUM != 0 {
                 return Err(WireError::BadFlags(flags));
             }
             let crc = if flags & FLAG_CHECKSUM != 0 {
                 Some(read_u32(r, "data checksum")?)
-            } else {
-                None
-            };
-            let raw = if flags & FLAG_COMPRESSED != 0 {
-                let raw = read_u32(r, "data raw length")?;
-                if raw > MAX_PAYLOAD_LEN {
-                    return Err(WireError::Oversized {
-                        field: "raw payload",
-                        len: raw,
-                        max: MAX_PAYLOAD_LEN,
-                    });
-                }
-                Some(raw)
             } else {
                 None
             };
@@ -687,12 +503,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, WireError> {
                     return Err(WireError::ChecksumMismatch { expected, computed });
                 }
             }
-            let payload = match raw {
-                Some(raw_len) => {
-                    lz_decompress(&payload, raw_len as usize).map_err(WireError::BadCompression)?
-                }
-                None => payload,
-            };
             Ok(Some(Frame::Data {
                 stream,
                 dest,
@@ -775,10 +585,7 @@ pub fn spec_digest(spec_json: &[u8], nodes: usize) -> u64 {
 mod tests {
     use super::*;
 
-    const ALL_ON: WireConfig = WireConfig {
-        checksum: true,
-        compress: true,
-    };
+    const ALL_ON: WireConfig = WireConfig { checksum: true };
 
     fn roundtrip_cfg(f: Frame, cfg: &WireConfig) {
         let bytes = encode_frame_cfg(&f, cfg);
@@ -798,7 +605,7 @@ mod tests {
             version: WIRE_VERSION,
             node: 3,
             digest: 0xdead_beef_cafe_f00d,
-            features: SUPPORTED_FEATURES,
+            features: FEATURE_CHECKSUM,
         });
         roundtrip(Frame::Data {
             stream: 2,
@@ -825,25 +632,23 @@ mod tests {
         let payloads: Vec<Vec<u8>> = vec![
             Vec::new(),
             vec![9; 5],
-            vec![0xab; 4096],                                     // compresses well
-            (0..2048u32).flat_map(|i| i.to_le_bytes()).collect(), // mixed
+            vec![0xab; 4096],
+            (0..2048u32).flat_map(|i| i.to_le_bytes()).collect(),
         ];
         for checksum in [false, true] {
-            for compress in [false, true] {
-                let cfg = WireConfig { checksum, compress };
-                for p in &payloads {
-                    roundtrip_cfg(
-                        Frame::Data {
-                            stream: 1,
-                            dest: 2,
-                            tag: 42,
-                            size: p.len() as u64,
-                            ptype: 7,
-                            payload: p.clone(),
-                        },
-                        &cfg,
-                    );
-                }
+            let cfg = WireConfig { checksum };
+            for p in &payloads {
+                roundtrip_cfg(
+                    Frame::Data {
+                        stream: 1,
+                        dest: 2,
+                        tag: 42,
+                        size: p.len() as u64,
+                        ptype: 7,
+                        payload: p.clone(),
+                    },
+                    &cfg,
+                );
             }
         }
     }
@@ -860,7 +665,7 @@ mod tests {
             version: 2,
             node: 4,
             digest: 9,
-            features: SUPPORTED_FEATURES,
+            features: FEATURE_CHECKSUM,
         });
         assert_eq!(v2.len(), v1.len() + 4);
         let mut cur = std::io::Cursor::new(&v1);
@@ -924,7 +729,7 @@ mod tests {
 
     #[test]
     fn unknown_data_flags_detected() {
-        let mut bytes = encode_frame(&Frame::Data {
+        let frame = encode_frame(&Frame::Data {
             stream: 0,
             dest: 0,
             tag: 0,
@@ -934,12 +739,17 @@ mod tests {
         });
         // flags byte sits right after magic|kind|stream|dest|tag|size|ptype.
         let flags_off = 4 + 1 + 4 + 4 + 8 + 8 + 2;
-        bytes[flags_off] = 0x80;
-        let mut cur = std::io::Cursor::new(&bytes);
-        assert!(matches!(
-            read_frame(&mut cur),
-            Err(WireError::BadFlags(0x80))
-        ));
+        // Bit 0 (an older build's compressed payload) is refused like any
+        // other bit this build does not assign.
+        for flags in [0x80u8, 0x01] {
+            let mut bytes = frame.clone();
+            bytes[flags_off] = flags;
+            let mut cur = std::io::Cursor::new(&bytes);
+            assert!(
+                matches!(read_frame(&mut cur), Err(WireError::BadFlags(f)) if f == flags),
+                "flags {flags:#04x}"
+            );
+        }
     }
 
     #[test]
@@ -966,10 +776,6 @@ mod tests {
 
     #[test]
     fn payload_corruption_fails_the_checksum() {
-        let cfg = WireConfig {
-            checksum: true,
-            compress: false,
-        };
         let bytes = encode_frame_cfg(
             &Frame::Data {
                 stream: 1,
@@ -979,7 +785,7 @@ mod tests {
                 ptype: 2,
                 payload: (0..16).collect(),
             },
-            &cfg,
+            &ALL_ON,
         );
         let payload_start = bytes.len() - 16;
         for pos in payload_start..bytes.len() {
@@ -1025,70 +831,16 @@ mod tests {
     }
 
     #[test]
-    fn lz_roundtrips_structured_and_incompressible_data() {
-        let cases: Vec<Vec<u8>> = vec![
-            Vec::new(),
-            b"abcabcabcabcabcabcabcabc".to_vec(),
-            vec![0u8; 100_000],
-            (0..50_000u32)
-                .flat_map(|i| (i % 251).to_le_bytes())
-                .collect(),
-            (0..4096u32)
-                .map(|i| (i.wrapping_mul(2654435761) >> 24) as u8)
-                .collect(),
-        ];
-        for data in cases {
-            let packed = lz_compress(&data);
-            let back = lz_decompress(&packed, data.len()).unwrap();
-            assert_eq!(back, data);
-        }
-    }
-
-    #[test]
-    fn lz_compresses_repetitive_payloads() {
-        let data = vec![0x5a; 65536];
-        let packed = lz_compress(&data);
-        assert!(packed.len() * 10 < data.len(), "{} bytes", packed.len());
-    }
-
-    #[test]
-    fn lz_decoder_rejects_corrupt_blocks_with_typed_errors() {
-        // Offset beyond produced output.
-        let block = [0x80u8, 0xff, 0xff];
-        assert!(lz_decompress(&block, 4).is_err());
-        // Zero offset.
-        let block = [0x00u8, 0x42, 0x80, 0x00, 0x00];
-        assert!(lz_decompress(&block, 5).is_err());
-        // Literal run past end of block.
-        let block = [0x7fu8, 0x01];
-        assert!(lz_decompress(&block, 128).is_err());
-        // Output length disagreement.
-        let block = [0x00u8, 0x42];
-        assert!(lz_decompress(&block, 2).is_err());
-        // Never more output than declared.
-        let good = lz_compress(&vec![7u8; 1000]);
-        assert!(lz_decompress(&good, 999).is_err());
-    }
-
-    #[test]
     fn negotiation_is_the_feature_intersection() {
-        let want = WireConfig {
-            checksum: true,
-            compress: true,
-        };
-        assert_eq!(want.negotiate(SUPPORTED_FEATURES), want);
-        assert_eq!(
-            want.negotiate(FEATURE_CHECKSUM),
-            WireConfig {
-                checksum: true,
-                compress: false
-            }
-        );
+        let want = ALL_ON;
+        assert_eq!(want.negotiate(FEATURE_CHECKSUM), want);
+        // An older build also advertised bit 1 (compression): it drops out
+        // of the intersection and checksums alone remain.
+        assert_eq!(want.negotiate(0b11), want);
+        assert_eq!(want.negotiate(0b10), WireConfig::default());
         assert_eq!(want.negotiate(0), WireConfig::default());
         assert_eq!(
-            WireConfig::default()
-                .negotiate(SUPPORTED_FEATURES)
-                .features(),
+            WireConfig::default().negotiate(FEATURE_CHECKSUM).features(),
             0
         );
     }

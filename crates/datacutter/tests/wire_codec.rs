@@ -12,8 +12,8 @@
 //! case prints the seed that reproduces it.
 
 use datacutter::transport::wire::{
-    encode_frame, encode_frame_cfg, lz_compress, lz_decompress, read_frame, spec_digest,
-    write_frame, Frame, WireConfig, WireError, MAX_CREDIT_GRANT, MAX_PAYLOAD_LEN, WIRE_VERSION,
+    encode_frame, encode_frame_cfg, read_frame, spec_digest, write_frame, Frame, WireConfig,
+    WireError, MAX_CREDIT_GRANT, MAX_PAYLOAD_LEN, WIRE_VERSION,
 };
 use datacutter::{DataBuffer, PayloadCodec};
 
@@ -124,30 +124,10 @@ fn arb_frame(rng: &mut Lcg) -> Frame {
     }
 }
 
-/// All four checksum × compression combinations.
+/// Checksums on or off: the one negotiable wire feature.
 fn arb_wire_config(rng: &mut Lcg) -> WireConfig {
     WireConfig {
         checksum: rng.bool(),
-        compress: rng.bool(),
-    }
-}
-
-/// Payloads with long runs and repeated blocks — the shape the LZ pass
-/// actually compresses — alongside plain arbitrary bytes.
-fn arb_compressible(rng: &mut Lcg) -> Vec<u8> {
-    match rng.in_range(0, 2) {
-        0 => rng.bytes(0, 511),
-        1 => vec![rng.next() as u8; rng.in_range(1, 2047)],
-        _ => {
-            let block = rng.bytes(1, 31);
-            let reps = rng.in_range(1, 63);
-            block
-                .iter()
-                .copied()
-                .cycle()
-                .take(block.len() * reps)
-                .collect()
-        }
     }
 }
 
@@ -299,13 +279,12 @@ fn payload_decoder_errors_are_typed() {
     });
 }
 
-/// Data frames round-trip bit-exact under every checksum × compression
-/// combination — the decoder recovers the logical payload regardless of
-/// what the wire carried — and still consume exactly their own bytes.
+/// Data frames round-trip bit-exact with checksums on and off, and still
+/// consume exactly their own bytes.
 #[test]
 fn data_roundtrips_bit_exact_under_every_wire_config() {
     for_each_case(0x5749_0009, |rng| {
-        let payload = arb_compressible(rng);
+        let payload = rng.bytes(0, 2047);
         let cfg = arb_wire_config(rng);
         let frame = Frame::Data {
             stream: rng.u32(),
@@ -330,10 +309,7 @@ fn data_roundtrips_bit_exact_under_every_wire_config() {
 fn checksum_detects_any_payload_corruption() {
     for_each_case(0x5749_000a, |rng| {
         let payload = rng.bytes(1, 255);
-        let cfg = WireConfig {
-            checksum: true,
-            compress: false,
-        };
+        let cfg = WireConfig { checksum: true };
         let frame = Frame::Data {
             stream: 1,
             dest: 2,
@@ -343,8 +319,7 @@ fn checksum_detects_any_payload_corruption() {
             payload: payload.clone(),
         };
         let mut bytes = encode_frame_cfg(&frame, &cfg);
-        // Compression is off, so the wire body is exactly the payload, at
-        // the very end of the frame.
+        // The payload sits at the very end of the frame.
         let body_start = bytes.len() - payload.len();
         let at = body_start + rng.in_range(0, payload.len() - 1);
         bytes[at] ^= rng.in_range(1, 255) as u8;
@@ -354,36 +329,6 @@ fn checksum_detects_any_payload_corruption() {
                 assert_ne!(expected, computed);
             }
             other => panic!("corrupt payload byte gave {other:?}"),
-        }
-    });
-}
-
-/// The LZ pass itself round-trips bit-exact for compressible and
-/// incompressible inputs alike.
-#[test]
-fn lz_roundtrips_bit_exact() {
-    for_each_case(0x5749_000b, |rng| {
-        let input = arb_compressible(rng);
-        let packed = lz_compress(&input);
-        let back = lz_decompress(&packed, input.len()).unwrap();
-        assert_eq!(back, input);
-    });
-}
-
-/// Corrupting any byte of a compressed block yields a typed error or a
-/// wrong-but-bounded output — never a panic or an out-of-bounds copy.
-#[test]
-fn lz_decoder_never_panics_on_corruption() {
-    for_each_case(0x5749_000c, |rng| {
-        let input = arb_compressible(rng);
-        let mut packed = lz_compress(&input);
-        if packed.is_empty() {
-            return;
-        }
-        let at = rng.in_range(0, packed.len() - 1);
-        packed[at] ^= rng.in_range(1, 255) as u8;
-        if let Ok(out) = lz_decompress(&packed, input.len()) {
-            assert_eq!(out.len(), input.len());
         }
     });
 }

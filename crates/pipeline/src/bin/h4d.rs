@@ -19,11 +19,11 @@
 //!              --peers addr0,addr1,... [--repr ...] [--engine ...]
 //!              [--report run.json] [--canonical true]
 //!              [--io-cache-bytes B] [--result-store DIR]
-//!              [--checksum true] [--compress true]
+//!              [--checksum true]
 //! h4d launch   <graph.json> <dataset_dir> <out_dir> --nodes N [--repr ...]
 //!              [--engine ...] [--report-base run] [--canonical true]
 //!              [--io-cache-bytes B] [--result-store DIR]
-//!              [--checksum true] [--compress true]
+//!              [--checksum true]
 //! ```
 //!
 //! A flag the subcommand does not read is a usage error (exit 2), reported
@@ -83,10 +83,10 @@ fn usage() -> ! {
          h4d node <graph.json> <dataset_dir> <out_dir> --node K --peers addr0,addr1,... \
          [--repr ...] [--engine ...] [--report run.json] [--canonical true] \
          [--io-cache-bytes B] [--result-store DIR] \
-         [--checksum true] [--compress true]\n  \
+         [--checksum true]\n  \
          h4d launch <graph.json> <dataset_dir> <out_dir> --nodes N [--repr ...] [--engine ...] \
          [--report-base run] [--canonical true] [--io-cache-bytes B] \
-         [--result-store DIR] [--checksum true] [--compress true]"
+         [--result-store DIR] [--checksum true]"
     );
     exit(2);
 }
@@ -120,7 +120,6 @@ const NODE_KEYS: &[&str] = &[
     "io-cache-bytes",
     "result-store",
     "checksum",
-    "compress",
 ];
 
 /// Minimal flag parser: `--key value` pairs after the positional arguments.
@@ -387,9 +386,9 @@ fn main() {
                 let copies = report.per_copy.copies_of(f);
                 if !copies.is_empty() {
                     println!(
-                        "  {f:<4} x{:<2} busy {:>8.1?} buffers {:>6}",
+                        "  {f:<4} x{:<2} busy {:>9.3}s buffers {:>6}",
                         copies.len(),
-                        std::time::Duration::from_secs_f64(report.per_copy.max_busy_of(f)),
+                        report.per_copy.max_busy_of(f),
                         report.per_copy.buffers_into(f)
                     );
                 }
@@ -460,11 +459,10 @@ fn main() {
             let spec = load_graph(json);
             let cfg = Arc::new(run_config(&load_descriptor(dir), &flags));
             std::fs::create_dir_all(out).ok();
-            // Each connection enables a transport feature only when both
-            // endpoints request it.
+            // Each connection stamps payload checksums only when both
+            // endpoints request them.
             let mut node_cfg = NodeConfig::new(node, addrs);
             node_cfg.checksum = flags.parse_or("checksum", false);
-            node_cfg.compress = flags.parse_or("compress", false);
             let t = std::time::Instant::now();
             let report = run_node_threaded(
                 &spec,

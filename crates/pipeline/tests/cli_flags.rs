@@ -46,27 +46,44 @@ fn a_flag_the_subcommand_does_not_read_is_a_usage_error() {
     let base = std::env::temp_dir().join(format!("h4d_cli_unknown_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).unwrap();
-    // A misspelt flag, and a flag of a subcommand `analyze` does not have:
-    // both are refused before the (missing) dataset is opened.
-    for (i, (flag, value)) in [("--texure", "4"), ("--workers", "2")]
-        .into_iter()
-        .enumerate()
-    {
+    let (graph, ds) = (
+        base.join("no_such_graph.json"),
+        base.join("no_such_dataset"),
+    );
+    // A misspelt flag, a flag of a subcommand `analyze` does not have, and
+    // `--compress`, which `node` and `launch` no longer read: each is
+    // refused before the (missing) graph or dataset is opened.
+    let cases: [(&str, &[&str], &str); 4] = [
+        ("analyze", &[], "--texure"),
+        ("analyze", &[], "--workers"),
+        (
+            "node",
+            &["--node", "0", "--peers", "127.0.0.1:1"],
+            "--compress",
+        ),
+        ("launch", &["--nodes", "2"], "--compress"),
+    ];
+    for (i, (cmd, required, flag)) in cases.into_iter().enumerate() {
         let out = base.join(format!("out_{i}"));
-        let output = h4d()
-            .arg("analyze")
-            .arg(base.join("no_such_dataset"))
+        let mut h = h4d();
+        h.arg(cmd);
+        if cmd != "analyze" {
+            h.arg(&graph);
+        }
+        let output = h
+            .arg(&ds)
             .arg(&out)
-            .args([flag, value])
+            .args(required)
+            .args([flag, "true"])
             .output()
-            .expect("spawn h4d analyze");
-        assert_eq!(output.status.code(), Some(2), "analyze {flag}");
+            .unwrap_or_else(|e| panic!("spawn h4d {cmd}: {e}"));
+        assert_eq!(output.status.code(), Some(2), "{cmd} {flag}");
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(
-            stderr.contains(&format!("unknown flag {flag} for analyze")),
-            "analyze {flag}: {stderr}"
+            stderr.contains(&format!("unknown flag {flag} for {cmd}")),
+            "{cmd} {flag}: {stderr}"
         );
-        assert!(!out.exists(), "analyze {flag} created {out:?}");
+        assert!(!out.exists(), "{cmd} {flag} created {out:?}");
     }
     std::fs::remove_dir_all(&base).ok();
 }
@@ -155,5 +172,26 @@ fn run_graph_accepts_the_graph_h4d_graph_wrote() {
     );
     let written = std::fs::read_dir(&out).unwrap().count();
     assert!(written > 0, "run-graph wrote nothing under {out:?}");
+
+    // `analyze` over the same dataset prints each filter's busy time in
+    // seconds with three decimals, whatever its magnitude.
+    let output = h4d()
+        .arg("analyze")
+        .arg(&ds)
+        .arg(base.join("out_analyze"))
+        .args(["--texture", "2"])
+        .output()
+        .expect("spawn h4d analyze");
+    assert!(output.status.success(), "analyze");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let busy: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.split(" busy ").nth(1)?.split_whitespace().next())
+        .collect();
+    assert!(!busy.is_empty(), "analyze printed no busy line: {stdout}");
+    for b in busy {
+        let decimals = b.strip_suffix('s').and_then(|secs| secs.split_once('.'));
+        assert_eq!(decimals.map(|(_, frac)| frac.len()), Some(3), "busy {b:?}");
+    }
     std::fs::remove_dir_all(&base).ok();
 }

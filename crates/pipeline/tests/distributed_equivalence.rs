@@ -8,8 +8,8 @@
 //! be **byte-identical** across all runs — any surviving difference is a
 //! transport defect (lost, altered, duplicated or misrouted buffers). The
 //! multi-process runs cover both wire modes: plain frames, and frames with
-//! payload checksums plus compression negotiated on (`--checksum true
-//! --compress true`), which must not change a single output byte. Per-node
+//! payload checksums negotiated on (`--checksum true`), which must not
+//! change a single output byte. Per-node
 //! run reports must parse, pass their own invariant check, and satisfy
 //! `busy + blocked_send + blocked_recv <= wall` for every copy.
 //!
@@ -131,9 +131,9 @@ fn check_node_report(path: &Path, node: usize) -> RunReport {
 }
 
 /// Verifies a node report's per-connection transport section: one entry
-/// per peer, negotiated features as expected, sane frame/flush accounting.
-/// Returns the connections so the caller can aggregate across nodes.
-fn check_transport(report: &RunReport, node: usize, nodes: usize, features: bool) -> u64 {
+/// per peer, checksums negotiated as expected, sane frame/flush accounting.
+/// Returns the data frames sent so the caller can aggregate across nodes.
+fn check_transport(report: &RunReport, node: usize, nodes: usize, checksum: bool) -> u64 {
     let conns = report
         .transport
         .as_ref()
@@ -146,17 +146,14 @@ fn check_transport(report: &RunReport, node: usize, nodes: usize, features: bool
     for c in conns {
         let ConnectionReport {
             peer,
-            checksum,
-            compression,
             frames_sent,
             flushes,
             credits_sent,
             ..
         } = *c;
         assert_eq!(
-            (checksum, compression),
-            (features, features),
-            "node {node}->{peer}: negotiated features"
+            c.checksum, checksum,
+            "node {node}->{peer}: negotiated checksum"
         );
         // Every flush ships at least one frame (data, credit, or EOS), so
         // a flush-per-frame regression shows up as flushes outrunning the
@@ -222,9 +219,8 @@ fn multi_process_runs_are_byte_identical_to_in_process() {
     );
     assert_byte_identical(&out_ref, &out2, "2-process run");
 
-    // The same two processes with the v2 wire features negotiated on:
-    // per-frame payload checksums plus compression must be invisible in
-    // the committed output.
+    // The same two processes with per-frame payload checksums negotiated
+    // on: they must be invisible in the committed output.
     let out2c = base.join("out2c");
     let rep2c = base.join("rep2c");
     run(
@@ -234,15 +230,15 @@ fn multi_process_runs_are_byte_identical_to_in_process() {
             .arg(&data)
             .arg(&out2c)
             .args(["--nodes", "2", "--canonical", "true"])
-            .args(["--checksum", "true", "--compress", "true"])
+            .args(["--checksum", "true"])
             .arg("--report-base")
             .arg(&rep2c),
-        "h4d launch --nodes 2 --checksum --compress",
+        "h4d launch --nodes 2 --checksum",
     );
-    assert_byte_identical(&out_ref, &out2c, "2-process checksum+compress run");
+    assert_byte_identical(&out_ref, &out2c, "2-process checksum run");
 
     // And as three processes (stitch/output on its own node), also with
-    // checksums and compression on.
+    // checksums on.
     let graph3 = write_graph(&base, 3);
     let out3 = base.join("out3");
     let rep3 = base.join("rep3");
@@ -253,12 +249,12 @@ fn multi_process_runs_are_byte_identical_to_in_process() {
             .arg(&data)
             .arg(&out3)
             .args(["--nodes", "3", "--canonical", "true"])
-            .args(["--checksum", "true", "--compress", "true"])
+            .args(["--checksum", "true"])
             .arg("--report-base")
             .arg(&rep3),
-        "h4d launch --nodes 3",
+        "h4d launch --nodes 3 --checksum",
     );
-    assert_byte_identical(&out_ref, &out3, "3-process checksum+compress run");
+    assert_byte_identical(&out_ref, &out3, "3-process checksum run");
 
     // Per-node reports: parse, pass invariants, and cover exactly the
     // copies placed on each node.
@@ -286,12 +282,12 @@ fn multi_process_runs_are_byte_identical_to_in_process() {
     );
     assert!(plain_frames > 0, "2-process run moved no data frames");
 
-    let mut v2_frames = 0;
+    let mut checksum_frames = 0;
     for node in 0..2 {
         let report = check_node_report(&base.join(format!("rep2c.node{node}.json")), node);
-        v2_frames += check_transport(&report, node, 2, true);
+        checksum_frames += check_transport(&report, node, 2, true);
     }
-    assert!(v2_frames > 0, "checksum+compress run moved no data frames");
+    assert!(checksum_frames > 0, "checksum run moved no data frames");
 
     for node in 0..3 {
         let report = check_node_report(&base.join(format!("rep3.node{node}.json")), node);

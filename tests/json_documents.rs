@@ -112,7 +112,6 @@ fn report() -> RunReport {
         transport: Some(vec![ConnectionReport {
             peer: 1,
             checksum: true,
-            compression: false,
             frames_sent: m,
             bytes_sent: m,
             flushes: m,
@@ -120,8 +119,6 @@ fn report() -> RunReport {
             bytes_recv: m,
             credits_sent: m,
             credit_stalls: m,
-            compressed_frames: m,
-            compression_saved_bytes: m,
         }]),
         store: Some(StoreReport {
             hits: m,
