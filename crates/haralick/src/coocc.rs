@@ -90,61 +90,6 @@ impl CoMatrix {
         });
     }
 
-    /// Counts the pairs of `region` over `dirs` into the upper triangle
-    /// only: each pair once, into cell `(min, max)`, so a diagonal pair adds
-    /// 2 and an off-diagonal pair 1 — the counts a
-    /// [`crate::sparse::SparseCoMatrix`] entry list holds. The total still
-    /// moves by 2 per pair. This is the reference engine's `Sparse` and
-    /// `Full` rebuild:
-    /// it starts from the all-zero matrix that
-    /// [`drain_upper`](Self::drain_upper) leaves behind, and, as for
-    /// [`reaccumulate`](Self::reaccumulate), the count bound is the
-    /// caller's.
-    ///
-    /// # Panics
-    /// If `region` is not fully contained in the volume, or the level
-    /// counts differ.
-    pub(crate) fn add_region_upper(
-        &mut self,
-        vol: &LevelVolume,
-        region: Region4,
-        dirs: &DirectionSet,
-    ) {
-        self.assert_levels_of(vol);
-        let ng = self.levels as usize;
-        for_each_pair_row(vol, region, dirs, |a_row, b_row| {
-            for (&a, &b) in a_row.iter().zip(b_row) {
-                let (lo, hi) = (a.min(b) as usize, a.max(b) as usize);
-                self.counts[lo * ng + hi] += 1 + u32::from(lo == hi);
-            }
-            self.total += 2 * a_row.len() as u64;
-        });
-    }
-
-    /// Calls `f(i, j, C(i, j))` for every non-zero upper-triangle cell in
-    /// ascending `(i, j)` — the order of [`crate::sparse::SparseCoMatrix`]'s
-    /// entries — and leaves the matrix all-zero. Each row's `j >= i` half
-    /// is tested with one OR-fold; only a non-zero row is walked and
-    /// zeroed, so an upper-only store built by
-    /// [`add_region_upper`](Self::add_region_upper) drains in `O(Ng)` row
-    /// tests plus `O(nnz)`.
-    pub(crate) fn drain_upper(&mut self, mut f: impl FnMut(u8, u8, u32)) {
-        let ng = self.levels as usize;
-        for (i, row) in self.counts.chunks_exact_mut(ng).enumerate() {
-            let upper = &mut row[i..];
-            if upper.iter().fold(0, |acc, &c| acc | c) == 0 {
-                continue;
-            }
-            for (j, &c) in upper.iter().enumerate() {
-                if c != 0 {
-                    f(i as u8, (i + j) as u8, c);
-                }
-            }
-            upper.fill(0);
-        }
-        self.total = 0;
-    }
-
     fn assert_levels_of(&self, vol: &LevelVolume) {
         assert_eq!(
             self.levels,
@@ -463,6 +408,100 @@ impl std::fmt::Display for PartsError {
 
 impl std::error::Error for PartsError {}
 
+/// The reference engine's per-placement count for the `Full` and `Sparse`
+/// representations: the pairs of one region, each counted once into the
+/// upper-triangle cell `(min, max)`, read out as sorted sparse entries.
+///
+/// Two lanes of `Ng²` cells, interleaved cell by cell, take alternate
+/// pairs of every pair row: pair `k` adds exactly 1 to lane `k & 1`. Runs
+/// of equal pairs, common in smooth data, then form two independent
+/// increment chains instead of one, and no pair carries a diagonal weight.
+/// [`drain`](Self::drain) sums the lanes and doubles the diagonal, so it
+/// emits the counts of the symmetric matrix's upper triangle.
+///
+/// All-zero between regions: a count starts from the store the previous
+/// drain left behind. The `u32` bound is the caller's
+/// ([`assert_counts_fit`]): a lane cell holds at most the region's pairs.
+#[derive(Debug)]
+pub(crate) struct UpperCounts {
+    levels: u16,
+    /// Cell `lo · Ng + hi`, as `[lane 0, lane 1]`.
+    cells: Vec<[u32; 2]>,
+}
+
+impl UpperCounts {
+    /// An all-zero store for `levels` gray levels.
+    ///
+    /// # Panics
+    /// If `levels` is not in `1..=256`.
+    pub(crate) fn zeros(levels: u16) -> Self {
+        assert!((1..=256).contains(&levels), "levels must be in 1..=256");
+        Self {
+            levels,
+            cells: vec![[0; 2]; levels as usize * levels as usize],
+        }
+    }
+
+    /// Number of gray levels `Ng`.
+    pub(crate) const fn levels(&self) -> u16 {
+        self.levels
+    }
+
+    /// Counts the pairs of `region` over `dirs`.
+    ///
+    /// # Panics
+    /// If `region` is not fully contained in the volume, or the level
+    /// counts differ.
+    pub(crate) fn count_region(&mut self, vol: &LevelVolume, region: Region4, dirs: &DirectionSet) {
+        assert_eq!(
+            self.levels,
+            vol.levels(),
+            "upper-triangle counter level count does not match volume"
+        );
+        let ng = self.levels as usize;
+        let cells = &mut self.cells;
+        let cell = |a: u8, b: u8| a.min(b) as usize * ng + a.max(b) as usize;
+        for_each_pair_row(vol, region, dirs, |a_row, b_row| {
+            let (a_two, a_last) = a_row.as_chunks::<2>();
+            let (b_two, b_last) = b_row.as_chunks::<2>();
+            for (a, b) in a_two.iter().zip(b_two) {
+                cells[cell(a[0], b[0])][0] += 1;
+                cells[cell(a[1], b[1])][1] += 1;
+            }
+            if let ([a], [b]) = (a_last, b_last) {
+                cells[cell(*a, *b)][0] += 1;
+            }
+        });
+    }
+
+    /// Calls `f(i, j, C(i, j))` for every non-zero upper-triangle cell of
+    /// the symmetric matrix in ascending `(i, j)` — the order of
+    /// [`crate::sparse::SparseCoMatrix`]'s entries — and leaves the store
+    /// all-zero. Each row's `j >= i` half of both lanes is tested with one
+    /// OR-fold; only a non-zero row is walked and zeroed, so a drain costs
+    /// `O(Ng)` row tests plus the touched rows.
+    pub(crate) fn drain(&mut self, mut f: impl FnMut(u8, u8, u32)) {
+        let ng = self.levels as usize;
+        for (i, row) in self.cells.chunks_exact_mut(ng).enumerate() {
+            let upper = &mut row[i..];
+            if upper.iter().fold(0, |acc, &[a, b]| acc | a | b) == 0 {
+                continue;
+            }
+            // Both orientations of a diagonal pair land on its cell.
+            let [a, b] = upper[0];
+            if a + b != 0 {
+                f(i as u8, i as u8, 2 * (a + b));
+            }
+            for (j, &[a, b]) in (i + 1..).zip(&upper[1..]) {
+                if a + b != 0 {
+                    f(i as u8, j as u8, a + b);
+                }
+            }
+            upper.fill([0; 2]);
+        }
+    }
+}
+
 /// Calls `f(a_row, b_row)` for every run of voxel pairs that `region` holds
 /// over `dirs`: `a_row[k]` and `b_row[k]` are the levels of a voxel and of
 /// its partner displaced by `d`, both inside `region`. Runs follow the
@@ -546,6 +585,7 @@ pub(crate) fn assert_counts_fit(roi: Dims4, directions: usize) {
 mod tests {
     use super::*;
     use crate::direction::Direction;
+    use crate::sparse::SparseEntry;
     use crate::volume::{Dims4, Point4};
 
     /// Builds a 4x1x1x1 "image" [0, 1, 1, 2] with Ng = 3.
@@ -733,9 +773,25 @@ mod tests {
         LevelVolume::from_raw(dims, data, ng).unwrap()
     }
 
+    /// Drains `counts` into sparse entries, checks the store was left
+    /// all-zero, and returns the entries with the total they stand for.
+    fn drain_checked(counts: &mut UpperCounts, case: &str) -> (Vec<SparseEntry>, u64) {
+        let mut entries = Vec::new();
+        counts.drain(|i, j, count| entries.push(SparseEntry { i, j, count }));
+        assert!(
+            counts.cells.iter().all(|&c| c == [0; 2]),
+            "{case}: drain left a count"
+        );
+        let total = entries
+            .iter()
+            .map(|e| u64::from(e.count) * if e.i == e.j { 1 } else { 2 })
+            .sum();
+        (entries, total)
+    }
+
     #[test]
     fn upper_count_then_drain_equals_dense_then_sparse() {
-        use crate::sparse::{SparseCoMatrix, SparseEntry};
+        use crate::sparse::SparseCoMatrix;
         let dims = Dims4::new(7, 6, 3, 3);
         let regions = [
             // Touches every face of the volume.
@@ -744,11 +800,13 @@ mod tests {
             Region4::new(Point4::ZERO, Dims4::new(4, 3, 2, 2)),
             Region4::new(Point4::new(3, 3, 1, 1), Dims4::new(4, 3, 2, 2)),
             Region4::new(Point4::new(2, 1, 1, 1), Dims4::new(3, 4, 1, 1)),
+            // x-extent 2: one-pair rows under dx = ±1.
+            Region4::new(Point4::new(4, 1, 0, 1), Dims4::new(2, 4, 3, 2)),
         ];
         for ng in [1, 2, 32, 256] {
-            // One matrix per level count, reused: each drain must leave the
+            // One store per level count, reused: each drain must leave the
             // all-zero store the next count starts from.
-            let mut m = CoMatrix::zeros(ng);
+            let mut counts = UpperCounts::zeros(ng);
             for (seed, noise) in [(0, false), (1, true), (2, true)] {
                 let vol = ramp_or_noise(dims, ng, noise, seed);
                 for dirs in [
@@ -759,14 +817,40 @@ mod tests {
                         let case = format!("Ng {ng} noise {noise} |D| {} {region:?}", dirs.len());
                         let expected =
                             SparseCoMatrix::from_dense(&CoMatrix::from_region(&vol, region, &dirs));
-                        m.add_region_upper(&vol, region, &dirs);
-                        assert_eq!(m.total(), expected.total(), "{case}");
-                        let mut entries = Vec::new();
-                        m.drain_upper(|i, j, count| entries.push(SparseEntry { i, j, count }));
+                        counts.count_region(&vol, region, &dirs);
+                        let (entries, total) = drain_checked(&mut counts, &case);
                         assert_eq!(entries, expected.entries(), "{case}");
-                        assert_eq!(m, CoMatrix::zeros(ng), "{case}: drain left a count");
+                        assert_eq!(total, expected.total(), "{case}");
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_constant_region_drains_two_counts_per_pair_onto_the_diagonal() {
+        let dims = Dims4::new(7, 6, 3, 3);
+        let dirs = DirectionSet::all_unique_4d(1);
+        for ng in [1, 2, 32, 256] {
+            let level = (ng - 1) as u8;
+            let vol = LevelVolume::from_raw(dims, vec![level; dims.len()], ng).unwrap();
+            let mut counts = UpperCounts::zeros(ng);
+            for region in [
+                dims.region(),
+                Region4::new(Point4::new(2, 1, 1, 1), Dims4::new(3, 4, 1, 1)),
+            ] {
+                let mut pairs = 0;
+                for_each_pair_row(&vol, region, &dirs, |a, _| pairs += a.len() as u32);
+                counts.count_region(&vol, region, &dirs);
+                let (entries, _) = drain_checked(&mut counts, &format!("Ng {ng} {region:?}"));
+                assert_eq!(
+                    entries,
+                    [SparseEntry {
+                        i: level,
+                        j: level,
+                        count: 2 * pairs
+                    }]
+                );
             }
         }
     }

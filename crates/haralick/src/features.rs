@@ -45,7 +45,7 @@
 //! repository's benchmark reports the checked pass per window
 //! (`haralick.features.ns_per_window_full`).
 
-use crate::coocc::CoMatrix;
+use crate::coocc::{CoMatrix, UpperCounts};
 use crate::linalg::symmetric_eigenvalues;
 use crate::sparse::{SparseCoMatrix, SparseEntry, SupportMask};
 
@@ -475,19 +475,19 @@ impl MatrixStats {
         }
     }
 
-    /// Sparse-representation statistics of an upper-only store built by
-    /// [`CoMatrix::add_region_upper`], drained through
-    /// [`CoMatrix::drain_upper`]: the entries `from_sparse` would visit, in
-    /// the same order, and `m` left all-zero for the next placement.
-    pub(crate) fn refill_draining_upper(&mut self, m: &mut CoMatrix) {
+    /// Sparse-representation statistics of the region counted into `m`:
+    /// the entries `from_sparse` would visit, in the same order, drained
+    /// through [`UpperCounts::drain`] so `m` is all-zero for the next
+    /// placement.
+    pub(crate) fn refill_draining_upper(&mut self, m: &mut UpperCounts) {
         self.reset(m.levels() as usize);
-        m.drain_upper(|i, j, c| self.push_upper(i, j, c));
+        m.drain(|i, j, c| self.push_upper(i, j, c));
     }
 
     /// [`refill_draining_upper`](Self::refill_draining_upper) with the
     /// entries sorted row-major: the statistics, and the entry order, of
     /// the mirrored matrix's zero-skip pass.
-    pub(crate) fn refill_draining_upper_row_major(&mut self, m: &mut CoMatrix) {
+    pub(crate) fn refill_draining_upper_row_major(&mut self, m: &mut UpperCounts) {
         self.refill_draining_upper(m);
         self.entries.sort_unstable();
     }

@@ -23,7 +23,7 @@
 //! [`scan_placements_with`], which packs every visited window's matrix
 //! for the HPC filter.
 
-use crate::coocc::{assert_counts_fit, CoMatrix};
+use crate::coocc::{assert_counts_fit, CoMatrix, UpperCounts};
 use crate::direction::DirectionSet;
 use crate::features::{finalize_into, FeatureSelection, MatrixStats};
 use crate::fused::FusedScratch;
@@ -38,17 +38,18 @@ pub enum Representation {
     /// Dense `Ng x Ng` array, evaluating every entry (no optimization).
     FullNaive,
     /// Dense array with the zero-skip optimization (the paper's ~4x win).
-    /// The reference engine counts and drains as for `Sparse`, then lists
+    /// The reference engine counts and drains as for `Sparse`, then sorts
     /// the entries row-major over the mirrored matrix: the zero-skip pass's
     /// statistics in its order, without an `Ng²` fill or sweep.
     Full,
     /// Sparse entry list; the matrix is accumulated in a dense array,
     /// converted to sparse form (as the split HCC filter does before
     /// transmission), and features are computed directly from the sparse
-    /// entries. The reference engine counts each pair once, into the upper
-    /// triangle, and drains only the non-zero rows into the entry order:
-    /// `O(Ng)` row tests plus `O(nnz)` per placement, with no `Ng²` fill or
-    /// sweep.
+    /// entries. The reference engine adds 1 per pair into one of two
+    /// interleaved upper-triangle lanes, then drains only the non-zero rows
+    /// into the entry order, summing the lanes and doubling the diagonal:
+    /// `O(Ng)` row tests plus the touched rows per placement, with no `Ng²`
+    /// fill or sweep.
     Sparse,
     /// Sparse entry list; the matrix is **accumulated in sparse storage**
     /// (binary-search increments, no dense array ever exists) — the
@@ -268,15 +269,16 @@ impl FeatureMaps {
     }
 }
 
-/// Reusable scratch of the reference engine: the dense matrix a placement
-/// accumulates into and the statistics accumulator, both recycled across
-/// every placement so the hot loop never allocates.
-///
-/// `matrix` is all-zero between placements of the `Full` and `Sparse` arms:
-/// both count each pair once into its upper triangle, and the drain that
-/// reads it out zeroes every row it touched. The `FullNaive` arm fills it
-/// with zeros first.
+/// Reusable scratch of the reference engine: the stores a placement counts
+/// into and the statistics accumulator, all recycled across every placement
+/// so the hot loop never allocates.
 struct ScanScratch {
+    /// The `Full` and `Sparse` arms' two-lane upper-triangle count,
+    /// all-zero between placements: the drain that reads it out zeroes
+    /// every row it touched.
+    upper: UpperCounts,
+    /// The `FullNaive` arm's dense symmetric matrix, zero-filled before
+    /// each count.
     matrix: CoMatrix,
     /// Sparse-storage accumulator recycled by the `SparseAccum` rebuild
     /// path (entry list capacity survives across placements).
@@ -288,6 +290,7 @@ impl ScanScratch {
     /// Scratch for `levels` gray levels.
     fn new(levels: u16) -> Self {
         Self {
+            upper: UpperCounts::zeros(levels),
             matrix: CoMatrix::zeros(levels),
             sparse_acc: SparseAccumulator::new(levels),
             stats: MatrixStats::reusable(),
@@ -310,17 +313,17 @@ fn rebuild_stats(vol: &LevelVolume, cfg: &ScanConfig, origin: Point4, scratch: &
         }
         Representation::Sparse => {
             scratch
-                .matrix
-                .add_region_upper(vol, cfg.roi.region_at(origin), &cfg.directions);
-            scratch.stats.refill_draining_upper(&mut scratch.matrix);
+                .upper
+                .count_region(vol, cfg.roi.region_at(origin), &cfg.directions);
+            scratch.stats.refill_draining_upper(&mut scratch.upper);
         }
         Representation::Full => {
             scratch
-                .matrix
-                .add_region_upper(vol, cfg.roi.region_at(origin), &cfg.directions);
+                .upper
+                .count_region(vol, cfg.roi.region_at(origin), &cfg.directions);
             scratch
                 .stats
-                .refill_draining_upper_row_major(&mut scratch.matrix);
+                .refill_draining_upper_row_major(&mut scratch.upper);
         }
         Representation::FullNaive => {
             scratch
@@ -345,8 +348,9 @@ fn scan_one_into(
 }
 
 /// Computes the feature values for the single window at `origin` (selection
-/// order). This is the per-ROI unit of work shared by all drivers and by the
-/// pipeline filters.
+/// order) under the reference engine's rebuild, from fresh scratch — a
+/// one-window check, as the benchmark's output verifier uses it. The scans
+/// run the same unit of work on scratch they recycle.
 ///
 /// # Panics
 /// If the window exceeds the volume, or could put more than `u32::MAX`
@@ -387,12 +391,15 @@ pub fn scan_placements(
     match cfg.engine {
         ScanEngine::Reference => {
             let mut maps = FeatureMaps::zeros(extent, cfg.selection);
+            let n = cfg.selection.len();
+            if n == 0 {
+                return maps;
+            }
             let mut scratch = ScanScratch::new(vol.levels());
-            let mut values = vec![0.0; cfg.selection.len()];
-            for p in extent.region().points() {
+            // `points` runs x fastest, the order of the maps' slots.
+            for (p, out) in extent.region().points().zip(maps.data.chunks_exact_mut(n)) {
                 let origin = Point4::new(base.x + p.x, base.y + p.y, base.z + p.z, base.t + p.t);
-                scan_one_into(vol, cfg, origin, &mut scratch, &mut values);
-                maps.set_values(p, &values);
+                scan_one_into(vol, cfg, origin, &mut scratch, out);
             }
             maps
         }

@@ -11,11 +11,18 @@
 //! `haralick::features`, and all fourteen features are compared at `1e-12`
 //! on every path the crate offers — the three statistics constructors and
 //! both scan engines under all four representations.
+//!
+//! The 4-D cases, a checkerboard and a ramp over several directions, carry
+//! their matrix entries and five feature values as hand-derived literals,
+//! checked on both engines' `Full` and `Sparse` paths: an oracle for the
+//! reference engine's pair count that no code of the crate computes.
 
 use haralick::coocc::CoMatrix;
 use haralick::direction::{Direction, DirectionSet};
 use haralick::features::{compute_features, Feature, FeatureSelection, FeatureVector, MatrixStats};
-use haralick::raster::{scan_placements, Representation, ScanConfig, ScanEngine, TSlidePolicy};
+use haralick::raster::{
+    scan_placements, scan_placements_with, Representation, ScanConfig, ScanEngine, TSlidePolicy,
+};
 use haralick::roi::RoiShape;
 use haralick::sparse::SparseCoMatrix;
 use haralick::volume::{Dims4, LevelVolume, Point4};
@@ -460,4 +467,146 @@ fn distance_two_realigns_periodic_texture() {
     assert!(close(d1.get(Feature::Correlation).unwrap(), -1.0));
     assert!(close(d2.get(Feature::Correlation).unwrap(), 1.0));
     assert!(close(d2.get(Feature::Contrast).unwrap(), 0.0));
+}
+
+/// A 4-D volume, a direction set, and the symmetric count matrix and five
+/// feature values derived for it by hand: upper-triangle `(i, j, C(i, j))`
+/// entries in ascending order, then ASM, contrast, correlation, sum of
+/// squares and IDM.
+struct Golden4 {
+    dims: Dims4,
+    levels: u16,
+    level_at: fn(Point4) -> u8,
+    directions: Vec<Direction>,
+    upper: Vec<(u8, u8, u32)>,
+    features: [f64; 5],
+}
+
+impl Golden4 {
+    /// Scans the one placement whose window is the whole volume under
+    /// `Reference` `Full` and `Sparse` and under `Fused` `Full` and
+    /// `Sparse`, and compares each path's matrix entries with the
+    /// hand-written ones and its five features with the literals at `1e-12`.
+    fn check(&self, what: &str) {
+        let data = self.dims.region().points().map(self.level_at).collect();
+        let vol = LevelVolume::from_raw(self.dims, data, self.levels).unwrap();
+        let selection = FeatureSelection::of(&[
+            Feature::AngularSecondMoment,
+            Feature::Contrast,
+            Feature::Correlation,
+            Feature::SumOfSquares,
+            Feature::InverseDifferenceMoment,
+        ]);
+        let one = Dims4::new(1, 1, 1, 1);
+        for engine in [ScanEngine::Reference, ScanEngine::Fused] {
+            for representation in [Representation::Full, Representation::Sparse] {
+                let path = format!("{what}, {engine:?}/{representation:?}");
+                let cfg = ScanConfig {
+                    roi: RoiShape::new(self.dims),
+                    directions: DirectionSet::new(self.directions.iter().copied()),
+                    selection,
+                    representation,
+                    engine,
+                    t_slide: TSlidePolicy::Auto,
+                };
+                let mut entries = Vec::new();
+                scan_placements_with(&vol, &cfg, Point4::ZERO, one, |_, stats| {
+                    let m = SparseCoMatrix::from_stats(stats);
+                    entries.extend(m.entries().iter().map(|e| (e.i, e.j, e.count)));
+                });
+                assert_eq!(entries, self.upper, "{path}: hand-written entries");
+                let maps = scan_placements(&vol, &cfg, Point4::ZERO, one);
+                for (feature, (&got, &want)) in selection
+                    .iter()
+                    .zip(maps.values_at(Point4::ZERO).iter().zip(&self.features))
+                {
+                    assert!(
+                        (got - want).abs() < 1e-12,
+                        "{path}: {feature:?} is {got}, derived by hand {want}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A 4x3x2x2 checkerboard, level `(x + y + z + t) mod 2`, over four
+/// directions. The x rows hold 3 pairs (odd) and all others 4 (even).
+///   (1,0,0,0): 3·3·2·2 = 36 pairs, odd step → all {0,1}
+///   (0,1,0,0): 4·2·2·2 = 32 pairs, all {0,1}
+///   (1,1,0,0): 3·2·2·2 = 24 pairs, even step → equal levels; the origins'
+///     (y, z, t) parities balance, so 12 at level 0 and 12 at level 1
+///   (0,0,1,1): 4·3·1·1 = 12 pairs, equal levels, 6 and 6 (x rows balance)
+/// C(0,1) = 68, C(0,0) = C(1,1) = 2·18 = 36, R = 2·104 = 208, so
+/// p00 = p11 = 9/52 and p01 = p10 = 17/52.
+///   ASM = 2·(9/52)² + 2·(17/52)² = 740/2704 = 185/676
+///   Contrast = 2·17/52 = 17/26
+///   μ = px(1) = 1/2, σ² = 1/4, Σij·p = 9/52
+///   Correlation = (9/52 − 1/4)/(1/4) = −4/13
+///   SumOfSquares = σ² = 1/4
+///   IDM = 18/52 + (34/52)/2 = 35/52
+#[test]
+fn checkerboard_volume_matches_its_hand_derived_matrix_and_features() {
+    Golden4 {
+        dims: Dims4::new(4, 3, 2, 2),
+        levels: 2,
+        level_at: |p| ((p.x + p.y + p.z + p.t) % 2) as u8,
+        directions: vec![
+            Direction::new(1, 0, 0, 0),
+            Direction::new(0, 1, 0, 0),
+            Direction::new(1, 1, 0, 0),
+            Direction::new(0, 0, 1, 1),
+        ],
+        upper: vec![(0, 0, 36), (0, 1, 68), (1, 1, 36)],
+        features: [185.0 / 676.0, 17.0 / 26.0, -4.0 / 13.0, 0.25, 35.0 / 52.0],
+    }
+    .check("checkerboard");
+}
+
+/// A 4x2x2x2 ramp, level `x + t` over Ng = 5, over five directions. The
+/// x-moving rows hold 3 pairs (odd) and the others 4 (even).
+///   (1,0,0,0): 24 pairs (x, x+1) + t → {0,1} 4, {1,2} 8, {2,3} 8, {3,4} 4
+///   (0,1,0,0) and (0,0,1,0): 16 pairs each, equal levels x + t →
+///     per level 0..4: 2, 4, 4, 4, 2
+///   (1,0,0,1): 12 pairs, levels x and x + 2 → {0,2}, {1,3}, {2,4} 4 each
+///   (1,0,0,−1): 12 pairs from t = 1 to t = 0, levels x + 1 both →
+///     levels 1, 2, 3 with 4 each
+/// Diagonal pairs per level 4, 12, 12, 12, 4 → C(g,g) = 8, 24, 24, 24, 8;
+/// R = 2·80 = 160; row sums 16, 40, 48, 40, 16, so μ = 2 and
+/// σ² = (4·16 + 40 + 40 + 4·16)/160 = 13/10.
+///   ASM = (8² + 3·24² + 8² + 2·(4² + 8² + 8² + 4² + 3·4²))/160² = 71/800
+///   Contrast = (2·24·1 + 2·12·4)/160 = 9/10
+///   Σij·C = 464 + 2·156 = 776 → Correlation = (776/160 − 4)/(13/10) = 17/26
+///   SumOfSquares = σ² = 13/10
+///   IDM = (88 + 48/2 + 24/5)/160 = 73/100
+#[test]
+fn ramp_volume_matches_its_hand_derived_matrix_and_features() {
+    Golden4 {
+        dims: Dims4::new(4, 2, 2, 2),
+        levels: 5,
+        level_at: |p| (p.x + p.t) as u8,
+        directions: vec![
+            Direction::new(1, 0, 0, 0),
+            Direction::new(0, 1, 0, 0),
+            Direction::new(0, 0, 1, 0),
+            Direction::new(1, 0, 0, 1),
+            Direction::new(1, 0, 0, -1),
+        ],
+        upper: vec![
+            (0, 0, 8),
+            (0, 1, 4),
+            (0, 2, 4),
+            (1, 1, 24),
+            (1, 2, 8),
+            (1, 3, 4),
+            (2, 2, 24),
+            (2, 3, 8),
+            (2, 4, 4),
+            (3, 3, 24),
+            (3, 4, 4),
+            (4, 4, 8),
+        ],
+        features: [71.0 / 800.0, 0.9, 17.0 / 26.0, 1.3, 0.73],
+    }
+    .check("ramp");
 }
