@@ -215,7 +215,38 @@ impl FeatureSelection {
         .into_iter()
         .any(|f| self.contains(f))
     }
+
+    /// The optional [`Moments`] a selected feature reads, as `KEEP_*` bits:
+    /// `Σ C²` for f1, `Σ |i−j|·C` for f10, `p_{x−y}` for f5 and f11 and
+    /// `p_{x+y}` for f8. `R`, `Σ i·C`, `Σ i²·C` and `Σ i·j·C` are always kept.
+    pub(crate) fn kept_moments(&self) -> u8 {
+        let mut keep = 0;
+        if self.contains(Feature::AngularSecondMoment) {
+            keep |= KEEP_SQ;
+        }
+        if self.contains(Feature::DifferenceVariance) {
+            keep |= KEEP_DIST;
+        }
+        if self.contains(Feature::InverseDifferenceMoment)
+            || self.contains(Feature::DifferenceEntropy)
+        {
+            keep |= KEEP_DIFF;
+        }
+        if self.contains(Feature::SumEntropy) {
+            keep |= KEEP_SUM;
+        }
+        keep
+    }
 }
+
+/// [`Moments::shift_each`] keeps `Σ C²`.
+pub(crate) const KEEP_SQ: u8 = 1;
+/// [`Moments::shift_each`] keeps `Σ |i−j|·C`.
+pub(crate) const KEEP_DIST: u8 = 2;
+/// [`Moments::shift_each`] keeps the `p_{x−y}` histogram.
+pub(crate) const KEEP_DIFF: u8 = 4;
+/// [`Moments::shift_each`] keeps the `p_{x+y}` histogram.
+pub(crate) const KEEP_SUM: u8 = 8;
 
 /// Computed values for a selection of features. Unselected slots are `None`.
 #[derive(Debug, Clone, PartialEq)]
@@ -358,6 +389,80 @@ impl Moments {
         self.diff.settle((hi - lo) as usize, add, sub);
         self.sum.settle((lo + hi) as usize, add, sub);
     }
+
+    /// [`shift`](Self::shift) for every `(lo, hi, old, new)` of `cells`,
+    /// keeping `R`, `Σ i·C`, `Σ i²·C` and `Σ i·j·C` and, of the rest, only
+    /// the moments `KEEP` flags (`KEEP_*`); the others are left as they
+    /// were. The sums are held in locals across the loop and moved by each
+    /// cell's signed change: after every cell they are the moments of a
+    /// matrix with no negative count, so they stay inside the widths argued
+    /// on the type (`i64`, `i128` for `Σ C²`). Returns whether `cells`
+    /// yielded any cell. The fused kernel's moments-only apply.
+    #[inline(always)]
+    pub(crate) fn shift_each<const KEEP: u8>(
+        &mut self,
+        cells: impl Iterator<Item = (u8, u8, u32, u32)>,
+    ) -> bool {
+        let [mut r, mut si, mut sii, mut sij, mut dist] =
+            [self.r, self.i, self.ii, self.ij, self.dist].map(|s| s as i64);
+        let mut sq = self.sq as i128;
+        let mut moved = false;
+        for (lo, hi, old, new) in cells {
+            debug_assert!(lo <= hi, "cell must be in the upper triangle");
+            moved = true;
+            let (l, h) = (i64::from(lo), i64::from(hi));
+            let d = i64::from(new) - i64::from(old);
+            // Weights summed over the orientations the cell stands for.
+            let (n, wi, wii) = if lo == hi {
+                (1, l, l * l)
+            } else {
+                (2, l + h, l * l + h * h)
+            };
+            r += n * d;
+            si += wi * d;
+            sii += wii * d;
+            sij += n * l * h * d;
+            if KEEP & KEEP_SQ != 0 {
+                // n · (new² − old²)
+                sq += i128::from(n * d) * i128::from(i64::from(new) + i64::from(old));
+            }
+            if KEEP & KEEP_DIST != 0 {
+                dist += n * (h - l) * d;
+            }
+            let (add, sub) = (n as u64 * u64::from(new), n as u64 * u64::from(old));
+            if KEEP & KEEP_DIFF != 0 {
+                self.diff.settle((hi - lo) as usize, add, sub);
+            }
+            if KEEP & KEEP_SUM != 0 {
+                self.sum.settle(usize::from(lo) + usize::from(hi), add, sub);
+            }
+        }
+        debug_assert!(r.min(si).min(sii).min(sij).min(dist) >= 0 && sq >= 0);
+        [self.r, self.i, self.ii, self.ij, self.dist] = [r, si, sii, sij, dist].map(|s| s as u64);
+        self.sq = sq as u128;
+        moved
+    }
+
+    /// These moments with every one `KEEP` does not flag zeroed: what a
+    /// moments-only apply that started from the empty matrix holds.
+    #[cfg(test)]
+    pub(crate) fn kept(&self, keep: u8) -> Self {
+        let mut kept = self.clone();
+        let ng = kept.diff.bins.len();
+        if keep & KEEP_SQ == 0 {
+            kept.sq = 0;
+        }
+        if keep & KEEP_DIST == 0 {
+            kept.dist = 0;
+        }
+        if keep & KEEP_DIFF == 0 {
+            kept.diff = Histogram::zeros(ng);
+        }
+        if keep & KEEP_SUM == 0 {
+            kept.sum = Histogram::zeros((2 * ng).saturating_sub(1));
+        }
+        kept
+    }
 }
 
 /// An integer histogram and the mask of its non-zero bins.
@@ -412,8 +517,10 @@ impl Histogram {
 ///
 /// The constructors rebuild both from a matrix. The fused scan engine
 /// instead keeps the moments exact as its window slides and collects the
-/// entry list only when a selected feature reads it, so for the paper's
-/// four features a placement's statistics touch no cell.
+/// entry list only when a selected feature reads it; when none does, it
+/// keeps only the moments the selection reads
+/// (`FeatureSelection::kept_moments`), so for the paper's four features a
+/// placement's statistics touch no cell and no unread moment.
 #[derive(Debug, Clone)]
 pub struct MatrixStats {
     pub(crate) moments: Moments,

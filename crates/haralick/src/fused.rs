@@ -35,18 +35,27 @@
 //!   (all zero) delta array and the columns of the plane that left the
 //!   window (`C₀(Q)` and `C_k(Q + k)` for `Q = P − roi.x`) subtracted,
 //!   listing first touches as above. Each listed cell with a non-zero net —
-//!   the two sides share most of their cells — then moves once, through
-//!   `CoMatrix::apply_upper_delta_tracked` (`_unmirrored` for the sparse
-//!   representations), which keep the support bitmap and the total exact,
-//!   and its old and new count move the statistics' integer moments
-//!   (`features::Moments::shift`). None of these depends on the order of
-//!   updates, so the matrix, support and moments are equal to the
-//!   reference's at every placement.
+//!   the two sides share most of their cells — then moves once, and its old
+//!   and new count move the statistics' integer moments. A scan whose
+//!   selection reads no entry list (no entropy, no f12–f14; the paper's
+//!   four features) keeps one upper-triangle count per cell and only the
+//!   moments the selection reads, summed in locals across the apply
+//!   (`features::Moments::shift_each`): no mirror cell and no support
+//!   bitmap. Any other selection, and every visit, keeps the tracked
+//!   matrix: `CoMatrix::apply_upper_delta_tracked` (`_unmirrored` for the
+//!   sparse representations), which keep the support bitmap and the total
+//!   exact, and every moment (`features::Moments::shift`). None of these
+//!   depends on the order of updates, so the matrix, support and moments
+//!   are equal to the reference's at every placement. After a row's last
+//!   placement the store is emptied: the tracked one through its support,
+//!   the moments-only one by zeroing every cell of the last window's
+//!   columns.
 //!
 //! * **Emit.** Each placement is finalized straight into its slots of the
 //!   output sheet (`features::finalize_into`): f1–f8, f10 and f11 from the
-//!   moments alone, and only a selection with entropy or f12–f14 sweeps
-//!   the support for the entry list, in the reference's visiting order
+//!   moments alone, and only a selection with entropy or f12–f14 (or a
+//!   visit) sweeps the support for the entry list, in the reference's
+//!   visiting order
 //!   (`MatrixStats::collect_entries`). An apply reports whether any cell
 //!   moved; a placement after the row's first whose apply moved none has
 //!   its left neighbour's matrix, so it copies that neighbour's values
@@ -129,21 +138,37 @@ struct Group {
 /// A column histogram: `(packed cell, unordered pairs)`, unsorted, no zeros.
 type Column = Vec<(u16, u32)>;
 
-/// Reusable state of the fused kernel: the tracked dense matrix, its
-/// support and statistics (moments kept by the apply), the direction plans
-/// grouped by `k`, the columns of one sheet and the delta array they are
-/// advanced and netted through. One instance serves every sheet of a block,
-/// in order — after the first sheet nothing in the per-placement loop
-/// allocates.
+/// Where the apply keeps the window matrix.
+enum Store {
+    /// The matrix with its support bitmap, for a selection that reads the
+    /// entry list and for visits: mirrored, or, for the sparse
+    /// representations, the upper-triangle store of
+    /// [`CoMatrix::apply_upper_delta_unmirrored`].
+    Tracked {
+        matrix: CoMatrix,
+        support: SupportMask,
+        sparse: bool,
+    },
+    /// Moments only: the upper-triangle count of cell `(lo, hi)` at
+    /// `lo · Ng + hi` (a diagonal pair adds 2, an off-diagonal pair 1, the
+    /// unmirrored store's layout), and the `KEEP_*` bits of the optional
+    /// moments the selection reads.
+    Counts { counts: Box<[u32]>, keep: u8 },
+}
+
+/// Reusable state of the fused kernel: the window matrix's store and its
+/// statistics (moments kept by the apply), the direction plans grouped by
+/// `k`, the columns of one sheet and the delta array they are advanced and
+/// netted through. One instance serves every sheet of a block, in order —
+/// after the first sheet nothing in the per-placement loop allocates.
 pub(crate) struct FusedScratch {
-    matrix: CoMatrix,
-    support: SupportMask,
+    store: Store,
     stats: MatrixStats,
+    /// `Ng` of the volumes the scratch serves.
+    levels: u16,
     roi: Dims4,
     /// Placements per output row.
     width: usize,
-    /// Whether the matrix is the upper-triangle-only sparse store.
-    sparse: bool,
     selection: FeatureSelection,
     /// Whether the selection reads the entry list, collected per placement.
     needs_entries: bool,
@@ -161,10 +186,23 @@ pub(crate) struct FusedScratch {
 }
 
 impl FusedScratch {
-    /// Scratch for sheets of `width` placements per row over `vol` under
-    /// `cfg`. Directions that can pair no two voxels of a window
-    /// (a component at least as long as the ROI's extent) are dropped here.
+    /// Scratch for [`scan_sheet`](Self::scan_sheet) over sheets of `width`
+    /// placements per row of `vol` under `cfg`. Unless the selection reads
+    /// the entry list it keeps only the moments the selection reads: no
+    /// mirrored cell and no support bitmap.
     pub(crate) fn new(vol: &LevelVolume, cfg: &ScanConfig, width: usize) -> Self {
+        Self::build(vol, cfg, width, cfg.selection.needs_entries())
+    }
+
+    /// Scratch for [`visit_sheet`](Self::visit_sheet), whose every visit
+    /// carries the full entry list and all moments, whatever the selection.
+    pub(crate) fn visiting(vol: &LevelVolume, cfg: &ScanConfig, width: usize) -> Self {
+        Self::build(vol, cfg, width, true)
+    }
+
+    /// Directions that can pair no two voxels of a window (a component at
+    /// least as long as the ROI's extent) are dropped here.
+    fn build(vol: &LevelVolume, cfg: &ScanConfig, width: usize, tracked: bool) -> Self {
         let (dims, roi) = (vol.dims(), cfg.roi.size());
         let slice = dims.x * dims.y;
         let mut groups: Vec<Group> = Vec::new();
@@ -214,13 +252,27 @@ impl FusedScratch {
             .map(|p| p.y.1 * p.voxels.len())
             .sum();
         let levels = vol.levels();
+        let ng = levels as usize;
+        let store = if tracked {
+            Store::Tracked {
+                matrix: CoMatrix::zeros(levels),
+                support: SupportMask::empty(ng * ng),
+                sparse: cfg.representation.is_sparse(),
+            }
+        } else {
+            Store::Counts {
+                counts: vec![0; ng * ng].into_boxed_slice(),
+                keep: cfg.selection.kept_moments(),
+            }
+        };
+        let mut stats = MatrixStats::reusable();
+        stats.moments.clear(ng);
         Self {
-            matrix: CoMatrix::zeros(levels),
-            support: SupportMask::empty(levels as usize * levels as usize),
-            stats: MatrixStats::reusable(),
+            store,
+            stats,
+            levels,
             roi,
             width,
-            sparse: cfg.representation.is_sparse(),
             selection: cfg.selection,
             needs_entries: cfg.selection.needs_entries(),
             cols: vec![Column::new(); (roi.x + width - 1) * groups.len()],
@@ -234,12 +286,32 @@ impl FusedScratch {
         }
     }
 
-    /// Restores the all-zero matrix/support/moments invariant in `O(nnz)`
-    /// ahead of the next row.
-    fn reset_window(&mut self) {
-        self.matrix.clear_cells_from_support(&self.support);
-        self.support.clear_all();
-        self.stats.moments.clear(self.matrix.levels() as usize);
+    /// Restores the all-zero store and moments after a row whose last
+    /// window holds the columns of the sheet's last `roi.x` planes: the
+    /// tracked store zeroes the cells its support flags, the moments-only
+    /// store every cell of those columns (each non-zero cell of the window
+    /// is in one of them).
+    fn reset_window(&mut self, groups: &[Group]) {
+        let ng = self.levels as usize;
+        match &mut self.store {
+            Store::Tracked {
+                matrix, support, ..
+            } => {
+                matrix.clear_cells_from_support(support);
+                support.clear_all();
+            }
+            Store::Counts { counts, .. } => {
+                let (n, last) = (groups.len(), self.width - 1);
+                for (g, group) in groups.iter().enumerate() {
+                    for p in last + group.k..last + self.roi.x {
+                        for &(c, _) in &self.cols[p * n + g] {
+                            counts[usize::from(c >> 8) * ng + usize::from(c & 0xff)] = 0;
+                        }
+                    }
+                }
+            }
+        }
+        self.stats.moments.clear(ng);
     }
 
     /// Enters every pair of `plan` on the voxel line whose voxel at the
@@ -314,11 +386,30 @@ impl FusedScratch {
 
     /// Moves every listed cell by its netted delta, once, in the window
     /// matrix and its moments, and leaves the delta array zero. Returns
-    /// whether any cell moved. In sparse mode the mirror cell is never
-    /// written: the matrix holds upper-triangle sparse-entry counts (see
-    /// [`CoMatrix::apply_upper_delta_unmirrored`]); the moments are those of
-    /// the symmetric matrix either way.
+    /// whether any cell moved.
     fn apply(&mut self) -> bool {
+        match self.store {
+            Store::Tracked { .. } => self.apply_tracked(),
+            Store::Counts { keep, .. } => APPLY_MOMENTS[usize::from(keep)](self),
+        }
+    }
+
+    /// [`apply`](Self::apply) on the tracked store, through
+    /// `CoMatrix::apply_upper_delta_tracked` (`_unmirrored` for the sparse
+    /// representations, whose mirror cell is never written), which keep the
+    /// support bitmap and the total exact, and [`Moments::shift`]; the
+    /// moments are those of the symmetric matrix either way.
+    ///
+    /// [`Moments::shift`]: crate::features::Moments::shift
+    fn apply_tracked(&mut self) -> bool {
+        let Store::Tracked {
+            matrix,
+            support,
+            sparse,
+        } = &mut self.store
+        else {
+            unreachable!("apply_tracked on a moments-only store")
+        };
         let mut moved = false;
         for &c in &self.touched[..self.pending] {
             let net = std::mem::take(&mut self.delta[c as usize]);
@@ -327,18 +418,63 @@ impl FusedScratch {
             }
             moved = true;
             let (lo, hi) = ((c >> 8) as u8, c as u8);
-            let old = self.matrix.count(lo as usize, hi as usize);
-            let new = if self.sparse {
-                self.matrix
-                    .apply_upper_delta_unmirrored(lo, hi, net.into(), &mut self.support)
+            let old = matrix.count(lo as usize, hi as usize);
+            let new = if *sparse {
+                matrix.apply_upper_delta_unmirrored(lo, hi, net.into(), support)
             } else {
-                self.matrix
-                    .apply_upper_delta_tracked(lo, hi, net.into(), &mut self.support)
+                matrix.apply_upper_delta_tracked(lo, hi, net.into(), support)
             };
             self.stats.moments.shift(lo, hi, old, new);
         }
         self.pending = 0;
         moved
+    }
+
+    /// [`apply`](Self::apply) on the moments-only store: each moved cell
+    /// settles its one upper-triangle count and the moments `KEEP` flags
+    /// ([`Moments::shift_each`]).
+    ///
+    /// [`Moments::shift_each`]: crate::features::Moments::shift_each
+    fn apply_moments<const KEEP: u8>(&mut self) -> bool {
+        let Store::Counts { counts, .. } = &mut self.store else {
+            unreachable!("apply_moments on a tracked store")
+        };
+        let (ng, delta) = (self.levels as usize, &mut *self.delta);
+        let cells = self.touched[..self.pending].iter().filter_map(|&c| {
+            let net = std::mem::take(&mut delta[c as usize]);
+            if net == 0 {
+                return None;
+            }
+            let (lo, hi) = ((c >> 8) as u8, c as u8);
+            let count = &mut counts[usize::from(lo) * ng + usize::from(hi)];
+            let old = *count;
+            let per_cell = if lo == hi { 2 * net } else { net };
+            debug_assert!(
+                i64::from(old) + i64::from(per_cell) >= 0,
+                "fused merge drove cell ({lo}, {hi}) negative"
+            );
+            *count = old.wrapping_add_signed(per_cell);
+            Some((lo, hi, old, *count))
+        });
+        let moved = self.stats.moments.shift_each::<KEEP>(cells);
+        self.pending = 0;
+        moved
+    }
+
+    /// Lists the window matrix's non-zero cells into the statistics.
+    ///
+    /// # Panics
+    /// On a moments-only scratch, which keeps no cell list to walk.
+    fn collect_entries(&mut self) {
+        let Store::Tracked {
+            matrix,
+            support,
+            sparse,
+        } = &self.store
+        else {
+            panic!("a moments-only fused scratch keeps no entry list");
+        };
+        self.stats.collect_entries(matrix, support, *sparse);
     }
 
     /// Walks the sheet whose first window sits at `origin` over `rows`
@@ -358,7 +494,7 @@ impl FusedScratch {
         mut emit: impl FnMut(&mut Self, usize, usize, bool),
     ) {
         assert_eq!(
-            self.matrix.levels(),
+            self.levels,
             vol.levels(),
             "fused scratch level count does not match the volume's level count"
         );
@@ -375,7 +511,6 @@ impl FusedScratch {
         let n = groups.len();
         self.cols.iter_mut().for_each(Vec::clear);
         for row in 0..rows {
-            self.reset_window();
             // The row's first line in plane 0.
             let line = dims.index(Point4::new(origin.x, origin.y + row, origin.z, origin.t));
             for p in 0..planes {
@@ -408,6 +543,7 @@ impl FusedScratch {
                     emit(self, row, p + 1 - roi.x, moved || p + 1 == roi.x);
                 }
             }
+            self.reset_window(&groups);
         }
         self.groups = groups;
     }
@@ -438,7 +574,7 @@ impl FusedScratch {
                 return;
             }
             if s.needs_entries {
-                s.stats.collect_entries(&s.matrix, &s.support, s.sparse);
+                s.collect_entries();
             }
             finalize_into(&s.stats, &sel, &mut out[at..at + n]);
         });
@@ -460,17 +596,40 @@ impl FusedScratch {
     ) {
         self.sweep(vol, origin, rows, |s, row, x, moved| {
             if moved {
-                s.stats.collect_entries(&s.matrix, &s.support, s.sparse);
+                s.collect_entries();
             }
             visit(x, row, &s.stats);
         });
     }
 }
 
+/// [`FusedScratch::apply_moments`] for every set of `KEEP_*` bits, indexed
+/// by it: a moments-only scratch picks its apply once, and no moment it
+/// does not keep costs a branch per cell.
+const APPLY_MOMENTS: [fn(&mut FusedScratch) -> bool; 16] = [
+    FusedScratch::apply_moments::<0>,
+    FusedScratch::apply_moments::<1>,
+    FusedScratch::apply_moments::<2>,
+    FusedScratch::apply_moments::<3>,
+    FusedScratch::apply_moments::<4>,
+    FusedScratch::apply_moments::<5>,
+    FusedScratch::apply_moments::<6>,
+    FusedScratch::apply_moments::<7>,
+    FusedScratch::apply_moments::<8>,
+    FusedScratch::apply_moments::<9>,
+    FusedScratch::apply_moments::<10>,
+    FusedScratch::apply_moments::<11>,
+    FusedScratch::apply_moments::<12>,
+    FusedScratch::apply_moments::<13>,
+    FusedScratch::apply_moments::<14>,
+    FusedScratch::apply_moments::<15>,
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::direction::{Direction, DirectionSet};
+    use crate::features::{Feature, Moments, KEEP_DIFF, KEEP_DIST, KEEP_SQ, KEEP_SUM};
     use crate::raster::{Representation, ScanEngine, TSlidePolicy};
     use crate::roi::RoiShape;
     use crate::sparse::{SparseCoMatrix, SparseEntry};
@@ -525,53 +684,140 @@ mod tests {
         ]
     }
 
+    /// `all()`, which reads the entry list and keeps the tracked store, and
+    /// the selections a moments-only store serves: the paper's four, all
+    /// ten moment features together and each alone.
+    fn selections() -> Vec<FeatureSelection> {
+        let moment_features: Vec<Feature> = Feature::ALL
+            .into_iter()
+            .filter(|&f| !FeatureSelection::of(&[f]).needs_entries())
+            .collect();
+        let mut selections = vec![
+            FeatureSelection::all(),
+            FeatureSelection::paper_default(),
+            FeatureSelection::of(&moment_features),
+        ];
+        selections.extend(moment_features.iter().map(|&f| FeatureSelection::of(&[f])));
+        selections
+    }
+
     fn support_cells(mask: &SupportMask) -> Vec<usize> {
         let mut cells = Vec::new();
         mask.for_each_set(|i| cells.push(i));
         cells
     }
 
-    /// Every fold and apply leaves nothing pending.
+    /// The tracked store's matrix and support.
+    fn tracked(s: &FusedScratch) -> (&CoMatrix, &SupportMask) {
+        match &s.store {
+            Store::Tracked {
+                matrix, support, ..
+            } => (matrix, support),
+            Store::Counts { .. } => panic!("a scratch for `all()` keeps the tracked store"),
+        }
+    }
+
+    /// Every fold and apply leaves nothing pending, and every row leaves
+    /// the store empty: the moments-only store all-zero, the tracked one
+    /// with no count and no support bit.
     fn assert_drained(s: &FusedScratch) {
         assert_eq!(s.pending, 0, "touched list not drained");
         assert!(s.delta.iter().all(|&d| d == 0), "delta array not zero");
+        match &s.store {
+            Store::Tracked {
+                matrix, support, ..
+            } => {
+                assert!(
+                    matrix.as_slice().iter().all(|&c| c == 0) && matrix.total() == 0,
+                    "tracked matrix not zero"
+                );
+                assert!(support_cells(support).is_empty(), "support not clear");
+            }
+            Store::Counts { counts, .. } => {
+                assert!(counts.iter().all(|&c| c == 0), "count store not zero");
+            }
+        }
     }
 
     #[test]
     fn matrix_and_support_match_rebuild_at_every_placement() {
-        // The moments the apply keeps equal the ones rebuilt from the
-        // reference matrix in both modes; the full-mode matrix and support
-        // equal the reference's (the sparse store is checked below).
+        // Under every selection, the moments the apply keeps equal the ones
+        // rebuilt from the reference matrix (a moments-only store keeps
+        // only those its selection reads, the others stay zero) in both
+        // modes. The tracked full-mode matrix and support equal the
+        // reference's, and the moments-only store holds its upper triangle
+        // (the tracked sparse store is checked below).
         let dims = Dims4::new(12, 9, 4, 4);
         let roi = Dims4::new(5, 4, 2, 2);
         let origin = Point4::new(1, 1, 1, 2);
+        let (width, rows) = (7, 5);
         for vol in [volume(dims, 8, 1), noise(dims, 1)] {
+            let ng = vol.levels() as usize;
             for dirs in direction_sets() {
-                for repr in [Representation::Full, Representation::Sparse] {
-                    let cfg = config(roi, dirs.clone(), repr);
-                    let mut scratch = FusedScratch::new(&vol, &cfg, 7);
-                    let mut seen = 0;
-                    scratch.sweep(&vol, origin, 5, |s, row, x, _| {
-                        let win =
-                            Region4::new(Point4::new(origin.x + x, origin.y + row, 1, 2), roi);
-                        let expect = CoMatrix::from_region(&vol, win, &cfg.directions);
-                        assert_eq!(
-                            s.stats.moments,
-                            MatrixStats::from_dense(&expect, true).moments,
-                            "{repr:?} moments drifted at {win:?}"
-                        );
-                        if repr == Representation::Full {
-                            assert_eq!(&s.matrix, &expect, "matrix drifted at {win:?}");
-                            assert_eq!(
-                                support_cells(&s.support),
-                                support_cells(&SupportMask::from_matrix(&expect)),
-                                "support drifted at {win:?}"
-                            );
+                let expected: Vec<CoMatrix> = (0..rows)
+                    .flat_map(|row| (0..width).map(move |x| (x, row)))
+                    .map(|(x, row)| {
+                        let at = Point4::new(origin.x + x, origin.y + row, origin.z, origin.t);
+                        CoMatrix::from_region(&vol, Region4::new(at, roi), &dirs)
+                    })
+                    .collect();
+                let moments: Vec<Moments> = expected
+                    .iter()
+                    .map(|m| MatrixStats::from_dense(m, true).moments)
+                    .collect();
+                let upper: Vec<Vec<u32>> = expected
+                    .iter()
+                    .map(|m| {
+                        let mut cells = m.as_slice().to_vec();
+                        for (idx, c) in cells.iter_mut().enumerate() {
+                            if idx / ng > idx % ng {
+                                *c = 0;
+                            }
                         }
-                        seen += 1;
-                    });
-                    assert_eq!(seen, 7 * 5);
-                    assert_drained(&scratch);
+                        cells
+                    })
+                    .collect();
+                for selection in selections() {
+                    let keep = if selection.needs_entries() {
+                        KEEP_SQ | KEEP_DIST | KEEP_DIFF | KEEP_SUM
+                    } else {
+                        selection.kept_moments()
+                    };
+                    for repr in [Representation::Full, Representation::Sparse] {
+                        let mut cfg = config(roi, dirs.clone(), repr);
+                        cfg.selection = selection;
+                        let mut scratch = FusedScratch::new(&vol, &cfg, width);
+                        let mut seen = 0;
+                        scratch.sweep(&vol, origin, rows, |s, row, x, _| {
+                            let at = row * width + x;
+                            let case = format!("{selection:?} {repr:?} at ({x}, {row})");
+                            assert_eq!(
+                                s.stats.moments,
+                                moments[at].kept(keep),
+                                "{case}: moments drifted"
+                            );
+                            match &s.store {
+                                Store::Tracked {
+                                    matrix, support, ..
+                                } => {
+                                    if repr == Representation::Full {
+                                        assert_eq!(matrix, &expected[at], "{case}: matrix drifted");
+                                        assert_eq!(
+                                            support_cells(support),
+                                            support_cells(&SupportMask::from_matrix(&expected[at])),
+                                            "{case}: support drifted"
+                                        );
+                                    }
+                                }
+                                Store::Counts { counts, .. } => {
+                                    assert!(**counts == *upper[at], "{case}: counts drifted");
+                                }
+                            }
+                            seen += 1;
+                        });
+                        assert_eq!(seen, width * rows);
+                        assert_drained(&scratch);
+                    }
                 }
             }
         }
@@ -592,16 +838,17 @@ mod tests {
                 let win = Region4::new(Point4::new(x, origin.y + row, 0, 1), roi);
                 let expect =
                     SparseCoMatrix::from_dense(&CoMatrix::from_region(&vol, win, &cfg.directions));
-                let entries: Vec<SparseEntry> = support_cells(&s.support)
+                let (matrix, support) = tracked(s);
+                let entries: Vec<SparseEntry> = support_cells(support)
                     .into_iter()
                     .map(|idx| SparseEntry {
                         i: (idx / 8) as u8,
                         j: (idx % 8) as u8,
-                        count: s.matrix.as_slice()[idx],
+                        count: matrix.as_slice()[idx],
                     })
                     .collect();
                 assert_eq!(entries, expect.entries(), "sparse entries drifted");
-                assert_eq!(s.matrix.total(), expect.total(), "symmetric total drifted");
+                assert_eq!(matrix.total(), expect.total(), "symmetric total drifted");
             });
             assert_drained(&scratch);
         }
@@ -669,8 +916,13 @@ mod tests {
             .collect();
         let vol = LevelVolume::from_raw(dims, data, 16).unwrap();
         let roi = Dims4::new(4, 3, 2, 2);
-        for repr in [Representation::Full, Representation::Sparse] {
-            let cfg = config(roi, DirectionSet::all_unique_4d(1), repr);
+        let selections = [FeatureSelection::all(), FeatureSelection::paper_default()];
+        for (repr, selection) in [Representation::Full, Representation::Sparse]
+            .into_iter()
+            .flat_map(|repr| selections.map(|selection| (repr, selection)))
+        {
+            let mut cfg = config(roi, DirectionSet::all_unique_4d(1), repr);
+            cfg.selection = selection;
             let reference = crate::raster::raster_scan(&vol, &cfg);
             let out_dims = reference.dims();
             let (width, rows) = (out_dims.x, out_dims.y);
@@ -683,7 +935,7 @@ mod tests {
             });
             assert!(
                 still > 0 && still < placements,
-                "{repr:?}: {still} of {placements} placements moved no cell"
+                "{repr:?} {selection:?}: {still} of {placements} placements moved no cell"
             );
             let mut out = vec![0.0; rows * width * n];
             for z in 0..out_dims.z {
@@ -693,7 +945,11 @@ mod tests {
                         let p = Point4::new(i % width, i / width, z, t);
                         let want = reference.values_at(p);
                         for (slot, (a, b)) in got.iter().zip(want).enumerate() {
-                            assert_eq!(a.to_bits(), b.to_bits(), "{repr:?} slot {slot} at {p:?}");
+                            assert_eq!(
+                                a.to_bits(),
+                                b.to_bits(),
+                                "{repr:?} {selection:?} slot {slot} at {p:?}"
+                            );
                         }
                     }
                 }

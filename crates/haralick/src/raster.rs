@@ -450,7 +450,7 @@ pub fn scan_placements_with(
             if extent.is_empty() {
                 return;
             }
-            let mut scratch = FusedScratch::new(vol, cfg, extent.x);
+            let mut scratch = FusedScratch::visiting(vol, cfg, extent.x);
             for t in 0..extent.t {
                 for z in 0..extent.z {
                     let origin = Point4::new(base.x, base.y, base.z + z, base.t + t);
@@ -837,6 +837,57 @@ mod tests {
                 });
                 assert_eq!(visited, extent.len());
             }
+        }
+    }
+
+    #[test]
+    fn visits_under_a_moments_only_selection_carry_every_entry_and_moment() {
+        // A visit ignores the selection: under `Fused` the paper's four
+        // features, which `scan_placements` serves from moments alone, still
+        // visit statistics with the full entry list and every moment. Each
+        // converts back to the rebuilt matrix and finalizes all fourteen
+        // features to the bits of the `Reference` visit, over a block of
+        // three rows and four sheets.
+        let vol = gradient_volume(Dims4::new(10, 9, 4, 4), 8);
+        let (base, extent) = (Point4::new(1, 2, 0, 1), Dims4::new(5, 3, 2, 2));
+        let all = FeatureSelection::all();
+        for representation in [Representation::Full, Representation::Sparse] {
+            let cfg = ScanConfig {
+                selection: FeatureSelection::paper_default(),
+                representation,
+                engine: ScanEngine::Fused,
+                ..small_cfg()
+            };
+            let reference = ScanConfig {
+                engine: ScanEngine::Reference,
+                ..cfg.clone()
+            };
+            let mut want = Vec::new();
+            scan_placements_with(&vol, &reference, base, extent, |_, stats| {
+                want.push(crate::features::compute_features(stats, &all));
+            });
+            let mut visited = 0;
+            scan_placements_with(&vol, &cfg, base, extent, |p, stats| {
+                let origin = Point4::new(base.x + p.x, base.y + p.y, base.z + p.z, base.t + p.t);
+                let rebuilt =
+                    CoMatrix::from_region(&vol, cfg.roi.region_at(origin), &cfg.directions);
+                assert_eq!(
+                    CoMatrix::from_stats(stats),
+                    rebuilt,
+                    "{representation:?} at {p:?}"
+                );
+                let values = crate::features::compute_features(stats, &all);
+                for (f, v) in values.iter() {
+                    let w = want[visited].get(f).unwrap();
+                    assert_eq!(
+                        v.to_bits(),
+                        w.to_bits(),
+                        "{representation:?} {f:?} at {p:?}"
+                    );
+                }
+                visited += 1;
+            });
+            assert_eq!(visited, extent.len());
         }
     }
 

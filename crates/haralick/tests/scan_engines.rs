@@ -19,7 +19,7 @@
 //! that reproduces it.
 
 use haralick::direction::{Direction, DirectionSet};
-use haralick::features::FeatureSelection;
+use haralick::features::{Feature, FeatureSelection};
 use haralick::quantize::Quantizer;
 use haralick::raster::{
     raster_scan, scan, scan_placements_raw, FeatureMaps, Representation, ScanConfig, ScanEngine,
@@ -127,6 +127,32 @@ fn assert_bit_identical(got: &FeatureMaps, want: &FeatureMaps, what: &str) {
     );
 }
 
+/// The ten features finalized from the statistics' moments alone.
+const MOMENT_FEATURES: [Feature; 10] = [
+    Feature::AngularSecondMoment,
+    Feature::Contrast,
+    Feature::Correlation,
+    Feature::SumOfSquares,
+    Feature::InverseDifferenceMoment,
+    Feature::SumAverage,
+    Feature::SumVariance,
+    Feature::SumEntropy,
+    Feature::DifferenceVariance,
+    Feature::DifferenceEntropy,
+];
+
+/// Selections that read no entry list, so the fused kernel keeps moments
+/// only (`config`'s `all()` keeps the tracked store): the paper's four, the
+/// ten moment features together and each alone.
+fn moment_selections() -> Vec<FeatureSelection> {
+    let mut selections = vec![
+        FeatureSelection::paper_default(),
+        FeatureSelection::of(&MOMENT_FEATURES),
+    ];
+    selections.extend(MOMENT_FEATURES.map(|f| FeatureSelection::of(&[f])));
+    selections
+}
+
 fn config(roi: RoiShape, directions: DirectionSet, representation: Representation) -> ScanConfig {
     ScanConfig {
         roi,
@@ -169,6 +195,20 @@ fn fused_bit_identical_to_reference_on_seeded_random_cases() {
                     "case seed {seed:#010x} ({dims:?}, {roi:?}, Ng {ng}, kind {kind}, {repr:?})"
                 ),
             );
+        }
+        for repr in [Representation::Full, Representation::Sparse] {
+            for selection in moment_selections() {
+                let mut cfg = config(roi, direction_set(kind), repr);
+                cfg.selection = selection;
+                assert_bit_identical(
+                    &scan(&vol, &cfg),
+                    &raster_scan(&vol, &cfg),
+                    &format!(
+                        "case seed {seed:#010x} ({dims:?}, {roi:?}, Ng {ng}, kind {kind}, \
+                         {repr:?}, {selection:?})"
+                    ),
+                );
+            }
         }
     }
 }
