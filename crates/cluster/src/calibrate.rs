@@ -60,6 +60,21 @@ pub struct Calibration {
     pub zero_skip_speedup: f64,
 }
 
+/// Seconds of one call of `pass`: the fastest of seven timed calls after an
+/// untimed warm-up. Each pass takes a few milliseconds at most, and tests
+/// calibrate while other tests share the cores, so a single timing
+/// measures whichever preemption or cold cache it met, not the pass.
+fn fastest(mut pass: impl FnMut()) -> f64 {
+    pass();
+    (0..7)
+        .map(|_| {
+            let t = Instant::now();
+            pass();
+            t.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Runs the calibration. `samples` ROIs are measured (a few hundred gives
 /// stable constants in well under a second of host time).
 pub fn calibrate(seed: u64, samples: usize) -> Calibration {
@@ -86,21 +101,19 @@ pub fn calibrate(seed: u64, samples: usize) -> Calibration {
     let ndirs = dirs.len();
 
     // --- co-occurrence construction ---
-    let t = Instant::now();
-    let matrices: Vec<CoMatrix> = picks
-        .iter()
-        .map(|&o| CoMatrix::from_region(&vol, Region4::new(o, roi.size()), &dirs))
-        .collect();
-    let coocc_total = t.elapsed().as_secs_f64();
-    let host_coocc_per_roi = coocc_total / n as f64;
+    let build = |o| CoMatrix::from_region(&vol, Region4::new(o, roi.size()), &dirs);
+    let matrices: Vec<CoMatrix> = picks.iter().map(|&o| build(o)).collect();
+    let host_coocc_per_roi = fastest(|| {
+        for &o in &picks {
+            std::hint::black_box(build(o));
+        }
+    }) / n as f64;
 
     // --- fused scan ---
     // The kernel itself, as HMP runs it: one whole (z, t) sheet of
     // placements through `scan_placements`, charged per placement. A
     // `scan_placements` call runs on the calling thread, so this is one
-    // core's time, as a texture copy spends it. The sheet is
-    // a few milliseconds of work, so an untimed pass goes first: a cold
-    // cache would dominate the timed one.
+    // core's time, as a texture copy spends it.
     let host_fused_per_placement = {
         let extent = Dims4::new(out.x, out.y, 1, 1);
         let cfg = ScanConfig {
@@ -111,66 +124,57 @@ pub fn calibrate(seed: u64, samples: usize) -> Calibration {
             engine: ScanEngine::Fused,
             t_slide: TSlidePolicy::Auto,
         };
-        std::hint::black_box(scan_placements(&vol, &cfg, Point4::ZERO, extent));
-        let reps = 8;
-        let t = Instant::now();
-        for _ in 0..reps {
+        fastest(|| {
             std::hint::black_box(scan_placements(&vol, &cfg, Point4::ZERO, extent));
-        }
-        t.elapsed().as_secs_f64() / (reps * extent.len()) as f64
+        }) / extent.len() as f64
     };
 
     // --- sparse-storage accumulation (binary-search increments) ---
-    let t = Instant::now();
-    for &o in &picks {
-        std::hint::black_box(SparseAccumulator::from_region(
-            &vol,
-            Region4::new(o, roi.size()),
-            &dirs,
-        ));
-    }
-    let host_coocc_sparse_per_roi = t.elapsed().as_secs_f64() / n as f64;
+    let host_coocc_sparse_per_roi = fastest(|| {
+        for &o in &picks {
+            std::hint::black_box(SparseAccumulator::from_region(
+                &vol,
+                Region4::new(o, roi.size()),
+                &dirs,
+            ));
+        }
+    }) / n as f64;
 
     // --- sparsity ---
     let sparse: Vec<SparseCoMatrix> = matrices.iter().map(SparseCoMatrix::from_dense).collect();
     let mean_nnz = sparse.iter().map(|s| s.nnz() as f64).sum::<f64>() / n as f64;
 
     // --- dense → sparse conversion ---
-    let t = Instant::now();
-    for m in &matrices {
-        std::hint::black_box(SparseCoMatrix::from_dense(m));
-    }
-    let convert_per_matrix = t.elapsed().as_secs_f64() / n as f64;
+    let convert_per_matrix = fastest(|| {
+        for m in &matrices {
+            std::hint::black_box(SparseCoMatrix::from_dense(m));
+        }
+    }) / n as f64;
 
     // --- feature passes ---
-    let t = Instant::now();
-    for m in &matrices {
-        std::hint::black_box(compute_features(&m.stats_checked(), &sel));
-    }
-    let host_feat_full_per_matrix = t.elapsed().as_secs_f64() / n as f64;
-
-    let t = Instant::now();
-    for m in &matrices {
-        std::hint::black_box(compute_features(&m.stats_naive(), &sel));
-    }
-    let host_feat_naive_per_matrix = t.elapsed().as_secs_f64() / n as f64;
-
-    let t = Instant::now();
-    for s in &sparse {
-        std::hint::black_box(compute_features(&MatrixStats::from_sparse(s), &sel));
-    }
-    let host_feat_sparse_per_matrix = t.elapsed().as_secs_f64() / n as f64;
+    let host_feat_full_per_matrix = fastest(|| {
+        for m in &matrices {
+            std::hint::black_box(compute_features(&m.stats_checked(), &sel));
+        }
+    }) / n as f64;
+    let host_feat_naive_per_matrix = fastest(|| {
+        for m in &matrices {
+            std::hint::black_box(compute_features(&m.stats_naive(), &sel));
+        }
+    }) / n as f64;
+    let host_feat_sparse_per_matrix = fastest(|| {
+        for s in &sparse {
+            std::hint::black_box(compute_features(&MatrixStats::from_sparse(s), &sel));
+        }
+    }) / n as f64;
 
     // --- bulk copy (stitch) ---
     let src = vec![0u8; 8 << 20];
     let mut dst = vec![0u8; 8 << 20];
-    let t = Instant::now();
-    let reps = 8;
-    for _ in 0..reps {
+    let stitch_per_byte = fastest(|| {
         dst.copy_from_slice(&src);
         std::hint::black_box(&mut dst);
-    }
-    let stitch_per_byte = t.elapsed().as_secs_f64() / (reps as f64 * src.len() as f64);
+    }) / src.len() as f64;
 
     let entries = f64::from(ng) * f64::from(ng);
     // Split the per-matrix feature costs into a per-entry slope and a fixed

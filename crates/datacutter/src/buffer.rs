@@ -62,9 +62,10 @@ impl DataBuffer {
         })
     }
 
-    /// Downcasts the payload, returning a typed [`FilterError`] naming the
-    /// expected type and the tag on mismatch — the non-panicking
-    /// counterpart of [`DataBuffer::expect`] for filter callbacks.
+    /// Downcasts the payload, returning a typed
+    /// [`FilterError`](crate::filter::FilterError) naming the expected type
+    /// and the tag on mismatch — the non-panicking counterpart of
+    /// [`DataBuffer::expect`] for filter callbacks.
     pub fn payload<T: Any + Send + Sync>(&self) -> Result<&T, crate::filter::FilterError> {
         self.downcast::<T>().ok_or_else(|| {
             crate::filter::FilterError::msg(format!(

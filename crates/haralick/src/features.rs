@@ -512,7 +512,7 @@ impl Histogram {
 }
 
 /// Feature-ready statistics of a co-occurrence matrix: its exact integer
-/// [`Moments`], which finalize f1–f8, f10 and f11, and its non-zero cells,
+/// `Moments`, which finalize f1–f8, f10 and f11, and its non-zero cells,
 /// which entropy (f9) and f12–f14 read.
 ///
 /// The constructors rebuild both from a matrix. The fused scan engine

@@ -397,7 +397,7 @@ impl SparseAccumulator {
     /// `(i, j)` — the same order [`SparseCoMatrix::entries`] would hold
     /// after [`finish`](Self::finish). Lets feature statistics be computed
     /// straight off the accumulator without consuming it (see
-    /// [`crate::features::MatrixStats::refill_from_sparse_entries`]).
+    /// `MatrixStats::refill_from_sparse_entries`).
     pub fn entries(&self) -> &[SparseEntry] {
         &self.entries
     }

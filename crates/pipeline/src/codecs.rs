@@ -26,10 +26,12 @@ pub const TAG_PIECE: u16 = 1;
 pub const TAG_CHUNK_DATA: u16 = 2;
 /// Wire type tag of [`MatrixPacket`].
 pub const TAG_MATRIX_PACKET: u16 = 3;
-/// Wire type tag of [`ParamPacket`].
-pub const TAG_PARAM_PACKET: u16 = 4;
 /// Wire type tag of [`FeatureVolume`].
 pub const TAG_FEATURE_VOLUME: u16 = 5;
+/// Wire type tag of [`ParamPacket`]. Tag 4, its layout with a position per
+/// value, is retired: a peer still sending it gets an unknown-payload
+/// error, not a misparse.
+pub const TAG_PARAM_PACKET: u16 = 6;
 
 // ---- encode helpers -------------------------------------------------------
 
@@ -186,6 +188,28 @@ impl<'a> Cur<'a> {
         })
     }
 
+    /// Reads the head a matrix or parameter packet opens with: the
+    /// producing chunk and the linear index `first` of the packet's first
+    /// item in the chunk's owned-output block. The block must neither end
+    /// past `usize` nor hold more than `usize` ROIs, and `first` must lie
+    /// in it, so the item count read later ([`RunHead::count`]) bounds
+    /// every position the packet implies.
+    fn run_head(&mut self) -> Result<RunHead, String> {
+        let chunk = self.chunk()?;
+        let first = self.usize_("packet first index")?;
+        let Region4 { origin: o, size: s } = chunk.owned_output;
+        if [(o.x, s.x), (o.y, s.y), (o.z, s.z), (o.t, s.t)]
+            .iter()
+            .any(|&(at, len)| at.checked_add(len).is_none())
+        {
+            return Err("owned output block ends past usize".to_string());
+        }
+        let room = checked_len(s)?
+            .checked_sub(first)
+            .ok_or_else(|| format!("first index {first} lies past the owned output block {s}"))?;
+        Ok(RunHead { chunk, first, room })
+    }
+
     fn done(&self) -> Result<(), String> {
         if self.off == self.bytes.len() {
             Ok(())
@@ -195,6 +219,29 @@ impl<'a> Cur<'a> {
                 self.bytes.len() - self.off
             ))
         }
+    }
+}
+
+/// A validated packet head: the items that follow run over
+/// `chunk.owned_output` from linear index `first`, and at most `room` fit.
+struct RunHead {
+    chunk: Chunk,
+    first: usize,
+    room: usize,
+}
+
+impl RunHead {
+    /// Reads the packet's item count, refusing a run that would leave the
+    /// owned output block.
+    fn count(&self, cur: &mut Cur, what: &str, min_elem_bytes: usize) -> Result<usize, String> {
+        let n = cur.count(what, min_elem_bytes)?;
+        if n > self.room {
+            return Err(format!(
+                "{n} items from index {} overrun the owned output block {}",
+                self.first, self.chunk.owned_output.size
+            ));
+        }
+        Ok(n)
     }
 }
 
@@ -317,10 +364,9 @@ pub(crate) fn encode_matrix_packet(p: &MatrixPacket) -> Vec<u8> {
 
 pub(crate) fn decode_matrix_packet(bytes: &[u8]) -> Result<MatrixPacket, String> {
     let mut cur = Cur::new(bytes);
-    let chunk = cur.chunk()?;
-    let first = cur.usize_("packet first index")?;
+    let head = cur.run_head()?;
     let kind = cur.take(1, "batch kind")?[0];
-    let count = cur.count("matrix count", 10)?;
+    let count = head.count(&mut cur, "matrix count", 10)?;
     let batch = match kind {
         0 => {
             let mut ms = Vec::with_capacity(count);
@@ -359,19 +405,17 @@ pub(crate) fn decode_matrix_packet(bytes: &[u8]) -> Result<MatrixPacket, String>
     };
     cur.done()?;
     Ok(MatrixPacket {
-        chunk,
-        first,
+        chunk: head.chunk,
+        first: head.first,
         batch,
     })
 }
 
 pub(crate) fn encode_param_packet(p: &ParamPacket) -> Vec<u8> {
-    let mut out = Vec::with_capacity(p.points.len() * 40 + 16);
+    let mut out = Vec::with_capacity(p.wire_size());
+    put_chunk(&mut out, &p.chunk);
+    put_usize(&mut out, p.first);
     out.push(p.feature.index() as u8);
-    put_usize(&mut out, p.points.len());
-    for &pt in p.points.iter() {
-        put_point(&mut out, pt);
-    }
     put_usize(&mut out, p.values.len());
     for &v in &p.values {
         put_f64(&mut out, v);
@@ -381,24 +425,18 @@ pub(crate) fn encode_param_packet(p: &ParamPacket) -> Vec<u8> {
 
 pub(crate) fn decode_param_packet(bytes: &[u8]) -> Result<ParamPacket, String> {
     let mut cur = Cur::new(bytes);
+    let head = cur.run_head()?;
     let feature = decode_feature(cur.take(1, "feature index")?[0])?;
-    let np = cur.count("point count", 32)?;
-    let mut points = Vec::with_capacity(np);
-    for _ in 0..np {
-        points.push(cur.point("param point")?);
-    }
-    let nv = cur.count("value count", 8)?;
-    if nv != np {
-        return Err(format!("{nv} values for {np} points"));
-    }
-    let mut values = Vec::with_capacity(nv);
-    for _ in 0..nv {
+    let n = head.count(&mut cur, "value count", 8)?;
+    let mut values = Vec::with_capacity(n);
+    for _ in 0..n {
         values.push(cur.f64("param value")?);
     }
     cur.done()?;
     Ok(ParamPacket {
+        chunk: head.chunk,
         feature,
-        points: std::sync::Arc::new(points),
+        first: head.first,
         values,
     })
 }
@@ -558,16 +596,93 @@ mod tests {
         assert!(err.contains("does not match"), "{err}");
     }
 
+    fn param_packet(first: usize, values: Vec<f64>) -> ParamPacket {
+        ParamPacket {
+            chunk: chunk(),
+            feature: Feature::Entropy,
+            first,
+            values,
+        }
+    }
+
     #[test]
     fn param_packet_roundtrips_bit_exact() {
-        let p = ParamPacket {
-            feature: Feature::Entropy,
-            points: std::sync::Arc::new(vec![Point4::new(0, 1, 2, 3), Point4::new(9, 9, 9, 9)]),
-            values: vec![0.1 + 0.2, f64::MIN_POSITIVE],
-        };
+        let p = param_packet(30, vec![0.1 + 0.2, f64::MIN_POSITIVE]);
         let back = decode_param_packet(&encode_param_packet(&p)).unwrap();
         assert_eq!(back, p);
         assert_eq!(back.values[0].to_bits(), p.values[0].to_bits());
+    }
+
+    #[test]
+    fn param_packet_encodes_to_its_wire_size() {
+        for n in [0, 1, 32] {
+            let p = param_packet(0, vec![1.5; n]);
+            assert_eq!(encode_param_packet(&p).len(), p.wire_size(), "{n} values");
+        }
+    }
+
+    /// Encodes `count` copies of a one-level matrix and `count` values
+    /// under `chunk` and `first`, decodes both, and returns the errors.
+    fn decode_heads(chunk: Chunk, first: usize, count: usize) -> [Result<(), String>; 2] {
+        let m = CoMatrix::from_parts(1, vec![0], 0).unwrap();
+        let matrices = MatrixPacket {
+            chunk,
+            first,
+            batch: MatrixBatch::Dense(vec![m; count]),
+        };
+        let params = ParamPacket {
+            chunk,
+            feature: Feature::Entropy,
+            first,
+            values: vec![0.0; count],
+        };
+        [
+            decode_matrix_packet(&encode_matrix_packet(&matrices)).map(drop),
+            decode_param_packet(&encode_param_packet(&params)).map(drop),
+        ]
+    }
+
+    #[test]
+    fn packet_heads_must_bound_their_run() {
+        let c = chunk();
+        let volume = c.rois();
+        for ok in decode_heads(c, volume - 2, 2) {
+            ok.unwrap();
+        }
+        let mut empty = c;
+        empty.owned_output.size.x = 0;
+        let mut wide = c;
+        wide.owned_output.size = Dims4::new(1 << 32, 1 << 32, 1, 1);
+        let mut far = c;
+        far.owned_output.origin.t = usize::MAX;
+        let cases = [
+            (empty, 0, 1, "overrun"),
+            (c, volume - 1, 2, "overrun"),
+            (c, volume + 1, 0, "lies past"),
+            (wide, 0, 1, "overflows"),
+            (far, 0, 1, "ends past"),
+        ];
+        for (chunk, first, count, why) in cases {
+            for err in decode_heads(chunk, first, count) {
+                let err = err.expect_err(why);
+                assert!(err.contains(why), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_retired_param_tag_is_an_unknown_payload() {
+        let codec = payload_codec();
+        let bytes = encode_param_packet(&param_packet(0, vec![2.0]));
+        let err = codec.decode(4, &bytes, 0, 0).map(drop).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                datacutter::transport::wire::WireError::UnknownPayloadType(4)
+            ),
+            "{err}"
+        );
+        assert!(codec.decode(TAG_PARAM_PACKET, &bytes, 0, 0).is_ok());
     }
 
     #[test]
@@ -608,12 +723,7 @@ mod tests {
 
     #[test]
     fn truncated_payloads_are_typed_errors() {
-        let p = ParamPacket {
-            feature: Feature::ALL[0],
-            points: std::sync::Arc::new(vec![Point4::new(1, 1, 1, 1)]),
-            values: vec![2.0],
-        };
-        let bytes = encode_param_packet(&p);
+        let bytes = encode_param_packet(&param_packet(1, vec![2.0]));
         for cut in 0..bytes.len() {
             assert!(decode_param_packet(&bytes[..cut]).is_err(), "cut={cut}");
         }

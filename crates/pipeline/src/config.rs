@@ -37,9 +37,6 @@ pub struct AppConfig {
     /// A matrix packet is emitted each time this fraction of a chunk's ROIs
     /// has been processed by an HCC filter (paper: 1/4).
     pub packet_split: usize,
-    /// Bytes per parameter value on the output path (value + positional
-    /// information, amortized).
-    pub param_value_bytes: usize,
     /// Scan engine used by the texture filters (see
     /// [`haralick::raster::ScanEngine`]). `Reference` is the paper's
     /// single-core per-placement rebuild; `Fused` (the library default) is
@@ -95,7 +92,6 @@ impl AppConfig {
             chunk_dims: Dims4::new(64, 64, 8, 8),
             storage_nodes: 4,
             packet_split: 4,
-            param_value_bytes: 8,
             // Pin the paper's per-placement rebuild semantics so the cost
             // model and every simulated figure stay on the measured regime.
             engine: ScanEngine::Reference,

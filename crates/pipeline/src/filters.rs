@@ -6,9 +6,7 @@
 //! filters which are sinks.
 
 use crate::config::AppConfig;
-use crate::payload::{
-    linear_point, ChunkData, FeatureVolume, MatrixBatch, MatrixPacket, ParamPacket, Piece,
-};
+use crate::payload::{ChunkData, FeatureVolume, MatrixBatch, MatrixPacket, ParamPacket, Piece};
 use crate::run::IoRuntime;
 use crate::store::{ChunkKey, KeyRecipe, StoreSession, StoreStage};
 use datacutter::{DataBuffer, Filter, FilterContext, FilterError, FilterErrorKind};
@@ -406,18 +404,17 @@ pub fn analyze_chunk(cfg: &AppConfig, data: &ChunkData) -> Result<Vec<ParamPacke
     );
     let n = chunk.rois();
     let sel = cfg.selection;
-    // `linear_point` and the feature-map layout both enumerate the owned
-    // ROIs x-fastest, so placement `k` occupies `values[k * sel.len()..]`.
+    // The feature maps enumerate the owned ROIs x-fastest, the order a
+    // packet's values run in, so placement `k` occupies
+    // `values[k * sel.len()..]`.
     let values = maps.as_slice();
-    // One shared positions vector for all per-feature packets: cloning the
-    // Arc is a refcount bump, not a copy of the points.
-    let points: Arc<Vec<Point4>> = Arc::new((0..n).map(|k| linear_point(chunk, k)).collect());
     Ok(sel
         .iter()
         .enumerate()
         .map(|(slot, feature)| ParamPacket {
+            chunk: *chunk,
             feature,
-            points: Arc::clone(&points),
+            first: 0,
             values: (0..n).map(|k| values[k * sel.len() + slot]).collect(),
         })
         .collect())
@@ -470,7 +467,7 @@ impl Filter for HmpFilter {
         };
         drop(data);
         for packet in packets {
-            let size = packet.wire_size(self.cfg.param_value_bytes);
+            let size = packet.wire_size();
             ctx.emit(0, DataBuffer::new(packet, size, tag))?;
         }
         Ok(())
@@ -548,8 +545,8 @@ impl Filter for HccFilter {
         // The raw chunk is only needed for quantization; free it before
         // the scan.
         drop(data);
-        // The scan visits the owned ROIs x-fastest, the order of
-        // `linear_point`: after `k` visits, ROIs `0..k` are packed.
+        // The scan visits the owned ROIs x-fastest, the order a packet's
+        // items run in: after `k` visits, ROIs `0..k` are packed.
         let sparse = cfg.representation.is_sparse();
         let batch = |len: usize| {
             if sparse {
@@ -622,11 +619,9 @@ impl Filter for HpcFilter {
         let cfg = &self.cfg;
         let sel: FeatureSelection = cfg.selection;
         let n = packet.batch.len();
-        let mut points = Vec::with_capacity(n);
         let mut per_feature: Vec<Vec<f64>> = vec![Vec::with_capacity(n); sel.len()];
-        let mut push = |k: usize, stats: &MatrixStats, points: &mut Vec<Point4>| {
+        let mut push = |stats: &MatrixStats| {
             let fv = compute_features(stats, &sel);
-            points.push(packet.origin_of(k));
             for (slot, f) in sel.iter().enumerate() {
                 per_feature[slot].push(fv.get(f).expect("selected feature computed"));
             }
@@ -634,26 +629,25 @@ impl Filter for HpcFilter {
         match &packet.batch {
             MatrixBatch::Dense(ms) => {
                 let zero_skip = cfg.representation != Representation::FullNaive;
-                for (k, m) in ms.iter().enumerate() {
-                    push(k, &MatrixStats::from_dense(m, zero_skip), &mut points);
+                for m in ms {
+                    push(&MatrixStats::from_dense(m, zero_skip));
                 }
             }
             MatrixBatch::Sparse(ms) => {
-                for (k, s) in ms.iter().enumerate() {
-                    push(k, &MatrixStats::from_sparse(s), &mut points);
+                for s in ms {
+                    push(&MatrixStats::from_sparse(s));
                 }
             }
         }
-        // Share one positions vector across the per-feature packets: each
-        // `Arc::clone` is a refcount bump where a `Vec` clone used to be.
-        let points = Arc::new(points);
+        // Each parameter packet covers the matrix packet's run of ROIs.
         for (slot, feature) in sel.iter().enumerate() {
             let out = ParamPacket {
+                chunk: packet.chunk,
                 feature,
-                points: Arc::clone(&points),
+                first: packet.first,
                 values: std::mem::take(&mut per_feature[slot]),
             };
-            let size = out.wire_size(cfg.param_value_bytes);
+            let size = out.wire_size();
             ctx.emit(0, DataBuffer::new(out, size, buf.tag()))?;
         }
         Ok(())
@@ -661,7 +655,8 @@ impl Filter for HpcFilter {
 }
 
 /// UnstitchedOutput: writes parameter values with positional information to
-/// disk, one file per (parameter, copy) pair.
+/// disk, one file per (parameter, copy) pair. The positions come from each
+/// packet's chunk ([`ParamPacket::points`]).
 pub struct UsoFilter {
     cfg: Arc<AppConfig>,
     dir: PathBuf,
@@ -673,6 +668,9 @@ pub struct UsoFilter {
     /// the file bytes do not depend on packet arrival order — the property
     /// the distributed conformance suite compares across process counts.
     pending: HashMap<haralick::features::Feature, Vec<(Point4, f64)>>,
+    /// Arrival-order mode: the next few positions of the packet being
+    /// written (see [`UsoFilter::STAGE`]).
+    staged: Vec<Point4>,
 }
 
 impl UsoFilter {
@@ -686,8 +684,15 @@ impl UsoFilter {
             canonical,
             writers: HashMap::new(),
             pending: HashMap::new(),
+            staged: Vec::with_capacity(Self::STAGE),
         }
     }
+
+    /// Positions derived per write, staged in memory. `ParameterWriter::push`
+    /// reads its point back through memory, and a point fresh from
+    /// registers stalls that read (about 6 ns a record); one staged a few
+    /// hundred records earlier does not.
+    const STAGE: usize = 256;
 
     /// The file a given (feature, copy) pair is written to, relative to the
     /// output directory.
@@ -705,13 +710,10 @@ impl Filter for UsoFilter {
     ) -> Result<(), FilterError> {
         let packet = buf.payload::<ParamPacket>()?;
         if self.canonical {
-            self.pending.entry(packet.feature).or_default().extend(
-                packet
-                    .points
-                    .iter()
-                    .copied()
-                    .zip(packet.values.iter().copied()),
-            );
+            self.pending
+                .entry(packet.feature)
+                .or_default()
+                .extend(packet.points().zip(packet.values.iter().copied()));
             return Ok(());
         }
         if !self.writers.contains_key(&packet.feature) {
@@ -725,8 +727,13 @@ impl Filter for UsoFilter {
             .writers
             .get_mut(&packet.feature)
             .expect("just inserted");
-        for (p, v) in packet.points.iter().zip(&packet.values) {
-            w.push(*p, *v)?;
+        let mut points = packet.points();
+        for values in packet.values.chunks(Self::STAGE) {
+            self.staged.clear();
+            self.staged.extend(points.by_ref().take(values.len()));
+            for (&p, &v) in self.staged.iter().zip(values) {
+                w.push(p, v)?;
+            }
         }
         Ok(())
     }
@@ -800,14 +807,14 @@ impl Filter for HicFilter {
             .maps
             .entry(packet.feature)
             .or_insert_with(|| vec![f64::NAN; dims.len()]);
-        for (p, v) in packet.points.iter().zip(&packet.values) {
-            if !dims.contains(*p) {
+        for (p, &v) in packet.points().zip(&packet.values) {
+            if !dims.contains(p) {
                 return Err(FilterError::msg(format!(
                     "{} packet references point {p:?} outside output extents {dims:?}",
                     packet.feature.short_name()
                 )));
             }
-            let idx = dims.index(*p);
+            let idx = dims.index(p);
             // A cell written twice would silently inflate the completion
             // count below and corrupt the assembled map — fail loudly,
             // naming the colliding feature and position.
@@ -817,10 +824,10 @@ impl Filter for HicFilter {
                     packet.feature.short_name()
                 )));
             }
-            map[idx] = *v;
+            map[idx] = v;
         }
         let filled = self.filled.entry(packet.feature).or_insert(0);
-        *filled += packet.points.len();
+        *filled += packet.values.len();
         if *filled == dims.len() {
             let values = self.maps.remove(&packet.feature).expect("map exists");
             let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
@@ -1093,8 +1100,8 @@ mod tests {
                 let mut k = 0;
                 for packet in &packets {
                     assert_eq!(packet.first, k, "{engine:?} {representation:?}");
-                    for i in 0..packet.batch.len() {
-                        let global = packet.origin_of(i);
+                    let origins = chunk.owned_output.points().skip(k);
+                    for (i, global) in origins.take(packet.batch.len()).enumerate() {
                         let local = Point4::new(
                             global.x - chunk.input.origin.x,
                             global.y - chunk.input.origin.y,

@@ -4,11 +4,19 @@
 //! network between non-co-located filters. The threaded engine uses this
 //! for byte accounting; the flow model uses the same formulas so the
 //! simulator and the real pipeline agree on communication volume.
+//!
+//! The packets the texture filters emit are addressed by region, not by
+//! element: a [`MatrixPacket`] or a [`ParamPacket`] names its chunk and the
+//! linear index `first` of its first item in the chunk's owned-output
+//! block, and the chunk plan implies every other position. So a parameter
+//! packet crosses the wire as a 185-byte head plus 8 B per value, and its
+//! [`ParamPacket::wire_size`] is that encoded length exactly; the other
+//! payloads' `HEADER_BYTES` are estimates of their heads.
 
 use haralick::coocc::CoMatrix;
 use haralick::features::Feature;
 use haralick::sparse::SparseCoMatrix;
-use haralick::volume::{Dims4, Point4};
+use haralick::volume::{Dims4, Point4, Region4};
 use mri::chunks::Chunk;
 use mri::raw::RawVolume;
 use mri::store::SliceKey;
@@ -105,53 +113,78 @@ impl MatrixPacket {
     /// wire.
     pub const HEADER_BYTES: usize = 48;
 
-    /// Global ROI origin of the `k`-th matrix in this packet.
-    pub fn origin_of(&self, k: usize) -> Point4 {
-        linear_point(&self.chunk, self.first + k)
-    }
-
     /// Wire size.
     pub fn wire_size(&self, levels: u16) -> usize {
         self.batch.wire_size(levels) + Self::HEADER_BYTES
     }
 }
 
-/// Global ROI origin for a linear index into a chunk's owned-output block.
-pub fn linear_point(chunk: &Chunk, linear: usize) -> Point4 {
-    let local = chunk.owned_output.size.point_of(linear);
-    Point4::new(
-        chunk.owned_output.origin.x + local.x,
-        chunk.owned_output.origin.y + local.y,
-        chunk.owned_output.origin.z + local.z,
-        chunk.owned_output.origin.t + local.t,
-    )
-}
-
-/// One TEXTURE→OUTPUT packet: values of a single Haralick parameter at
-/// explicit output positions.
+/// One TEXTURE→OUTPUT packet: values of a single Haralick parameter for a
+/// run of consecutive ROIs of one chunk.
 ///
-/// `points` is shared (`Arc`): the HPC filter fans one chunk's positions out
-/// into one packet per feature, and sharing the positions vector replaces
-/// thirteen per-feature clones with reference-count bumps.
+/// Like a [`MatrixPacket`], it carries no positions: the chunk plan fixes
+/// them. The values run over `chunk.owned_output` in x-fastest order from
+/// linear index `first`, and [`ParamPacket::points`] recovers each value's
+/// output position. On the wire a packet is its head plus 8 B per value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParamPacket {
+    /// The producing chunk.
+    pub chunk: Chunk,
     /// Which parameter.
     pub feature: Feature,
-    /// Global output positions (shared across the per-feature packets of
-    /// one chunk).
-    pub points: std::sync::Arc<Vec<Point4>>,
-    /// Values aligned with `points`.
+    /// Linear index (x-fastest within `chunk.owned_output`) of the first
+    /// value's ROI origin.
+    pub first: usize,
+    /// The values, in linear owned-output order starting at `first`.
     pub values: Vec<f64>,
 }
 
 impl ParamPacket {
-    /// Bytes of the feature-and-count header a parameter packet carries on
-    /// the wire.
-    pub const HEADER_BYTES: usize = 16;
+    /// Bytes of the head a parameter packet carries on the wire: the chunk
+    /// (168), `first` (8), the feature (1) and the value count (8).
+    pub const HEADER_BYTES: usize = 185;
 
-    /// Wire size at `value_bytes` per (value + positional info).
-    pub fn wire_size(&self, value_bytes: usize) -> usize {
-        self.values.len() * value_bytes + Self::HEADER_BYTES
+    /// Encoded length of a packet of `count` values. The threaded engine
+    /// meters packets with it ([`ParamPacket::wire_size`]) and the
+    /// simulator prices them with it (`Workload::param_packet_bytes`).
+    pub const fn wire_len(count: usize) -> usize {
+        Self::HEADER_BYTES + 8 * count
+    }
+
+    /// Wire size: exactly the encoded length.
+    pub fn wire_size(&self) -> usize {
+        Self::wire_len(self.values.len())
+    }
+
+    /// Global ROI origin of each value, in value order: `chunk.owned_output`
+    /// walked x-fastest from linear index `first`.
+    pub fn points(&self) -> impl Iterator<Item = Point4> {
+        let Region4 { origin: o, size: s } = self.chunk.owned_output;
+        let n = self.values.len();
+        // `point_of` divides by the extents; a non-empty run inside its
+        // block has none that is zero.
+        let mut at = if n == 0 {
+            Point4::ZERO
+        } else {
+            s.point_of(self.first)
+        };
+        (0..n).map(move |_| {
+            let p = Point4::new(o.x + at.x, o.y + at.y, o.z + at.z, o.t + at.t);
+            at.x += 1;
+            if at.x == s.x {
+                at.x = 0;
+                at.y += 1;
+                if at.y == s.y {
+                    at.y = 0;
+                    at.z += 1;
+                    if at.z == s.z {
+                        at.z = 0;
+                        at.t += 1;
+                    }
+                }
+            }
+            p
+        })
     }
 }
 
@@ -174,7 +207,6 @@ pub struct FeatureVolume {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use haralick::volume::Region4;
 
     fn chunk() -> Chunk {
         Chunk {
@@ -185,23 +217,39 @@ mod tests {
         }
     }
 
+    fn packet(first: usize, len: usize) -> ParamPacket {
+        ParamPacket {
+            chunk: chunk(),
+            feature: Feature::Entropy,
+            first,
+            values: vec![0.0; len],
+        }
+    }
+
     #[test]
-    fn linear_point_walks_owned_output_in_x_fastest_order() {
+    fn points_walk_owned_output_in_x_fastest_order() {
         let c = chunk();
-        assert_eq!(linear_point(&c, 0), Point4::new(5, 0, 0, 0));
-        assert_eq!(linear_point(&c, 1), Point4::new(6, 0, 0, 0));
-        assert_eq!(linear_point(&c, 3), Point4::new(5, 1, 0, 0));
-        assert_eq!(linear_point(&c, 6), Point4::new(5, 0, 1, 0));
+        let points: Vec<Point4> = packet(0, c.rois()).points().collect();
+        assert_eq!(points, c.owned_output.points().collect::<Vec<_>>());
+        assert_eq!(points[0], Point4::new(5, 0, 0, 0));
+        assert_eq!(points[1], Point4::new(6, 0, 0, 0));
+        assert_eq!(points[3], Point4::new(5, 1, 0, 0));
+        assert_eq!(points[6], Point4::new(5, 0, 1, 0));
     }
 
     #[test]
     fn packet_origin_offsets_by_first() {
-        let p = MatrixPacket {
-            chunk: chunk(),
-            first: 4,
-            batch: MatrixBatch::Sparse(vec![]),
-        };
-        assert_eq!(p.origin_of(0), Point4::new(6, 1, 0, 0));
+        let p = packet(4, 3);
+        let points: Vec<Point4> = p.points().collect();
+        assert_eq!(
+            points,
+            [
+                Point4::new(6, 1, 0, 0),
+                Point4::new(7, 1, 0, 0),
+                Point4::new(5, 0, 1, 0)
+            ]
+        );
+        assert_eq!(packet(12, 0).points().count(), 0);
     }
 
     #[test]
@@ -214,5 +262,6 @@ mod tests {
             data: vec![0; 56],
         };
         assert_eq!(piece.wire_size(), 144);
+        assert_eq!(packet(0, 5).wire_size(), ParamPacket::HEADER_BYTES + 40);
     }
 }

@@ -67,7 +67,7 @@ use std::sync::{Arc, Mutex};
 /// Version of the key recipe, blob framing and manifest schema. Bumping it
 /// changes every digest, so stores written by older code are simply never
 /// hit (and their blobs can be garbage-collected by path age).
-pub const STORE_SCHEMA_VERSION: u32 = 2;
+pub const STORE_SCHEMA_VERSION: u32 = 3;
 
 /// Magic prefix of every committed blob.
 const BLOB_MAGIC: [u8; 4] = *b"H4DS";
@@ -1022,16 +1022,24 @@ mod tests {
     #[test]
     fn params_payload_roundtrips() {
         use haralick::features::Feature;
-        use haralick::volume::Point4;
+        use haralick::volume::{Dims4, Point4, Region4};
+        let chunk = Chunk {
+            grid_pos: Point4::new(0, 1, 0, 0),
+            id: 2,
+            owned_output: Region4::new(Point4::new(0, 4, 0, 0), Dims4::new(2, 2, 1, 1)),
+            input: Region4::new(Point4::new(0, 4, 0, 0), Dims4::new(4, 4, 2, 2)),
+        };
         let packets = vec![
             ParamPacket {
+                chunk,
                 feature: Feature::Entropy,
-                points: Arc::new(vec![Point4::new(0, 1, 2, 3)]),
-                values: vec![0.1 + 0.2],
+                first: 0,
+                values: vec![0.1 + 0.2, 1.0, 2.0, 3.0],
             },
             ParamPacket {
+                chunk,
                 feature: Feature::ALL[0],
-                points: Arc::new(vec![Point4::new(4, 4, 4, 4)]),
+                first: 3,
                 values: vec![f64::MIN_POSITIVE],
             },
         ];

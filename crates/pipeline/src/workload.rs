@@ -86,9 +86,10 @@ impl Workload {
         out
     }
 
-    /// Wire size of a parameter packet carrying `count` values.
+    /// Wire size of a parameter packet carrying `count` values: the
+    /// encoded length the threaded engine meters.
     pub fn param_packet_bytes(&self, count: usize) -> u64 {
-        (count * self.cfg.param_value_bytes + ParamPacket::HEADER_BYTES) as u64
+        ParamPacket::wire_len(count) as u64
     }
 
     /// Number of matrices a packet of `bytes` carries (inverse of

@@ -12,7 +12,8 @@ use datacutter::{
     RunReport, SchedulePolicy, TransportFault, TransportFaultKind,
 };
 use haralick::raster::{raster_scan, Representation};
-use haralick::volume::Point4;
+use haralick::volume::{Dims4, Point4, Region4};
+use mri::chunks::Chunk;
 use mri::store::write_distributed;
 use mri::synth::{generate, SynthConfig};
 use pipeline::config::AppConfig;
@@ -402,7 +403,7 @@ struct PacketSource {
 impl Filter for PacketSource {
     fn start(&mut self, ctx: &mut FilterContext) -> Result<(), FilterError> {
         for p in self.packets.drain(..) {
-            let size = p.wire_size(8);
+            let size = p.wire_size();
             ctx.emit(0, DataBuffer::new(p, size, 0))?;
         }
         Ok(())
@@ -441,10 +442,19 @@ fn hic_graph(cfg: Arc<AppConfig>, packets: Vec<ParamPacket>) -> (GraphSpec, Fact
     (spec, factories)
 }
 
+/// A one-value packet at output position `p`: its chunk owns the single
+/// cell `p`.
 fn packet(feature: haralick::features::Feature, p: Point4, v: f64) -> ParamPacket {
+    let cell = Region4::new(p, Dims4::new(1, 1, 1, 1));
     ParamPacket {
+        chunk: Chunk {
+            grid_pos: Point4::ZERO,
+            id: 0,
+            owned_output: cell,
+            input: cell,
+        },
         feature,
-        points: std::sync::Arc::new(vec![p]),
+        first: 0,
         values: vec![v],
     }
 }

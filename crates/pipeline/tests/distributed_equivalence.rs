@@ -9,7 +9,10 @@
 //! transport defect (lost, altered, duplicated or misrouted buffers). The
 //! multi-process runs cover both wire modes: plain frames, and frames with
 //! payload checksums negotiated on (`--checksum true`), which must not
-//! change a single output byte. Per-node
+//! change a single output byte. A third placement puts everything but the
+//! output on node 0, so every parameter packet crosses the socket: node
+//! 0's `bytes_sent` must then stay within the `params` stream's metered
+//! bytes plus a frame header per data frame and the control frames. Per-node
 //! run reports must parse, pass their own invariant check, and satisfy
 //! `busy + blocked_send + blocked_recv <= wall` for every copy.
 //!
@@ -68,13 +71,35 @@ fn placed_graph(nodes: usize) -> GraphSpec {
     .build()
 }
 
-fn write_graph(dir: &Path, nodes: usize) -> PathBuf {
-    let spec = placed_graph(nodes);
+/// Reading, stitching and texture on node 0, output alone on node 1.
+fn output_apart_graph() -> GraphSpec {
+    HmpGraph {
+        rfr: Copies::Placed(vec![0, 0]),
+        iic: Copies::Placed(vec![0]),
+        hmp: Copies::Placed(vec![0, 0]),
+        uso: Copies::Placed(vec![1]),
+        texture_policy: SchedulePolicy::DemandDriven,
+    }
+    .build()
+}
+
+fn write_spec(dir: &Path, name: &str, spec: &GraphSpec) -> PathBuf {
     spec.validate().expect("placed graph must be valid");
-    let path = dir.join(format!("graph{nodes}.json"));
-    std::fs::write(&path, json::to_string(&spec)).unwrap();
+    let path = dir.join(name);
+    std::fs::write(&path, json::to_string(spec)).unwrap();
     path
 }
+
+fn write_graph(dir: &Path, nodes: usize) -> PathBuf {
+    write_spec(dir, &format!("graph{nodes}.json"), &placed_graph(nodes))
+}
+
+/// Wire bytes a data frame adds to its payload: a 36-byte header, 40 with a
+/// payload checksum.
+const FRAME_HEADER: u64 = 40;
+
+/// Room for the handshake and end-of-stream frames a connection carries.
+const CONTROL_SLACK: u64 = 1024;
 
 fn committed_outputs(out: &Path) -> Vec<String> {
     let mut names: Vec<String> = std::fs::read_dir(out)
@@ -255,6 +280,44 @@ fn multi_process_runs_are_byte_identical_to_in_process() {
         "h4d launch --nodes 3 --checksum",
     );
     assert_byte_identical(&out_ref, &out3, "3-process checksum run");
+
+    // Only the output on node 1: node 0 ships every parameter packet, and
+    // the socket carries what the `params` stream meters, not more.
+    let graph_apart = write_spec(&base, "graph_apart.json", &output_apart_graph());
+    let out_apart = base.join("out_apart");
+    let rep_apart = base.join("rep_apart");
+    run(
+        h4d()
+            .arg("launch")
+            .arg(&graph_apart)
+            .arg(&data)
+            .arg(&out_apart)
+            .args(["--nodes", "2", "--canonical", "true"])
+            .arg("--report-base")
+            .arg(&rep_apart),
+        "h4d launch --nodes 2 (output apart)",
+    );
+    assert_byte_identical(&out_ref, &out_apart, "output-apart run");
+    let report = check_node_report(&base.join("rep_apart.node0.json"), 0);
+    check_transport(&report, 0, 2, false);
+    let params = report
+        .streams
+        .iter()
+        .find(|s| s.name == "params")
+        .expect("node 0 meters the params stream");
+    let conn = report
+        .transport
+        .as_ref()
+        .and_then(|conns| conns.iter().find(|c| c.peer == 1))
+        .expect("node 0 reports its connection to node 1");
+    assert!(params.bytes > 0, "no parameter bytes metered");
+    assert!(
+        conn.bytes_sent <= params.bytes + FRAME_HEADER * conn.frames_sent + CONTROL_SLACK,
+        "node 0 sent {} B in {} frames for {} metered params bytes",
+        conn.bytes_sent,
+        conn.frames_sent,
+        params.bytes
+    );
 
     // Per-node reports: parse, pass invariants, and cover exactly the
     // copies placed on each node.

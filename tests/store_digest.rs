@@ -12,7 +12,7 @@ use haralick4d::haralick::direction::{Direction, DirectionSet};
 use haralick4d::haralick::features::{Feature, FeatureSelection};
 use haralick4d::haralick::quantize::Quantizer;
 use haralick4d::haralick::raster::{Representation, ScanEngine};
-use haralick4d::haralick::{Dims4, Point4, RoiShape};
+use haralick4d::haralick::{Dims4, RoiShape};
 use haralick4d::mri::chunks::ChunkGrid;
 use haralick4d::mri::raw::RawVolume;
 use haralick4d::pipeline::config::AppConfig;
@@ -22,7 +22,6 @@ use haralick4d::pipeline::store::{
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// The Numerical Recipes LCG; the high half of the state is the sample.
 struct Lcg(u32);
@@ -284,8 +283,9 @@ fn corrupted_or_truncated_blobs_are_never_served() {
         let recipe = KeyRecipe::new(&cfg, StoreStage::Params);
         let key = recipe.key(&chunk, recipe.content_digest(&chunk, &raw), 0);
         let packet = ParamPacket {
+            chunk,
             feature: Feature::Contrast,
-            points: Arc::new(vec![Point4::ZERO; values.len()]),
+            first: 0,
             values: values.clone(),
         };
 
