@@ -260,9 +260,11 @@ pub struct StoreReport {
 }
 
 /// Per-peer transport counters of one node process in a distributed run:
-/// how well the writer coalesced frames into flushes, how often credit
-/// windows stalled a route with data ready.
-/// `frames_sent / flushes` is the measured batching factor.
+/// the frames and bytes each direction carried, the credit grants sent, and
+/// how often credit windows stalled a route with data ready. The writer puts
+/// each frame on the socket whole, so after a clean run `bytes_sent` equals
+/// the peer's `bytes_recv`, plus a header per data frame it received, plus
+/// the `Credit` and `Eos` frames this side wrote.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConnectionReport {
     /// Peer node id of this connection.
@@ -271,10 +273,9 @@ pub struct ConnectionReport {
     pub checksum: bool,
     /// Data frames sent toward the peer.
     pub frames_sent: u64,
-    /// Wire bytes written (headers + payloads + control frames).
+    /// Wire bytes written after the handshake (headers, payloads and
+    /// control frames).
     pub bytes_sent: u64,
-    /// Vectored flushes issued; every frame rides exactly one flush.
-    pub flushes: u64,
     /// Data frames received from the peer.
     pub frames_recv: u64,
     /// Payload bytes received.
@@ -500,7 +501,6 @@ impl ToJson for ConnectionReport {
             ("checksum", self.checksum.to_json()),
             ("frames_sent", self.frames_sent.to_json()),
             ("bytes_sent", self.bytes_sent.to_json()),
-            ("flushes", self.flushes.to_json()),
             ("frames_recv", self.frames_recv.to_json()),
             ("bytes_recv", self.bytes_recv.to_json()),
             ("credits_sent", self.credits_sent.to_json()),
@@ -517,7 +517,6 @@ impl FromJson for ConnectionReport {
             checksum: o.field("checksum")?,
             frames_sent: o.field("frames_sent")?,
             bytes_sent: o.field("bytes_sent")?,
-            flushes: o.field("flushes")?,
             frames_recv: o.field("frames_recv")?,
             bytes_recv: o.field("bytes_recv")?,
             credits_sent: o.field("credits_sent")?,

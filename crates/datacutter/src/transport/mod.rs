@@ -13,9 +13,9 @@
 //! * [`codec`] — the [`PayloadCodec`] registry translating opaque
 //!   [`crate::DataBuffer`] payloads to and from bytes.
 //! * [`node`] — mesh handshake with feature negotiation, per-peer
-//!   writer/reader/injector threads (batched vectored writes, per-route
-//!   credit flow control), fault injection for chaos tests, and the
-//!   distributed root-cause merge.
+//!   writer/reader/injector threads (one vectored write per frame,
+//!   per-route credit flow control), fault injection for chaos tests,
+//!   and the distributed root-cause merge.
 
 pub mod codec;
 pub mod node;

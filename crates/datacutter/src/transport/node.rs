@@ -24,9 +24,10 @@
 //! instead of a hang.
 //!
 //! **Frame path.** Each connection runs three threads. The *writer* drains
-//! every uplink channel routed to its peer per wakeup and coalesces the
-//! ready frames into one vectored flush — replacing v1's syscall per
-//! frame — gated by per-route credit windows. The *reader* decodes frames
+//! every uplink channel routed to its peer per wakeup, gated by per-route
+//! credit windows, and puts each frame on the socket as soon as it is
+//! encoded: one vectored write of header and borrowed payload per frame
+//! ([`super::wire::write_frame_cfg`]). The *reader* decodes frames
 //! off the socket and forwards them; the *injector* owns the local route
 //! map, decodes payloads, feeds consumer queues (staging overflow so one
 //! slow consumer never stalls the socket for the other routes), and grants
@@ -59,11 +60,10 @@ use crate::graph::GraphSpec;
 use crate::metrics::{ConnectionReport, RunReport};
 use crate::transport::codec::PayloadCodec;
 use crate::transport::wire::{
-    encode_data_frame, read_frame, spec_digest, write_frame, Frame, WireConfig, MAX_CREDIT_GRANT,
-    SHARED_QUEUE, WIRE_VERSION,
+    read_frame, spec_digest, write_frame, write_frame_cfg, Frame, WireConfig, WireError,
+    MAX_CREDIT_GRANT, SHARED_QUEUE, WIRE_VERSION,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{IoSlice, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -175,15 +175,6 @@ pub fn free_loopback_addrs(n: usize) -> std::io::Result<Vec<SocketAddr>> {
 /// is a global consumer copy index or [`SHARED_QUEUE`].
 type RouteKey = (u32, u32);
 
-/// Flush the writer's batch once it holds this many bytes even if more
-/// frames are ready, bounding coalescing latency and memory.
-const FLUSH_BYTES: usize = 1 << 20;
-
-/// Data payloads up to this size are copied into the batch's coalescing
-/// segment; larger ones become their own vectored-write segment (moved, not
-/// copied).
-const INLINE_PAYLOAD_MAX: usize = 4096;
-
 /// The initial per-route credit window the sender assumes and the receiver
 /// honors: both sides derive it independently from the stream's declared
 /// channel capacity, so no window negotiation is needed.
@@ -276,7 +267,6 @@ struct ConnStats {
     wire: WireConfig,
     frames_sent: AtomicU64,
     bytes_sent: AtomicU64,
-    flushes: AtomicU64,
     frames_recv: AtomicU64,
     bytes_recv: AtomicU64,
     credits_sent: AtomicU64,
@@ -290,7 +280,6 @@ impl ConnStats {
             wire,
             frames_sent: AtomicU64::new(0),
             bytes_sent: AtomicU64::new(0),
-            flushes: AtomicU64::new(0),
             frames_recv: AtomicU64::new(0),
             bytes_recv: AtomicU64::new(0),
             credits_sent: AtomicU64::new(0),
@@ -304,7 +293,6 @@ impl ConnStats {
             checksum: self.wire.checksum,
             frames_sent: self.frames_sent.load(Ordering::Relaxed),
             bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            flushes: self.flushes.load(Ordering::Relaxed),
             frames_recv: self.frames_recv.load(Ordering::Relaxed),
             bytes_recv: self.bytes_recv.load(Ordering::Relaxed),
             credits_sent: self.credits_sent.load(Ordering::Relaxed),
@@ -566,107 +554,6 @@ enum Inject {
     Closed { clean: bool },
 }
 
-/// A batch of encoded frames awaiting one vectored flush. Control frames
-/// and small payloads coalesce into shared segments; payloads above
-/// [`INLINE_PAYLOAD_MAX`] are moved in as their own segment so large
-/// buffers are never re-copied.
-struct FrameBatch {
-    segments: Vec<Vec<u8>>,
-    bytes: usize,
-    tail_open: bool,
-}
-
-impl FrameBatch {
-    fn new() -> Self {
-        Self {
-            segments: Vec::new(),
-            bytes: 0,
-            tail_open: false,
-        }
-    }
-
-    fn tail(&mut self) -> &mut Vec<u8> {
-        if !self.tail_open {
-            self.segments.push(Vec::with_capacity(8 * 1024));
-            self.tail_open = true;
-        }
-        self.segments.last_mut().expect("tail segment exists")
-    }
-
-    fn push_data(&mut self, header: Vec<u8>, body: Vec<u8>) {
-        self.bytes += header.len() + body.len();
-        if body.len() > INLINE_PAYLOAD_MAX {
-            self.tail().extend_from_slice(&header);
-            self.segments.push(body);
-            self.tail_open = false;
-        } else {
-            let t = self.tail();
-            t.extend_from_slice(&header);
-            t.extend_from_slice(&body);
-        }
-    }
-
-    fn push_control(&mut self, frame: &Frame) {
-        let t = self.tail();
-        let before = t.len();
-        if write_frame(t, frame).is_err() {
-            // Only an over-long Error message can fail encoding to memory;
-            // drop the frame rather than ship a torn one.
-            t.truncate(before);
-        }
-        let after = t.len();
-        self.bytes += after - before;
-    }
-
-    /// Writes every queued segment with `write_vectored` and clears the
-    /// batch. One call here is the only syscall path for data, EOS, error,
-    /// and credit frames alike.
-    fn flush(&mut self, stream: &mut TcpStream, stats: &ConnStats) -> std::io::Result<()> {
-        if self.bytes == 0 {
-            self.segments.clear();
-            self.tail_open = false;
-            return Ok(());
-        }
-        let total = self.bytes;
-        let mut segs: VecDeque<&[u8]> = self
-            .segments
-            .iter()
-            .filter(|s| !s.is_empty())
-            .map(Vec::as_slice)
-            .collect();
-        let mut first_off = 0usize;
-        while let Some(first) = segs.front() {
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(segs.len());
-            slices.push(IoSlice::new(&first[first_off..]));
-            slices.extend(segs.iter().skip(1).map(|s| IoSlice::new(s)));
-            let mut n = stream.write_vectored(&slices)?;
-            if n == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "failed to write batched frames",
-                ));
-            }
-            while n > 0 {
-                let avail = segs.front().expect("bytes remain").len() - first_off;
-                if n >= avail {
-                    n -= avail;
-                    segs.pop_front();
-                    first_off = 0;
-                } else {
-                    first_off += n;
-                    n = 0;
-                }
-            }
-        }
-        self.segments.clear();
-        self.tail_open = false;
-        self.bytes = 0;
-        stats.flushes.fetch_add(1, Ordering::Relaxed);
-        stats.bytes_sent.fetch_add(total as u64, Ordering::Relaxed);
-        Ok(())
-    }
-}
-
 /// Everything one writer thread owns, bundled so the spawn site stays
 /// readable.
 struct WriterSide {
@@ -687,30 +574,64 @@ struct WriterSide {
     stats: Arc<ConnStats>,
 }
 
-fn die_io(stream: &TcpStream, shared: &Shared, peer: usize, e: &std::io::Error) {
-    shared.record(
-        ErrClass::Local,
-        peer,
-        io_filter_error(format!("lost connection to node {peer}: {e}")),
-    );
-    let _ = stream.shutdown(Shutdown::Both);
+/// Writes one frame to the peer and counts its bytes.
+fn send(
+    stream: &mut TcpStream,
+    frame: &Frame,
+    wire: &WireConfig,
+    stats: &ConnStats,
+) -> Result<(), WireError> {
+    let n = write_frame_cfg(stream, frame, wire)?;
+    stats.bytes_sent.fetch_add(n as u64, Ordering::Relaxed);
+    Ok(())
 }
 
-fn fail_exit(batch: &mut FrameBatch, stream: &mut TcpStream, shared: &Shared, stats: &ConnStats) {
+fn fail_exit(stream: &mut TcpStream, shared: &Shared, wire: &WireConfig, stats: &ConnStats) {
     // One Error frame, then close the write half. Dropping the route
     // receivers (by returning) wakes any producer blocked on a full
-    // uplink with a DownstreamClosed disconnect.
+    // uplink with a DownstreamClosed disconnect. An over-long message
+    // fails to encode before any byte is written, so nothing torn ships.
     let (origin, message) = shared.outgoing_error();
-    batch.push_control(&Frame::Error { origin, message });
-    let _ = batch.flush(stream, stats);
+    let _ = send(stream, &Frame::Error { origin, message }, wire, stats);
     let _ = stream.shutdown(Shutdown::Write);
 }
 
+/// Ends a writer whose frame on stream `si` could not be sent. A failed
+/// write loses the peer and closes the socket; a frame that cannot be
+/// encoded (nothing of it was written) fails the run, and the peer hears of
+/// it through an `Error` frame.
+fn send_failed(
+    stream: &mut TcpStream,
+    shared: &Shared,
+    wire: &WireConfig,
+    stats: &ConnStats,
+    peer: usize,
+    si: u32,
+    e: WireError,
+) {
+    if let WireError::Io(e) = e {
+        shared.record(
+            ErrClass::Local,
+            peer,
+            io_filter_error(format!("lost connection to node {peer}: {e}")),
+        );
+        let _ = stream.shutdown(Shutdown::Both);
+    } else {
+        shared.record(
+            ErrClass::Local,
+            shared.node,
+            io_filter_error(format!("cannot send stream {si} to node {peer}: {e}")),
+        );
+        fail_exit(stream, shared, wire, stats);
+    }
+}
+
 /// Per-peer TCP writer: drains every uplink channel routed to `peer` each
-/// wakeup, coalescing all ready frames (and pending credit grants) into one
-/// vectored flush, gated per route by the credit window the peer's injector
-/// replenishes. Channel disconnection becomes `Eos` (clean) or one `Error`
-/// frame (failed run); the injected fault applies here.
+/// wakeup, writing each frame as soon as it is encoded (one vectored write
+/// per frame), gated per route by the credit window the peer's injector
+/// replenishes. Pending credit grants for the peer go out once per sweep.
+/// Channel disconnection becomes `Eos` (clean) or one `Error` frame (failed
+/// run); the injected fault applies here.
 #[allow(clippy::too_many_lines)]
 fn writer_thread(side: WriterSide) {
     let WriterSide {
@@ -738,13 +659,10 @@ fn writer_thread(side: WriterSide) {
     // dropped), stop enforcing windows and fall back to TCP backpressure:
     // at that point no refill can ever arrive, so blocking would deadlock.
     let mut drain_all = false;
-    let mut sel_dirty = true;
     let mut pending_grants: HashMap<RouteKey, u32> = HashMap::new();
     let mut frames_sent = 0u64;
-    let mut batch = FrameBatch::new();
-    let mut sel = Select::new();
     loop {
-        // Phase 1: sweep every input until a full pass makes no progress.
+        // Sweep every input until a full pass makes no progress.
         loop {
             let mut progress = false;
             // Control: credit grants to emit, window refills from the peer.
@@ -759,16 +677,9 @@ fn writer_thread(side: WriterSide) {
                         progress = true;
                         if let Some(i) = keys.iter().position(|k| *k == key) {
                             if credits >= MAX_CREDIT_GRANT {
-                                if !unthrottled[i] {
-                                    unthrottled[i] = true;
-                                    sel_dirty = true;
-                                }
+                                unthrottled[i] = true;
                             } else {
-                                let was_zero = credit[i] == 0;
                                 credit[i] = credit[i].saturating_add(credits).min(MAX_CREDIT_GRANT);
-                                if was_zero && open[i] {
-                                    sel_dirty = true;
-                                }
                             }
                         }
                     }
@@ -777,7 +688,6 @@ fn writer_thread(side: WriterSide) {
                         if ctl_open {
                             ctl_open = false;
                             drain_all = true;
-                            sel_dirty = true;
                             progress = true;
                         }
                         break;
@@ -796,10 +706,9 @@ fn writer_thread(side: WriterSide) {
                             if let Some(f) = fault {
                                 match f.kind {
                                     TransportFaultKind::Drop if frames_sent >= f.after_frames => {
-                                        // Deliver what was batched so the
-                                        // first `after_frames` frames land,
-                                        // then die like a cut cable.
-                                        let _ = batch.flush(&mut stream, &stats);
+                                        // The first `after_frames` frames
+                                        // are on the wire; die like a cut
+                                        // cable.
                                         shared.record(
                                             ErrClass::Local,
                                             peer,
@@ -819,59 +728,33 @@ fn writer_thread(side: WriterSide) {
                                     _ => {}
                                 }
                             }
-                            let (ptype, payload) = match codec.encode(&msg.buf) {
-                                Ok(enc) => enc,
-                                Err(e) => {
-                                    shared.record(
-                                        ErrClass::Local,
-                                        shared.node,
-                                        io_filter_error(format!(
-                                            "cannot send stream {} to node {peer}: {e}",
-                                            keys[i].0
-                                        )),
-                                    );
-                                    fail_exit(&mut batch, &mut stream, &shared, &stats);
-                                    return;
-                                }
-                            };
-                            let encoded = encode_data_frame(
-                                keys[i].0,
-                                keys[i].1,
-                                msg.buf.tag(),
-                                msg.buf.size_bytes() as u64,
-                                ptype,
-                                payload,
-                                &wire,
-                            );
-                            let (header, body) = match encoded {
-                                Ok(hb) => hb,
-                                Err(e) => {
-                                    shared.record(
-                                        ErrClass::Local,
-                                        shared.node,
-                                        io_filter_error(format!(
-                                            "cannot send stream {} to node {peer}: {e}",
-                                            keys[i].0
-                                        )),
-                                    );
-                                    fail_exit(&mut batch, &mut stream, &shared, &stats);
-                                    return;
-                                }
-                            };
-                            batch.push_data(header, body);
+                            let sent = codec.encode(&msg.buf).and_then(|(ptype, payload)| {
+                                let frame = Frame::Data {
+                                    stream: keys[i].0,
+                                    dest: keys[i].1,
+                                    tag: msg.buf.tag(),
+                                    size: msg.buf.size_bytes() as u64,
+                                    ptype,
+                                    payload,
+                                };
+                                send(&mut stream, &frame, &wire, &stats)
+                            });
+                            if let Err(e) = sent {
+                                send_failed(
+                                    &mut stream,
+                                    &shared,
+                                    &wire,
+                                    &stats,
+                                    peer,
+                                    keys[i].0,
+                                    e,
+                                );
+                                return;
+                            }
                             frames_sent += 1;
                             stats.frames_sent.fetch_add(1, Ordering::Relaxed);
                             if !(drain_all || unthrottled[i]) {
                                 credit[i] -= 1;
-                                if credit[i] == 0 {
-                                    sel_dirty = true;
-                                }
-                            }
-                            if batch.bytes >= FLUSH_BYTES {
-                                if let Err(e) = batch.flush(&mut stream, &stats) {
-                                    die_io(&stream, &shared, peer, &e);
-                                    return;
-                                }
                             }
                         }
                         Err(TryRecvError::Empty) => break,
@@ -881,16 +764,27 @@ fn writer_thread(side: WriterSide) {
                             // channels drop, so this cannot race to a
                             // false Eos.
                             if shared.failed.load(Ordering::SeqCst) {
-                                fail_exit(&mut batch, &mut stream, &shared, &stats);
+                                fail_exit(&mut stream, &shared, &wire, &stats);
                                 return;
                             }
                             progress = true;
                             open[i] = false;
-                            sel_dirty = true;
-                            batch.push_control(&Frame::Eos {
+                            let eos = Frame::Eos {
                                 stream: keys[i].0,
                                 dest: keys[i].1,
-                            });
+                            };
+                            if let Err(e) = send(&mut stream, &eos, &wire, &stats) {
+                                send_failed(
+                                    &mut stream,
+                                    &shared,
+                                    &wire,
+                                    &stats,
+                                    peer,
+                                    keys[i].0,
+                                    e,
+                                );
+                                return;
+                            }
                             break;
                         }
                     }
@@ -902,60 +796,55 @@ fn writer_thread(side: WriterSide) {
                 Err(TryRecvError::Disconnected) => {
                     if watch_open {
                         if shared.failed.load(Ordering::SeqCst) {
-                            fail_exit(&mut batch, &mut stream, &shared, &stats);
+                            fail_exit(&mut stream, &shared, &wire, &stats);
                             return;
                         }
                         watch_open = false;
                         drain_all = true;
-                        sel_dirty = true;
                         progress = true;
                     }
                 }
             }
-            // Coalesced credit grants ride along with whatever data is
-            // batched (progress was already marked when they arrived).
+            // Grants merged over this pass, one `Credit` frame per route
+            // (progress was already marked when they arrived).
             for (key, credits) in pending_grants.drain() {
-                batch.push_control(&Frame::Credit {
+                let grant = Frame::Credit {
                     stream: key.0,
                     dest: key.1,
                     credits: credits.clamp(1, MAX_CREDIT_GRANT),
-                });
+                };
+                if let Err(e) = send(&mut stream, &grant, &wire, &stats) {
+                    send_failed(&mut stream, &shared, &wire, &stats, peer, key.0, e);
+                    return;
+                }
                 stats.credits_sent.fetch_add(1, Ordering::Relaxed);
             }
             if !progress {
                 break;
             }
         }
-        // Phase 2: one vectored flush for the whole sweep.
-        if let Err(e) = batch.flush(&mut stream, &stats) {
-            die_io(&stream, &shared, peer, &e);
-            return;
-        }
         if !watch_open && open.iter().all(|o| !o) {
             break;
         }
-        // Phase 3: block until any input is ready. Routes out of credit are
-        // left out of the select (their wakeup is a Window refill on the
-        // control channel); count them as stalls when they had data ready.
+        // Block until any input is ready. Routes out of credit are left out
+        // of the select (their wakeup is a Window refill on the control
+        // channel); count them as stalls when they had data ready.
+        let mut sel = Select::new();
         for i in 0..n {
-            if open[i] && !drain_all && !unthrottled[i] && credit[i] == 0 && !rxs[i].is_empty() {
+            if !open[i] {
+                continue;
+            }
+            if drain_all || unthrottled[i] || credit[i] > 0 {
+                sel.recv(&rxs[i]);
+            } else if !rxs[i].is_empty() {
                 stats.credit_stalls.fetch_add(1, Ordering::Relaxed);
             }
         }
-        if sel_dirty {
-            sel = Select::new();
-            for i in 0..n {
-                if open[i] && (drain_all || unthrottled[i] || credit[i] > 0) {
-                    sel.recv(&rxs[i]);
-                }
-            }
-            if watch_open {
-                sel.recv(&watch_rx);
-            }
-            if ctl_open {
-                sel.recv(&ctl_rx);
-            }
-            sel_dirty = false;
+        if watch_open {
+            sel.recv(&watch_rx);
+        }
+        if ctl_open {
+            sel.recv(&ctl_rx);
         }
         // The sweep re-polls everything, so which input woke us does not
         // matter and a spurious wakeup is harmless.
@@ -1362,7 +1251,7 @@ fn dest_keys(spec: &GraphSpec, si: usize) -> Vec<(u32, usize)> {
 /// the call. The returned [`RunReport`] / [`RunFailure`] covers this
 /// node's copies only — `filters` counts the copies placed here, so
 /// [`RunReport::check`] holds per process, and `transport` carries one
-/// [`ConnectionReport`] per peer connection (frames, flushes, credits)
+/// [`ConnectionReport`] per peer connection (frames, bytes, credits)
 /// — and root-cause selection extends the engine's kind
 /// ordering with transport classes: a locally detected peer loss beats a
 /// peer-reported failure (with the reporting echo of this node's own

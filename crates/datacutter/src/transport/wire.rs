@@ -47,7 +47,7 @@
 //! a typed [`WireError`], never a panic.
 
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 /// Magic word opening every frame (`"H4DW"` as a big-endian u32).
 pub const WIRE_MAGIC: u32 = 0x4834_4457;
@@ -307,73 +307,41 @@ fn read_u8(r: &mut impl Read, context: &'static str) -> Result<u8, WireError> {
     Ok(b[0])
 }
 
-/// Encodes a `Data` frame as a `(header, payload)` pair under `cfg`,
-/// stamping the payload checksum when it is on. The split lets a batching
-/// writer queue the header bytes and the (possibly large) payload as
-/// separate vectored-write segments without copying the payload again.
+/// Writes one frame under `cfg` (checksums apply to `Data` frames only) and
+/// returns its length on the wire. The header is encoded into a small
+/// buffer; a `Data` payload or an `Error` message is borrowed in place. Both
+/// go out through `write_vectored`, advanced past whatever `w` accepted
+/// until every byte is written, so a socket takes one write per frame unless
+/// it accepts only a part.
 ///
 /// # Errors
-/// [`WireError::Oversized`] when the payload exceeds [`MAX_PAYLOAD_LEN`].
-#[allow(clippy::too_many_arguments)]
-pub fn encode_data_frame(
-    stream: u32,
-    dest: u32,
-    tag: u64,
-    size: u64,
-    ptype: u16,
-    payload: Vec<u8>,
-    cfg: &WireConfig,
-) -> Result<(Vec<u8>, Vec<u8>), WireError> {
-    let len = u32::try_from(payload.len())
-        .ok()
-        .filter(|&l| l <= MAX_PAYLOAD_LEN)
-        .ok_or(WireError::Oversized {
-            field: "payload",
-            len: u32::try_from(payload.len()).unwrap_or(u32::MAX),
-            max: MAX_PAYLOAD_LEN,
-        })?;
-    let flags = if cfg.checksum { FLAG_CHECKSUM } else { 0 };
-    let mut header = Vec::with_capacity(40);
-    header.extend_from_slice(&WIRE_MAGIC.to_le_bytes());
-    header.push(KIND_DATA);
-    header.extend_from_slice(&stream.to_le_bytes());
-    header.extend_from_slice(&dest.to_le_bytes());
-    header.extend_from_slice(&tag.to_le_bytes());
-    header.extend_from_slice(&size.to_le_bytes());
-    header.extend_from_slice(&ptype.to_le_bytes());
-    header.push(flags);
-    if cfg.checksum {
-        header.extend_from_slice(&fnv1a32(&payload).to_le_bytes());
-    }
-    header.extend_from_slice(&len.to_le_bytes());
-    Ok((header, payload))
-}
-
-/// Writes one frame under `cfg` (checksums apply to `Data` frames only).
-/// The caller flushes — frames are batched by the writer.
+/// [`WireError::Oversized`] or [`WireError::BadCredit`] before any byte is
+/// written; [`WireError::Io`] from `w`, with `WriteZero` when `w` accepts
+/// nothing.
 pub fn write_frame_cfg(
     w: &mut impl Write,
     frame: &Frame,
     cfg: &WireConfig,
-) -> Result<(), WireError> {
-    let mut out = Vec::with_capacity(32);
-    out.extend_from_slice(&WIRE_MAGIC.to_le_bytes());
-    match frame {
+) -> Result<usize, WireError> {
+    let mut head = Vec::with_capacity(40);
+    head.extend_from_slice(&WIRE_MAGIC.to_le_bytes());
+    let body: &[u8] = match frame {
         Frame::Hello {
             version,
             node,
             digest,
             features,
         } => {
-            out.push(KIND_HELLO);
-            out.extend_from_slice(&version.to_le_bytes());
-            out.extend_from_slice(&node.to_le_bytes());
-            out.extend_from_slice(&digest.to_le_bytes());
+            head.push(KIND_HELLO);
+            head.extend_from_slice(&version.to_le_bytes());
+            head.extend_from_slice(&node.to_le_bytes());
+            head.extend_from_slice(&digest.to_le_bytes());
             // The features word exists only in version-2 hellos; encoding
             // a version-1 frame (tests, mixed-version probes) omits it.
             if *version >= 2 {
-                out.extend_from_slice(&features.to_le_bytes());
+                head.extend_from_slice(&features.to_le_bytes());
             }
+            &[]
         }
         Frame::Data {
             stream,
@@ -383,20 +351,36 @@ pub fn write_frame_cfg(
             ptype,
             payload,
         } => {
-            let (header, body) =
-                encode_data_frame(*stream, *dest, *tag, *size, *ptype, payload.clone(), cfg)?;
-            w.write_all(&header)?;
-            w.write_all(&body)?;
-            return Ok(());
+            let len = u32::try_from(payload.len())
+                .ok()
+                .filter(|&l| l <= MAX_PAYLOAD_LEN)
+                .ok_or(WireError::Oversized {
+                    field: "payload",
+                    len: u32::try_from(payload.len()).unwrap_or(u32::MAX),
+                    max: MAX_PAYLOAD_LEN,
+                })?;
+            head.push(KIND_DATA);
+            head.extend_from_slice(&stream.to_le_bytes());
+            head.extend_from_slice(&dest.to_le_bytes());
+            head.extend_from_slice(&tag.to_le_bytes());
+            head.extend_from_slice(&size.to_le_bytes());
+            head.extend_from_slice(&ptype.to_le_bytes());
+            if cfg.checksum {
+                head.push(FLAG_CHECKSUM);
+                head.extend_from_slice(&fnv1a32(payload).to_le_bytes());
+            } else {
+                head.push(0);
+            }
+            head.extend_from_slice(&len.to_le_bytes());
+            payload
         }
         Frame::Eos { stream, dest } => {
-            out.push(KIND_EOS);
-            out.extend_from_slice(&stream.to_le_bytes());
-            out.extend_from_slice(&dest.to_le_bytes());
+            head.push(KIND_EOS);
+            head.extend_from_slice(&stream.to_le_bytes());
+            head.extend_from_slice(&dest.to_le_bytes());
+            &[]
         }
         Frame::Error { origin, message } => {
-            out.push(KIND_ERROR);
-            out.extend_from_slice(&origin.to_le_bytes());
             let bytes = message.as_bytes();
             let len = u32::try_from(bytes.len())
                 .ok()
@@ -406,8 +390,10 @@ pub fn write_frame_cfg(
                     len: u32::MAX,
                     max: MAX_MESSAGE_LEN,
                 })?;
-            out.extend_from_slice(&len.to_le_bytes());
-            out.extend_from_slice(bytes);
+            head.push(KIND_ERROR);
+            head.extend_from_slice(&origin.to_le_bytes());
+            head.extend_from_slice(&len.to_le_bytes());
+            bytes
         }
         Frame::Credit {
             stream,
@@ -417,19 +403,38 @@ pub fn write_frame_cfg(
             if *credits == 0 || *credits > MAX_CREDIT_GRANT {
                 return Err(WireError::BadCredit(*credits));
             }
-            out.push(KIND_CREDIT);
-            out.extend_from_slice(&stream.to_le_bytes());
-            out.extend_from_slice(&dest.to_le_bytes());
-            out.extend_from_slice(&credits.to_le_bytes());
+            head.push(KIND_CREDIT);
+            head.extend_from_slice(&stream.to_le_bytes());
+            head.extend_from_slice(&dest.to_le_bytes());
+            head.extend_from_slice(&credits.to_le_bytes());
+            &[]
+        }
+    };
+    let mut slices = [IoSlice::new(&head), IoSlice::new(body)];
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => {
+                return Err(WireError::Io(std::io::Error::new(
+                    std::io::ErrorKind::WriteZero,
+                    "failed to write the whole frame",
+                )))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(WireError::Io(e)),
         }
     }
-    w.write_all(&out)?;
-    Ok(())
+    Ok(head.len() + body.len())
 }
 
 /// Writes one frame with checksums off (the
-/// pre-negotiation default; handshake frames always go this way).
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), WireError> {
+/// pre-negotiation default; handshake frames always go this way) and
+/// returns its length on the wire.
+///
+/// # Errors
+/// As [`write_frame_cfg`].
+pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<usize, WireError> {
     write_frame_cfg(w, frame, &WireConfig::default())
 }
 
@@ -651,6 +656,93 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A writer that takes 1..=7 bytes per call, cycling, across as many of
+    /// the offered slices as that spans; `None` takes nothing ever.
+    struct Trickle {
+        out: Vec<u8>,
+        next: Option<usize>,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            let Some(step) = self.next else {
+                return Ok(0);
+            };
+            self.next = Some(step % 7 + 1);
+            let mut left = step;
+            for b in bufs {
+                let take = left.min(b.len());
+                self.out.extend_from_slice(&b[..take]);
+                left -= take;
+            }
+            Ok(step - left)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn partial_writes_put_every_frame_byte_on_the_wire_once() {
+        let frames = [
+            Frame::Data {
+                stream: 1,
+                dest: SHARED_QUEUE,
+                tag: 42,
+                size: 300,
+                ptype: 7,
+                payload: (0..300u32).map(|i| i as u8).collect(),
+            },
+            Frame::Data {
+                stream: 0,
+                dest: 3,
+                tag: 1,
+                size: 0,
+                ptype: 2,
+                payload: Vec::new(),
+            },
+            Frame::Credit {
+                stream: 2,
+                dest: 1,
+                credits: 9,
+            },
+            Frame::Eos { stream: 4, dest: 0 },
+            Frame::Error {
+                origin: 1,
+                message: "filter error [io] in RFR#0: boom".into(),
+            },
+        ];
+        for cfg in [WireConfig::default(), ALL_ON] {
+            for frame in &frames {
+                let mut w = Trickle {
+                    out: Vec::new(),
+                    next: Some(1),
+                };
+                let written = write_frame_cfg(&mut w, frame, &cfg);
+                let want = encode_frame_cfg(frame, &cfg);
+                assert!(
+                    matches!(written, Ok(n) if n == want.len()),
+                    "{frame:?}: {written:?}"
+                );
+                assert_eq!(w.out, want, "{frame:?} under {cfg:?}");
+            }
+        }
+        let mut stuck = Trickle {
+            out: Vec::new(),
+            next: None,
+        };
+        let got = write_frame(&mut stuck, &Frame::Eos { stream: 0, dest: 0 });
+        assert!(
+            matches!(&got, Err(WireError::Io(e)) if e.kind() == std::io::ErrorKind::WriteZero),
+            "{got:?}"
+        );
     }
 
     #[test]

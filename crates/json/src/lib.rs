@@ -4,8 +4,8 @@
 //!
 //! The documents are the filter-network description (`h4d graph`), the run
 //! report (`--report`), a dataset's `dataset.json` and per-node
-//! `index.json`, a study's `study.json`, the result store's run manifest
-//! and `BENCH_transport.json`. Their layout is the conventional one: fields
+//! `index.json`, a study's `study.json` and the result store's run
+//! manifest. Their layout is the conventional one: fields
 //! in declaration order, two-space indentation, `"key": value`, unit enum
 //! variants as their name.
 //!

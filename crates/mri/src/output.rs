@@ -302,9 +302,9 @@ impl ParameterWriter {
         self.records
     }
 
-    /// Joins the background sync, flushes, syncs the file's tail, closes it
-    /// and atomically renames it to the final path — in that order, so the
-    /// file appears under its final name only once all of it is durable.
+    /// Joins the background sync, writes out the buffer, syncs the file's
+    /// tail, closes it and atomically renames it to the final path — in that
+    /// order, so the file takes its final name only once all of it is durable.
     ///
     /// A background sync's error is returned and nothing is renamed: the
     /// duplicate handle shares the file description, so an error that sync

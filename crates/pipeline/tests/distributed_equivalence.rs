@@ -14,7 +14,10 @@
 //! 0's `bytes_sent` must then stay within the `params` stream's metered
 //! bytes plus a frame header per data frame and the control frames. Per-node
 //! run reports must parse, pass their own invariant check, and satisfy
-//! `busy + blocked_send + blocked_recv <= wall` for every copy.
+//! `busy + blocked_send + blocked_recv <= wall` for every copy. On every
+//! connection of every run, the bytes a node wrote must equal exactly what
+//! its peer read: the payload bytes, a header per data frame, a `Credit`
+//! frame per grant and an `Eos` frame per route.
 //!
 //! Every child process runs under a watchdog; a wedged distributed run
 //! fails the test instead of hanging CI.
@@ -155,42 +158,108 @@ fn check_node_report(path: &Path, node: usize) -> RunReport {
     report
 }
 
-/// Verifies a node report's per-connection transport section: one entry
-/// per peer, checksums negotiated as expected, sane frame/flush accounting.
-/// Returns the data frames sent so the caller can aggregate across nodes.
-fn check_transport(report: &RunReport, node: usize, nodes: usize, checksum: bool) -> u64 {
-    let conns = report
-        .transport
-        .as_ref()
-        .unwrap_or_else(|| panic!("node {node} report has no transport section"));
-    let mut peers: Vec<usize> = conns.iter().map(|c| c.peer).collect();
-    peers.sort_unstable();
-    let expected: Vec<usize> = (0..nodes).filter(|&p| p != node).collect();
-    assert_eq!(peers, expected, "node {node} transport peers");
+/// Wire bytes of a data frame's header: 36, 40 with a payload checksum.
+fn data_header(checksum: bool) -> u64 {
+    if checksum {
+        40
+    } else {
+        36
+    }
+}
+
+/// Wire bytes of a `Credit` frame.
+const CREDIT_FRAME: u64 = 17;
+
+/// Wire bytes of an `Eos` frame.
+const EOS_FRAME: u64 = 13;
+
+/// Routes node `from` writes to node `to`: one per consumer queue on `to`
+/// (per copy for private-queue policies, one shared queue otherwise) of a
+/// stream whose producer has a copy on `from`. Each ends in one `Eos`.
+fn routes_written(spec: &GraphSpec, from: usize, to: usize) -> u64 {
+    let mut routes = 0;
+    for s in &spec.streams {
+        let producer = spec.filter_decl(&s.from).expect("producer declared");
+        if !producer.placement.contains(&from) {
+            continue;
+        }
+        let consumer = spec.filter_decl(&s.to).expect("consumer declared");
+        routes += if s.policy.uses_private_queues() {
+            consumer.placement.iter().filter(|&&n| n == to).count()
+        } else {
+            usize::from(consumer.placement[0] == to)
+        };
+    }
+    routes as u64
+}
+
+/// Verifies the per-connection transport sections of one run's node
+/// reports: one entry per peer, checksums negotiated as expected, and every
+/// byte a node wrote accounted for by what its peer read. A connection
+/// carries the peer's received payload bytes, a header per data frame it
+/// decoded, a `Credit` frame per grant and an `Eos` per route, and nothing
+/// else: a byte written twice, dropped or torn breaks the equality.
+/// Returns the data frames sent so the caller can check that data moved.
+fn check_transport(spec: &GraphSpec, reports: &[RunReport], checksum: bool) -> u64 {
+    let nodes = reports.len();
+    let conns: Vec<&[ConnectionReport]> = reports
+        .iter()
+        .enumerate()
+        .map(|(node, r)| {
+            r.transport
+                .as_deref()
+                .unwrap_or_else(|| panic!("node {node} report has no transport section"))
+        })
+        .collect();
     let mut frames = 0;
-    for c in conns {
-        let ConnectionReport {
-            peer,
-            frames_sent,
-            flushes,
-            credits_sent,
-            ..
-        } = *c;
-        assert_eq!(
-            c.checksum, checksum,
-            "node {node}->{peer}: negotiated checksum"
-        );
-        // Every flush ships at least one frame (data, credit, or EOS), so
-        // a flush-per-frame regression shows up as flushes outrunning the
-        // frames this connection sent (slack covers EOS/error frames).
-        assert!(
-            flushes <= frames_sent + credits_sent + 8,
-            "node {node}->{peer}: {flushes} flushes for {frames_sent} data + \
-             {credits_sent} credit frames (writer is not batching)"
-        );
-        frames += frames_sent;
+    for (node, node_conns) in conns.iter().enumerate() {
+        let mut peers: Vec<usize> = node_conns.iter().map(|c| c.peer).collect();
+        peers.sort_unstable();
+        let expected: Vec<usize> = (0..nodes).filter(|&p| p != node).collect();
+        assert_eq!(peers, expected, "node {node} transport peers");
+        for c in node_conns.iter() {
+            let peer = c.peer;
+            assert_eq!(
+                c.checksum, checksum,
+                "node {node}->{peer}: negotiated checksum"
+            );
+            let back = conns[peer]
+                .iter()
+                .find(|b| b.peer == node)
+                .unwrap_or_else(|| panic!("node {peer} reports no connection to node {node}"));
+            let routes = routes_written(spec, node, peer);
+            let law = back.bytes_recv
+                + back.frames_recv * data_header(checksum)
+                + c.credits_sent * CREDIT_FRAME
+                + routes * EOS_FRAME;
+            assert_eq!(
+                c.bytes_sent, law,
+                "node {node}->{peer}: {} B sent, but node {peer} read {} payload B in {} \
+                 frames, and {} credit and {routes} eos frames were written",
+                c.bytes_sent, back.bytes_recv, back.frames_recv, c.credits_sent
+            );
+            assert_eq!(
+                c.frames_sent, back.frames_recv,
+                "node {node}->{peer}: data frames sent and received differ"
+            );
+            frames += c.frames_sent;
+        }
     }
     frames
+}
+
+/// Reads and checks the per-node reports `{base}.node{k}.json` of one
+/// `nodes`-process run.
+fn node_reports(base: &Path, nodes: usize) -> Vec<RunReport> {
+    (0..nodes)
+        .map(|node| {
+            let name = format!(
+                "{}.node{node}.json",
+                base.file_name().unwrap().to_string_lossy()
+            );
+            check_node_report(&base.with_file_name(name), node)
+        })
+        .collect()
 }
 
 #[test]
@@ -298,8 +367,9 @@ fn multi_process_runs_are_byte_identical_to_in_process() {
         "h4d launch --nodes 2 (output apart)",
     );
     assert_byte_identical(&out_ref, &out_apart, "output-apart run");
-    let report = check_node_report(&base.join("rep_apart.node0.json"), 0);
-    check_transport(&report, 0, 2, false);
+    let apart = node_reports(&rep_apart, 2);
+    check_transport(&output_apart_graph(), &apart, false);
+    let report = &apart[0];
     let params = report
         .streams
         .iter()
@@ -322,11 +392,9 @@ fn multi_process_runs_are_byte_identical_to_in_process() {
     // Per-node reports: parse, pass invariants, and cover exactly the
     // copies placed on each node.
     let spec2 = placed_graph(2);
+    let plain = node_reports(&rep2, 2);
     let mut copies_seen = 0;
-    let mut plain_frames = 0;
-    for node in 0..2 {
-        let report = check_node_report(&base.join(format!("rep2.node{node}.json")), node);
-        plain_frames += check_transport(&report, node, 2, false);
+    for (node, report) in plain.iter().enumerate() {
         for shape in &report.filters {
             let decl = spec2.filter_decl(&shape.name).expect("filter exists");
             let placed_here = decl.placement.iter().filter(|&&n| n == node).count();
@@ -343,17 +411,11 @@ fn multi_process_runs_are_byte_identical_to_in_process() {
         copies_seen, total,
         "per-node reports do not cover every placed copy exactly once"
     );
+    let plain_frames = check_transport(&spec2, &plain, false);
     assert!(plain_frames > 0, "2-process run moved no data frames");
 
-    let mut checksum_frames = 0;
-    for node in 0..2 {
-        let report = check_node_report(&base.join(format!("rep2c.node{node}.json")), node);
-        checksum_frames += check_transport(&report, node, 2, true);
-    }
+    let checksum_frames = check_transport(&spec2, &node_reports(&rep2c, 2), true);
     assert!(checksum_frames > 0, "checksum run moved no data frames");
 
-    for node in 0..3 {
-        let report = check_node_report(&base.join(format!("rep3.node{node}.json")), node);
-        check_transport(&report, node, 3, true);
-    }
+    check_transport(&placed_graph(3), &node_reports(&rep3, 3), true);
 }

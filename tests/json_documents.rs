@@ -114,7 +114,6 @@ fn report() -> RunReport {
             checksum: true,
             frames_sent: m,
             bytes_sent: m,
-            flushes: m,
             frames_recv: m,
             bytes_recv: m,
             credits_sent: m,
